@@ -3,7 +3,7 @@
 Core objects live in submodules:
 
 * :mod:`sqdci.hamiltonian` -- determinants, active-space Hamiltonians,
-  Slater-Condon matrix elements and projected matvecs.
+  Slater-Condon matrix elements and the projected-Hamiltonian builder.
 * :mod:`sqdci.fcidump` -- FCIDUMP reader/writer.
 * :mod:`sqdci.solver` -- Davidson and dense eigensolvers, FCI driver.
 * :mod:`sqdci.sampler` -- LUCJ statevector simulation, multinomial shot

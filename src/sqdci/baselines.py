@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from .errors import CapacityError, ConfigError
 from .hamiltonian import ActiveSpaceHamiltonian, connected_determinants
 from .solver import DavidsonOptions, SubspaceResult, solve_subspace
-from .sqd import ExtensionThresholds, extend_subspace
+from .sqd import (EXTENSION_DIMENSION_CAP, ExtensionThresholds,
+                  extend_subspace)
 
 HCI_DIMENSION_CAP = 2_000_000
 
@@ -72,7 +73,7 @@ def hci_variational(ham: ActiveSpaceHamiltonian,
 def ext_hci(ham: ActiveSpaceHamiltonian, prior: SubspaceResult,
             thresholds: ExtensionThresholds | None = None,
             solver_opts: DavidsonOptions | None = None,
-            dimension_cap: int = 50_000_000) -> SubspaceResult:
+            dimension_cap: int = EXTENSION_DIMENSION_CAP) -> SubspaceResult:
     """Excitation extension of an HCI ground state (single re-diagonalization)."""
     thresholds = thresholds or ExtensionThresholds()
     extended = set(extend_subspace(prior.vector, prior.basis, thresholds,

@@ -1,5 +1,10 @@
 """Active-space Hamiltonians and Slater-Condon matrix elements.
 
+One kernel serves every method: :func:`connected_determinants` yields
+the valued singles and doubles of a determinant, :func:`excitations`
+lists the same moves without values, and :func:`build_sparse_matrix`
+assembles the projected Hamiltonian over an explicit basis.
+
 Determinants are pairs of occupation bitmasks (alpha, beta) over spatial
 orbitals. The fermionic sign convention places all alpha spin-orbitals
 (ascending orbital index) before all beta spin-orbitals; parities reduce
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -65,7 +71,6 @@ def sector_basis(n_orb: int, n_alpha: int, n_beta: int) -> list[Determinant]:
 
 
 def sector_dimension(n_orb: int, n_alpha: int, n_beta: int) -> int:
-    from math import comb
     return comb(n_orb, n_alpha) * comb(n_orb, n_beta)
 
 
@@ -98,6 +103,9 @@ class ActiveSpaceHamiltonian:
             raise ConfigError("two_body has wrong shape")
         if not (0 < self.n_alpha <= self.n_orb and 0 < self.n_beta <= self.n_orb):
             raise ConfigError("electron counts out of range")
+        if not (np.isfinite(self.core_energy) and np.all(np.isfinite(h))
+                and np.all(np.isfinite(eri))):
+            raise ConfigError("integrals must be finite")
         if np.max(np.abs(h - h.T)) > 1e-12:
             raise ConfigError("one_body not symmetric")
         for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
@@ -139,244 +147,126 @@ def diagonal_element(ham: ActiveSpaceHamiltonian, det: Determinant) -> float:
     return float(energy)
 
 
-def _parity_between(bits: int, p: int, q: int) -> int:
+def _parity(bits: int, p: int, q: int) -> int:
     """(-1)**(number of set bits strictly between p and q)."""
     lo, hi = (p, q) if p < q else (q, p)
     mask = ((1 << hi) - 1) & ~((1 << (lo + 1)) - 1)
     return -1 if (bits & mask).bit_count() & 1 else 1
 
 
-def _single_sign(bits: int, hole: int, particle: int) -> int:
-    return _parity_between(bits, hole, particle)
+def _holes_and_particles(bits: int, n_orb: int) -> tuple[list[int], list[int]]:
+    """Occupied and virtual orbitals of one spin string, ascending."""
+    return occupied_orbitals(bits), [p for p in range(n_orb) if not bits >> p & 1]
 
 
-def _single_element_alpha(ham, det, hole, particle):
+def _with_string(det: Determinant, spin: int, bits: int) -> Determinant:
+    """``det`` with its alpha (spin 0) or beta (spin 1) string replaced."""
+    return Determinant(bits, det.beta) if spin == 0 else Determinant(det.alpha, bits)
+
+
+def _single_element(ham, same, other, hole, particle):
+    """Element of the move hole -> particle on the spin string ``same``.
+
+    ``other`` is the opposite-spin string of the same determinant.
+    """
     h = ham.one_body
     eri = ham.two_body
     val = h[hole, particle]
-    for i in occupied_orbitals(det.alpha):
+    for i in occupied_orbitals(same):
         if i == hole:
             continue
         val += eri[hole, particle, i, i] - eri[hole, i, i, particle]
-    for i in occupied_orbitals(det.beta):
+    for i in occupied_orbitals(other):
         val += eri[hole, particle, i, i]
-    return val * _single_sign(det.alpha, hole, particle)
-
-
-def _single_element_beta(ham, det, hole, particle):
-    h = ham.one_body
-    eri = ham.two_body
-    val = h[hole, particle]
-    for i in occupied_orbitals(det.beta):
-        if i == hole:
-            continue
-        val += eri[hole, particle, i, i] - eri[hole, i, i, particle]
-    for i in occupied_orbitals(det.alpha):
-        val += eri[hole, particle, i, i]
-    return val * _single_sign(det.beta, hole, particle)
-
-
-def _double_sign_same_spin(bits, h1, p1, h2, p2):
-    """Sign of the ordered product E_{p2 h2} E_{p1 h1} on one spin string."""
-    s1 = _single_sign(bits, h1, p1)
-    bits2 = bits ^ (1 << h1) ^ (1 << p1)
-    s2 = _single_sign(bits2, h2, p2)
-    return s1 * s2
-
-
-def matrix_element(ham: ActiveSpaceHamiltonian, d1: Determinant,
-                   d2: Determinant) -> float:
-    """<d1|H|d2> by the Slater-Condon rules (0 beyond double excitations)."""
-    diff_a = d1.alpha ^ d2.alpha
-    diff_b = d1.beta ^ d2.beta
-    na, nb = diff_a.bit_count(), diff_b.bit_count()
-    degree = (na + nb) // 2
-    if na & 1 or nb & 1 or degree > 2:
-        return 0.0
-    if degree == 0:
-        return diagonal_element(ham, d1)
-    eri = ham.two_body
-    if degree == 1:
-        if na == 2:
-            hole = occupied_orbitals(diff_a & d1.alpha)[0]
-            particle = occupied_orbitals(diff_a & d2.alpha)[0]
-            return float(_single_element_alpha(ham, d1, hole, particle))
-        hole = occupied_orbitals(diff_b & d1.beta)[0]
-        particle = occupied_orbitals(diff_b & d2.beta)[0]
-        return float(_single_element_beta(ham, d1, hole, particle))
-    if na == 4:  # alpha-alpha double
-        h1, h2 = occupied_orbitals(diff_a & d1.alpha)
-        p1, p2 = occupied_orbitals(diff_a & d2.alpha)
-        sign = _double_sign_same_spin(d1.alpha, h1, p1, h2, p2)
-        return float(sign * (eri[h1, p1, h2, p2] - eri[h1, p2, h2, p1]))
-    if nb == 4:  # beta-beta double
-        h1, h2 = occupied_orbitals(diff_b & d1.beta)
-        p1, p2 = occupied_orbitals(diff_b & d2.beta)
-        sign = _double_sign_same_spin(d1.beta, h1, p1, h2, p2)
-        return float(sign * (eri[h1, p1, h2, p2] - eri[h1, p2, h2, p1]))
-    # mixed alpha-beta double
-    ha = occupied_orbitals(diff_a & d1.alpha)[0]
-    pa = occupied_orbitals(diff_a & d2.alpha)[0]
-    hb = occupied_orbitals(diff_b & d1.beta)[0]
-    pb = occupied_orbitals(diff_b & d2.beta)[0]
-    sign = _single_sign(d1.alpha, ha, pa) * _single_sign(d1.beta, hb, pb)
-    return float(sign * eri[ha, pa, hb, pb])
+    return val * _parity(same, hole, particle)
 
 
 def connected_determinants(ham: ActiveSpaceHamiltonian, det: Determinant,
                            magnitude_cutoff: float = 0.0):
-    """Yield (d', <d'|H|d>) over singles and doubles of ``det``.
+    """(d', <d'|H|d>) over singles and doubles of ``det``.
 
     Singles are kept when the exact element magnitude reaches the cutoff.
     Doubles are screened on the integral magnitude before the parity
     sign (heat-bath criterion); the returned value is the exact signed
-    element. Exact zeros are dropped.
+    element. Exact zeros are dropped. Order: alpha singles, beta singles,
+    alpha-alpha, beta-beta, then alpha-beta doubles.
     """
     if magnitude_cutoff < 0:
         raise ConfigError("cutoff must be nonnegative")
     eri = ham.two_body
-    n = ham.n_orb
-    occ_a = occupied_orbitals(det.alpha)
-    occ_b = occupied_orbitals(det.beta)
-    vir_a = [p for p in range(n) if not det.alpha >> p & 1]
-    vir_b = [p for p in range(n) if not det.beta >> p & 1]
+    strings = (det.alpha, det.beta)
+    orbs = [_holes_and_particles(bits, ham.n_orb) for bits in strings]
     out = []
 
-    for hole in occ_a:
-        for part in vir_a:
-            val = _single_element_alpha(ham, det, hole, part)
-            if val != 0.0 and abs(val) >= magnitude_cutoff:
-                out.append((Determinant(det.alpha ^ (1 << hole) ^ (1 << part),
-                                        det.beta), float(val)))
-    for hole in occ_b:
-        for part in vir_b:
-            val = _single_element_beta(ham, det, hole, part)
-            if val != 0.0 and abs(val) >= magnitude_cutoff:
-                out.append((Determinant(det.alpha,
-                                        det.beta ^ (1 << hole) ^ (1 << part)),
-                            float(val)))
+    for spin, (occ, vir) in enumerate(orbs):
+        same, other = strings[spin], strings[1 - spin]
+        for hole in occ:
+            for part in vir:
+                val = _single_element(ham, same, other, hole, part)
+                if val != 0.0 and abs(val) >= magnitude_cutoff:
+                    new = same ^ (1 << hole) ^ (1 << part)
+                    out.append((_with_string(det, spin, new), float(val)))
 
-    def same_spin_doubles(bits, occ, vir, is_alpha):
+    for spin, (occ, vir) in enumerate(orbs):
+        bits = strings[spin]
         for h1, h2 in itertools.combinations(occ, 2):
             for p1, p2 in itertools.combinations(vir, 2):
                 mag = eri[h1, p1, h2, p2] - eri[h1, p2, h2, p1]
                 if mag == 0.0 or abs(mag) < magnitude_cutoff:
                     continue
-                sign = _double_sign_same_spin(bits, h1, p1, h2, p2)
-                new_bits = bits ^ (1 << h1) ^ (1 << h2) ^ (1 << p1) ^ (1 << p2)
-                if is_alpha:
-                    out.append((Determinant(new_bits, det.beta),
-                                float(sign * mag)))
-                else:
-                    out.append((Determinant(det.alpha, new_bits),
-                                float(sign * mag)))
+                # Sign of the ordered product E_{p2 h2} E_{p1 h1}.
+                moved = bits ^ (1 << h1) ^ (1 << p1)
+                sign = _parity(bits, h1, p1) * _parity(moved, h2, p2)
+                new = moved ^ (1 << h2) ^ (1 << p2)
+                out.append((_with_string(det, spin, new), float(sign * mag)))
 
-    same_spin_doubles(det.alpha, occ_a, vir_a, True)
-    same_spin_doubles(det.beta, occ_b, vir_b, False)
-
+    (occ_a, vir_a), (occ_b, vir_b) = orbs
     for ha in occ_a:
         for pa in vir_a:
-            sa = _single_sign(det.alpha, ha, pa)
+            sa = _parity(det.alpha, ha, pa)
             new_a = det.alpha ^ (1 << ha) ^ (1 << pa)
             for hb in occ_b:
                 for pb in vir_b:
                     mag = eri[ha, pa, hb, pb]
                     if mag == 0.0 or abs(mag) < magnitude_cutoff:
                         continue
-                    sb = _single_sign(det.beta, hb, pb)
+                    sb = _parity(det.beta, hb, pb)
                     out.append((Determinant(new_a,
                                             det.beta ^ (1 << hb) ^ (1 << pb)),
                                 float(sa * sb * mag)))
     return out
 
 
-# Alias matching the heat-bath generator role (singles plus doubles).
-connected_doubles = connected_determinants
-
-
-def single_and_double_excitations(det: Determinant, n_orb: int) -> list[Determinant]:
-    """All determinants reachable by one or two spin-orbital moves.
+def excitations(det: Determinant, n_orb: int,
+                doubles: bool = True) -> list[Determinant]:
+    """Determinants one spin-orbital move from ``det`` (and two, with ``doubles``).
 
     Purely combinatorial (no integral screening); stays in the sector of
-    ``det`` by construction.
+    ``det`` by construction and lists each determinant once, never
+    ``det`` itself.
     """
-    occ_a = occupied_orbitals(det.alpha)
-    occ_b = occupied_orbitals(det.beta)
-    vir_a = [p for p in range(n_orb) if not det.alpha >> p & 1]
-    vir_b = [p for p in range(n_orb) if not det.beta >> p & 1]
-    seen = set()
-
-    def add(a, b):
-        d = Determinant(a, b)
-        if d != det:
-            seen.add(d)
-
-    singles_a = [det.alpha ^ (1 << h) ^ (1 << p) for h in occ_a for p in vir_a]
-    singles_b = [det.beta ^ (1 << h) ^ (1 << p) for h in occ_b for p in vir_b]
-    for a in singles_a:
-        add(a, det.beta)
-    for b in singles_b:
-        add(det.alpha, b)
-    for h1, h2 in itertools.combinations(occ_a, 2):
-        for p1, p2 in itertools.combinations(vir_a, 2):
-            add(det.alpha ^ (1 << h1) ^ (1 << h2) ^ (1 << p1) ^ (1 << p2),
-                det.beta)
-    for h1, h2 in itertools.combinations(occ_b, 2):
-        for p1, p2 in itertools.combinations(vir_b, 2):
-            add(det.alpha,
-                det.beta ^ (1 << h1) ^ (1 << h2) ^ (1 << p1) ^ (1 << p2))
-    for a in singles_a:
-        for b in singles_b:
-            add(a, b)
-    return sorted(seen)
-
-
-def apply_hamiltonian(ham: ActiveSpaceHamiltonian, basis: list[Determinant],
-                      vec: np.ndarray) -> np.ndarray:
-    """Projected-Hamiltonian matvec over an explicit determinant basis.
-
-    Uses excitation generation per column with a hash-map lookup rather
-    than a dense double loop; accumulation order is fixed, so results
-    are deterministic.
-    """
-    vec = np.asarray(vec)
-    if len(vec) != len(basis):
-        raise ConfigError("vector/basis dimension mismatch")
-    index = {d: i for i, d in enumerate(basis)}
-    if len(index) != len(basis):
-        raise ConfigError("basis contains duplicates")
-    out = np.zeros(len(basis), dtype=vec.dtype)
-    for j, det in enumerate(basis):
-        vj = vec[j]
-        out[j] += diagonal_element(ham, det) * vj
-        if vj == 0:
-            continue
-        for other, val in connected_determinants(ham, det):
-            i = index.get(other)
-            if i is not None:
-                out[i] += val * vj
+    strings = (det.alpha, det.beta)
+    orbs = [_holes_and_particles(bits, n_orb) for bits in strings]
+    singles = [[bits ^ (1 << h) ^ (1 << p) for h in occ for p in vir]
+               for bits, (occ, vir) in zip(strings, orbs)]
+    out = [_with_string(det, spin, bits)
+           for spin in (0, 1) for bits in singles[spin]]
+    if doubles:
+        for spin, (occ, vir) in enumerate(orbs):
+            out += [_with_string(det, spin, strings[spin] ^ (1 << h1)
+                                 ^ (1 << h2) ^ (1 << p1) ^ (1 << p2))
+                    for h1, h2 in itertools.combinations(occ, 2)
+                    for p1, p2 in itertools.combinations(vir, 2)]
+        out += [Determinant(a, b) for a in singles[0] for b in singles[1]]
     return out
-
-
-def build_dense_matrix(ham: ActiveSpaceHamiltonian,
-                       basis: list[Determinant]) -> np.ndarray:
-    """Dense projected Hamiltonian over ``basis``."""
-    index = {d: i for i, d in enumerate(basis)}
-    dim = len(basis)
-    mat = np.zeros((dim, dim))
-    for j, det in enumerate(basis):
-        mat[j, j] = diagonal_element(ham, det)
-        for other, val in connected_determinants(ham, det):
-            i = index.get(other)
-            if i is not None:
-                mat[i, j] = val
-    return mat
 
 
 def build_sparse_matrix(ham: ActiveSpaceHamiltonian,
                         basis: list[Determinant]) -> scipy.sparse.csr_matrix:
-    """Sparse CSR projected Hamiltonian over ``basis``."""
+    """Sparse CSR projected Hamiltonian over ``basis`` (distinct determinants)."""
     index = {d: i for i, d in enumerate(basis)}
+    if len(index) != len(basis):
+        raise ConfigError("basis contains duplicates")
     rows, cols, vals = [], [], []
     for j, det in enumerate(basis):
         rows.append(j)

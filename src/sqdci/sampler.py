@@ -19,7 +19,8 @@ import scipy.linalg
 
 from . import rng
 from .errors import CapacityError, ConfigError
-from .hamiltonian import Determinant, hartree_fock_determinant, sector_basis
+from .hamiltonian import (Determinant, hartree_fock_determinant, sector_basis,
+                          sector_dimension)
 
 SECTOR_DIMENSION_CAP = 10_000_000
 
@@ -220,8 +221,7 @@ def lucj_state(params: LUCJParams, n_orb: int, n_alpha: int,
     the diagonal phase exp(i sum_{p sigma, r tau} J n n); the final
     rotation, if present, is applied last. The result has unit norm.
     """
-    from math import comb
-    dim = comb(n_orb, n_alpha) * comb(n_orb, n_beta)
+    dim = sector_dimension(n_orb, n_alpha, n_beta)
     if dim > SECTOR_DIMENSION_CAP:
         raise CapacityError(f"sector dimension {dim} over simulation bound")
     dets = sector_basis(n_orb, n_alpha, n_beta)
@@ -251,8 +251,7 @@ def state_from_ci_vector(vector: np.ndarray, n_orb: int, n_alpha: int,
                          n_beta: int) -> SectorState:
     """Wrap a CI eigenvector (over the canonical sector basis) for sampling."""
     vector = np.asarray(vector)
-    from math import comb
-    if len(vector) != comb(n_orb, n_alpha) * comb(n_orb, n_beta):
+    if len(vector) != sector_dimension(n_orb, n_alpha, n_beta):
         raise ConfigError("CI vector has wrong sector dimension")
     amps = vector.astype(complex) / np.linalg.norm(vector)
     return SectorState(n_orb=n_orb, n_alpha=n_alpha, n_beta=n_beta,

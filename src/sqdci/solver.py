@@ -9,7 +9,6 @@ entry point used by the SQD and HCI drivers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 import scipy.linalg
@@ -17,8 +16,7 @@ import scipy.linalg
 from . import rng
 from .errors import CapacityError, ConfigError
 from .hamiltonian import (ActiveSpaceHamiltonian, Determinant,
-                          build_dense_matrix, build_sparse_matrix,
-                          sector_basis)
+                          build_sparse_matrix, sector_basis, sector_dimension)
 
 DENSE_THRESHOLD = 512
 FCI_DIMENSION_CAP = 10_000_000
@@ -199,26 +197,24 @@ def solve_subspace(ham: ActiveSpaceHamiltonian, basis: list[Determinant],
         raise ConfigError("empty determinant basis")
     opts = opts or DavidsonOptions()
     dim = len(basis)
-    if dim < DENSE_THRESHOLD:
-        mat = build_dense_matrix(ham, basis)
-        spec = dense_eigensolve(mat)
-        return SubspaceResult(energy=spec.energies[0], vector=spec.vectors[0],
-                              basis=list(basis), dimension=dim,
-                              diagnostics={"method": "dense"})
     mat = build_sparse_matrix(ham, basis)
-    diag = mat.diagonal()
-    spec = davidson_lowest(lambda v: mat @ v, diag, opts)
+    if dim < DENSE_THRESHOLD:
+        spec = dense_eigensolve(mat.toarray())
+        diagnostics = {"method": "dense"}
+    else:
+        spec = davidson_lowest(lambda v: mat @ v, mat.diagonal(), opts)
+        diagnostics = {"method": "davidson",
+                       "iterations": spec.iterations_used,
+                       "converged": spec.converged}
     return SubspaceResult(energy=spec.energies[0], vector=spec.vectors[0],
                           basis=list(basis), dimension=dim,
-                          diagnostics={"method": "davidson",
-                                       "iterations": spec.iterations_used,
-                                       "converged": spec.converged})
+                          diagnostics=diagnostics)
 
 
 def fci_ground_state(ham: ActiveSpaceHamiltonian,
                      opts: DavidsonOptions | None = None) -> SubspaceResult:
     """Exact ground state over the complete (n_alpha, n_beta) sector."""
-    dim = comb(ham.n_orb, ham.n_alpha) * comb(ham.n_orb, ham.n_beta)
+    dim = sector_dimension(ham.n_orb, ham.n_alpha, ham.n_beta)
     if dim > FCI_DIMENSION_CAP:
         raise CapacityError(f"FCI basis too large: {dim}")
     basis = sector_basis(ham.n_orb, ham.n_alpha, ham.n_beta)

@@ -15,9 +15,8 @@ import numpy as np
 
 from . import rng
 from .errors import CapacityError, ConfigError, EmptyValidSampleError
-from .hamiltonian import (ActiveSpaceHamiltonian, Determinant,
-                          occupied_orbitals,
-                          single_and_double_excitations)
+from .hamiltonian import (ActiveSpaceHamiltonian, Determinant, excitations,
+                          occupied_orbitals)
 from .sampler import BitstringCounts, bitstring_to_determinant
 from .solver import DavidsonOptions, solve_subspace
 
@@ -257,23 +256,9 @@ def extend_subspace(eigenvector: np.ndarray, basis: list[Determinant],
     for det, coeff in zip(basis, eigenvector):
         if abs(coeff) < thresholds.discard_below:
             continue
-        if abs(coeff) > thresholds.doubles_above:
-            out.update(single_and_double_excitations(det, n_orb))
-        else:
-            out.update(_singles_only(det, n_orb))
+        out.update(excitations(det, n_orb,
+                               doubles=abs(coeff) > thresholds.doubles_above))
     return sorted(out)
-
-
-def _singles_only(det: Determinant, n_orb: int) -> list[Determinant]:
-    occ_a = occupied_orbitals(det.alpha)
-    occ_b = occupied_orbitals(det.beta)
-    vir_a = [p for p in range(n_orb) if not det.alpha >> p & 1]
-    vir_b = [p for p in range(n_orb) if not det.beta >> p & 1]
-    singles = [Determinant(det.alpha ^ (1 << h) ^ (1 << p), det.beta)
-               for h in occ_a for p in vir_a]
-    singles += [Determinant(det.alpha, det.beta ^ (1 << h) ^ (1 << p))
-                for h in occ_b for p in vir_b]
-    return singles
 
 
 def ext_sqd(ham: ActiveSpaceHamiltonian, prior: SQDResult,

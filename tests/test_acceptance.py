@@ -17,9 +17,9 @@ import scipy.linalg
 
 from sqdci.baselines import HCIOptions, ext_hci, hci_variational
 from sqdci.cli import RunConfig, execute_run, reaction_report
-from sqdci.hamiltonian import (Determinant, build_dense_matrix,
-                               build_sparse_matrix, diagonal_element,
-                               hartree_fock_determinant, sector_basis)
+from sqdci.hamiltonian import (Determinant, build_sparse_matrix,
+                               diagonal_element, hartree_fock_determinant,
+                               sector_basis)
 from sqdci.sampler import (LUCJParams, NoiseModel, apply_readout_noise,
                            determinant_to_bitstring, lucj_state,
                            sample_counts, state_from_ci_vector)
@@ -47,7 +47,7 @@ def test_criterion_01_operator_matrix_oracle():
         nb = int(gen.integers(1, n + 1))
         ham = random_hamiltonian(n, na, nb, seed=1000 + case)
         basis = sector_basis(n, na, nb)
-        built = build_dense_matrix(ham, basis)
+        built = build_sparse_matrix(ham, basis).toarray()
         oracle = brute_force_matrix(ham, basis)
         assert np.max(np.abs(built - oracle)) < 1e-12
     elapsed = time.perf_counter() - started
@@ -72,7 +72,7 @@ def test_criterion_02_eigensolver_oracle():
         sparse = build_sparse_matrix(ham, basis)
         spec = davidson_lowest(lambda v: sparse @ v, sparse.diagonal(),
                                DavidsonOptions())
-        exact = dense_eigensolve(build_dense_matrix(ham, basis)).energies[0]
+        exact = dense_eigensolve(sparse.toarray()).energies[0]
         assert spec.energies[0] == pytest.approx(exact, abs=1e-9)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0

@@ -161,6 +161,23 @@ def test_main_run_and_exit_codes(one_orbital, tmp_path, capsys):
                  "--sampler", "counts-file", "--counts", str(counts_path)]) == 5
 
 
+def test_main_non_finite_fcidump_is_config_error(tmp_path, capsys):
+    path = tmp_path / "nan.fcidump"
+    path.write_text(ONE_ORBITAL_FCIDUMP.replace("-1.0 1 1 0 0", "nan 1 1 0 0"))
+    assert main(["run", "--hamiltonian", str(path), "--method", "fci"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_main_numerical_fault_exit_code(one_orbital, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise ArithmeticError("solver produced non-finite values")
+
+    monkeypatch.setattr("sqdci.cli.fci_ground_state", fail)
+    assert main(["run", "--hamiltonian", str(one_orbital),
+                 "--method", "fci"]) == 3
+    assert capsys.readouterr().err == "error: solver produced non-finite values\n"
+
+
 def test_main_reaction_subcommand(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -44,6 +44,13 @@ def test_missing_terminator_rejected():
         parse_fcidump("&FCI NORB=1,NELEC=2,MS2=0,\n1.0 1 1 0 0\n")
 
 
+@pytest.mark.parametrize("line", ["nan 1 1 0 0", "inf 1 1 1 1", "nan 0 0 0 0"])
+def test_non_finite_value_rejected(line):
+    text = f"&FCI NORB=1,NELEC=2,MS2=0,\n&END\n{line}\n"
+    with pytest.raises(ConfigError, match="finite"):
+        parse_fcidump(text)
+
+
 def test_index_out_of_range_rejected():
     text = "&FCI NORB=2,NELEC=2,MS2=0,\n&END\n1.0 3 1 0 0\n"
     with pytest.raises(ConfigError, match="out of range"):

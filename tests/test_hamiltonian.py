@@ -6,11 +6,9 @@ from oracles import (brute_force_matrix, excitation_degree,
                      exhaustive_connected)
 from sqdci.errors import ConfigError
 from sqdci.hamiltonian import (ActiveSpaceHamiltonian, Determinant,
-                               apply_hamiltonian, build_dense_matrix,
                                build_sparse_matrix, connected_determinants,
-                               diagonal_element, hartree_fock_determinant,
-                               matrix_element, sector_basis,
-                               single_and_double_excitations)
+                               diagonal_element, excitations,
+                               hartree_fock_determinant, sector_basis)
 
 
 def test_one_orbital_closed_shell_diagonal():
@@ -32,27 +30,27 @@ def test_matrix_matches_brute_force_oracle():
                                         (4, 3, 2), (4, 1, 1)]):
         ham = random_hamiltonian(n, na, nb, seed=seed)
         basis = sector_basis(n, na, nb)
-        built = build_dense_matrix(ham, basis)
+        built = build_sparse_matrix(ham, basis).toarray()
         oracle = brute_force_matrix(ham, basis)
         assert np.max(np.abs(built - oracle)) < 1e-12
 
 
-def test_matrix_element_is_symmetric():
+def test_built_matrix_is_symmetric():
     ham = random_hamiltonian(4, 2, 2, seed=3)
-    basis = ham.sector_basis()
-    gen = np.random.default_rng(5)
-    for _ in range(300):
-        i, j = gen.integers(len(basis), size=2)
-        assert matrix_element(ham, basis[i], basis[j]) == pytest.approx(
-            matrix_element(ham, basis[j], basis[i]), abs=1e-14)
+    built = build_sparse_matrix(ham, ham.sector_basis()).toarray()
+    assert np.max(np.abs(built - built.T)) < 1e-14
 
 
 def test_cross_sector_elements_vanish():
+    # Basis spanning the (2,1), (3,1), (2,2) and (1,2) sectors.
     ham = random_hamiltonian(3, 2, 1, seed=4)
     d1 = Determinant(0b011, 0b001)
-    for d2 in (Determinant(0b111, 0b001), Determinant(0b011, 0b011),
-               Determinant(0b001, 0b011)):
-        assert matrix_element(ham, d1, d2) == 0.0
+    others = [Determinant(0b111, 0b001), Determinant(0b011, 0b011),
+              Determinant(0b001, 0b011)]
+    basis = [d1] + others
+    built = build_sparse_matrix(ham, basis).toarray()
+    assert np.max(np.abs(built - brute_force_matrix(ham, basis))) < 1e-12
+    assert np.all(built[0, 1:] == 0.0) and np.all(built[1:, 0] == 0.0)
 
 
 def test_triple_excitation_vanishes():
@@ -60,7 +58,12 @@ def test_triple_excitation_vanishes():
     d1 = Determinant(0b0011, 0b0011)
     d2 = Determinant(0b1100, 0b0101)  # 3 spin-orbital moves
     assert excitation_degree(d1, d2) == 3
-    assert matrix_element(ham, d1, d2) == 0.0
+    # A double of d1 keeps the basis from being block-diagonal by accident.
+    basis = [d1, d2, Determinant(0b0101, 0b0101)]
+    built = build_sparse_matrix(ham, basis).toarray()
+    assert np.max(np.abs(built - brute_force_matrix(ham, basis))) < 1e-12
+    assert built[0, 1] == 0.0 and built[1, 0] == 0.0
+    assert built[0, 2] != 0.0
 
 
 def test_connected_determinants_matches_exhaustive_enumeration():
@@ -79,8 +82,9 @@ def test_connected_cutoff_screens_and_keeps_exact_singles():
     det = hartree_fock_determinant(2, 2)
     cutoff = 0.05
     pairs = connected_determinants(ham, det, cutoff)
+    exact = dict(exhaustive_connected(ham, det, ham.sector_basis()))
     for other, value in pairs:
-        assert value == pytest.approx(matrix_element(ham, det, other), abs=1e-12)
+        assert value == pytest.approx(exact[other], abs=1e-12)
         if excitation_degree(det, other) == 1:
             assert abs(value) >= cutoff
     # Infinite cutoff: nothing survives.
@@ -93,61 +97,47 @@ def test_negative_cutoff_rejected():
         connected_determinants(ham, Determinant(1, 1), -1.0)
 
 
-def test_apply_hamiltonian_matches_dense_matvec():
+def test_sparse_matvec_matches_oracle():
     ham = random_hamiltonian(4, 2, 2, seed=12)
     basis = ham.sector_basis()
     mat = brute_force_matrix(ham, basis)
+    built = build_sparse_matrix(ham, basis)
     gen = np.random.default_rng(0)
     v = gen.normal(size=len(basis))
-    assert np.allclose(apply_hamiltonian(ham, basis, v), mat @ v, atol=1e-10)
+    assert np.allclose(built @ v, mat @ v, atol=1e-10)
     # Unit vector picks out a column.
     e0 = np.zeros(len(basis))
     e0[3] = 1.0
-    assert np.allclose(apply_hamiltonian(ham, basis, e0), mat[:, 3], atol=1e-12)
+    assert np.allclose(built @ e0, mat[:, 3], atol=1e-12)
 
 
-def test_apply_hamiltonian_on_partial_basis():
+def test_sparse_matvec_on_partial_basis():
     ham = random_hamiltonian(4, 2, 2, seed=13)
     basis = ham.sector_basis()[::3]
     mat = brute_force_matrix(ham, basis)
     v = np.linspace(-1, 1, len(basis))
-    assert np.allclose(apply_hamiltonian(ham, basis, v), mat @ v, atol=1e-10)
+    built = build_sparse_matrix(ham, basis)
+    assert np.max(np.abs(built.toarray() - mat)) < 1e-12
+    assert np.allclose(built @ v, mat @ v, atol=1e-10)
 
 
-def test_apply_hamiltonian_linearity():
-    ham = random_hamiltonian(3, 2, 1, seed=14)
-    basis = ham.sector_basis()
-    gen = np.random.default_rng(2)
-    u, w = gen.normal(size=(2, len(basis)))
-    lhs = apply_hamiltonian(ham, basis, 0.3 * u - 1.7 * w)
-    rhs = 0.3 * apply_hamiltonian(ham, basis, u) - 1.7 * apply_hamiltonian(ham, basis, w)
-    assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-def test_apply_hamiltonian_rejects_mismatch_and_duplicates():
+def test_builder_rejects_duplicate_basis():
     ham = random_hamiltonian(2, 1, 1, seed=15)
     basis = ham.sector_basis()
     with pytest.raises(ConfigError):
-        apply_hamiltonian(ham, basis, np.zeros(len(basis) + 1))
-    with pytest.raises(ConfigError):
-        apply_hamiltonian(ham, basis + [basis[0]], np.zeros(len(basis) + 1))
+        build_sparse_matrix(ham, basis + [basis[0]])
 
 
-def test_sparse_and_dense_builders_agree():
-    ham = random_hamiltonian(4, 2, 2, seed=16)
-    basis = ham.sector_basis()
-    dense = build_dense_matrix(ham, basis)
-    sparse = build_sparse_matrix(ham, basis).toarray()
-    assert np.max(np.abs(dense - sparse)) < 1e-14
-
-
-def test_single_and_double_excitations_complete():
-    det = Determinant(0b0011, 0b0101)
+def test_excitations_complete():
     n = 4
-    got = set(single_and_double_excitations(det, n))
-    expected = {d for d in sector_basis(n, 2, 2)
-                if 1 <= excitation_degree(det, d) <= 2}
-    assert got == expected
+    for det, (na, nb) in ((Determinant(0b0011, 0b0101), (2, 2)),
+                          (Determinant(0b0111, 0b0001), (3, 1))):
+        sector = sector_basis(n, na, nb)
+        for doubles, top in ((True, 2), (False, 1)):
+            got = excitations(det, n, doubles=doubles)
+            assert len(got) == len(set(got))
+            assert set(got) == {d for d in sector
+                                if 1 <= excitation_degree(det, d) <= top}
 
 
 def test_sector_basis_ordering_and_size():

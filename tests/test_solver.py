@@ -129,8 +129,8 @@ def test_solve_subspace_davidson_path_matches_dense():
     basis = ham.sector_basis()[:600]
     result = solve_subspace(ham, basis)
     assert result.diagnostics["method"] == "davidson"
-    from sqdci.hamiltonian import build_dense_matrix
-    exact = np.linalg.eigvalsh(build_dense_matrix(ham, basis))[0]
+    from sqdci.hamiltonian import build_sparse_matrix
+    exact = np.linalg.eigvalsh(build_sparse_matrix(ham, basis).toarray())[0]
     assert result.energy == pytest.approx(exact, abs=1e-9)
 
 
