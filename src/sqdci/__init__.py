@@ -15,4 +15,12 @@ Core objects live in submodules:
 * :mod:`sqdci.cli` -- command-line pipeline.
 """
 
+import os as _os
+
+# SQDCI_THREADS sizes the BLAS/OpenMP pools. Those read their variables
+# when numpy first loads, so this runs before any submodule imports it.
+if _os.environ.get("SQDCI_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ[_var] = _os.environ["SQDCI_THREADS"]
+
 __version__ = "0.1.0"

@@ -356,12 +356,6 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    # Thread count is controlled by SQDCI_THREADS only (propagated to the
-    # numerical backends); all other environment is ignored.
-    threads = os.environ.get("SQDCI_THREADS")
-    if threads:
-        os.environ.setdefault("OMP_NUM_THREADS", threads)
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

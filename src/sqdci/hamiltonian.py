@@ -1,9 +1,26 @@
 """Active-space Hamiltonians and Slater-Condon matrix elements.
 
-One kernel serves every method: :func:`connected_determinants` yields
-the valued singles and doubles of a determinant, :func:`excitations`
-lists the same moves without values, and :func:`build_sparse_matrix`
-assembles the projected Hamiltonian over an explicit basis.
+:func:`connected_determinants` yields the valued singles and doubles of
+one determinant (the heat-bath CI selection generator),
+:func:`excitations` lists the same moves without values, and
+:func:`build_sparse_matrix` assembles the projected Hamiltonian over an
+explicit basis.
+
+The builder is string driven (Knowles & Handy, CPL 111, 315 (1984)).
+The basis is split into its sorted distinct alpha and beta strings, and
+each determinant becomes an index pair (ia, ib). Per spin, a table lists
+the single excitations (target string, hole, particle, parity, same-spin
+part of the element) and the same-spin doubles (target string, signed
+element) that stay inside that spin's distinct strings; only this table
+construction loops in Python, over strings. The matrix is then assembled
+in numpy, over fixed-size blocks of determinants: each block expands
+the tables of its determinants' strings into candidate pairs (singles of
+either spin with the other string fixed, same-spin doubles, and
+alpha-beta doubles as the product of the two singles tables), looks the
+targets up among the sorted basis keys ``ia * n_beta_strings + ib``,
+and keeps the hits. Diagonals come from the occupation rows of the
+strings through the Coulomb and exchange matrices. Bases need not be
+Cartesian products of their strings, nor lie in one sector.
 
 Determinants are pairs of occupation bitmasks (alpha, beta) over spatial
 orbitals. The fermionic sign convention places all alpha spin-orbitals
@@ -124,29 +141,6 @@ class ActiveSpaceHamiltonian:
         return sector_basis(self.n_orb, self.n_alpha, self.n_beta)
 
 
-def diagonal_element(ham: ActiveSpaceHamiltonian, det: Determinant) -> float:
-    """<d|H|d> for any determinant (no sector check)."""
-    h = ham.one_body
-    eri = ham.two_body
-    occ_a = occupied_orbitals(det.alpha)
-    occ_b = occupied_orbitals(det.beta)
-    energy = ham.core_energy
-    for p in occ_a:
-        energy += h[p, p]
-    for p in occ_b:
-        energy += h[p, p]
-    for i, p in enumerate(occ_a):
-        for q in occ_a[i + 1:]:
-            energy += eri[p, p, q, q] - eri[p, q, q, p]
-    for i, p in enumerate(occ_b):
-        for q in occ_b[i + 1:]:
-            energy += eri[p, p, q, q] - eri[p, q, q, p]
-    for p in occ_a:
-        for q in occ_b:
-            energy += eri[p, p, q, q]
-    return float(energy)
-
-
 def _parity(bits: int, p: int, q: int) -> int:
     """(-1)**(number of set bits strictly between p and q)."""
     lo, hi = (p, q) if p < q else (q, p)
@@ -162,6 +156,14 @@ def _holes_and_particles(bits: int, n_orb: int) -> tuple[list[int], list[int]]:
 def _with_string(det: Determinant, spin: int, bits: int) -> Determinant:
     """``det`` with its alpha (spin 0) or beta (spin 1) string replaced."""
     return Determinant(bits, det.beta) if spin == 0 else Determinant(det.alpha, bits)
+
+
+def _double_move(bits: int, h1: int, h2: int, p1: int,
+                 p2: int) -> tuple[int, int]:
+    """String and sign after the ordered product E_{p2 h2} E_{p1 h1}."""
+    moved = bits ^ (1 << h1) ^ (1 << p1)
+    return (moved ^ (1 << h2) ^ (1 << p2),
+            _parity(bits, h1, p1) * _parity(moved, h2, p2))
 
 
 def _single_element(ham, same, other, hole, particle):
@@ -214,10 +216,7 @@ def connected_determinants(ham: ActiveSpaceHamiltonian, det: Determinant,
                 mag = eri[h1, p1, h2, p2] - eri[h1, p2, h2, p1]
                 if mag == 0.0 or abs(mag) < magnitude_cutoff:
                     continue
-                # Sign of the ordered product E_{p2 h2} E_{p1 h1}.
-                moved = bits ^ (1 << h1) ^ (1 << p1)
-                sign = _parity(bits, h1, p1) * _parity(moved, h2, p2)
-                new = moved ^ (1 << h2) ^ (1 << p2)
+                new, sign = _double_move(bits, h1, h2, p1, p2)
                 out.append((_with_string(det, spin, new), float(sign * mag)))
 
     (occ_a, vir_a), (occ_b, vir_b) = orbs
@@ -261,22 +260,207 @@ def excitations(det: Determinant, n_orb: int,
     return out
 
 
+def unique_strings(strings) -> tuple[list[int], np.ndarray]:
+    """Sorted distinct spin strings, and the int64 index of each input in them."""
+    unique = sorted(set(strings))
+    where = {bits: k for k, bits in enumerate(unique)}
+    return unique, np.fromiter(map(where.__getitem__, strings), np.int64,
+                               count=len(strings))
+
+
+def occupation_rows(strings, n_orb: int) -> np.ndarray:
+    """0/1 float matrix: row k marks the occupied orbitals of ``strings[k]``."""
+    occ = np.zeros((len(strings), n_orb))
+    for k, bits in enumerate(strings):
+        occ[k, occupied_orbitals(bits)] = 1.0
+    return occ
+
+
+# Candidate (determinant, connected determinant) pairs expanded at once
+# by the builder; bounds its temporaries independently of the basis size.
+_BLOCK_CANDIDATES = 1 << 16
+
+
+class _SpinTables(NamedTuple):
+    """Excitations among one spin's distinct strings, grouped by source.
+
+    The entries of source string k occupy ``[start[k], start[k + 1])``
+    of the arrays that follow their ``*_start``.
+    """
+
+    occ: np.ndarray
+    single_start: np.ndarray
+    single_target: np.ndarray
+    single_hole: np.ndarray
+    single_particle: np.ndarray
+    single_sign: np.ndarray
+    single_value: np.ndarray  # same-spin part of the element, sign included
+    double_start: np.ndarray
+    double_target: np.ndarray
+    double_value: np.ndarray
+
+
+def _spin_tables(ham: ActiveSpaceHamiltonian, strings: list[int]) -> _SpinTables:
+    where = {bits: k for k, bits in enumerate(strings)}
+    eri = ham.two_body
+    singles, doubles = [], []
+    single_start, double_start = [0], [0]
+    for bits in strings:
+        occ, vir = _holes_and_particles(bits, ham.n_orb)
+        for hole in occ:
+            for part in vir:
+                target = where.get(bits ^ (1 << hole) ^ (1 << part))
+                if target is not None:
+                    singles.append((target, hole, part, _parity(bits, hole, part),
+                                    _single_element(ham, bits, 0, hole, part)))
+        for h1, h2 in itertools.combinations(occ, 2):
+            for p1, p2 in itertools.combinations(vir, 2):
+                new, sign = _double_move(bits, h1, h2, p1, p2)
+                target = where.get(new)
+                if target is not None:
+                    doubles.append((target, sign * (eri[h1, p1, h2, p2]
+                                                    - eri[h1, p2, h2, p1])))
+        single_start.append(len(singles))
+        double_start.append(len(doubles))
+    single = np.array(singles, dtype=float).reshape(-1, 5).T
+    double = np.array(doubles, dtype=float).reshape(-1, 2).T
+    target, hole, part = single[:3].astype(np.int64)
+    return _SpinTables(occ=occupation_rows(strings, ham.n_orb),
+                       single_start=np.array(single_start, dtype=np.int64),
+                       single_target=target, single_hole=hole,
+                       single_particle=part, single_sign=single[3],
+                       single_value=single[4],
+                       double_start=np.array(double_start, dtype=np.int64),
+                       double_target=double[0].astype(np.int64),
+                       double_value=double[1])
+
+
+def _expand(start: np.ndarray, sources: np.ndarray):
+    """(owner, position) of every table entry of each of ``sources``.
+
+    ``owner`` indexes ``sources``; ``position`` indexes the table arrays.
+    """
+    counts = start[sources + 1] - start[sources]
+    first = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(len(sources)), counts)
+    return owner, np.arange(counts.sum()) + np.repeat(start[sources] - first,
+                                                      counts)
+
+
 def build_sparse_matrix(ham: ActiveSpaceHamiltonian,
                         basis: list[Determinant]) -> scipy.sparse.csr_matrix:
-    """Sparse CSR projected Hamiltonian over ``basis`` (distinct determinants)."""
-    index = {d: i for i, d in enumerate(basis)}
-    if len(index) != len(basis):
-        raise ConfigError("basis contains duplicates")
-    rows, cols, vals = [], [], []
-    for j, det in enumerate(basis):
-        rows.append(j)
-        cols.append(j)
-        vals.append(diagonal_element(ham, det))
-        for other, val in connected_determinants(ham, det):
-            i = index.get(other)
-            if i is not None:
-                rows.append(i)
-                cols.append(j)
-                vals.append(val)
+    """Sparse CSR projected Hamiltonian over ``basis`` (distinct determinants).
+
+    Exact-zero off-diagonal elements are not stored; every diagonal is.
+    """
     dim = len(basis)
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    alphas, ia = unique_strings([d.alpha for d in basis])
+    betas, ib = unique_strings([d.beta for d in basis])
+    stride = len(betas)
+    keys = ia * stride + ib
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
+        raise ConfigError("basis contains duplicates")
+
+    tables = ta, tb = _spin_tables(ham, alphas), _spin_tables(ham, betas)
+    eri = ham.two_body
+    coulomb = np.einsum("ppqq->pq", eri)
+    exchange = np.einsum("pqqp->pq", eri)
+    # (hp|ii) for the other-spin part of a single's element.
+    coulomb_rows = np.einsum("hpii->hpi", eri)
+    # One-spin diagonal terms: sum of h_pp, plus (J - K) over occupied pairs.
+    string_energy = [t.occ @ np.diag(ham.one_body)
+                     + 0.5 * np.einsum("kp,pq,kq->k", t.occ, coulomb - exchange,
+                                       t.occ)
+                     for t in tables]
+    alpha_coulomb = ta.occ @ coulomb
+
+    n_single = [np.diff(t.single_start) for t in tables]
+    n_double = [np.diff(t.double_start) for t in tables]
+    work = (1 + n_single[0][ia] + n_single[1][ib] + n_double[0][ia]
+            + n_double[1][ib] + n_single[0][ia] * n_single[1][ib])
+    work_end = np.cumsum(work)
+
+    # In a full product of its strings, a key is its own sorted position.
+    product = dim == len(alphas) * stride
+
+    def find(targets):
+        if product:
+            return np.ones(len(targets), dtype=bool), order[targets]
+        pos = np.searchsorted(sorted_keys, targets)
+        pos[pos == dim] = 0
+        hit = sorted_keys[pos] == targets
+        return hit, order[pos[hit]]
+
+    # Row j holds the elements reached from basis[j]; H is real symmetric,
+    # so each block of source determinants fills a contiguous run of rows.
+    indptr, indices, data = [np.zeros(1, dtype=np.int64)], [], []
+    lo = 0
+    while lo < dim:
+        hi = max(lo + 1, int(np.searchsorted(
+            work_end, work_end[lo] - work[lo] + _BLOCK_CANDIDATES, side="right")))
+        block = (ia[lo:hi], ib[lo:hi])
+        rows, cols, vals = [], [], []
+
+        for spin, same in enumerate(tables):
+            other = tables[1 - spin]
+            mine, theirs = block[spin], block[1 - spin]
+            scale = (stride, 1) if spin == 0 else (1, stride)
+
+            owner, pos = _expand(same.single_start, mine)
+            hit, col = find(same.single_target[pos] * scale[0]
+                            + theirs[owner] * scale[1])
+            owner, pos = owner[hit], pos[hit]
+            rows.append(owner)
+            cols.append(col)
+            vals.append(same.single_value[pos] + same.single_sign[pos]
+                        * np.einsum("ij,ij->i",
+                                    coulomb_rows[same.single_hole[pos],
+                                                 same.single_particle[pos]],
+                                    other.occ[theirs[owner]]))
+
+            owner, pos = _expand(same.double_start, mine)
+            hit, col = find(same.double_target[pos] * scale[0]
+                            + theirs[owner] * scale[1])
+            rows.append(owner[hit])
+            cols.append(col)
+            vals.append(same.double_value[pos[hit]])
+
+        # Alpha-beta doubles: every alpha single times every beta single.
+        count_b = n_single[1][block[1]]
+        pairs = n_single[0][block[0]] * count_b
+        owner = np.repeat(np.arange(hi - lo), pairs)
+        step_a, step_b = np.divmod(
+            np.arange(pairs.sum()) - np.repeat(np.cumsum(pairs) - pairs, pairs),
+            count_b[owner])
+        pos_a = ta.single_start[block[0][owner]] + step_a
+        pos_b = tb.single_start[block[1][owner]] + step_b
+        hit, col = find(ta.single_target[pos_a] * stride + tb.single_target[pos_b])
+        pos_a, pos_b = pos_a[hit], pos_b[hit]
+        rows.append(owner[hit])
+        cols.append(col)
+        vals.append(ta.single_sign[pos_a] * tb.single_sign[pos_b]
+                    * eri[ta.single_hole[pos_a], ta.single_particle[pos_a],
+                          tb.single_hole[pos_b], tb.single_particle[pos_b]])
+
+        rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+        keep = vals != 0.0
+        diagonal = (ham.core_energy + string_energy[0][block[0]]
+                    + string_energy[1][block[1]]
+                    + np.einsum("ij,ij->i", alpha_coulomb[block[0]],
+                                tb.occ[block[1]]))
+        rows = np.concatenate([np.arange(hi - lo), rows[keep]])
+        cols = np.concatenate([np.arange(lo, hi), cols[keep]])
+        vals = np.concatenate([diagonal, vals[keep]])
+        perm = np.argsort(rows * dim + cols)
+        indptr.append(indptr[-1][-1] + np.cumsum(np.bincount(rows,
+                                                             minlength=hi - lo)))
+        indices.append(cols[perm])
+        data.append(vals[perm])
+        lo = hi
+
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(data or [np.zeros(0)]),
+         np.concatenate(indices or [np.zeros(0, dtype=np.int64)]),
+         np.concatenate(indptr)), shape=(dim, dim))

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from . import rng
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, ConvergenceError
 from .hamiltonian import (ActiveSpaceHamiltonian, Determinant,
                           build_sparse_matrix, sector_basis, sector_dimension)
 
@@ -192,7 +192,11 @@ def davidson_lowest(matvec, diagonal, opts: DavidsonOptions) -> SpectrumResult:
 
 def solve_subspace(ham: ActiveSpaceHamiltonian, basis: list[Determinant],
                    opts: DavidsonOptions | None = None) -> SubspaceResult:
-    """Ground state of H projected onto ``basis``."""
+    """Ground state of H projected onto ``basis``.
+
+    Raises :class:`ConvergenceError` when the Davidson path does not
+    reach ``opts.residual_tol``.
+    """
     if not basis:
         raise ConfigError("empty determinant basis")
     opts = opts or DavidsonOptions()
@@ -203,6 +207,10 @@ def solve_subspace(ham: ActiveSpaceHamiltonian, basis: list[Determinant],
         diagnostics = {"method": "dense"}
     else:
         spec = davidson_lowest(lambda v: mat @ v, mat.diagonal(), opts)
+        if not spec.converged:
+            raise ConvergenceError(
+                f"Davidson did not converge in {spec.iterations_used} "
+                f"iterations (dimension {dim})")
         diagnostics = {"method": "davidson",
                        "iterations": spec.iterations_used,
                        "converged": spec.converged}

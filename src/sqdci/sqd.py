@@ -16,7 +16,7 @@ import numpy as np
 from . import rng
 from .errors import CapacityError, ConfigError, EmptyValidSampleError
 from .hamiltonian import (ActiveSpaceHamiltonian, Determinant, excitations,
-                          occupied_orbitals)
+                          occupation_rows, unique_strings)
 from .sampler import BitstringCounts, bitstring_to_determinant
 from .solver import DavidsonOptions, solve_subspace
 
@@ -158,14 +158,14 @@ def _empirical_occupations(counts: BitstringCounts) -> np.ndarray:
 
 
 def _eigenvector_occupations(basis, vector, n_orb):
-    occ = np.zeros(2 * n_orb)
+    """Alpha then beta orbital occupations of sum_d |c_d|^2 |d><d|."""
     weights = np.abs(np.asarray(vector)) ** 2
-    for det, w in zip(basis, weights):
-        for p in occupied_orbitals(det.alpha):
-            occ[p] += w
-        for p in occupied_orbitals(det.beta):
-            occ[n_orb + p] += w
-    return occ
+    occ = []
+    for spin in (0, 1):
+        strings, index = unique_strings([det[spin] for det in basis])
+        occ.append(np.bincount(index, weights, minlength=len(strings))
+                   @ occupation_rows(strings, n_orb))
+    return np.concatenate(occ)
 
 
 def _draw_batch(counts: BitstringCounts, size: int,

@@ -18,8 +18,7 @@ import scipy.linalg
 from sqdci.baselines import HCIOptions, ext_hci, hci_variational
 from sqdci.cli import RunConfig, execute_run, reaction_report
 from sqdci.hamiltonian import (Determinant, build_sparse_matrix,
-                               diagonal_element, hartree_fock_determinant,
-                               sector_basis)
+                               hartree_fock_determinant, sector_basis)
 from sqdci.sampler import (LUCJParams, NoiseModel, apply_readout_noise,
                            determinant_to_bitstring, lucj_state,
                            sample_counts, state_from_ci_vector)
@@ -112,7 +111,7 @@ def test_criterion_04_variational_chain():
     for seed in (500, 501, 502):
         ham = random_hamiltonian(4, 2, 2, seed=seed, diagonal_spread=1.0)
         e_fci = fci_ground_state(ham).energy
-        e_hf = diagonal_element(ham, ham.hf_determinant())
+        e_hf = brute_force_matrix(ham, [ham.hf_determinant()])[0, 0]
         counts, _ = fci_counts(ham, shots=400, seed=seed)
         sqd = sqd_ground_state(ham, counts,
                                RecoveryConfig(iterations=2, batches=4,

@@ -1,9 +1,9 @@
 import pytest
 
 from conftest import random_hamiltonian
+from oracles import brute_force_matrix
 from sqdci.baselines import HCIOptions, ext_hci, hci_variational
 from sqdci.errors import ConfigError
-from sqdci.hamiltonian import diagonal_element
 from sqdci.solver import fci_ground_state
 from sqdci.sqd import ExtensionThresholds, extend_subspace
 
@@ -12,7 +12,8 @@ def test_huge_epsilon_keeps_hf_only(ham_4e4o):
     result = hci_variational(ham_4e4o, HCIOptions(epsilon1=1e6))
     assert result.dimension == 1
     assert result.energy == pytest.approx(
-        diagonal_element(ham_4e4o, ham_4e4o.hf_determinant()), abs=1e-12)
+        brute_force_matrix(ham_4e4o, [ham_4e4o.hf_determinant()])[0, 0],
+        abs=1e-12)
 
 
 def test_zero_epsilon_reaches_fci(ham_2e2o, ham_4e4o):
@@ -66,7 +67,7 @@ def test_ext_hci_never_above_hci(ham_4e4o):
     prior = hci_variational(ham_4e4o, HCIOptions(epsilon1=1e-2))
     result = ext_hci(ham_4e4o, prior)
     assert result.energy <= prior.energy + 1e-12
-    hf_energy = diagonal_element(ham_4e4o, ham_4e4o.hf_determinant())
+    hf_energy = brute_force_matrix(ham_4e4o, [ham_4e4o.hf_determinant()])[0, 0]
     assert prior.energy <= hf_energy + 1e-12
 
 

@@ -1,15 +1,21 @@
+import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sqdci
 from conftest import ONE_ORBITAL_FCIDUMP, random_hamiltonian
 from sqdci.cli import (RunConfig, build_parser, execute_run, main,
                        reaction_report, scan_table)
 from sqdci.errors import ConfigError
 from sqdci.fcidump import write_fcidump_path
 from sqdci.sampler import BitstringCounts, write_counts
-from sqdci.solver import fci_ground_state
+from sqdci.solver import DavidsonOptions, fci_ground_state
 from sqdci.units import EV_PER_HARTREE
 
 
@@ -176,6 +182,28 @@ def test_main_numerical_fault_exit_code(one_orbital, monkeypatch, capsys):
     assert main(["run", "--hamiltonian", str(one_orbital),
                  "--method", "fci"]) == 3
     assert capsys.readouterr().err == "error: solver produced non-finite values\n"
+
+
+def test_main_non_converged_solve_exit_code(tmp_path, monkeypatch, capsys):
+    # FCI over 7 orbitals, 3+3 electrons (dimension 1225) takes the
+    # Davidson path; one iteration cannot converge.
+    path = tmp_path / "h7.fcidump"
+    write_fcidump_path(random_hamiltonian(7, 3, 3, seed=24), path)
+    monkeypatch.setattr("sqdci.solver.DavidsonOptions",
+                        functools.partial(DavidsonOptions, max_iterations=1))
+    assert main(["run", "--hamiltonian", str(path), "--method", "fci"]) == 3
+    assert capsys.readouterr().err.startswith("error: Davidson did not converge")
+
+
+def test_sqdci_threads_applied_before_numpy_loads():
+    env = dict(os.environ, SQDCI_THREADS="1", OMP_NUM_THREADS="4",
+               PYTHONPATH=str(Path(sqdci.__file__).parents[1]))
+    probe = ("import os, sys, sqdci; print('numpy' in sys.modules, *(os.environ[v]"
+             " for v in ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS',"
+             " 'MKL_NUM_THREADS')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.split() == ["False", "1", "1", "1"]
 
 
 def test_main_reaction_subcommand(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_hamiltonian
 from oracles import (brute_force_matrix, excitation_degree,
@@ -7,8 +9,8 @@ from oracles import (brute_force_matrix, excitation_degree,
 from sqdci.errors import ConfigError
 from sqdci.hamiltonian import (ActiveSpaceHamiltonian, Determinant,
                                build_sparse_matrix, connected_determinants,
-                               diagonal_element, excitations,
-                               hartree_fock_determinant, sector_basis)
+                               excitations, hartree_fock_determinant,
+                               sector_basis)
 
 
 def test_one_orbital_closed_shell_diagonal():
@@ -17,12 +19,13 @@ def test_one_orbital_closed_shell_diagonal():
                                  one_body=np.array([[-1.0]]),
                                  two_body=np.full((1, 1, 1, 1), 0.5))
     # 2*h00 + (00|00) + E0 = 2*(-1.0) + 0.5 + 0.25
-    assert diagonal_element(ham, Determinant(1, 1)) == pytest.approx(-1.25, abs=1e-14)
+    built = build_sparse_matrix(ham, [Determinant(1, 1)])
+    assert built[0, 0] == pytest.approx(-1.25, abs=1e-14)
 
 
 def test_empty_determinant_diagonal_is_core_energy():
     ham = random_hamiltonian(3, 1, 1, seed=0)
-    assert diagonal_element(ham, Determinant(0, 0)) == ham.core_energy
+    assert build_sparse_matrix(ham, [Determinant(0, 0)])[0, 0] == ham.core_energy
 
 
 def test_matrix_matches_brute_force_oracle():
@@ -119,6 +122,69 @@ def test_sparse_matvec_on_partial_basis():
     built = build_sparse_matrix(ham, basis)
     assert np.max(np.abs(built.toarray() - mat)) < 1e-12
     assert np.allclose(built @ v, mat @ v, atol=1e-10)
+
+
+@st.composite
+def _subset_problem(draw):
+    """Random basis over up to 5 orbitals: one open-shell or asymmetric
+    sector, sometimes mixed with a second (possibly empty-spin) sector."""
+    n = draw(st.integers(1, 5))
+    na, nb = draw(st.integers(1, n)), draw(st.integers(1, n))
+    pool = sector_basis(n, na, nb)
+    if draw(st.booleans()):
+        pool += sector_basis(n, draw(st.integers(0, n)), draw(st.integers(0, n)))
+    pool = sorted(set(pool))
+    basis = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=24,
+                          unique=True))
+    return random_hamiltonian(n, na, nb, seed=draw(st.integers(0, 2**16))), basis
+
+
+@settings(max_examples=30, deadline=None)
+@given(_subset_problem())
+def test_builder_matches_oracle_on_random_subsets(problem):
+    ham, basis = problem
+    built = build_sparse_matrix(ham, basis).toarray()
+    assert np.max(np.abs(built - brute_force_matrix(ham, basis))) < 1e-12
+
+
+def _slater_condon_diagonal(ham, det):
+    """<d|H|d> by the Slater-Condon rules, one orbital pair at a time."""
+    h, eri = ham.one_body, ham.two_body
+    occ = [[p for p in range(ham.n_orb) if bits >> p & 1]
+           for bits in (det.alpha, det.beta)]
+    energy = ham.core_energy + sum(h[p, p] for spin in occ for p in spin)
+    for spin in occ:
+        for i, p in enumerate(spin):
+            for q in spin[i + 1:]:
+                energy += eri[p, p, q, q] - eri[p, q, q, p]
+    return energy + sum(eri[p, p, q, q] for p in occ[0] for q in occ[1])
+
+
+def _matrix_from_connected(ham, basis):
+    index = {d: i for i, d in enumerate(basis)}
+    mat = np.zeros((len(basis), len(basis)))
+    for j, det in enumerate(basis):
+        mat[j, j] = _slater_condon_diagonal(ham, det)
+        for other, value in connected_determinants(ham, det):
+            if other in index:
+                mat[index[other], j] = value
+    return mat
+
+
+def test_builder_matches_connected_generator_at_eight_orbitals():
+    # The HCI selection values and the builder must agree.
+    gen = np.random.default_rng(5)
+    ham = random_hamiltonian(8, 4, 4, seed=30)
+    full = ham.sector_basis()
+    alphas = sorted(gen.choice(sorted({d.alpha for d in full}), 20, replace=False))
+    betas = sorted(gen.choice(sorted({d.beta for d in full}), 20, replace=False))
+    product = [Determinant(int(a), int(b)) for a in alphas for b in betas]
+    open_shell = random_hamiltonian(8, 4, 3, seed=31)
+    sector = open_shell.sector_basis()
+    picks = sorted(gen.choice(len(sector), 400, replace=False))
+    for h, basis in ((ham, product), (open_shell, [sector[i] for i in picks])):
+        built = build_sparse_matrix(h, basis).toarray()
+        assert np.max(np.abs(built - _matrix_from_connected(h, basis))) < 1e-12
 
 
 def test_builder_rejects_duplicate_basis():

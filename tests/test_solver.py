@@ -4,10 +4,10 @@ import scipy.sparse
 
 from conftest import random_hamiltonian
 from oracles import brute_force_matrix
-from sqdci.errors import CapacityError, ConfigError
-from sqdci.hamiltonian import Determinant, diagonal_element
-from sqdci.solver import (DavidsonOptions, davidson_lowest, dense_eigensolve,
-                          fci_ground_state, solve_subspace)
+from sqdci.errors import CapacityError, ConfigError, ConvergenceError
+from sqdci.hamiltonian import Determinant
+from sqdci.solver import (DENSE_THRESHOLD, DavidsonOptions, davidson_lowest,
+                          dense_eigensolve, fci_ground_state, solve_subspace)
 
 
 def random_sparse_symmetric(dim, seed, density=0.05, spread=2.0):
@@ -97,7 +97,7 @@ def test_fci_one_orbital_single_determinant():
     result = fci_ground_state(ham)
     assert result.dimension == 1
     assert result.energy == pytest.approx(
-        diagonal_element(ham, Determinant(1, 1)), abs=1e-12)
+        brute_force_matrix(ham, [Determinant(1, 1)])[0, 0], abs=1e-12)
 
 
 def test_fci_matches_brute_force_dense():
@@ -110,7 +110,8 @@ def test_fci_matches_brute_force_dense():
 def test_fci_below_hartree_fock():
     ham = random_hamiltonian(4, 2, 2, seed=22)
     result = fci_ground_state(ham)
-    assert result.energy <= diagonal_element(ham, ham.hf_determinant()) + 1e-12
+    e_hf = brute_force_matrix(ham, [ham.hf_determinant()])[0, 0]
+    assert result.energy <= e_hf + 1e-12
 
 
 def test_variational_monotonicity_under_nesting():
@@ -132,6 +133,13 @@ def test_solve_subspace_davidson_path_matches_dense():
     from sqdci.hamiltonian import build_sparse_matrix
     exact = np.linalg.eigvalsh(build_sparse_matrix(ham, basis).toarray())[0]
     assert result.energy == pytest.approx(exact, abs=1e-9)
+
+
+def test_solve_subspace_raises_when_davidson_does_not_converge():
+    ham = random_hamiltonian(7, 3, 3, seed=24, diagonal_spread=1.0)
+    basis = ham.sector_basis()[:DENSE_THRESHOLD]
+    with pytest.raises(ConvergenceError):
+        solve_subspace(ham, basis, DavidsonOptions(max_iterations=1))
 
 
 def test_empty_basis_rejected():

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from oracles import excitation_degree
+from oracles import brute_force_matrix, excitation_degree
 from sqdci.errors import CapacityError, ConfigError, EmptyValidSampleError
-from sqdci.hamiltonian import (Determinant, diagonal_element,
-                               hartree_fock_determinant, sector_basis)
+from sqdci.hamiltonian import (Determinant, hartree_fock_determinant,
+                               sector_basis)
 from sqdci.sampler import (BitstringCounts, determinant_to_bitstring,
                            sample_counts, state_from_ci_vector)
 from sqdci.solver import fci_ground_state
-from sqdci.sqd import (ExtensionThresholds, RecoveryConfig, build_subspace,
-                       ext_sqd, extend_subspace, partition_by_hamming,
+from sqdci.sqd import (ExtensionThresholds, RecoveryConfig,
+                       _eigenvector_occupations, build_subspace, ext_sqd,
+                       extend_subspace, partition_by_hamming,
                        recover_configurations, sqd_ground_state)
 
 
@@ -96,6 +97,19 @@ def test_recovery_rejects_bad_occupations():
 
 # ------------------------------------------------------------------- subspace
 
+def test_eigenvector_occupations_match_per_determinant_loop():
+    n = 5
+    basis = sector_basis(n, 2, 3)[::3] + sector_basis(n, 1, 1)[::4]
+    vector = np.random.default_rng(4).normal(size=len(basis))
+    expected = np.zeros(2 * n)
+    for det, c in zip(basis, vector):
+        for p in range(n):
+            expected[p] += c * c * (det.alpha >> p & 1)
+            expected[n + p] += c * c * (det.beta >> p & 1)
+    got = _eigenvector_occupations(basis, vector, n)
+    assert np.max(np.abs(got - expected)) < 1e-12
+
+
 def test_build_subspace_closure_product():
     counts = BitstringCounts(4, {"1001": 2, "0110": 1})
     basis = build_subspace(counts, closure=True)
@@ -122,7 +136,7 @@ def test_single_hf_bitstring_gives_hf_energy(ham_4e4o):
     result = sqd_ground_state(ham_4e4o, counts,
                               RecoveryConfig(iterations=1, batches=1))
     assert result.energy == pytest.approx(
-        diagonal_element(ham_4e4o, hf), abs=1e-12)
+        brute_force_matrix(ham_4e4o, [hf])[0, 0], abs=1e-12)
     assert result.dimension == 1
 
 
