@@ -126,20 +126,24 @@ def read_orbital_data(path) -> OrbitalRanking:
     """Read `index contribution occupation` lines into a ranking."""
     contributions = {}
     occupations = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ConfigError(f"malformed orbital-data line: {raw!r}")
-            try:
-                idx = int(parts[0])
-                contributions[idx] = float(parts[1])
-                occupations[idx] = float(parts[2])
-            except ValueError as exc:
-                raise ConfigError(f"malformed orbital-data line: {raw!r}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read orbital data {path}: {exc}") from exc
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ConfigError(f"malformed orbital-data line: {raw!r}")
+        try:
+            idx = int(parts[0])
+            contributions[idx] = float(parts[1])
+            occupations[idx] = float(parts[2])
+        except ValueError as exc:
+            raise ConfigError(f"malformed orbital-data line: {raw!r}") from exc
     if not contributions:
         raise ConfigError("empty orbital-data file")
     n = max(contributions) + 1

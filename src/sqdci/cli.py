@@ -74,6 +74,9 @@ class RunConfig:
             raise ConfigError(f"no such file: {self.hamiltonian_path}")
         if self.shots <= 0:
             raise ConfigError("shots must be positive")
+        if not 0.0 <= self.flip_probability <= 1.0:  # false for nan too
+            raise ConfigError("flip probability must be a finite value in "
+                              f"[0, 1], got {self.flip_probability}")
         if self.method in ("sqd", "ext-sqd"):
             if self.sampler == "counts-file":
                 if not self.counts_path:
@@ -243,18 +246,22 @@ def _read_config_file(path) -> dict:
     """key = value lines, field names as in RunConfig."""
     values = {}
     valid = set(RunConfig.__dataclass_fields__)
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"malformed config line: {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in valid:
-                raise ConfigError(f"unknown config key {key!r}")
-            values[key] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"malformed config line: {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in valid:
+            raise ConfigError(f"unknown config key {key!r}")
+        values[key] = value.strip()
     return values
 
 

@@ -111,8 +111,12 @@ def parse_fcidump(text: str) -> ActiveSpaceHamiltonian:
 
 
 def read_fcidump(path) -> ActiveSpaceHamiltonian:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_fcidump(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read FCIDUMP {path}: {exc}") from exc
+    return parse_fcidump(text)
 
 
 def write_fcidump(ham: ActiveSpaceHamiltonian, fh: TextIO,

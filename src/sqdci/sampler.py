@@ -7,12 +7,14 @@ density-density layer exp(iJ) is a diagonal phase. Both conserve
 particle number exactly, so the state never leaves the sector.
 
 Bitstring layout: bit 0 is leftmost; bits [0, n) hold the alpha orbital
-occupations and bits [n, 2n) the beta occupations.
+occupations and bits [n, 2n) the beta occupations. Shots are held packed
+as uint64 alpha and beta strings with int64 counts (``BitstringCounts``);
+bitstrings as text appear only at the counts-file boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -25,31 +27,162 @@ from .hamiltonian import (Determinant, hartree_fock_determinant, sector_basis,
 SECTOR_DIMENSION_CAP = 10_000_000
 
 
-@dataclass
+# Widest spin string a packed uint64 holds.
+MAX_ORBITALS_PER_SPIN = 64
+# Shots whose flip masks ``apply_readout_noise`` draws at once; bounds its
+# temporaries independently of the shot count.
+_NOISE_BLOCK_SHOTS = 1 << 14
+
+
+def _half_widths(n_qubits: int) -> tuple[int, int]:
+    """Characters of a bitstring that hold the alpha and the beta string."""
+    if n_qubits < 0:
+        raise ConfigError(f"n_qubits must be nonnegative, got {n_qubits}")
+    n_alpha_bits = n_qubits // 2
+    if n_qubits - n_alpha_bits > MAX_ORBITALS_PER_SPIN:
+        raise CapacityError(f"n_qubits={n_qubits} exceeds "
+                            f"{MAX_ORBITALS_PER_SPIN} orbitals per spin")
+    return n_alpha_bits, n_qubits - n_alpha_bits
+
+
+def pack_bits(rows: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """uint64 alpha and beta strings of an (m, ``n_qubits``) 0/1 array.
+
+    Bit i of a string is column i of its half of the row, the layout of
+    :class:`Determinant`.
+    """
+    width, _ = _half_widths(n_qubits)
+    rows = np.asarray(rows, dtype=bool)
+    strings = []
+    for half in (rows[:, :width], rows[:, width:]):
+        packed = np.packbits(half, axis=1, bitorder="little")
+        words = np.zeros((len(rows), 8), dtype=np.uint8)
+        words[:, :packed.shape[1]] = packed
+        strings.append(words.view("<u8").ravel().astype(np.uint64))
+    return strings[0], strings[1]
+
+
+def unpack_bits(alpha: np.ndarray, beta: np.ndarray,
+                n_qubits: int) -> np.ndarray:
+    """0/1 uint8 rows of ``n_qubits`` columns; inverse of :func:`pack_bits`."""
+    width, beta_width = _half_widths(n_qubits)
+    halves = []
+    for strings, cols in ((alpha, width), (beta, beta_width)):
+        words = np.ascontiguousarray(strings, dtype="<u8").view(np.uint8)
+        words = words.reshape(-1, 8)
+        halves.append(np.unpackbits(words, axis=1, count=cols,
+                                    bitorder="little"))
+    return np.concatenate(halves, axis=1)
+
+
+def _bit_reversed(strings: np.ndarray) -> np.ndarray:
+    """Each uint64 with its 64 bits in reverse order."""
+    x = strings
+    for shift, mask in ((1, 0x5555555555555555), (2, 0x3333333333333333),
+                        (4, 0x0F0F0F0F0F0F0F0F)):
+        x = ((x >> shift) & mask) | ((x & mask) << shift)
+    return x.byteswap()
+
+
 class BitstringCounts:
-    """Multiset of sampled bitstrings with shot counts."""
+    """Multiset of sampled bitstrings with shot counts, packed per spin.
 
-    n_qubits: int
-    entries: dict[str, int] = field(default_factory=dict)
+    Row r is one distinct configuration: spin strings ``alpha[r]`` and
+    ``beta[r]`` (uint64, laid out as by :func:`pack_bits`), seen
+    ``count[r]`` times. Rows are in sorted-bitstring order, the order in
+    which the readout noise and the batch draws visit them. ``entries``
+    is the same multiset as a ``{bitstring: count}`` dict.
+    """
 
-    def __post_init__(self):
-        for key, count in self.entries.items():
-            if len(key) != self.n_qubits or set(key) - {"0", "1"}:
-                raise ConfigError(f"bad bitstring {key!r} for n_qubits={self.n_qubits}")
+    def __init__(self, n_qubits: int, entries: dict[str, int] | None = None):
+        _half_widths(n_qubits)
+        entries = entries or {}
+        for key, count in entries.items():
+            if (not isinstance(key, str) or len(key) != n_qubits
+                    or set(key) - {"0", "1"}):
+                raise ConfigError(f"bad bitstring {key!r} for n_qubits={n_qubits}")
             if count < 0:
                 raise ConfigError(f"negative count for {key!r}")
+        if sum(entries.values()) >= 2**63:
+            raise ConfigError("total shot count does not fit in 64 bits")
+        rows = np.frombuffer("".join(entries).encode("ascii"), dtype=np.uint8)
+        alpha, beta = pack_bits(
+            (rows - ord("0")).reshape(len(entries), n_qubits), n_qubits)
+        self._store(n_qubits, alpha, beta,
+                    np.fromiter(entries.values(), np.int64, count=len(entries)))
+
+    @classmethod
+    def packed(cls, n_qubits: int, alpha: np.ndarray, beta: np.ndarray,
+               count: np.ndarray) -> "BitstringCounts":
+        """Counts from packed rows; repeated rows are merged."""
+        counts = cls.__new__(cls)
+        counts._store(n_qubits, alpha, beta, count)
+        return counts
+
+    def _store(self, n_qubits, alpha, beta, count):
+        _half_widths(n_qubits)
+        alpha = np.asarray(alpha, dtype=np.uint64)
+        beta = np.asarray(beta, dtype=np.uint64)
+        count = np.asarray(count, dtype=np.int64)
+        order = np.lexsort((_bit_reversed(beta), _bit_reversed(alpha)))
+        alpha, beta, count = alpha[order], beta[order], count[order]
+        first = np.ones(len(alpha), dtype=bool)
+        first[1:] = (alpha[1:] != alpha[:-1]) | (beta[1:] != beta[:-1])
+        starts = np.flatnonzero(first)
+        self.n_qubits = n_qubits
+        self.alpha, self.beta = alpha[starts], beta[starts]
+        self.count = (np.add.reduceat(count, starts) if len(starts)
+                      else count[:0])
+
+    def __len__(self) -> int:
+        return len(self.count)
+
+    @property
+    def entries(self) -> dict[str, int]:
+        rows = unpack_bits(self.alpha, self.beta, self.n_qubits) + ord("0")
+        text = rows.tobytes().decode("ascii")
+        nq = self.n_qubits
+        return {text[r * nq:(r + 1) * nq]: c
+                for r, c in enumerate(self.count.tolist())}
 
     @property
     def total_shots(self) -> int:
-        return sum(self.entries.values())
+        return int(self.count.sum())
+
+    def take(self, rows) -> "BitstringCounts":
+        """The counts of the selected rows (a mask or ascending row indices)."""
+        counts = BitstringCounts.__new__(BitstringCounts)
+        counts.n_qubits = self.n_qubits
+        counts.alpha, counts.beta = self.alpha[rows], self.beta[rows]
+        counts.count = self.count[rows]
+        return counts
 
     def merged_with(self, other: "BitstringCounts") -> "BitstringCounts":
-        if other.n_qubits != self.n_qubits:
-            raise ConfigError("n_qubits mismatch")
-        merged = dict(self.entries)
-        for key, count in other.entries.items():
-            merged[key] = merged.get(key, 0) + count
-        return BitstringCounts(self.n_qubits, merged)
+        return merge_counts(self.n_qubits, [self, other])
+
+
+def merge_counts(n_qubits: int, parts) -> BitstringCounts:
+    """Shot-count sum of several multisets of ``n_qubits``-bit strings."""
+    if any(part.n_qubits != n_qubits for part in parts):
+        raise ConfigError("n_qubits mismatch")
+    if not parts:
+        return BitstringCounts(n_qubits)
+    return BitstringCounts.packed(n_qubits,
+                                  np.concatenate([p.alpha for p in parts]),
+                                  np.concatenate([p.beta for p in parts]),
+                                  np.concatenate([p.count for p in parts]))
+
+
+def shot_rows(count: np.ndarray, block: int):
+    """Row index of every shot of ``count``, ``block`` shots at a time.
+
+    Shots come in row order, the shots of one row consecutively.
+    """
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, block):
+        yield np.searchsorted(ends, np.arange(start, min(start + block, total)),
+                              side="right")
 
 
 @dataclass
@@ -262,36 +395,39 @@ def sample_counts(state: SectorState, shots: int, seed: int) -> BitstringCounts:
     """Multinomial sampling of |amplitude|^2 with a seeded Philox stream."""
     if shots <= 0:
         raise ConfigError("shots must be positive")
+    _half_widths(2 * state.n_orb)
     probs = np.abs(state.amplitudes) ** 2
     probs = probs / probs.sum()
     gen = rng.stream(seed, "sample")
     draws = gen.multinomial(shots, probs)
     dets = state.basis()
-    entries = {}
-    for i in np.nonzero(draws)[0]:
-        entries[determinant_to_bitstring(dets[i], state.n_orb)] = int(draws[i])
-    return BitstringCounts(2 * state.n_orb, entries)
+    hit = np.flatnonzero(draws)
+    return BitstringCounts.packed(
+        2 * state.n_orb,
+        np.fromiter((dets[i].alpha for i in hit), np.uint64, count=len(hit)),
+        np.fromiter((dets[i].beta for i in hit), np.uint64, count=len(hit)),
+        draws[hit])
 
 
 def apply_readout_noise(counts: BitstringCounts,
                         noise: NoiseModel) -> BitstringCounts:
-    """Flip each bit of each shot independently with the model probability."""
+    """Flip each bit of each shot independently with the model probability.
+
+    Shots are visited in row order and each draws ``n_qubits`` uniforms
+    from one stream, so the result does not depend on the block size.
+    """
     p = noise.flip_probability
     if p == 0.0:
-        return BitstringCounts(counts.n_qubits, dict(counts.entries))
+        return counts
     gen = rng.stream(noise.seed, "readout-noise")
     nq = counts.n_qubits
-    out: dict[str, int] = {}
-    for key in sorted(counts.entries):
-        count = counts.entries[key]
-        bits = np.frombuffer(key.encode(), dtype=np.uint8) - ord("0")
-        flips = gen.random((count, nq)) < p
-        rows = bits[None, :] ^ flips.astype(np.uint8)
-        uniq, mult = np.unique(rows, axis=0, return_counts=True)
-        for row, m in zip(uniq, mult):
-            s = "".join("1" if b else "0" for b in row)
-            out[s] = out.get(s, 0) + int(m)
-    return BitstringCounts(nq, out)
+    blocks = []
+    for rows in shot_rows(counts.count, _NOISE_BLOCK_SHOTS):
+        flip_alpha, flip_beta = pack_bits(gen.random((len(rows), nq)) < p, nq)
+        blocks.append(BitstringCounts.packed(
+            nq, counts.alpha[rows] ^ flip_alpha, counts.beta[rows] ^ flip_beta,
+            np.ones(len(rows), dtype=np.int64)))
+    return merge_counts(nq, blocks)
 
 
 def lucj_params_from_ccsd(t1: np.ndarray | None, t2: np.ndarray,
@@ -380,35 +516,41 @@ def _real_log_orthogonal(orthogonal: np.ndarray) -> np.ndarray:
 def write_counts(counts: BitstringCounts, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"n_qubits={counts.n_qubits}\n")
-        for key in sorted(counts.entries):
-            fh.write(f"{key} {counts.entries[key]}\n")
+        fh.writelines(f"{key} {count}\n" for key, count in counts.entries.items())
 
 
 def read_counts(path) -> BitstringCounts:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("n_qubits="):
-            raise ConfigError("counts file must start with 'n_qubits=<int>'")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _parse_counts(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read counts file {path}: {exc}") from exc
+
+
+def _parse_counts(lines) -> BitstringCounts:
+    header = next(lines, "").strip()
+    if not header.startswith("n_qubits="):
+        raise ConfigError("counts file must start with 'n_qubits=<int>'")
+    try:
+        nq = int(header.split("=", 1)[1])
+    except ValueError as exc:
+        raise ConfigError("bad n_qubits header") from exc
+    entries = {}
+    for raw in lines:
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ConfigError(f"malformed counts line: {raw!r}")
+        bits, count_str = parts
+        if len(bits) != nq or set(bits) - {"0", "1"}:
+            raise ConfigError(f"bitstring length mismatch: {raw!r}")
         try:
-            nq = int(header.split("=", 1)[1])
+            count = int(count_str)
         except ValueError as exc:
-            raise ConfigError("bad n_qubits header") from exc
-        entries = {}
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ConfigError(f"malformed counts line: {raw!r}")
-            bits, count_str = parts
-            if len(bits) != nq or set(bits) - {"0", "1"}:
-                raise ConfigError(f"bitstring length mismatch: {raw!r}")
-            try:
-                count = int(count_str)
-            except ValueError as exc:
-                raise ConfigError(f"malformed count: {raw!r}") from exc
-            if count < 0:
-                raise ConfigError(f"negative count: {raw!r}")
-            entries[bits] = entries.get(bits, 0) + count
+            raise ConfigError(f"malformed count: {raw!r}") from exc
+        if count < 0:
+            raise ConfigError(f"negative count: {raw!r}")
+        entries[bits] = entries.get(bits, 0) + count
     return BitstringCounts(nq, entries)

@@ -17,10 +17,14 @@ from . import rng
 from .errors import CapacityError, ConfigError, EmptyValidSampleError
 from .hamiltonian import (ActiveSpaceHamiltonian, Determinant, excitations,
                           occupation_rows, unique_strings)
-from .sampler import BitstringCounts, bitstring_to_determinant
+from .sampler import (BitstringCounts, merge_counts, pack_bits, shot_rows,
+                      unpack_bits)
 from .solver import DavidsonOptions, solve_subspace
 
 EXTENSION_DIMENSION_CAP = 50_000_000
+# Invalid shots ``recover_configurations`` repairs at once; bounds its
+# temporaries independently of the shot count.
+_RECOVERY_BLOCK_SHOTS = 1 << 13
 
 
 @dataclass
@@ -76,32 +80,9 @@ def partition_by_hamming(counts: BitstringCounts, n_alpha: int,
     """Split shots into sector-valid and forbidden configurations."""
     if counts.n_qubits % 2:
         raise ConfigError("counts must have an even number of qubits")
-    n = counts.n_qubits // 2
-    valid, invalid = {}, {}
-    for key, count in counts.entries.items():
-        if key[:n].count("1") == n_alpha and key[n:].count("1") == n_beta:
-            valid[key] = count
-        else:
-            invalid[key] = count
-    return (BitstringCounts(counts.n_qubits, valid),
-            BitstringCounts(counts.n_qubits, invalid))
-
-
-def _repair_half(bits: list[int], target: int, occ: np.ndarray,
-                 gen: np.random.Generator, eps: float = 1e-6) -> None:
-    weight = sum(bits)
-    while weight > target:
-        candidates = [p for p in range(len(bits)) if bits[p]]
-        weights = np.array([1.0 - occ[p] + eps for p in candidates])
-        pick = candidates[gen.choice(len(candidates), p=weights / weights.sum())]
-        bits[pick] = 0
-        weight -= 1
-    while weight < target:
-        candidates = [p for p in range(len(bits)) if not bits[p]]
-        weights = np.array([occ[p] + eps for p in candidates])
-        pick = candidates[gen.choice(len(candidates), p=weights / weights.sum())]
-        bits[pick] = 1
-        weight += 1
+    valid = ((np.bitwise_count(counts.alpha) == n_alpha)
+             & (np.bitwise_count(counts.beta) == n_beta))
+    return counts.take(valid), counts.take(~valid)
 
 
 def recover_configurations(invalid: BitstringCounts, occupations: np.ndarray,
@@ -111,24 +92,45 @@ def recover_configurations(invalid: BitstringCounts, occupations: np.ndarray,
 
     Per spin half: excess set bits are cleared with probability
     proportional to (1 - <n_p> + eps), missing ones are set with
-    probability proportional to (<n_p> + eps). Every output shot is
-    sector-valid by construction.
+    probability proportional to (<n_p> + eps), one bit after another
+    without replacement. Each shot draws that choice at once by
+    Gumbel-top-k (Kool et al., arXiv:1903.06059): it flips the |excess|
+    candidate bits of largest log-weight plus a Gumbel draw, one draw per
+    bit. Every output shot is sector-valid by construction.
     """
     occupations = np.asarray(occupations, dtype=float)
-    if np.any(occupations < 0) or np.any(occupations > 1):
-        raise ConfigError("occupations must lie in [0, 1]")
-    n = invalid.n_qubits // 2
+    nq = invalid.n_qubits
+    if occupations.shape != (nq,) or not np.all((occupations >= 0)
+                                                 & (occupations <= 1)):
+        raise ConfigError("occupations must lie in [0, 1], one per qubit")
+    n = nq // 2
+    if not (0 <= n_alpha <= n and 0 <= n_beta <= nq - n):
+        raise ConfigError("electron numbers do not fit the orbitals")
+    eps = 1e-6
+    clear_weight = np.log(1.0 - occupations + eps)
+    set_weight = np.log(occupations + eps)
     gen = rng.stream(seed, "recovery")
-    out: dict[str, int] = {}
-    for key in sorted(invalid.entries):
-        for _ in range(invalid.entries[key]):
-            alpha = [1 if key[p] == "1" else 0 for p in range(n)]
-            beta = [1 if key[n + p] == "1" else 0 for p in range(n)]
-            _repair_half(alpha, n_alpha, occupations[:n], gen)
-            _repair_half(beta, n_beta, occupations[n:], gen)
-            repaired = "".join(map(str, alpha + beta))
-            out[repaired] = out.get(repaired, 0) + 1
-    return BitstringCounts(invalid.n_qubits, out)
+    blocks = []
+    for rows in shot_rows(invalid.count, _RECOVERY_BLOCK_SHOTS):
+        bits = unpack_bits(invalid.alpha[rows], invalid.beta[rows], nq)
+        gumbel = gen.gumbel(size=bits.shape)
+        flips = np.zeros(bits.shape, dtype=bool)
+        for half, target in ((slice(0, n), n_alpha), (slice(n, nq), n_beta)):
+            occupied = bits[:, half].astype(bool)
+            excess = occupied.sum(axis=1) - target
+            candidate = occupied == (excess > 0)[:, None]
+            score = np.where(candidate,
+                             np.where(occupied, clear_weight[half],
+                                      set_weight[half]) + gumbel[:, half],
+                             -np.inf)
+            ranked = np.argsort(-score, axis=1, kind="stable")
+            chosen = np.arange(score.shape[1]) < np.abs(excess)[:, None]
+            np.put_along_axis(flips[:, half], ranked, chosen, axis=1)
+        flip_alpha, flip_beta = pack_bits(flips, nq)
+        blocks.append(BitstringCounts.packed(
+            nq, invalid.alpha[rows] ^ flip_alpha, invalid.beta[rows] ^ flip_beta,
+            np.ones(len(rows), dtype=np.int64)))
+    return merge_counts(nq, blocks)
 
 
 def build_subspace(samples: BitstringCounts, closure: bool) -> list[Determinant]:
@@ -138,23 +140,20 @@ def build_subspace(samples: BitstringCounts, closure: bool) -> list[Determinant]
     alpha and beta strings observed; ordering is canonical (alpha value,
     then beta value).
     """
-    if not samples.entries:
+    if not len(samples):
         raise ConfigError("empty sample set")
-    n = samples.n_qubits // 2
-    dets = [bitstring_to_determinant(key, n) for key in samples.entries]
     if not closure:
-        return sorted(set(dets))
-    alphas = sorted({d.alpha for d in dets})
-    betas = sorted({d.beta for d in dets})
+        order = np.lexsort((samples.beta, samples.alpha))
+        return list(map(Determinant, samples.alpha[order].tolist(),
+                        samples.beta[order].tolist()))
+    alphas = np.unique(samples.alpha).tolist()
+    betas = np.unique(samples.beta).tolist()
     return [Determinant(a, b) for a in alphas for b in betas]
 
 
 def _empirical_occupations(counts: BitstringCounts) -> np.ndarray:
-    total = counts.total_shots
-    occ = np.zeros(counts.n_qubits)
-    for key, count in counts.entries.items():
-        occ += count * np.array([1.0 if c == "1" else 0.0 for c in key])
-    return occ / total
+    rows = unpack_bits(counts.alpha, counts.beta, counts.n_qubits)
+    return (counts.count @ rows) / counts.total_shots
 
 
 def _eigenvector_occupations(basis, vector, n_orb):
@@ -171,14 +170,12 @@ def _eigenvector_occupations(basis, vector, n_orb):
 def _draw_batch(counts: BitstringCounts, size: int,
                 gen: np.random.Generator) -> BitstringCounts:
     """Weighted draw without replacement of distinct configurations."""
-    keys = sorted(counts.entries)
-    weights = np.array([counts.entries[k] for k in keys], dtype=float)
-    if len(keys) <= size:
-        return BitstringCounts(counts.n_qubits, dict(counts.entries))
-    picks = gen.choice(len(keys), size=size, replace=False,
+    if len(counts) <= size:
+        return counts
+    weights = counts.count.astype(float)
+    picks = gen.choice(len(counts), size=size, replace=False,
                        p=weights / weights.sum())
-    entries = {keys[i]: counts.entries[keys[i]] for i in sorted(picks)}
-    return BitstringCounts(counts.n_qubits, entries)
+    return counts.take(np.sort(picks))
 
 
 def sqd_ground_state(ham: ActiveSpaceHamiltonian, counts: BitstringCounts,
@@ -219,7 +216,7 @@ def sqd_ground_state(ham: ActiveSpaceHamiltonian, counts: BitstringCounts,
                                          vector=solved.vector,
                                          energy=solved.energy,
                                          shot_weight=batch_counts.total_shots,
-                                         raw_dimension=len(batch_counts.entries)))
+                                         raw_dimension=len(batch_counts)))
         best = min(batches, key=lambda s: s.energy)
         history.append(best.energy)
         total_weight = sum(s.shot_weight for s in batches)

@@ -199,3 +199,54 @@ def density_density_phases(J: np.ndarray, dets, n_orb: int) -> np.ndarray:
                 occ[n_orb + p] = 1.0
         phases[i] = occ @ J @ occ
     return phases
+
+
+def readout_noise_per_key(entries: dict, n_qubits: int, p: float,
+                          gen: np.random.Generator) -> dict:
+    """Per-key readout noise: keys in sorted order, each of its ``count``
+    shots flips bit i when its i-th uniform of ``gen`` is below ``p``."""
+    out: dict[str, int] = {}
+    for key in sorted(entries):
+        bits = np.frombuffer(key.encode(), dtype=np.uint8) - ord("0")
+        flips = gen.random((entries[key], n_qubits)) < p
+        rows = bits[None, :] ^ flips.astype(np.uint8)
+        uniq, mult = np.unique(rows, axis=0, return_counts=True)
+        for row, m in zip(uniq, mult):
+            s = "".join("1" if b else "0" for b in row)
+            out[s] = out.get(s, 0) + int(m)
+    return out
+
+
+def _repair_half(bits: list[int], target: int, occ: np.ndarray,
+                 gen: np.random.Generator, eps: float = 1e-6) -> None:
+    weight = sum(bits)
+    while weight > target:
+        candidates = [p for p in range(len(bits)) if bits[p]]
+        weights = np.array([1.0 - occ[p] + eps for p in candidates])
+        pick = candidates[gen.choice(len(candidates), p=weights / weights.sum())]
+        bits[pick] = 0
+        weight -= 1
+    while weight < target:
+        candidates = [p for p in range(len(bits)) if not bits[p]]
+        weights = np.array([occ[p] + eps for p in candidates])
+        pick = candidates[gen.choice(len(candidates), p=weights / weights.sum())]
+        bits[pick] = 1
+        weight += 1
+
+
+def recovery_per_shot(entries: dict, occupations: np.ndarray, n_alpha: int,
+                      n_beta: int, gen: np.random.Generator) -> dict:
+    """Per-shot configuration recovery: each excess (missing) bit of a half
+    is cleared (set) one at a time, drawn with probability proportional to
+    1 - <n_p> + eps (<n_p> + eps) among the remaining candidates."""
+    n = len(occupations) // 2
+    out: dict[str, int] = {}
+    for key in sorted(entries):
+        for _ in range(entries[key]):
+            alpha = [1 if key[p] == "1" else 0 for p in range(n)]
+            beta = [1 if key[n + p] == "1" else 0 for p in range(n)]
+            _repair_half(alpha, n_alpha, occupations[:n], gen)
+            _repair_half(beta, n_beta, occupations[n:], gen)
+            repaired = "".join(map(str, alpha + beta))
+            out[repaired] = out.get(repaired, 0) + 1
+    return out

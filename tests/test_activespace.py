@@ -93,3 +93,12 @@ def test_read_orbital_data_errors(tmp_path):
     path.write_text("0 0.5 2.0\n2 0.1 0.0\n")  # gap in indices
     with pytest.raises(ConfigError):
         read_orbital_data(path)
+
+
+def test_read_orbital_data_unreadable(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"0 0.5 2.0 # \xe9\n")
+    with pytest.raises(ConfigError, match="cannot read"):
+        read_orbital_data(path)
+    with pytest.raises(ConfigError, match="cannot read"):
+        read_orbital_data(tmp_path)

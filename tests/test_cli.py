@@ -174,6 +174,47 @@ def test_main_non_finite_fcidump_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("broken", ["hamiltonian", "counts", "config"])
+@pytest.mark.parametrize("kind", ["non-utf8", "directory"])
+def test_main_unreadable_input_is_config_error(one_orbital, tmp_path, capsys,
+                                               broken, kind):
+    counts = tmp_path / "counts.txt"
+    counts.write_text("n_qubits=2\n11 5\n")
+    config = tmp_path / "run.cfg"
+    config.write_text("seed = 1\n")
+    paths = {"hamiltonian": one_orbital, "counts": counts, "config": config}
+    bad = tmp_path / "bad"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(paths[broken].read_bytes() + b"\xff\xfe 1\n")
+    paths[broken] = bad
+    assert main(["run", "--hamiltonian", str(paths["hamiltonian"]),
+                 "--config", str(paths["config"]), "--method", "sqd",
+                 "--sampler", "counts-file",
+                 "--counts", str(paths["counts"])]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read")
+
+
+@pytest.mark.parametrize("flip", ["-0.5", "nan", "1.5", "inf"])
+def test_main_rejects_bad_flip_probability(one_orbital, capsys, flip):
+    assert main(["run", "--hamiltonian", str(one_orbital), "--method", "sqd",
+                 "--shots", "100", "--flip-prob", flip]) == 2
+    assert "flip probability" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="flip probability"):
+        RunConfig(hamiltonian_path=str(one_orbital),
+                  flip_probability=float(flip)).validate()
+
+
+def test_main_counts_over_64_orbitals_per_spin_exit_code(one_orbital, tmp_path,
+                                                         capsys):
+    counts = tmp_path / "wide.txt"
+    counts.write_text("n_qubits=130\n" + "0" * 130 + " 4\n")
+    assert main(["run", "--hamiltonian", str(one_orbital), "--method", "sqd",
+                 "--sampler", "counts-file", "--counts", str(counts)]) == 4
+    assert "64 orbitals per spin" in capsys.readouterr().err
+
+
 def test_main_numerical_fault_exit_code(one_orbital, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise ArithmeticError("solver produced non-finite values")
