@@ -39,6 +39,9 @@ EXIT_NUMERICAL = 3
 EXIT_CAPACITY = 4
 EXIT_EMPTY_VALID = 5
 
+# The multinomial draw takes the shot count as a C int64.
+MAX_SHOTS = np.iinfo(np.int64).max
+
 
 @dataclass
 class RunConfig:
@@ -72,8 +75,9 @@ class RunConfig:
             raise ConfigError("a Hamiltonian file is required")
         if not os.path.exists(self.hamiltonian_path):
             raise ConfigError(f"no such file: {self.hamiltonian_path}")
-        if self.shots <= 0:
-            raise ConfigError("shots must be positive")
+        if not 0 < self.shots <= MAX_SHOTS:
+            raise ConfigError(f"shots must be in [1, {MAX_SHOTS}], "
+                              f"got {self.shots}")
         if not 0.0 <= self.flip_probability <= 1.0:  # false for nan too
             raise ConfigError("flip probability must be a finite value in "
                               f"[0, 1], got {self.flip_probability}")
@@ -268,10 +272,12 @@ def _read_config_file(path) -> dict:
 def _coerce(field_name: str, value):
     kind = RunConfig.__dataclass_fields__[field_name].type
     if isinstance(value, str):
-        if kind == "int":
-            return int(value)
-        if kind == "float":
-            return float(value)
+        if kind in ("int", "float"):
+            try:
+                return int(value) if kind == "int" else float(value)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"bad {kind} for {field_name}: {value!r}") from exc
         if kind == "bool":
             if value.lower() in ("1", "true", "on", "yes"):
                 return True

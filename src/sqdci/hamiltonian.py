@@ -22,6 +22,10 @@ and keeps the hits. Diagonals come from the occupation rows of the
 strings through the Coulomb and exchange matrices. Bases need not be
 Cartesian products of their strings, nor lie in one sector.
 
+The result is a :class:`CSRMatrix`, a plain numpy CSR triple. Every row
+stores its diagonal, so the product with a vector is one gather and one
+``np.add.reduceat`` over the row starts, with no empty-row special case.
+
 Determinants are pairs of occupation bitmasks (alpha, beta) over spatial
 orbitals. The fermionic sign convention places all alpha spin-orbitals
 (ascending orbital index) before all beta spin-orbitals; parities reduce
@@ -39,7 +43,6 @@ from math import comb
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse
 
 from .errors import ConfigError
 
@@ -276,6 +279,53 @@ def occupation_rows(strings, n_orb: int) -> np.ndarray:
     return occ
 
 
+@dataclass(frozen=True)
+class CSRMatrix:
+    """Square real matrix in compressed sparse rows.
+
+    Row i stores its entries at ``[indptr[i], indptr[i + 1])`` of
+    ``indices``/``data`` with columns ascending and none repeated. Every
+    row must store its diagonal, even when it is 0.0: the product then
+    needs no empty-row handling.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        dim = len(self.indptr) - 1
+        return dim, dim
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def _rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def diagonal(self) -> np.ndarray:
+        return self.data[self.indices == self._rows()]
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self._rows(), self.indices] = self.data
+        return out
+
+    def __matmul__(self, x):
+        x = np.asarray(x)
+        if x.ndim == 1:
+            return np.add.reduceat(self.data * x[self.indices], self.indptr[:-1])
+        # One column at a time: reduceat along axis 0 of a 2-D gather is
+        # several times slower.
+        out = np.empty((self.shape[0], x.shape[1]),
+                       dtype=np.result_type(self.data, x))
+        for j in range(x.shape[1]):
+            out[:, j] = self @ x[:, j]
+        return out
+
+
 # Candidate (determinant, connected determinant) pairs expanded at once
 # by the builder; bounds its temporaries independently of the basis size.
 _BLOCK_CANDIDATES = 1 << 16
@@ -348,7 +398,7 @@ def _expand(start: np.ndarray, sources: np.ndarray):
 
 
 def build_sparse_matrix(ham: ActiveSpaceHamiltonian,
-                        basis: list[Determinant]) -> scipy.sparse.csr_matrix:
+                        basis: list[Determinant]) -> CSRMatrix:
     """Sparse CSR projected Hamiltonian over ``basis`` (distinct determinants).
 
     Exact-zero off-diagonal elements are not stored; every diagonal is.
@@ -460,7 +510,6 @@ def build_sparse_matrix(ham: ActiveSpaceHamiltonian,
         data.append(vals[perm])
         lo = hi
 
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(data or [np.zeros(0)]),
-         np.concatenate(indices or [np.zeros(0, dtype=np.int64)]),
-         np.concatenate(indptr)), shape=(dim, dim))
+    return CSRMatrix(indptr=np.concatenate(indptr),
+                     indices=np.concatenate(indices or [np.zeros(0, dtype=np.int64)]),
+                     data=np.concatenate(data or [np.zeros(0)]))

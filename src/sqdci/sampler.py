@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import rng
 from .errors import CapacityError, ConfigError
@@ -315,7 +314,7 @@ def apply_orbital_rotation(amps: np.ndarray, dets: list[Determinant],
     K = np.asarray(generator, dtype=float)
     if np.max(np.abs(K + K.T)) > 1e-12:
         raise ConfigError("rotation generator is not antisymmetric")
-    unitary = scipy.linalg.expm(K)
+    unitary = _expm_antisymmetric(K)
     rotations, signs = _givens_decompose(unitary)
     amps = np.array(amps, dtype=complex)
     index = {d: i for i, d in enumerate(dets)}
@@ -503,12 +502,30 @@ def _t1_generator(t1, nocc, nvirt):
     return gen
 
 
+def _expm_antisymmetric(generator: np.ndarray) -> np.ndarray:
+    """exp(K) of a real antisymmetric K from the Hermitian eigh of iK."""
+    evals, evecs = np.linalg.eigh(1j * generator)
+    return ((evecs * np.exp(-1j * evals)) @ evecs.conj().T).real
+
+
 def _real_log_orthogonal(orthogonal: np.ndarray) -> np.ndarray:
-    """Real antisymmetric logarithm of a special orthogonal matrix."""
-    log = scipy.linalg.logm(orthogonal)
-    log = np.real(log)
+    """Real antisymmetric logarithm of a special orthogonal matrix.
+
+    On each invariant plane Q = cos(t) + sin(t) J with J^2 = -1, so the
+    symmetric part S = (Q + Q^T)/2 holds cos(t) and the antisymmetric
+    part A = (Q - Q^T)/2 holds sin(t) J. The logarithm t J is therefore
+    A f(S) with f(c) = arccos(c) / sqrt(1 - c^2), taken through the eigh
+    of S; f is smooth except at c = -1, so angles at pi fail the
+    round-trip check.
+    """
+    cosines, vecs = np.linalg.eigh(0.5 * (orthogonal + orthogonal.T))
+    cosines = np.clip(cosines, -1.0, 1.0)
+    sines = np.sqrt((1.0 - cosines) * (1.0 + cosines))
+    ratio = np.ones_like(cosines)
+    np.divide(np.arccos(cosines), sines, out=ratio, where=sines > 0.0)
+    log = 0.5 * (orthogonal - orthogonal.T) @ (vecs * ratio) @ vecs.T
     log = 0.5 * (log - log.T)
-    if np.max(np.abs(scipy.linalg.expm(log) - orthogonal)) > 1e-8:
+    if np.max(np.abs(_expm_antisymmetric(log) - orthogonal)) > 1e-8:
         raise ArithmeticError("failed to take a real logarithm of rotation")
     return log
 

@@ -3,7 +3,8 @@
 ``davidson_lowest`` is a block Davidson with diagonal preconditioning
 and thick restart; ``dense_eigensolve`` is the direct oracle/fallback.
 ``solve_subspace`` picks between them by dimension and is the single
-entry point used by the SQD and HCI drivers.
+entry point used by the SQD and HCI drivers. Both paths use numpy's
+LAPACK ``eigh``; Davidson multiplies by the builder's numpy CSR matrix.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import rng
 from .errors import CapacityError, ConfigError, ConvergenceError
@@ -76,7 +76,7 @@ def dense_eigensolve(matrix: np.ndarray) -> SpectrumResult:
         raise CapacityError("dense eigensolver capped at dimension 4096")
     if np.max(np.abs(matrix - matrix.T)) > 1e-10:
         raise ConfigError("matrix is not symmetric")
-    evals, evecs = scipy.linalg.eigh(matrix)
+    evals, evecs = np.linalg.eigh(matrix)
     _check_finite([evals, evecs])
     return SpectrumResult(energies=[float(e) for e in evals],
                           vectors=[evecs[:, i].copy() for i in range(dim)],
@@ -131,7 +131,7 @@ def davidson_lowest(matvec, diagonal, opts: DavidsonOptions) -> SpectrumResult:
             sigma = np.column_stack([sigma, matvec(basis[:, j])])
         rayleigh = basis.T @ sigma
         rayleigh = 0.5 * (rayleigh + rayleigh.T)
-        evals, evecs = scipy.linalg.eigh(rayleigh)
+        evals, evecs = np.linalg.eigh(rayleigh)
         theta = evals[:k]
         ritz = basis @ evecs[:, :k]
         ritz_sigma = sigma @ evecs[:, :k]

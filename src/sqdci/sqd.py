@@ -146,8 +146,9 @@ def build_subspace(samples: BitstringCounts, closure: bool) -> list[Determinant]
         order = np.lexsort((samples.beta, samples.alpha))
         return list(map(Determinant, samples.alpha[order].tolist(),
                         samples.beta[order].tolist()))
-    alphas = np.unique(samples.alpha).tolist()
-    betas = np.unique(samples.beta).tolist()
+    # Not np.unique: its first call imports numpy.ma (about 15 ms).
+    alphas = sorted(set(samples.alpha.tolist()))
+    betas = sorted(set(samples.beta.tolist()))
     return [Determinant(a, b) for a in alphas for b in betas]
 
 

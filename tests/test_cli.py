@@ -206,6 +206,25 @@ def test_main_rejects_bad_flip_probability(one_orbital, capsys, flip):
                   flip_probability=float(flip)).validate()
 
 
+@pytest.mark.parametrize("line", ["shots = many", "flip_probability = lots",
+                                  "seed = 1.5"])
+def test_main_unparsable_config_value_is_config_error(one_orbital, tmp_path,
+                                                      capsys, line):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    assert main(["run", "--hamiltonian", str(one_orbital), "--method", "fci",
+                 "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: bad {'float' if 'flip' in line else 'int'} for ")
+
+
+@pytest.mark.parametrize("shots", ["0", str(2**63), "100000000000000000000"])
+def test_main_rejects_shots_out_of_range(one_orbital, capsys, shots):
+    assert main(["run", "--hamiltonian", str(one_orbital), "--method", "sqd",
+                 "--shots", shots]) == 2
+    assert capsys.readouterr().err.startswith("error: shots must be in [1, ")
+
+
 def test_main_counts_over_64_orbitals_per_spin_exit_code(one_orbital, tmp_path,
                                                          capsys):
     counts = tmp_path / "wide.txt"
@@ -245,6 +264,39 @@ def test_sqdci_threads_applied_before_numpy_loads():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.split() == ["False", "1", "1", "1"]
+
+
+def test_cli_runs_load_no_scipy(tmp_path):
+    # FCI at dimension 1225 takes the Davidson path; the LUCJ sampler with
+    # readout noise takes the orbital-rotation exp/log and recovery paths.
+    large, small = tmp_path / "h7.fcidump", tmp_path / "h4.fcidump"
+    write_fcidump_path(random_hamiltonian(7, 3, 3, seed=25), large)
+    write_fcidump_path(random_hamiltonian(4, 2, 2, seed=26), small)
+    x = np.random.default_rng(27).normal(size=(2, 2, 2, 2)) * 0.05
+    amplitudes = tmp_path / "amps.npz"
+    np.savez(amplitudes, t2=x + x.transpose(1, 0, 3, 2))
+    runs = [
+        ["--hamiltonian", str(large), "--method", "fci"],
+        ["--hamiltonian", str(small), "--method", "sqd", "--sampler", "lucj",
+         "--amplitudes", str(amplitudes), "--shots", "2000",
+         "--flip-prob", "0.05", "--iterations", "2", "--batches", "2",
+         "--samples-per-batch", "20"],
+        ["--hamiltonian", str(small), "--method", "ext-hci",
+         "--epsilon1", "0.01"],
+    ]
+    runs = [["run", *argv, "--out", str(tmp_path / f"{i}.json")]
+            for i, argv in enumerate(runs)]
+    probe = ("import json, sys\n"
+             "from sqdci.cli import main\n"
+             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+             "print(json.dumps([codes, sorted(m for m in sys.modules"
+             " if m.partition('.')[0] == 'scipy')]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(sqdci.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)],
+                         env=env, check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    assert json.loads(out) == [[0, 0, 0], []]
+    assert json.loads((tmp_path / "0.json").read_text())["dimension"] == 1225
 
 
 def test_main_reaction_subcommand(tmp_path):

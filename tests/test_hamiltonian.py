@@ -19,13 +19,14 @@ def test_one_orbital_closed_shell_diagonal():
                                  one_body=np.array([[-1.0]]),
                                  two_body=np.full((1, 1, 1, 1), 0.5))
     # 2*h00 + (00|00) + E0 = 2*(-1.0) + 0.5 + 0.25
-    built = build_sparse_matrix(ham, [Determinant(1, 1)])
+    built = build_sparse_matrix(ham, [Determinant(1, 1)]).toarray()
     assert built[0, 0] == pytest.approx(-1.25, abs=1e-14)
 
 
 def test_empty_determinant_diagonal_is_core_energy():
     ham = random_hamiltonian(3, 1, 1, seed=0)
-    assert build_sparse_matrix(ham, [Determinant(0, 0)])[0, 0] == ham.core_energy
+    built = build_sparse_matrix(ham, [Determinant(0, 0)]).toarray()
+    assert built[0, 0] == ham.core_energy
 
 
 def test_matrix_matches_brute_force_oracle():
@@ -122,6 +123,30 @@ def test_sparse_matvec_on_partial_basis():
     built = build_sparse_matrix(ham, basis)
     assert np.max(np.abs(built.toarray() - mat)) < 1e-12
     assert np.allclose(built @ v, mat @ v, atol=1e-10)
+
+
+def test_csr_matrix_operations_match_dense():
+    # Mixed-sector basis with no core energy: the empty determinant's row
+    # stores only its diagonal, which is exactly 0.0.
+    ref = random_hamiltonian(4, 2, 1, seed=14)
+    ham = ActiveSpaceHamiltonian(n_orb=4, n_alpha=2, n_beta=1, core_energy=0.0,
+                                 one_body=ref.one_body, two_body=ref.two_body)
+    basis = [Determinant(0, 0)] + sector_basis(4, 2, 1) + [Determinant(0b11, 0b11)]
+    built = build_sparse_matrix(ham, basis)
+    dense = built.toarray()
+    dim = len(basis)
+    assert built.shape == dense.shape == (dim, dim)
+    assert np.max(np.abs(dense - brute_force_matrix(ham, basis))) < 1e-12
+    assert built.diagonal()[0] == 0.0
+    assert np.array_equal(built.diagonal(), np.diag(dense))
+    off_diagonal = dense - np.diag(np.diag(dense))
+    assert built.nnz == dim + np.count_nonzero(off_diagonal)
+    gen = np.random.default_rng(5)
+    v = gen.normal(size=dim)
+    assert np.allclose(built @ v, dense @ v, atol=1e-12)
+    block = gen.normal(size=(dim, 3))
+    assert np.allclose(built @ block, dense @ block, atol=1e-12)
+    assert (built @ np.zeros((dim, 0))).shape == (dim, 0)
 
 
 @st.composite

@@ -14,6 +14,7 @@ from sqdci.sampler import (BitstringCounts, LUCJParams, NoiseModel,
                            bitstring_to_determinant, determinant_to_bitstring,
                            lucj_params_from_ccsd, lucj_state, read_counts,
                            sample_counts, state_from_ci_vector, write_counts)
+from sqdci.sampler import _expm_antisymmetric, _real_log_orthogonal
 
 
 def random_antisymmetric(n, seed, scale=0.5):
@@ -62,6 +63,65 @@ def test_orbital_rotation_matches_matrix_exponential_oracle():
         v /= np.linalg.norm(v)
         got = apply_orbital_rotation(v, dets, K)
         assert np.max(np.abs(got - exact @ v)) < 1e-9
+
+
+def rotation_generator(angles, n, seed):
+    """Antisymmetric K with rotation angles ``angles`` in random planes."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    K = np.zeros((n, n))
+    for k, angle in enumerate(angles):
+        K[2 * k + 1, 2 * k], K[2 * k, 2 * k + 1] = angle, -angle
+    return q @ K @ q.T
+
+
+def random_special_orthogonal(n, seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+@pytest.mark.parametrize("K", [
+    np.zeros((1, 1)), np.zeros((4, 4)),
+    random_antisymmetric(2, seed=30), random_antisymmetric(5, seed=31),
+    random_antisymmetric(8, seed=32, scale=2.0),
+    rotation_generator([0.7, 0.7], 5, seed=33),
+    rotation_generator([1.3, 1.3, 1.3], 7, seed=34),
+    rotation_generator([2.0, -2.0, 0.0], 6, seed=35),
+], ids=["n1", "zero", "random2", "random5", "random8", "repeated2",
+        "repeated3", "opposite"])
+def test_antisymmetric_exponential_matches_expm(K):
+    assert np.max(np.abs(_expm_antisymmetric(K) - scipy.linalg.expm(K))) < 1e-12
+
+
+@pytest.mark.parametrize("orthogonal", [
+    np.eye(1), np.eye(4),
+    random_special_orthogonal(3, seed=40), random_special_orthogonal(6, seed=41),
+    random_special_orthogonal(9, seed=42),
+    scipy.linalg.expm(rotation_generator([0.9, 0.9], 4, seed=43)),
+    scipy.linalg.expm(rotation_generator([2.5, 2.5, 1e-9], 7, seed=44)),
+], ids=["n1", "identity", "random3", "random6", "random9", "repeated2",
+        "repeated3"])
+def test_real_log_orthogonal_round_trip(orthogonal):
+    log = _real_log_orthogonal(orthogonal)
+    assert np.array_equal(log, -log.T)
+    assert np.max(np.abs(scipy.linalg.expm(log) - orthogonal)) < 1e-12
+    # Principal branch: every rotation angle lies in [-pi, pi].
+    assert np.max(np.abs(np.linalg.eigvals(log))) <= np.pi + 1e-12
+
+
+def test_real_log_orthogonal_recovers_generator():
+    for angles, n, seed in [([0.4, 1.1], 5, 50), ([3.0, 3.0], 4, 51)]:
+        K = rotation_generator(angles, n, seed)
+        assert np.max(np.abs(_real_log_orthogonal(scipy.linalg.expm(K)) - K)) < 1e-10
+
+
+def test_real_log_orthogonal_rejects_half_turn():
+    # f(c) has no finite value at c = -1: the round-trip check must fire
+    # rather than return a wrong generator.
+    with pytest.raises(ArithmeticError):
+        _real_log_orthogonal(np.diag([-1.0, -1.0, 1.0]))
 
 
 def test_rotated_determinant_one_rdm():
