@@ -1,7 +1,10 @@
 """FCIDUMP reader and writer.
 
 Header: ``&FCI NORB=..,NELEC=..,MS2=..,`` (possibly spanning lines) up to
-``&END`` or ``/``. Body lines are ``value p q r s`` with 1-based indices;
+``&END`` or ``/``; the comma after the last field is optional. NORB above
+the shot layer's 64 orbitals per spin is a :class:`CapacityError`, raised
+before the n^4 two-body array is allocated. Body lines are
+``value p q r s`` with 1-based indices;
 ``p q 0 0`` is a one-body entry, ``0 0 0 0`` the core energy, otherwise a
 two-body integral (pq|rs) in chemists' notation. ORBSYM/ISYM are parsed
 and ignored.
@@ -14,10 +17,12 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import CapacityError, ConfigError
 from .hamiltonian import ActiveSpaceHamiltonian
+from .sampler import MAX_ORBITALS_PER_SPIN
 
 _HEADER_KV = re.compile(r"([A-Za-z][A-Za-z0-9]*)\s*=\s*([^,=]+?)(?=\s*(?:,|$))")
+_HEADER_END = re.compile(r"&END|/$", re.IGNORECASE)
 
 
 def _canonical_key(p, q, r, s):
@@ -33,10 +38,13 @@ def parse_fcidump(text: str) -> ActiveSpaceHamiltonian:
     body_start = None
     for i, line in enumerate(lines):
         stripped = line.strip()
-        header_parts.append(stripped)
-        if "&END" in stripped.upper() or stripped == "/" or stripped.endswith("/"):
+        end = _HEADER_END.search(stripped)
+        if end:
+            # Cut the terminator, so a last field with no comma parses.
+            header_parts.append(stripped[:end.start()])
             body_start = i + 1
             break
+        header_parts.append(stripped)
     if body_start is None:
         raise ConfigError("malformed FCIDUMP header: no &END terminator")
     header = " ".join(header_parts)
@@ -54,6 +62,9 @@ def parse_fcidump(text: str) -> ActiveSpaceHamiltonian:
         raise ConfigError(f"malformed FCIDUMP header: {exc}") from exc
     if n_orb <= 0:
         raise ConfigError("NORB must be positive")
+    if n_orb > MAX_ORBITALS_PER_SPIN:
+        raise CapacityError(
+            f"NORB={n_orb} exceeds {MAX_ORBITALS_PER_SPIN} orbitals")
     if (n_elec + ms2) % 2 != 0:
         raise ConfigError("inconsistent electron/spin count (NELEC+MS2 odd)")
     n_alpha = (n_elec + ms2) // 2

@@ -2,9 +2,10 @@
 
 :func:`connected_determinants` yields the valued singles and doubles of
 one determinant (the heat-bath CI selection generator),
-:func:`excitations` lists the same moves without values, and
+:func:`excitations` lists the same moves without values,
 :func:`build_sparse_matrix` assembles the projected Hamiltonian over an
-explicit basis.
+explicit basis, and :class:`ProductHamiltonian` applies it matrix free
+when the basis is the Cartesian product of two string sets.
 
 The builder is string driven (Knowles & Handy, CPL 111, 315 (1984)).
 The basis is split into its sorted distinct alpha and beta strings, and
@@ -25,6 +26,11 @@ Cartesian products of their strings, nor lie in one sector.
 The result is a :class:`CSRMatrix`, a plain numpy CSR triple. Every row
 stores its diagonal, so the product with a vector is one gather and one
 ``np.add.reduceat`` over the row starts, with no empty-row special case.
+
+On a product basis the same string tables give the factorised operator
+of :class:`ProductHamiltonian`: dense same-spin string matrices, plus
+one GEMM with the pair-integral block per sigma. It stores O(strings^2
++ pairs^2) numbers instead of the CSR matrix's O(dim x connections).
 
 Determinants are pairs of occupation bitmasks (alpha, beta) over spatial
 orbitals. The fermionic sign convention places all alpha spin-orbitals
@@ -385,6 +391,16 @@ def _spin_tables(ham: ActiveSpaceHamiltonian, strings: list[int]) -> _SpinTables
                        double_value=double[1])
 
 
+def _string_energies(ham: ActiveSpaceHamiltonian,
+                     tables: _SpinTables) -> np.ndarray:
+    """One-spin diagonal terms: sum of h_pp, plus (J - K) over occupied pairs."""
+    coulomb = np.einsum("ppqq->pq", ham.two_body)
+    exchange = np.einsum("pqqp->pq", ham.two_body)
+    return (tables.occ @ np.diag(ham.one_body)
+            + 0.5 * np.einsum("kp,pq,kq->k", tables.occ, coulomb - exchange,
+                              tables.occ))
+
+
 def _expand(start: np.ndarray, sources: np.ndarray):
     """(owner, position) of every table entry of each of ``sources``.
 
@@ -415,16 +431,10 @@ def build_sparse_matrix(ham: ActiveSpaceHamiltonian,
 
     tables = ta, tb = _spin_tables(ham, alphas), _spin_tables(ham, betas)
     eri = ham.two_body
-    coulomb = np.einsum("ppqq->pq", eri)
-    exchange = np.einsum("pqqp->pq", eri)
     # (hp|ii) for the other-spin part of a single's element.
     coulomb_rows = np.einsum("hpii->hpi", eri)
-    # One-spin diagonal terms: sum of h_pp, plus (J - K) over occupied pairs.
-    string_energy = [t.occ @ np.diag(ham.one_body)
-                     + 0.5 * np.einsum("kp,pq,kq->k", t.occ, coulomb - exchange,
-                                       t.occ)
-                     for t in tables]
-    alpha_coulomb = ta.occ @ coulomb
+    string_energy = [_string_energies(ham, t) for t in tables]
+    alpha_coulomb = ta.occ @ np.einsum("ppqq->pq", eri)
 
     n_single = [np.diff(t.single_start) for t in tables]
     n_double = [np.diff(t.double_start) for t in tables]
@@ -513,3 +523,134 @@ def build_sparse_matrix(ham: ActiveSpaceHamiltonian,
     return CSRMatrix(indptr=np.concatenate(indptr),
                      indices=np.concatenate(indices or [np.zeros(0, dtype=np.int64)]),
                      data=np.concatenate(data or [np.zeros(0)]))
+
+
+# Floats in each of the product sigma's buffers D and F (together about
+# 2^24); the alpha rows of one block are chosen to fit.
+_SIGMA_BLOCK_FLOATS = 1 << 23
+
+
+def _pair_index(p, q):
+    """Index of the orbital pair {p, q} among the n(n+1)/2 pairs p >= q."""
+    hi, lo = np.maximum(p, q), np.minimum(p, q)
+    return hi * (hi + 1) // 2 + lo
+
+
+def _pair_entries(tables: _SpinTables):
+    """(pair, target, source, sign) of each nonzero of the pair operators.
+
+    The operator of pair {p, q} is E_pq + E_qp for p > q and the
+    occupation n_p for p = q; restricted to one spin's strings, each maps
+    a source string to at most one target, and no two sources of one pair
+    share a target. Entries are sorted by target.
+    """
+    source = np.repeat(np.arange(len(tables.occ)), np.diff(tables.single_start))
+    occupied, orbital = np.nonzero(tables.occ)
+    pair = np.concatenate([_pair_index(tables.single_hole, tables.single_particle),
+                           _pair_index(orbital, orbital)])
+    target = np.concatenate([tables.single_target, occupied])
+    source = np.concatenate([source, occupied])
+    sign = np.concatenate([tables.single_sign, np.ones(len(occupied))])
+    order = np.argsort(target, kind="stable")
+    return pair[order], target[order], source[order], sign[order]
+
+
+def _string_matrix(ham: ActiveSpaceHamiltonian,
+                   tables: _SpinTables) -> np.ndarray:
+    """Dense same-spin Hamiltonian among one spin's strings."""
+    n = len(tables.occ)
+    mat = np.zeros((n, n))
+    mat[tables.single_target,
+        np.repeat(np.arange(n), np.diff(tables.single_start))] = tables.single_value
+    mat[tables.double_target,
+        np.repeat(np.arange(n), np.diff(tables.double_start))] = tables.double_value
+    mat[np.diag_indices(n)] = _string_energies(ham, tables)
+    return mat
+
+
+def sigma_block_rows(n_orb: int, n_alpha_strings: int,
+                     n_beta_strings: int) -> int:
+    """Alpha rows per block of the product sigma's pair buffers."""
+    n_pairs = n_orb * (n_orb + 1) // 2
+    max_rows = max(1, _SIGMA_BLOCK_FLOATS // (n_pairs * n_beta_strings))
+    blocks = -(-n_alpha_strings // max_rows)
+    return -(-n_alpha_strings // blocks)
+
+
+class ProductHamiltonian:
+    """Projected Hamiltonian on the Cartesian product of two string sets.
+
+    Matrix free (Knowles & Handy, CPL 111, 315 (1984)). A vector holds
+    the coefficient of (alphas[ia], betas[ib]) at ``ia * len(betas) + ib``
+    (the canonical order of a sorted product) and is read as an
+    n_alpha x n_beta matrix C. Because the projector onto the product
+    factorises, the projected Hamiltonian is exactly
+
+        H_a (x) 1 + 1 (x) H_b + sum_{P,R} V[P, R] E^a_P (x) E^b_R,
+
+    with H_a, H_b the dense same-spin string matrices (``core_energy``
+    folded into H_a), E_P the pair operators of :func:`_pair_entries`
+    and V the block of (pq|rs) over pairs p >= q, r >= s. The product
+    ``op @ v`` is
+
+        sigma = H_a C + C H_b + sum_P E^a_P F_P,  F = V D,  D_R = C (E^b_R)^T,
+
+    over blocks of alpha rows of C: D is filled by one fancy assignment
+    (targets are unique per pair), F is one GEMM, and the alpha pair
+    entries are gathered from F and summed per target with
+    ``np.add.reduceat``. The D and F buffers are allocated once; rows of
+    a short last block keep stale values that no gather reads.
+    """
+
+    def __init__(self, ham: ActiveSpaceHamiltonian, alphas: list[int],
+                 betas: list[int]):
+        ta, tb = _spin_tables(ham, alphas), _spin_tables(ham, betas)
+        n_a, n_b = len(alphas), len(betas)
+        self.shape = (n_a * n_b,) * 2
+        self._grid = (n_a, n_b)
+        self._h_alpha = _string_matrix(ham, ta)
+        self._h_alpha[np.diag_indices(n_a)] += ham.core_energy
+        self._h_beta = _string_matrix(ham, tb)
+        self._diagonal = (np.diag(self._h_alpha)[:, None]
+                          + np.diag(self._h_beta)[None, :]
+                          + (ta.occ @ np.einsum("ppqq->pq", ham.two_body))
+                          @ tb.occ.T).ravel()
+
+        first, second = np.tril_indices(ham.n_orb)
+        n_pairs = len(first)
+        self._v = ham.two_body[first[:, None], second[:, None],
+                               first[None, :], second[None, :]]
+        self._beta = _pair_entries(tb)
+        rows = sigma_block_rows(ham.n_orb, n_a, n_b)
+        self._d = np.zeros((n_pairs, rows, n_b))
+        self._f = np.empty((n_pairs, rows * n_b))
+        # Per block of source alpha rows: flat row of F, sign, run starts
+        # and the distinct targets, with the entries sorted by target.
+        pair, target, source, sign = _pair_entries(ta)
+        self._blocks = []
+        for lo in range(0, n_a, rows):
+            hi = min(lo + rows, n_a)
+            mine = (source >= lo) & (source < hi)
+            block_target = target[mine]
+            starts = np.flatnonzero(np.diff(block_target, prepend=-1))
+            self._blocks.append((lo, hi, pair[mine] * rows + source[mine] - lo,
+                                 sign[mine][:, None], starts,
+                                 block_target[starts]))
+
+    def diagonal(self) -> np.ndarray:
+        return self._diagonal
+
+    def __matmul__(self, x):
+        c = np.asarray(x, dtype=float).reshape(self._grid)
+        sigma = self._h_alpha @ c
+        sigma += c @ self._h_beta
+        pair_b, target_b, source_b, sign_b = self._beta
+        d, f = self._d, self._f
+        n_b = self._grid[1]
+        for lo, hi, f_rows, sign, starts, targets in self._blocks:
+            d[pair_b, :hi - lo, target_b] = c[lo:hi, source_b].T * sign_b[:, None]
+            np.matmul(self._v, d.reshape(len(d), -1), out=f)
+            gathered = f.reshape(-1, n_b)[f_rows]
+            gathered *= sign
+            sigma[targets] += np.add.reduceat(gathered, starts, axis=0)
+        return sigma.ravel()

@@ -4,22 +4,34 @@
 and thick restart; ``dense_eigensolve`` is the direct oracle/fallback.
 ``solve_subspace`` picks between them by dimension and is the single
 entry point used by the SQD and HCI drivers. Both paths use numpy's
-LAPACK ``eigh``; Davidson multiplies by the builder's numpy CSR matrix.
+LAPACK ``eigh``. Davidson multiplies by the matrix-free
+:class:`~sqdci.hamiltonian.ProductHamiltonian` when the basis is the full
+product of its alpha and beta strings (SQD closures, the FCI sector),
+and by the builder's numpy CSR matrix otherwise (HCI, the extension,
+``closure=0``). A product solve's memory is estimated up front by
+:func:`product_solve_bytes` and capped at ``MEMORY_BUDGET_BYTES``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
 from . import rng
 from .errors import CapacityError, ConfigError, ConvergenceError
 from .hamiltonian import (ActiveSpaceHamiltonian, Determinant,
-                          build_sparse_matrix, sector_basis, sector_dimension)
+                          ProductHamiltonian, build_sparse_matrix, sector_basis,
+                          sigma_block_rows, unique_strings)
 
 DENSE_THRESHOLD = 512
-FCI_DIMENSION_CAP = 10_000_000
+# Memory a product-space solve may plan for; see product_solve_bytes.
+MEMORY_BUDGET_BYTES = 4 << 30
+# A Determinant in the basis list (72 B, measured with tracemalloc on a
+# 6e5-determinant sector basis), the result's copy of the list, and the
+# string lists and index arrays of the product check; rounded up.
+BASIS_BYTES_PER_DETERMINANT = 160
 
 
 @dataclass
@@ -190,41 +202,112 @@ def davidson_lowest(matvec, diagonal, opts: DavidsonOptions) -> SpectrumResult:
                           converged=bool(converged and verified))
 
 
+def _product_operator(ham: ActiveSpaceHamiltonian, basis: list[Determinant],
+                      max_subspace: int):
+    """Matrix-free operator and grid keys when ``basis`` is a full product.
+
+    Returns ``None`` when ``basis`` is not the Cartesian product of its
+    distinct alpha and beta strings.
+    """
+    alphas, ia = unique_strings([d.alpha for d in basis])
+    betas, ib = unique_strings([d.beta for d in basis])
+    if len(basis) != len(alphas) * len(betas):
+        return None
+    # A basis with duplicates can still have the size of the product.
+    keys = ia * len(betas) + ib
+    if np.bincount(keys).max() > 1:
+        raise ConfigError("basis contains duplicates")
+    _check_product_memory(ham.n_orb, len(alphas), len(betas), max_subspace)
+    return ProductHamiltonian(ham, alphas, betas), keys
+
+
 def solve_subspace(ham: ActiveSpaceHamiltonian, basis: list[Determinant],
                    opts: DavidsonOptions | None = None) -> SubspaceResult:
     """Ground state of H projected onto ``basis``.
 
-    Raises :class:`ConvergenceError` when the Davidson path does not
-    reach ``opts.residual_tol``.
+    Below ``DENSE_THRESHOLD`` the CSR matrix is diagonalized directly.
+    Above it, Davidson runs on the matrix-free :class:`ProductHamiltonian`
+    when ``basis`` is the full product of its strings (in any order), and
+    on the CSR matrix otherwise. Raises :class:`ConvergenceError` when
+    Davidson does not reach ``opts.residual_tol``.
     """
     if not basis:
         raise ConfigError("empty determinant basis")
     opts = opts or DavidsonOptions()
     dim = len(basis)
-    mat = build_sparse_matrix(ham, basis)
     if dim < DENSE_THRESHOLD:
-        spec = dense_eigensolve(mat.toarray())
-        diagnostics = {"method": "dense"}
+        spec = dense_eigensolve(build_sparse_matrix(ham, basis).toarray())
+        return SubspaceResult(energy=spec.energies[0], vector=spec.vectors[0],
+                              basis=list(basis), dimension=dim,
+                              diagnostics={"method": "dense", "operator": "csr"})
+
+    product = _product_operator(ham, basis, opts.max_subspace)
+    if product is None:
+        mat = build_sparse_matrix(ham, basis)
+        matvec, diagonal, operator = mat.__matmul__, mat.diagonal(), "csr"
     else:
-        spec = davidson_lowest(lambda v: mat @ v, mat.diagonal(), opts)
-        if not spec.converged:
-            raise ConvergenceError(
-                f"Davidson did not converge in {spec.iterations_used} "
-                f"iterations (dimension {dim})")
-        diagnostics = {"method": "davidson",
-                       "iterations": spec.iterations_used,
-                       "converged": spec.converged}
+        op, keys = product
+        matvec, diagonal, operator = op.__matmul__, op.diagonal(), "product"
+        if not np.array_equal(keys, np.arange(dim)):
+            # Davidson works in basis order; sigma in the grid order.
+            def matvec(v):
+                grid = np.empty(dim)
+                grid[keys] = v
+                return (op @ grid)[keys]
+            diagonal = diagonal[keys]
+    spec = davidson_lowest(matvec, diagonal, opts)
+    if not spec.converged:
+        raise ConvergenceError(
+            f"Davidson did not converge in {spec.iterations_used} "
+            f"iterations (dimension {dim})")
     return SubspaceResult(energy=spec.energies[0], vector=spec.vectors[0],
                           basis=list(basis), dimension=dim,
-                          diagnostics=diagnostics)
+                          diagnostics={"method": "davidson",
+                                       "iterations": spec.iterations_used,
+                                       "converged": spec.converged,
+                                       "operator": operator})
+
+
+def product_solve_bytes(n_orb: int, n_alpha_strings: int, n_beta_strings: int,
+                        max_subspace: int) -> int:
+    """Bytes a Davidson solve on a product space holds at its peak (estimate).
+
+    Per determinant: the Davidson basis and sigma blocks, one transient
+    copy of either while a column is appended, a few work vectors, and
+    the ``Determinant`` list. Per space: the dense string matrices, the
+    pair-integral block, and the D, F and gather buffers of one block.
+    """
+    dim = n_alpha_strings * n_beta_strings
+    n_pairs = n_orb * (n_orb + 1) // 2
+    block = n_pairs * n_beta_strings * sigma_block_rows(
+        n_orb, n_alpha_strings, n_beta_strings)
+    floats = (dim * (3 * max_subspace + 8) + n_alpha_strings ** 2
+              + n_beta_strings ** 2 + n_pairs ** 2 + 3 * block)
+    return 8 * floats + BASIS_BYTES_PER_DETERMINANT * dim
+
+
+def _check_product_memory(n_orb: int, n_alpha_strings: int,
+                          n_beta_strings: int, max_subspace: int) -> None:
+    """Raise :class:`CapacityError` when a product solve would not fit."""
+    need = product_solve_bytes(n_orb, n_alpha_strings, n_beta_strings,
+                               max_subspace)
+    if need > MEMORY_BUDGET_BYTES:
+        raise CapacityError(
+            f"product space {n_alpha_strings} x {n_beta_strings} needs about "
+            f"{need / 2**30:.1f} GiB, over the {MEMORY_BUDGET_BYTES / 2**30:.1f} "
+            f"GiB budget")
 
 
 def fci_ground_state(ham: ActiveSpaceHamiltonian,
                      opts: DavidsonOptions | None = None) -> SubspaceResult:
-    """Exact ground state over the complete (n_alpha, n_beta) sector."""
-    dim = sector_dimension(ham.n_orb, ham.n_alpha, ham.n_beta)
-    if dim > FCI_DIMENSION_CAP:
-        raise CapacityError(f"FCI basis too large: {dim}")
+    """Exact ground state over the complete (n_alpha, n_beta) sector.
+
+    Raises :class:`CapacityError`, before building the basis, when the
+    product solve would exceed ``MEMORY_BUDGET_BYTES``.
+    """
+    opts = opts or DavidsonOptions()
+    _check_product_memory(ham.n_orb, comb(ham.n_orb, ham.n_alpha),
+                          comb(ham.n_orb, ham.n_beta), opts.max_subspace)
     basis = sector_basis(ham.n_orb, ham.n_alpha, ham.n_beta)
     result = solve_subspace(ham, basis, opts)
     result.diagnostics["fci"] = True

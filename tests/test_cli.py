@@ -174,6 +174,13 @@ def test_main_non_finite_fcidump_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_main_fcidump_over_64_orbitals_exit_code(tmp_path, capsys):
+    path = tmp_path / "wide.fcidump"
+    path.write_text("&FCI NORB=10000000000,NELEC=2,MS2=0\n&END\n")
+    assert main(["run", "--hamiltonian", str(path), "--method", "fci"]) == 4
+    assert "exceeds 64 orbitals" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("broken", ["hamiltonian", "counts", "config"])
 @pytest.mark.parametrize("kind", ["non-utf8", "directory"])
 def test_main_unreadable_input_is_config_error(one_orbital, tmp_path, capsys,

@@ -2,11 +2,11 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ONE_ORBITAL_FCIDUMP, random_hamiltonian
-from sqdci.errors import ConfigError
+from sqdci.errors import CapacityError, ConfigError
 from sqdci.fcidump import (parse_fcidump, read_fcidump, write_fcidump,
                            write_fcidump_path)
 
@@ -74,6 +74,67 @@ def test_slash_terminator_and_multiline_header():
     text = "&FCI NORB=1,NELEC=2,\n MS2=0,\n /\n-1.0 1 1 0 0\n"
     ham = parse_fcidump(text)
     assert ham.n_orb == 1 and ham.one_body[0, 0] == -1.0
+
+
+@pytest.mark.parametrize("header", [
+    "&FCI NORB=2,NELEC=2,MS2=0\n&END\n",
+    "&FCI NORB=2,NELEC=2,MS2=0\n/\n",
+    "&FCI NORB=2,NELEC=2,MS2=0 &END\n",
+    "&FCI NORB=2,NELEC=2,MS2=0/\n",
+    "&FCI NORB=2,MS2=0,NELEC=2\n&end\n",
+])
+def test_last_header_field_without_comma(header):
+    ham = parse_fcidump(header + "-1.0 1 1 0 0\n0.5 2 2 1 1\n")
+    assert (ham.n_orb, ham.n_alpha, ham.n_beta) == (2, 1, 1)
+    assert ham.two_body[0, 0, 1, 1] == 0.5
+
+
+@pytest.mark.parametrize("norb", [65, 10_000_000_000])
+def test_too_many_orbitals_is_capacity_error(norb):
+    # NORB=10^10 used to end in numpy's "array is too big" ValueError.
+    with pytest.raises(CapacityError, match="64 orbitals"):
+        parse_fcidump(f"&FCI NORB={norb},NELEC=2,MS2=0,\n&END\n")
+
+
+def _parse_or_rejected(text):
+    try:
+        return parse_fcidump(text)
+    except (ConfigError, CapacityError):
+        return None
+
+
+_FUZZ_HEADER = st.builds("&FCI NORB={},NELEC={},MS2={}{}\n{}\n".format,
+                         st.integers(-1, 6), st.integers(-2, 13),
+                         st.integers(-3, 3), st.sampled_from(["", ","]),
+                         st.sampled_from(["&END", "/", " /", "&end"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(st.text(max_size=80),
+                      st.builds(str.__add__, _FUZZ_HEADER, st.text(max_size=60))))
+@example(text="&FCI NORB=65,NELEC=2,MS2=0\n&END\n")
+@example(text="&FCI NORB=2 3,NELEC=2\n/\n")
+def test_parse_fcidump_fuzz_text(text):
+    ham = _parse_or_rejected(text)
+    if ham is not None:
+        assert ham.two_body.shape == (ham.n_orb,) * 4
+
+
+_FUZZ_INDEX = st.integers(-1, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(st.one_of(
+    st.text(max_size=24),
+    st.builds("{} {} {} {} {}".format,
+              st.one_of(st.floats(), st.text(max_size=4)),
+              _FUZZ_INDEX, _FUZZ_INDEX, _FUZZ_INDEX, _FUZZ_INDEX)), max_size=8))
+def test_parse_fcidump_fuzz_body_lines(lines):
+    ham = _parse_or_rejected("&FCI NORB=3,NELEC=3,MS2=1,\n&END\n"
+                             + "\n".join(lines))
+    if ham is not None:
+        assert np.all(np.isfinite(ham.two_body))
+        assert (ham.n_alpha, ham.n_beta) == (2, 1)
 
 
 @settings(max_examples=20, deadline=None)

@@ -8,9 +8,9 @@ from oracles import (brute_force_matrix, excitation_degree,
                      exhaustive_connected)
 from sqdci.errors import ConfigError
 from sqdci.hamiltonian import (ActiveSpaceHamiltonian, Determinant,
-                               build_sparse_matrix, connected_determinants,
-                               excitations, hartree_fock_determinant,
-                               sector_basis)
+                               ProductHamiltonian, build_sparse_matrix,
+                               connected_determinants, excitations,
+                               hartree_fock_determinant, sector_basis)
 
 
 def test_one_orbital_closed_shell_diagonal():
@@ -254,3 +254,61 @@ def test_hamiltonian_arrays_are_read_only():
     ham = random_hamiltonian(2, 1, 1, seed=17)
     with pytest.raises(ValueError):
         ham.one_body[0, 0] = 1.0
+
+
+def _strings(n, k):
+    return sorted({d.alpha for d in sector_basis(n, k, 1)})
+
+
+def _sigma_matrix(op):
+    return np.column_stack([op @ e for e in np.eye(op.shape[0])])
+
+
+@st.composite
+def _product_problem(draw):
+    """Random subsets of alpha and beta strings over up to 5 orbitals, in
+    one open-shell or asymmetric sector; a subset may hold one string."""
+    n = draw(st.integers(1, 5))
+    na, nb = draw(st.integers(1, n)), draw(st.integers(1, n))
+    alphas = sorted(draw(st.sets(st.sampled_from(_strings(n, na)), min_size=1)))
+    betas = sorted(draw(st.sets(st.sampled_from(_strings(n, nb)), min_size=1)))
+    ham = random_hamiltonian(n, na, nb, seed=draw(st.integers(0, 2**16)))
+    return ham, alphas, betas
+
+
+@settings(max_examples=40, deadline=None)
+@given(_product_problem())
+def test_product_sigma_matches_oracle(problem):
+    ham, alphas, betas = problem
+    basis = [Determinant(a, b) for a in alphas for b in betas]
+    oracle = brute_force_matrix(ham, basis)
+    op = ProductHamiltonian(ham, alphas, betas)
+    assert np.max(np.abs(_sigma_matrix(op) - oracle)) < 1e-12
+    assert np.max(np.abs(op.diagonal() - np.diag(oracle))) < 1e-12
+
+
+def test_product_sigma_matches_csr_on_full_sector():
+    ham = random_hamiltonian(8, 4, 4, seed=32)
+    basis = ham.sector_basis()
+    strings = sorted({d.alpha for d in basis})
+    op = ProductHamiltonian(ham, strings, strings)
+    csr = build_sparse_matrix(ham, basis)
+    vectors = np.random.default_rng(3).normal(size=(3, len(basis)))
+    for v in vectors:
+        assert np.max(np.abs(op @ v - csr @ v)) < 1e-12
+    assert np.max(np.abs(op.diagonal() - csr.diagonal())) < 1e-12
+
+
+def test_product_sigma_blocks_agree(monkeypatch):
+    # (7,3,2): 35 x 21 strings, 28 orbital pairs. A budget of 4 alpha rows
+    # gives 8 blocks of 4 rows and a last block of 3.
+    ham = random_hamiltonian(7, 3, 2, seed=33)
+    alphas, betas = _strings(7, 3), _strings(7, 2)
+    v = np.random.default_rng(4).normal(size=len(alphas) * len(betas))
+    single = ProductHamiltonian(ham, alphas, betas)
+    assert len(single._blocks) == 1
+    monkeypatch.setattr("sqdci.hamiltonian._SIGMA_BLOCK_FLOATS", 4 * 28 * 21)
+    split = ProductHamiltonian(ham, alphas, betas)
+    assert len(split._blocks) == 9
+    for _ in range(2):  # the reused buffers must not carry state over
+        assert np.max(np.abs(split @ v - single @ v)) < 1e-12

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -5,9 +7,10 @@ import scipy.sparse
 from conftest import random_hamiltonian
 from oracles import brute_force_matrix
 from sqdci.errors import CapacityError, ConfigError, ConvergenceError
-from sqdci.hamiltonian import Determinant
+from sqdci.hamiltonian import Determinant, build_sparse_matrix
 from sqdci.solver import (DENSE_THRESHOLD, DavidsonOptions, davidson_lowest,
-                          dense_eigensolve, fci_ground_state, solve_subspace)
+                          dense_eigensolve, fci_ground_state,
+                          product_solve_bytes, solve_subspace)
 
 
 def random_sparse_symmetric(dim, seed, density=0.05, spread=2.0):
@@ -130,7 +133,6 @@ def test_solve_subspace_davidson_path_matches_dense():
     basis = ham.sector_basis()[:600]
     result = solve_subspace(ham, basis)
     assert result.diagnostics["method"] == "davidson"
-    from sqdci.hamiltonian import build_sparse_matrix
     exact = np.linalg.eigvalsh(build_sparse_matrix(ham, basis).toarray())[0]
     assert result.energy == pytest.approx(exact, abs=1e-9)
 
@@ -146,3 +148,101 @@ def test_empty_basis_rejected():
     ham = random_hamiltonian(2, 1, 1, seed=25)
     with pytest.raises(ConfigError):
         solve_subspace(ham, [])
+
+
+def _no_csr(*args):
+    raise AssertionError("product basis must not build a CSR matrix")
+
+
+def test_fci_takes_product_path_and_matches_dense(monkeypatch):
+    # (7,3,3): dimension 1225, above the dense threshold.
+    ham = random_hamiltonian(7, 3, 3, seed=26, diagonal_spread=1.0)
+    exact = np.linalg.eigvalsh(build_sparse_matrix(ham, ham.sector_basis())
+                               .toarray())[0]
+    monkeypatch.setattr("sqdci.solver.build_sparse_matrix", _no_csr)
+    result = fci_ground_state(ham)
+    assert result.diagnostics["operator"] == "product"
+    assert result.diagnostics["method"] == "davidson"
+    assert result.energy == pytest.approx(exact, abs=1e-10)
+
+
+def test_product_closure_at_threshold_is_matrix_free(monkeypatch):
+    # 16 x 32 strings of (7,3,3): exactly DENSE_THRESHOLD determinants.
+    ham = random_hamiltonian(7, 3, 3, seed=27, diagonal_spread=1.0)
+    strings = sorted({d.alpha for d in ham.sector_basis()})
+    basis = [Determinant(a, b) for a in strings[:16] for b in strings[:32]]
+    assert len(basis) == DENSE_THRESHOLD
+    exact = np.linalg.eigvalsh(build_sparse_matrix(ham, basis).toarray())[0]
+    monkeypatch.setattr("sqdci.solver.build_sparse_matrix", _no_csr)
+    result = solve_subspace(ham, basis)
+    assert result.diagnostics["operator"] == "product"
+    assert result.energy == pytest.approx(exact, abs=1e-10)
+
+
+def test_shuffled_product_basis_gives_same_state():
+    ham = random_hamiltonian(7, 3, 3, seed=28, diagonal_spread=1.0)
+    strings = sorted({d.alpha for d in ham.sector_basis()})
+    basis = [Determinant(a, b) for a in strings[:20] for b in strings[:30]]
+    order = np.random.default_rng(6).permutation(len(basis))
+    shuffled = [basis[i] for i in order]
+    canonical = solve_subspace(ham, basis)
+    permuted = solve_subspace(ham, shuffled)
+    assert permuted.diagnostics["operator"] == "product"
+    assert permuted.basis == shuffled
+    assert permuted.energy == pytest.approx(canonical.energy, abs=1e-10)
+    overlap = permuted.vector @ canonical.vector[order]
+    assert abs(overlap) == pytest.approx(1.0, abs=1e-8)
+    residual = (build_sparse_matrix(ham, shuffled) @ permuted.vector
+                - permuted.energy * permuted.vector)
+    assert np.linalg.norm(residual) < 1e-7
+
+
+def test_duplicate_basis_of_product_size_rejected():
+    # 20 x 30 distinct strings, but one product determinant repeated in
+    # place of another: the size still equals the product's.
+    ham = random_hamiltonian(7, 3, 3, seed=29)
+    strings = sorted({d.alpha for d in ham.sector_basis()})
+    basis = [Determinant(a, b) for a in strings[:20] for b in strings[:30]]
+    basis[-1] = basis[0]
+    basis[-2] = Determinant(strings[19], strings[29])
+    with pytest.raises(ConfigError, match="duplicates"):
+        solve_subspace(ham, basis)
+
+
+def test_product_solve_bytes_bounds_traced_peak():
+    # The estimate must cover what the solve allocates, without being so
+    # loose that the budget turns away spaces that fit.
+    ham = random_hamiltonian(8, 4, 4, seed=32, diagonal_spread=0.5)
+    tracemalloc.start()
+    try:
+        fci_ground_state(ham)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = product_solve_bytes(8, 70, 70, DavidsonOptions().max_subspace)
+    assert peak <= estimate <= 1.5 * peak
+
+
+def test_fci_over_memory_budget_is_capacity_error(monkeypatch):
+    ham = random_hamiltonian(7, 3, 3, seed=30)
+    need = product_solve_bytes(7, 35, 35, DavidsonOptions().max_subspace)
+    monkeypatch.setattr("sqdci.solver.MEMORY_BUDGET_BYTES", need - 1)
+
+    def no_basis(*args):
+        raise AssertionError("the cap must hold before the basis is built")
+
+    monkeypatch.setattr("sqdci.solver.sector_basis", no_basis)
+    with pytest.raises(CapacityError, match="budget"):
+        fci_ground_state(ham)
+    # A wider Davidson subspace raises the estimate past the budget.
+    monkeypatch.setattr("sqdci.solver.MEMORY_BUDGET_BYTES", need)
+    with pytest.raises(CapacityError):
+        fci_ground_state(ham, DavidsonOptions(max_subspace=21))
+
+
+def test_product_basis_over_memory_budget_is_capacity_error(monkeypatch):
+    ham = random_hamiltonian(7, 3, 3, seed=31)
+    monkeypatch.setattr("sqdci.solver.MEMORY_BUDGET_BYTES", 1 << 20)
+    monkeypatch.setattr("sqdci.solver.build_sparse_matrix", _no_csr)
+    with pytest.raises(CapacityError):
+        solve_subspace(ham, ham.sector_basis())
