@@ -12,12 +12,14 @@ The basis is split into its sorted distinct alpha and beta strings, and
 each determinant becomes an index pair (ia, ib). Per spin, a table lists
 the single excitations (target string, hole, particle, parity, same-spin
 part of the element) and the same-spin doubles (target string, signed
-element) that stay inside that spin's distinct strings; only this table
-construction loops in Python, over strings. The matrix is then assembled
-in numpy, over fixed-size blocks of determinants: each block expands
-the tables of its determinants' strings into candidate pairs (singles of
-either spin with the other string fixed, same-spin doubles, and
-alpha-beta doubles as the product of the two singles tables), looks the
+element) that stay inside that spin's distinct strings. The tables are
+built in numpy from the strings as ``uint64`` bitmasks: every candidate
+move is listed per popcount group, its target found by ``searchsorted``,
+and its parity taken with ``np.bitwise_count``. The matrix is then
+assembled in numpy, over fixed-size blocks of determinants: each block
+expands the tables of its determinants' strings into candidate pairs
+(singles of either spin with the other string fixed, same-spin doubles,
+and alpha-beta doubles as the product of the two singles tables), looks the
 targets up among the sorted basis keys ``ia * n_beta_strings + ib``,
 and keeps the hits. Diagonals come from the occupation rows of the
 strings through the Coulomb and exchange matrices. Bases need not be
@@ -279,10 +281,8 @@ def unique_strings(strings) -> tuple[list[int], np.ndarray]:
 
 def occupation_rows(strings, n_orb: int) -> np.ndarray:
     """0/1 float matrix: row k marks the occupied orbitals of ``strings[k]``."""
-    occ = np.zeros((len(strings), n_orb))
-    for k, bits in enumerate(strings):
-        occ[k, occupied_orbitals(bits)] = 1.0
-    return occ
+    bits = np.asarray(strings, dtype=np.uint64)
+    return (bits[:, None] >> np.arange(n_orb, dtype=np.uint64) & 1).astype(float)
 
 
 @dataclass(frozen=True)
@@ -333,7 +333,8 @@ class CSRMatrix:
 
 
 # Candidate (determinant, connected determinant) pairs expanded at once
-# by the builder; bounds its temporaries independently of the basis size.
+# by the builder, and candidate moves by the string tables; bounds their
+# temporaries independently of the basis size.
 _BLOCK_CANDIDATES = 1 << 16
 
 
@@ -356,39 +357,91 @@ class _SpinTables(NamedTuple):
     double_value: np.ndarray
 
 
-def _spin_tables(ham: ActiveSpaceHamiltonian, strings: list[int]) -> _SpinTables:
-    where = {bits: k for k, bits in enumerate(strings)}
+def _index_pairs(m: int):
+    """Index pairs i < j of range(m), in ``itertools.combinations`` order."""
+    i = np.arange(m)
+    return np.nonzero(i[:, None] < i)
+
+
+def _spin_tables(ham: ActiveSpaceHamiltonian, strings) -> _SpinTables:
+    """Singles and same-spin doubles among ``strings`` (sorted, distinct).
+
+    Strings are taken per popcount group, in chunks of about
+    ``_BLOCK_CANDIDATES`` candidate moves. A chunk lists every move of
+    its strings (singles by hole then particle, doubles by occupied pair
+    then virtual pair, ascending), finds the targets with
+    ``searchsorted`` and keeps the hits; a stable sort by source then
+    merges the groups. A parity is that of the bits strictly between
+    hole and particle. The double h1 h2 -> p1 p2 is the ordered product
+    E_{p2 h2} E_{p1 h1}.
+    """
+    n = ham.n_orb
+    bits = np.asarray(strings, dtype=np.uint64)
+    occ = occupation_rows(bits, n)
+    one, orb = np.uint64(1), np.arange(n, dtype=np.uint64)
+    flip = one << orb
+    low, high = np.minimum.outer(orb, orb), np.maximum.outer(orb, orb)
+    between = ((one << high) - one) & ~((one << low) - one) & ~(one << low)
+
+    def land(sources, moves):
+        """(source, target, sign, orbitals...) of the ``moves`` that stay
+        among the strings; ``moves`` holds (hole, particle) arrays of shape
+        (len(sources), moves per string), applied in order."""
+        source = np.repeat(sources, moves[0][0].shape[1])
+        orbitals = [m.ravel() for move in moves for m in move]
+        target = bits[source]
+        for m in orbitals:
+            target = target ^ flip[m]
+        pos = np.minimum(np.searchsorted(bits, target), len(bits) - 1)
+        hit = bits[pos] == target
+        orbitals = [m[hit] for m in orbitals]
+        state, sign = bits[source[hit]], np.ones(np.count_nonzero(hit))
+        for hole, part in zip(orbitals[::2], orbitals[1::2]):
+            odd = np.bitwise_count(state & between[hole, part]) & 1
+            sign *= 1.0 - 2.0 * odd
+            state = state ^ flip[hole] ^ flip[part]
+        return source[hit], pos[hit], sign, *orbitals
+
+    # Empty seeds keep the merge defined for an empty string set.
+    none = np.zeros(0, dtype=np.int64)
+    singles = [(none, none, np.ones(0), none, none)]
+    doubles = [(none, none, np.ones(0), none, none, none, none)]
+    popcount = np.bitwise_count(bits)
+    for k in np.flatnonzero(np.bincount(popcount)):
+        group = np.flatnonzero(popcount == k)
+        occupied = np.nonzero(occ[group])[1].reshape(len(group), k)
+        virtual = np.nonzero(occ[group] == 0)[1].reshape(len(group), n - k)
+        # Column picks into ``occupied`` and ``virtual``, in loop order.
+        at_hole, at_part = np.indices((k, n - k)).reshape(2, -1)
+        (o1, o2), (v1, v2) = _index_pairs(k), _index_pairs(n - k)
+        at_occ, at_vir = np.indices((len(o1), len(v1))).reshape(2, -1)
+        o1, o2, v1, v2 = o1[at_occ], o2[at_occ], v1[at_vir], v2[at_vir]
+        step = max(1, _BLOCK_CANDIDATES // max(1, len(at_hole) + len(o1)))
+        for lo in range(0, len(group), step):
+            src = group[lo:lo + step]
+            o, v = occupied[lo:lo + step], virtual[lo:lo + step]
+            singles.append(land(src, [(o[:, at_hole], v[:, at_part])]))
+            doubles.append(land(src, [(o[:, o1], v[:, v1]), (o[:, o2], v[:, v2])]))
+
+    def merge(entries):
+        fields = [np.concatenate(f) for f in zip(*entries)]
+        order = np.argsort(fields[0], kind="stable")
+        start = np.searchsorted(fields[0][order], np.arange(len(bits) + 1))
+        return start, *(f[order] for f in fields)
+
     eri = ham.two_body
-    singles, doubles = [], []
-    single_start, double_start = [0], [0]
-    for bits in strings:
-        occ, vir = _holes_and_particles(bits, ham.n_orb)
-        for hole in occ:
-            for part in vir:
-                target = where.get(bits ^ (1 << hole) ^ (1 << part))
-                if target is not None:
-                    singles.append((target, hole, part, _parity(bits, hole, part),
-                                    _single_element(ham, bits, 0, hole, part)))
-        for h1, h2 in itertools.combinations(occ, 2):
-            for p1, p2 in itertools.combinations(vir, 2):
-                new, sign = _double_move(bits, h1, h2, p1, p2)
-                target = where.get(new)
-                if target is not None:
-                    doubles.append((target, sign * (eri[h1, p1, h2, p2]
-                                                    - eri[h1, p2, h2, p1])))
-        single_start.append(len(singles))
-        double_start.append(len(doubles))
-    single = np.array(singles, dtype=float).reshape(-1, 5).T
-    double = np.array(doubles, dtype=float).reshape(-1, 2).T
-    target, hole, part = single[:3].astype(np.int64)
-    return _SpinTables(occ=occupation_rows(strings, ham.n_orb),
-                       single_start=np.array(single_start, dtype=np.int64),
-                       single_target=target, single_hole=hole,
-                       single_particle=part, single_sign=single[3],
-                       single_value=single[4],
-                       double_start=np.array(double_start, dtype=np.int64),
-                       double_target=double[0].astype(np.int64),
-                       double_value=double[1])
+    # g[h, p, i] = (hp|ii) - (hi|ip): occupied i's share of a single h -> p.
+    g = np.einsum("hpii->hpi", eri) - np.einsum("hiip->hpi", eri)
+    single_start, source, single_target, single_sign, hole, part = merge(singles)
+    double_start, _, double_target, double_sign, h1, p1, h2, p2 = merge(doubles)
+    same_spin = (ham.one_body[hole, part] - g[hole, part, hole]
+                 + np.einsum("ij,ij->i", g[hole, part], occ[source]))
+    return _SpinTables(
+        occ=occ, single_start=single_start, single_target=single_target,
+        single_hole=hole, single_particle=part, single_sign=single_sign,
+        single_value=single_sign * same_spin,
+        double_start=double_start, double_target=double_target,
+        double_value=double_sign * (eri[h1, p1, h2, p2] - eri[h1, p2, h2, p1]))
 
 
 def _string_energies(ham: ActiveSpaceHamiltonian,
@@ -648,7 +701,10 @@ class ProductHamiltonian:
         d, f = self._d, self._f
         n_b = self._grid[1]
         for lo, hi, f_rows, sign, starts, targets in self._blocks:
-            d[pair_b, :hi - lo, target_b] = c[lo:hi, source_b].T * sign_b[:, None]
+            scattered = c[lo:hi, source_b]
+            scattered *= sign_b
+            d[pair_b, :hi - lo, target_b] = scattered.T
+            del scattered  # not held through the gather below
             np.matmul(self._v, d.reshape(len(d), -1), out=f)
             gathered = f.reshape(-1, n_b)[f_rows]
             gathered *= sign

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import rng
 from .errors import CapacityError, ConfigError
-from .hamiltonian import (Determinant, hartree_fock_determinant, sector_basis,
-                          sector_dimension)
+from .hamiltonian import (Determinant, hartree_fock_determinant,
+                          occupation_rows, sector_basis, sector_dimension)
 
 SECTOR_DIMENSION_CAP = 10_000_000
 
@@ -334,17 +334,6 @@ def apply_orbital_rotation(amps: np.ndarray, dets: list[Determinant],
     return amps
 
 
-def _occupation_matrix(dets, n_orb):
-    occ = np.zeros((len(dets), 2 * n_orb))
-    for i, det in enumerate(dets):
-        for p in range(n_orb):
-            if det.alpha >> p & 1:
-                occ[i, p] = 1.0
-            if det.beta >> p & 1:
-                occ[i, n_orb + p] = 1.0
-    return occ
-
-
 def lucj_state(params: LUCJParams, n_orb: int, n_alpha: int,
                n_beta: int) -> SectorState:
     """Exact sector statevector of the layered cluster-Jastrow circuit.
@@ -367,7 +356,8 @@ def lucj_state(params: LUCJParams, n_orb: int, n_alpha: int,
         amps = apply_orbital_rotation(amps, dets, K)
         if J is not None and np.any(J):
             if occ is None:
-                occ = _occupation_matrix(dets, n_orb)
+                occ = np.hstack([occupation_rows([d.alpha for d in dets], n_orb),
+                                 occupation_rows([d.beta for d in dets], n_orb)])
             phases = np.einsum("dp,pq,dq->d", occ, J, occ)
             amps = amps * np.exp(1j * phases)
     if params.final_rotation is not None:

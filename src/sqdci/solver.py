@@ -1,7 +1,8 @@
 """Eigensolvers for projected Hamiltonians.
 
 ``davidson_lowest`` is a block Davidson with diagonal preconditioning
-and thick restart; ``dense_eigensolve`` is the direct oracle/fallback.
+and a GD+k thick restart; ``dense_eigensolve`` is the direct
+oracle/fallback.
 ``solve_subspace`` picks between them by dimension and is the single
 entry point used by the SQD and HCI drivers. Both paths use numpy's
 LAPACK ``eigh``. Davidson multiplies by the matrix-free
@@ -95,8 +96,38 @@ def dense_eigensolve(matrix: np.ndarray) -> SpectrumResult:
                           iterations_used=1, converged=True)
 
 
+def _orthonormal_rows(block: np.ndarray, against: np.ndarray) -> np.ndarray:
+    """Rows of ``block`` orthonormalised against the orthonormal rows of
+    ``against`` and each other by two block projections (CGS2).
+
+    A row whose remainder has norm at most 1e-10 is dropped.
+    """
+    out = np.empty_like(block)
+    size = 0
+    for v in block:
+        for _ in range(2):
+            v = v - (against @ v) @ against
+            if size:
+                v -= (out[:size] @ v) @ out[:size]
+        norm = np.sqrt(v @ v)
+        if norm > 1e-10:
+            out[size] = v / norm
+            size += 1
+    return out[:size]
+
+
 def davidson_lowest(matvec, diagonal, opts: DavidsonOptions) -> SpectrumResult:
     """Lowest eigenpairs of a symmetric operator given its matvec.
+
+    Generalized Davidson with diagonal preconditioning and a GD+k thick
+    restart (Stathopoulos, SIAM J. Sci. Comput. 29, 481 (2007)). The
+    basis V and its image W = HV live in preallocated blocks of
+    ``max_subspace`` rows. Each new vector is orthonormalised by CGS2,
+    multiplied once, and adds one row and column to the Rayleigh matrix
+    V W^T. When the blocks are full, the restart keeps the current Ritz
+    vectors and, room permitting, the previous iteration's, orthonormalised
+    in the coefficient space of V; V, W and the Rayleigh matrix are rotated
+    by that coefficient block, so no vector is multiplied twice.
 
     Deterministic for a fixed seed: initial guesses are unit vectors on
     the lowest diagonal entries (ties by index), and random vectors are
@@ -109,83 +140,74 @@ def davidson_lowest(matvec, diagonal, opts: DavidsonOptions) -> SpectrumResult:
         raise ConfigError("operator dimension smaller than n_roots")
 
     gen = rng.stream(opts.seed, "davidson")
+    cap = min(opts.max_subspace, dim)
+    basis = np.empty((cap, dim))
+    sigma = np.empty((cap, dim))
+    rayleigh = np.empty((cap, cap))
 
-    order = np.argsort(diagonal, kind="stable")
-    basis = np.zeros((dim, min(k, dim)))
-    for i in range(basis.shape[1]):
-        basis[order[i], i] = 1.0
+    def append(block, size):
+        """Add orthonormal ``block`` rows after the first ``size``; new size."""
+        end = size + len(block)
+        basis[size:end] = block
+        for j in range(size, end):
+            sigma[j] = matvec(basis[j])
+        cross = 0.5 * (basis[:end] @ sigma[size:end].T
+                       + sigma[:end] @ basis[size:end].T)
+        rayleigh[:end, size:end] = cross
+        rayleigh[size:end, :end] = cross.T
+        return end
 
-    sigma = np.empty((dim, 0))
-    theta = diagonal[order[:k]].astype(float)
-    ritz = basis[:, :k].copy()
+    start = np.zeros((k, dim))
+    start[np.arange(k), np.argsort(diagonal, kind="stable")[:k]] = 1.0
+    size = append(start, 0)
+    ritz = start
+    previous = np.zeros((k, 0))  # last iteration's Ritz coefficients
     converged = False
     iterations = 0
 
-    def orthonormalize(block, against):
-        cols = []
-        for col in block.T:
-            v = col.copy()
-            for _ in range(2):  # two Gram-Schmidt passes for stability
-                if against.shape[1]:
-                    v -= against @ (against.T @ v)
-                for u in cols:
-                    v -= u * (u @ v)
-            norm = np.linalg.norm(v)
-            if norm > 1e-10:
-                cols.append(v / norm)
-        if not cols:
-            return np.empty((dim, 0))
-        return np.column_stack(cols)
-
     for iterations in range(1, opts.max_iterations + 1):
-        while sigma.shape[1] < basis.shape[1]:
-            j = sigma.shape[1]
-            sigma = np.column_stack([sigma, matvec(basis[:, j])])
-        rayleigh = basis.T @ sigma
-        rayleigh = 0.5 * (rayleigh + rayleigh.T)
-        evals, evecs = np.linalg.eigh(rayleigh)
-        theta = evals[:k]
-        ritz = basis @ evecs[:, :k]
-        ritz_sigma = sigma @ evecs[:, :k]
-        residuals = ritz_sigma - ritz * theta
-        norms = np.linalg.norm(residuals, axis=0)
+        evals, evecs = np.linalg.eigh(rayleigh[:size, :size])
+        theta, coef = evals[:k], evecs[:, :k].T
+        ritz = coef @ basis[:size]
+        residuals = coef @ sigma[:size] - theta[:, None] * ritz
+        norms = np.linalg.norm(residuals, axis=1)
         _check_finite([theta, ritz, norms])
         if np.all(norms < opts.residual_tol):
             converged = True
             break
 
-        corrections = []
-        for i in range(k):
-            if norms[i] < opts.residual_tol:
-                continue
-            denom = diagonal - theta[i]
-            denom = np.where(np.abs(denom) < 1e-8,
-                             np.copysign(1e-8, denom + 1e-300), denom)
-            corrections.append(residuals[:, i] / denom)
-        block = np.column_stack(corrections) if corrections else np.empty((dim, 0))
-        block = orthonormalize(block, basis)
-        if block.shape[1] == 0:
+        todo = norms >= opts.residual_tol
+        denom = diagonal - theta[todo, None]
+        denom = np.where(np.abs(denom) < 1e-8,
+                         np.copysign(1e-8, denom + 1e-300), denom)
+        block = _orthonormal_rows(residuals[todo] / denom, basis[:size])
+        if len(block) == 0:
             # Correction space collapsed: expand with a seeded random vector.
-            block = orthonormalize(gen.standard_normal((dim, 1)), basis)
-            if block.shape[1] == 0:
+            block = _orthonormal_rows(gen.standard_normal((1, dim)),
+                                      basis[:size])
+            if len(block) == 0:
                 break
-        if basis.shape[1] + block.shape[1] > min(opts.max_subspace, dim):
-            # Thick restart: keep the current Ritz vectors.
-            basis = orthonormalize(ritz, np.empty((dim, 0)))
-            sigma = np.empty((dim, 0))
-            block = orthonormalize(block, basis)
-            if block.shape[1] == 0:
-                block = orthonormalize(gen.standard_normal((dim, 1)), basis)
-        if basis.shape[1] >= dim:
-            break
-        basis = np.column_stack([basis, block])
+        if size + len(block) > cap:
+            # GD+k restart; k + len(block) <= cap leaves room for the Ritz
+            # vectors and the block.
+            padded = np.zeros((k, size))
+            padded[:, :previous.shape[1]] = previous
+            keep = np.vstack([coef, _orthonormal_rows(padded, coef)
+                              [:cap - k - len(block)]])
+            basis[:len(keep)] = keep @ basis[:size]
+            sigma[:len(keep)] = keep @ sigma[:size]
+            small = keep @ rayleigh[:size, :size] @ keep.T
+            coef = coef @ keep.T
+            size = len(keep)
+            rayleigh[:size, :size] = 0.5 * (small + small.T)
+        previous = coef
+        size = append(block, size)
 
     # Post-hoc residual verification, independent of internal bookkeeping.
     vectors = []
     energies = []
     verified = True
-    for i in range(k):
-        v = ritz[:, i]
+    for v in ritz:
         v = v / np.linalg.norm(v)
         hv = matvec(v)
         e = float(v @ hv)
@@ -272,16 +294,18 @@ def product_solve_bytes(n_orb: int, n_alpha_strings: int, n_beta_strings: int,
                         max_subspace: int) -> int:
     """Bytes a Davidson solve on a product space holds at its peak (estimate).
 
-    Per determinant: the Davidson basis and sigma blocks, one transient
-    copy of either while a column is appended, a few work vectors, and
-    the ``Determinant`` list. Per space: the dense string matrices, the
+    Per determinant: the preallocated Davidson basis and sigma blocks
+    (2 * ``max_subspace`` vectors), eight work vectors (the diagonal, the
+    Ritz vector, its residual, the correction and its denominators, the
+    sigma output and its product temporary, the grid keys), and the
+    ``Determinant`` list. Per space: the dense string matrices, the
     pair-integral block, and the D, F and gather buffers of one block.
     """
     dim = n_alpha_strings * n_beta_strings
     n_pairs = n_orb * (n_orb + 1) // 2
     block = n_pairs * n_beta_strings * sigma_block_rows(
         n_orb, n_alpha_strings, n_beta_strings)
-    floats = (dim * (3 * max_subspace + 8) + n_alpha_strings ** 2
+    floats = (dim * (2 * max_subspace + 8) + n_alpha_strings ** 2
               + n_beta_strings ** 2 + n_pairs ** 2 + 3 * block)
     return 8 * floats + BASIS_BYTES_PER_DETERMINANT * dim
 

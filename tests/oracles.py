@@ -139,6 +139,67 @@ def exhaustive_connected(ham, det, dets, cutoff=0.0):
     return out
 
 
+def _between_sign(bits: int, p: int, q: int) -> int:
+    lo, hi = min(p, q), max(p, q)
+    return -1 if (bits >> (lo + 1) & ((1 << (hi - lo - 1)) - 1)).bit_count() & 1 else 1
+
+
+def spin_string_tables(ham, strings) -> dict:
+    """Per-string loop over the singles and same-spin doubles of one
+    spin's sorted distinct ``strings`` that land among them.
+
+    Each source lists its singles by (hole, particle) and its doubles by
+    (occupied pair, virtual pair), ascending; the double h1 h2 -> p1 p2
+    is the ordered product E_{p2 h2} E_{p1 h1}. A single's value is its
+    same-spin element, sign included, h[h,p] + sum over the other
+    occupied i of (hp|ii) - (hi|ip). Returns the fields of the package's
+    string tables.
+    """
+    n = ham.n_orb
+    h, eri = ham.one_body, ham.two_body
+    where = {bits: k for k, bits in enumerate(strings)}
+    singles, doubles = [], []
+    single_start, double_start = [0], [0]
+    for bits in strings:
+        occ = [p for p in range(n) if bits >> p & 1]
+        vir = [p for p in range(n) if not bits >> p & 1]
+        for hole in occ:
+            for part in vir:
+                target = where.get(bits ^ (1 << hole) ^ (1 << part))
+                if target is None:
+                    continue
+                val = h[hole, part]
+                for i in occ:
+                    if i != hole:
+                        val += eri[hole, part, i, i] - eri[hole, i, i, part]
+                sign = _between_sign(bits, hole, part)
+                singles.append((target, hole, part, sign, sign * val))
+        for a, h1 in enumerate(occ):
+            for h2 in occ[a + 1:]:
+                for b, p1 in enumerate(vir):
+                    for p2 in vir[b + 1:]:
+                        moved = bits ^ (1 << h1) ^ (1 << p1)
+                        target = where.get(moved ^ (1 << h2) ^ (1 << p2))
+                        if target is None:
+                            continue
+                        sign = (_between_sign(bits, h1, p1)
+                                * _between_sign(moved, h2, p2))
+                        doubles.append((target, sign * (eri[h1, p1, h2, p2]
+                                                         - eri[h1, p2, h2, p1])))
+        single_start.append(len(singles))
+        double_start.append(len(doubles))
+    single = np.array(singles, dtype=float).reshape(-1, 5).T
+    double = np.array(doubles, dtype=float).reshape(-1, 2).T
+    return {"single_start": np.array(single_start, dtype=np.int64),
+            "single_target": single[0].astype(np.int64),
+            "single_hole": single[1].astype(np.int64),
+            "single_particle": single[2].astype(np.int64),
+            "single_sign": single[3], "single_value": single[4],
+            "double_start": np.array(double_start, dtype=np.int64),
+            "double_target": double[0].astype(np.int64),
+            "double_value": double[1]}
+
+
 def valid_probability_after_flips(n_orb: int, n_alpha: int, n_beta: int,
                                   p: float) -> float:
     """P(a sector-valid bitstring stays sector-valid) under iid bit flips.

@@ -276,6 +276,8 @@ def test_sqdci_threads_applied_before_numpy_loads():
 def test_cli_runs_load_no_scipy(tmp_path):
     # FCI at dimension 1225 takes the Davidson path; the LUCJ sampler with
     # readout noise takes the orbital-rotation exp/log and recovery paths.
+    # numpy.ma must stay unloaded too: np.unique imports it on first call
+    # (about 15 ms), so the run path avoids np.unique.
     large, small = tmp_path / "h7.fcidump", tmp_path / "h4.fcidump"
     write_fcidump_path(random_hamiltonian(7, 3, 3, seed=25), large)
     write_fcidump_path(random_hamiltonian(4, 2, 2, seed=26), small)
@@ -297,7 +299,7 @@ def test_cli_runs_load_no_scipy(tmp_path):
              "from sqdci.cli import main\n"
              "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
              "print(json.dumps([codes, sorted(m for m in sys.modules"
-             " if m.partition('.')[0] == 'scipy')]))\n")
+             " if m.partition('.')[0] == 'scipy' or m == 'numpy.ma')]))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(sqdci.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)],
                          env=env, check=True, capture_output=True, text=True,

@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 
 from conftest import random_hamiltonian
 from oracles import (brute_force_matrix, excitation_degree,
-                     exhaustive_connected)
+                     exhaustive_connected, spin_string_tables)
 from sqdci.errors import ConfigError
 from sqdci.hamiltonian import (ActiveSpaceHamiltonian, Determinant,
-                               ProductHamiltonian, build_sparse_matrix,
-                               connected_determinants, excitations,
-                               hartree_fock_determinant, sector_basis)
+                               ProductHamiltonian, _spin_tables,
+                               build_sparse_matrix, connected_determinants,
+                               excitations, hartree_fock_determinant,
+                               occupation_rows, sector_basis)
 
 
 def test_one_orbital_closed_shell_diagonal():
@@ -312,3 +313,43 @@ def test_product_sigma_blocks_agree(monkeypatch):
     assert len(split._blocks) == 9
     for _ in range(2):  # the reused buffers must not carry state over
         assert np.max(np.abs(split @ v - single @ v)) < 1e-12
+
+
+def test_occupation_rows():
+    rows = occupation_rows([0, 0b1101, (1 << 63) | 1], 64)
+    assert rows.shape == (3, 64) and rows.dtype == np.float64
+    assert not rows[0].any()
+    assert np.array_equal(np.flatnonzero(rows[1]), [0, 2, 3])
+    assert np.array_equal(np.flatnonzero(rows[2]), [0, 63])
+    assert ((rows == 0.0) | (rows == 1.0)).all()
+    assert np.array_equal(occupation_rows(np.array([6], dtype=np.uint64), 3),
+                          [[0.0, 1.0, 1.0]])
+    assert occupation_rows([], 4).shape == (0, 4)
+
+
+@st.composite
+def _string_set(draw):
+    """Sorted distinct strings over up to 7 orbitals, of mixed popcounts;
+    sometimes with the empty and the full string, sometimes just one."""
+    n = draw(st.integers(1, 7))
+    strings = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1,
+                           max_size=draw(st.sampled_from([1, 40]))))
+    if draw(st.booleans()):
+        strings |= {0, (1 << n) - 1}
+    ham = random_hamiltonian(n, 1, 1, seed=draw(st.integers(0, 2**16)))
+    return ham, sorted(strings)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_string_set())
+def test_spin_tables_match_loop_oracle(problem):
+    ham, strings = problem
+    tables = _spin_tables(ham, strings)._asdict()
+    assert np.array_equal(tables.pop("occ"), occupation_rows(strings, ham.n_orb))
+    for name, expected in spin_string_tables(ham, strings).items():
+        got = tables[name]
+        assert got.dtype == expected.dtype and got.shape == expected.shape, name
+        if name.endswith("_value"):
+            assert np.max(np.abs(got - expected), initial=0.0) <= 1e-13, name
+        else:
+            assert np.array_equal(got, expected), name
