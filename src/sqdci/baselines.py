@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 
 from .errors import CapacityError, ConfigError
-from .hamiltonian import ActiveSpaceHamiltonian, connected_determinants
+from .hamiltonian import (ActiveSpaceHamiltonian, Determinant,
+                          connected_determinants)
 from .solver import DavidsonOptions, SubspaceResult, solve_subspace
 from .sqd import (EXTENSION_DIMENSION_CAP, ExtensionThresholds,
                   extend_subspace)
@@ -26,9 +28,10 @@ class HCIOptions:
     energy_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.epsilon1 < 0:
+        # Written so that nan fails too; epsilon1 = inf keeps only HF.
+        if not self.epsilon1 >= 0:
             raise ConfigError("epsilon1 must be nonnegative")
-        if self.energy_tol <= 0:
+        if not self.energy_tol > 0:
             raise ConfigError("energy_tol must be positive")
 
 
@@ -39,30 +42,35 @@ def hci_variational(ham: ActiveSpaceHamiltonian,
 
     Each sweep adds every determinant coupled to the current wavefunction
     with |H_{d'd} c_d| >= epsilon1, then re-diagonalizes; stops when the
-    space is stable or the energy change drops below energy_tol.
+    space is stable or the energy change drops below energy_tol. The
+    basis is kept as sorted (alpha, beta) ``uint64`` rows: one batched
+    :func:`connected_determinants` call lists a sweep's candidates, and
+    one stable ``lexsort`` merges the new ones in, in the sorted order of
+    the ``Determinant`` list that :func:`solve_subspace` receives.
     """
     opts = opts or HCIOptions()
-    basis = [ham.hf_determinant()]
-    current = solve_subspace(ham, basis, solver_opts)
+    hf = ham.hf_determinant()
+    dets = np.array([hf], dtype=np.uint64)  # rows (alpha, beta), sorted
+    current = solve_subspace(ham, [hf], solver_opts)
     sweeps = 0
     for sweeps in range(1, opts.max_iterations + 1):
-        in_basis = set(current.basis)
-        new = set()
-        for det, coeff in zip(current.basis, current.vector):
-            amp = abs(coeff)
-            if amp < 1e-14:
-                continue
-            for other, _ in connected_determinants(ham, det,
-                                                   opts.epsilon1 / amp):
-                if other not in in_basis:
-                    new.add(other)
-        if not new:
+        amp = np.abs(current.vector)
+        live = amp >= 1e-14
+        found = connected_determinants(ham, dets[live, 0], dets[live, 1],
+                                       opts.epsilon1 / amp[live])
+        merged = np.concatenate(
+            [dets, np.column_stack([found["alpha"], found["beta"]])])
+        order = np.lexsort(merged.T[::-1])  # stable: basis rows head their runs
+        merged = merged[order]
+        head = np.concatenate([[True], np.any(merged[1:] != merged[:-1], axis=1)])
+        if np.all(order[head] < len(dets)):
             break
-        basis = sorted(in_basis | new)
-        if len(basis) > HCI_DIMENSION_CAP:
+        dets = merged[head]
+        if len(dets) > HCI_DIMENSION_CAP:
             raise CapacityError(f"HCI space grew past {HCI_DIMENSION_CAP}")
         previous_energy = current.energy
-        current = solve_subspace(ham, basis, solver_opts)
+        current = solve_subspace(
+            ham, list(map(Determinant, *dets.T.tolist())), solver_opts)
         if abs(previous_energy - current.energy) < opts.energy_tol:
             break
     current.diagnostics["hci_sweeps"] = sweeps

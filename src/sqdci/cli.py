@@ -81,6 +81,8 @@ class RunConfig:
         if not 0.0 <= self.flip_probability <= 1.0:  # false for nan too
             raise ConfigError("flip probability must be a finite value in "
                               f"[0, 1], got {self.flip_probability}")
+        if np.isnan(self.eta) or np.isnan(self.epsilon1):  # echoed in the record
+            raise ConfigError("eta and epsilon1 must be numbers, not nan")
         if self.method in ("sqd", "ext-sqd"):
             if self.sampler == "counts-file":
                 if not self.counts_path:

@@ -1,8 +1,8 @@
 """Active-space Hamiltonians and Slater-Condon matrix elements.
 
-:func:`connected_determinants` yields the valued singles and doubles of
-one determinant (the heat-bath CI selection generator),
-:func:`excitations` lists the same moves without values,
+:func:`connected_determinants` lists the heat-bath screened, valued
+singles and doubles of a batch of determinants (the HCI selection
+generator), :func:`excitations` the unscreened moves of one determinant,
 :func:`build_sparse_matrix` assembles the projected Hamiltonian over an
 explicit basis, and :class:`ProductHamiltonian` applies it matrix free
 when the basis is the Cartesian product of two string sets.
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import NamedTuple
 
@@ -66,16 +67,6 @@ class Determinant(NamedTuple):
 
     def n_beta(self) -> int:
         return self.beta.bit_count()
-
-
-def occupied_orbitals(bits: int) -> list[int]:
-    """Indices of set bits, ascending."""
-    orbs = []
-    while bits:
-        low = bits & -bits
-        orbs.append(low.bit_length() - 1)
-        bits ^= low
-    return orbs
 
 
 def hartree_fock_determinant(n_alpha: int, n_beta: int) -> Determinant:
@@ -100,6 +91,31 @@ def sector_basis(n_orb: int, n_alpha: int, n_beta: int) -> list[Determinant]:
 
 def sector_dimension(n_orb: int, n_alpha: int, n_beta: int) -> int:
     return comb(n_orb, n_alpha) * comb(n_orb, n_beta)
+
+
+class _HeatBath(NamedTuple):
+    """Integrals of :func:`connected_determinants` for one Hamiltonian.
+
+    The single h -> p of a string with occupation row o (o' for the other
+    spin) has element parity x column h * n + p of
+    ``single_base + o @ single_same + o' @ single_other``. Doubles are
+    listed per kind (0: <h1 h2||p1 p2> over h1 < h2, p1 < p2; 1: (h1 p1|h2
+    p2) over alpha h1 and beta h2) and hole pair, nonzero and with
+    particles apart from the holes: list (kind * n + h1) * n + h2 holds the
+    entries ``[start[list], start[list + 1])``, by descending magnitude.
+    """
+
+    single_base: np.ndarray
+    single_same: np.ndarray
+    single_other: np.ndarray
+    start: np.ndarray
+    first: np.ndarray  # particles p1, p2 and integral of each entry
+    second: np.ndarray
+    value: np.ndarray
+    levels: np.ndarray  # every magnitude, ascending
+    # The list times (entries + 1) plus the count of levels at or above the
+    # entry's own: it ascends, so one searchsorted ends each list at a cutoff.
+    key: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -151,100 +167,45 @@ class ActiveSpaceHamiltonian:
     def sector_basis(self) -> list[Determinant]:
         return sector_basis(self.n_orb, self.n_alpha, self.n_beta)
 
-
-def _parity(bits: int, p: int, q: int) -> int:
-    """(-1)**(number of set bits strictly between p and q)."""
-    lo, hi = (p, q) if p < q else (q, p)
-    mask = ((1 << hi) - 1) & ~((1 << (lo + 1)) - 1)
-    return -1 if (bits & mask).bit_count() & 1 else 1
+    @cached_property
+    def _heat_bath(self) -> _HeatBath:
+        """:class:`_HeatBath` tables, built on first use."""
+        n, eri = self.n_orb, self.two_body
+        # g[i, h, p] = (hp|ii) - (hi|ip): occupied i's share of a single h -> p.
+        coulomb = np.einsum("hpii->ihp", eri)
+        g = coulomb - np.einsum("hiip->ihp", eri)
+        h1, h2, p1, p2 = np.ix_(*[np.arange(n)] * 4)
+        apart = (p1 != h1) & (p1 != h2) & (p2 != h1) & (p2 != h2)
+        crossed = np.einsum("apbq->abpq", eri)
+        values = np.stack([
+            np.where((h1 < h2) & (p1 < p2) & apart,
+                     crossed - np.einsum("aqbp->abpq", eri), 0.0),
+            np.where((p1 != h1) & (p2 != h2), crossed, 0.0)])
+        kind, hole1, hole2, part1, part2 = entries = np.nonzero(values)
+        value = values[entries]
+        levels = np.sort(np.abs(value))
+        size = len(levels)
+        key = (((kind * n + hole1) * n + hole2) * (size + 1) + size
+               - np.searchsorted(levels, np.abs(value)))
+        order = np.argsort(key)
+        key = key[order]
+        return _HeatBath(
+            single_base=(self.one_body - np.einsum("hhp->hp", g)).ravel(),
+            single_same=g.reshape(n, n * n), single_other=coulomb.reshape(n, n * n),
+            start=np.searchsorted(key, np.arange(2 * n * n + 1) * (size + 1)),
+            first=part1[order], second=part2[order], value=value[order],
+            levels=levels, key=key)
 
 
 def _holes_and_particles(bits: int, n_orb: int) -> tuple[list[int], list[int]]:
     """Occupied and virtual orbitals of one spin string, ascending."""
-    return occupied_orbitals(bits), [p for p in range(n_orb) if not bits >> p & 1]
+    return ([p for p in range(n_orb) if bits >> p & 1],
+            [p for p in range(n_orb) if not bits >> p & 1])
 
 
 def _with_string(det: Determinant, spin: int, bits: int) -> Determinant:
     """``det`` with its alpha (spin 0) or beta (spin 1) string replaced."""
     return Determinant(bits, det.beta) if spin == 0 else Determinant(det.alpha, bits)
-
-
-def _double_move(bits: int, h1: int, h2: int, p1: int,
-                 p2: int) -> tuple[int, int]:
-    """String and sign after the ordered product E_{p2 h2} E_{p1 h1}."""
-    moved = bits ^ (1 << h1) ^ (1 << p1)
-    return (moved ^ (1 << h2) ^ (1 << p2),
-            _parity(bits, h1, p1) * _parity(moved, h2, p2))
-
-
-def _single_element(ham, same, other, hole, particle):
-    """Element of the move hole -> particle on the spin string ``same``.
-
-    ``other`` is the opposite-spin string of the same determinant.
-    """
-    h = ham.one_body
-    eri = ham.two_body
-    val = h[hole, particle]
-    for i in occupied_orbitals(same):
-        if i == hole:
-            continue
-        val += eri[hole, particle, i, i] - eri[hole, i, i, particle]
-    for i in occupied_orbitals(other):
-        val += eri[hole, particle, i, i]
-    return val * _parity(same, hole, particle)
-
-
-def connected_determinants(ham: ActiveSpaceHamiltonian, det: Determinant,
-                           magnitude_cutoff: float = 0.0):
-    """(d', <d'|H|d>) over singles and doubles of ``det``.
-
-    Singles are kept when the exact element magnitude reaches the cutoff.
-    Doubles are screened on the integral magnitude before the parity
-    sign (heat-bath criterion); the returned value is the exact signed
-    element. Exact zeros are dropped. Order: alpha singles, beta singles,
-    alpha-alpha, beta-beta, then alpha-beta doubles.
-    """
-    if magnitude_cutoff < 0:
-        raise ConfigError("cutoff must be nonnegative")
-    eri = ham.two_body
-    strings = (det.alpha, det.beta)
-    orbs = [_holes_and_particles(bits, ham.n_orb) for bits in strings]
-    out = []
-
-    for spin, (occ, vir) in enumerate(orbs):
-        same, other = strings[spin], strings[1 - spin]
-        for hole in occ:
-            for part in vir:
-                val = _single_element(ham, same, other, hole, part)
-                if val != 0.0 and abs(val) >= magnitude_cutoff:
-                    new = same ^ (1 << hole) ^ (1 << part)
-                    out.append((_with_string(det, spin, new), float(val)))
-
-    for spin, (occ, vir) in enumerate(orbs):
-        bits = strings[spin]
-        for h1, h2 in itertools.combinations(occ, 2):
-            for p1, p2 in itertools.combinations(vir, 2):
-                mag = eri[h1, p1, h2, p2] - eri[h1, p2, h2, p1]
-                if mag == 0.0 or abs(mag) < magnitude_cutoff:
-                    continue
-                new, sign = _double_move(bits, h1, h2, p1, p2)
-                out.append((_with_string(det, spin, new), float(sign * mag)))
-
-    (occ_a, vir_a), (occ_b, vir_b) = orbs
-    for ha in occ_a:
-        for pa in vir_a:
-            sa = _parity(det.alpha, ha, pa)
-            new_a = det.alpha ^ (1 << ha) ^ (1 << pa)
-            for hb in occ_b:
-                for pb in vir_b:
-                    mag = eri[ha, pa, hb, pb]
-                    if mag == 0.0 or abs(mag) < magnitude_cutoff:
-                        continue
-                    sb = _parity(det.beta, hb, pb)
-                    out.append((Determinant(new_a,
-                                            det.beta ^ (1 << hb) ^ (1 << pb)),
-                                float(sa * sb * mag)))
-    return out
 
 
 def excitations(det: Determinant, n_orb: int,
@@ -357,6 +318,15 @@ class _SpinTables(NamedTuple):
     double_value: np.ndarray
 
 
+def _bit_masks(n_orb: int):
+    """``flip[p]``, the bit of orbital p, and ``between[p, q]``, the bits
+    strictly between orbitals p and q, as ``uint64``."""
+    one, orb = np.uint64(1), np.arange(n_orb, dtype=np.uint64)
+    low, high = np.minimum.outer(orb, orb), np.maximum.outer(orb, orb)
+    return (one << orb,
+            ((one << high) - one) & ~((one << low) - one) & ~(one << low))
+
+
 def _index_pairs(m: int):
     """Index pairs i < j of range(m), in ``itertools.combinations`` order."""
     i = np.arange(m)
@@ -378,10 +348,7 @@ def _spin_tables(ham: ActiveSpaceHamiltonian, strings) -> _SpinTables:
     n = ham.n_orb
     bits = np.asarray(strings, dtype=np.uint64)
     occ = occupation_rows(bits, n)
-    one, orb = np.uint64(1), np.arange(n, dtype=np.uint64)
-    flip = one << orb
-    low, high = np.minimum.outer(orb, orb), np.maximum.outer(orb, orb)
-    between = ((one << high) - one) & ~((one << low) - one) & ~(one << low)
+    flip, between = _bit_masks(n)
 
     def land(sources, moves):
         """(source, target, sign, orbitals...) of the ``moves`` that stay
@@ -454,16 +421,89 @@ def _string_energies(ham: ActiveSpaceHamiltonian,
                               tables.occ))
 
 
-def _expand(start: np.ndarray, sources: np.ndarray):
-    """(owner, position) of every table entry of each of ``sources``.
+def _expand(start: np.ndarray, sources: np.ndarray, counts=None):
+    """(owner, position) of every table entry of each of ``sources``, or
+    of the first ``counts[k]`` entries of ``sources[k]`` when given.
 
     ``owner`` indexes ``sources``; ``position`` indexes the table arrays.
     """
-    counts = start[sources + 1] - start[sources]
+    counts = start[sources + 1] - start[sources] if counts is None else counts
     first = np.cumsum(counts) - counts
     owner = np.repeat(np.arange(len(sources)), counts)
     return owner, np.arange(counts.sum()) + np.repeat(start[sources] - first,
                                                       counts)
+
+
+# One row of :func:`connected_determinants`.
+CONNECTION = np.dtype([("source", np.int64), ("alpha", np.uint64),
+                       ("beta", np.uint64), ("value", float)])
+
+
+def connected_determinants(ham: ActiveSpaceHamiltonian, alphas, betas,
+                           cutoffs) -> np.ndarray:
+    """Heat-bath screened singles and doubles of a batch of determinants.
+
+    Source k is (``alphas[k]``, ``betas[k]``) with cutoff ``cutoffs[k]``.
+    Returns one :data:`CONNECTION` row per source and target. A single is
+    kept when its exact element is nonzero and reaches the cutoff in
+    magnitude; a double when its integral does, before the parity sign
+    (Holmes, Tubman & Umrigar, JCTC 12, 3674 (2016)): each occupied pair
+    walks its list, sorted by magnitude once per Hamiltonian, down to the
+    cutoff, and moves onto occupied orbitals are dropped.
+    """
+    cutoffs = np.asarray(cutoffs, dtype=float)
+    if not np.all(cutoffs >= 0):  # false for nan too
+        raise ConfigError("cutoffs must be nonnegative")
+    n = ham.n_orb
+    tables = ham._heat_bath
+    flip, between = _bit_masks(n)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    strings = np.asarray(alphas, dtype=np.uint64), np.asarray(betas, dtype=np.uint64)
+
+    def move(new, spin, hole, part):
+        """Apply hole -> part to ``new[spin]``: (sign, whether part was free)."""
+        before = new[spin]
+        new[spin] = before ^ flip[hole] ^ flip[part]
+        return (1.0 - 2.0 * (np.bitwise_count(before & between[hole, part]) & 1),
+                (before & flip[part]) == 0)
+
+    def walk(kind, cut, source, h1, h2):
+        """The list entries of each (source, hole pair) that reach ``cut``."""
+        pair, size = (kind * n + h1) * n + h2, len(tables.levels)
+        rank = np.searchsorted(tables.levels, cut[source])
+        end = np.searchsorted(tables.key, pair * (size + 1) + size - rank,
+                              side="right")
+        owner, pos = _expand(tables.start, pair, end - tables.start[pair])
+        return (source[owner], h1[owner], h2[owner], tables.first[pos],
+                tables.second[pos], tables.value[pos])
+
+    rows = []
+    step = max(1, _BLOCK_CANDIDATES // (n * n))
+    for lo in range(0, len(cutoffs), step):
+        bits, cut = [s[lo:lo + step] for s in strings], cutoffs[lo:lo + step]
+        full = [occupation_rows(b, n) > 0 for b in bits]
+        for spin in (0, 1):
+            src, h, p = np.nonzero(full[spin][:, :, None] > full[spin][:, None, :])
+            new = [bits[0][src], bits[1][src]]
+            element = (tables.single_base + full[spin] @ tables.single_same
+                       + full[1 - spin] @ tables.single_other)
+            found = element[src, h * n + p] * move(new, spin, h, p)[0]
+            keep = (found != 0.0) & (np.abs(found) >= cut[src])
+            rows.append((src[keep] + lo, new[0][keep], new[1][keep], found[keep]))
+        for s1, s2, kind, pairs in ((0, 0, 0, upper), (1, 1, 0, upper),
+                                    (0, 1, 1, True)):
+            src, h1, h2, p1, p2, found = walk(kind, cut, *np.nonzero(
+                full[s1][:, :, None] & full[s2][:, None, :] & pairs))
+            new = [bits[0][src], bits[1][src]]
+            (sign1, free1), (sign2, free2) = (move(new, s1, h1, p1),
+                                              move(new, s2, h2, p2))
+            keep = free1 & free2
+            rows.append((src[keep] + lo, new[0][keep], new[1][keep],
+                         (found * sign1 * sign2)[keep]))
+    out = np.empty(sum(len(row[0]) for row in rows), dtype=CONNECTION)
+    for name, parts in zip(CONNECTION.names, zip(*rows)):
+        out[name] = np.concatenate(parts)
+    return out
 
 
 def build_sparse_matrix(ham: ActiveSpaceHamiltonian,

@@ -11,6 +11,8 @@ the package's "all alpha ascending, then all beta" ordering.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from scipy.stats import binom
 
@@ -142,6 +144,90 @@ def exhaustive_connected(ham, det, dets, cutoff=0.0):
 def _between_sign(bits: int, p: int, q: int) -> int:
     lo, hi = min(p, q), max(p, q)
     return -1 if (bits >> (lo + 1) & ((1 << (hi - lo - 1)) - 1)).bit_count() & 1 else 1
+
+
+def _orbitals(bits: int, n_orb: int) -> tuple[list[int], list[int]]:
+    """Occupied and virtual orbitals of one spin string, ascending."""
+    return ([p for p in range(n_orb) if bits >> p & 1],
+            [p for p in range(n_orb) if not bits >> p & 1])
+
+
+def _double_move(bits: int, h1: int, h2: int, p1: int,
+                 p2: int) -> tuple[int, int]:
+    """String and sign after the ordered product E_{p2 h2} E_{p1 h1}."""
+    moved = bits ^ (1 << h1) ^ (1 << p1)
+    return (moved ^ (1 << h2) ^ (1 << p2),
+            _between_sign(bits, h1, p1) * _between_sign(moved, h2, p2))
+
+
+def _single_element(ham, same, other, hole, particle):
+    """Element of the move hole -> particle on the spin string ``same``.
+
+    ``other`` is the opposite-spin string of the same determinant.
+    """
+    h = ham.one_body
+    eri = ham.two_body
+    val = h[hole, particle]
+    for i in _orbitals(same, ham.n_orb)[0]:
+        if i == hole:
+            continue
+        val += eri[hole, particle, i, i] - eri[hole, i, i, particle]
+    for i in _orbitals(other, ham.n_orb)[0]:
+        val += eri[hole, particle, i, i]
+    return val * _between_sign(same, hole, particle)
+
+
+def reference_connected(ham, det, magnitude_cutoff: float = 0.0):
+    """((alpha, beta), <d'|H|d>) over the singles and doubles of ``det``,
+    one determinant at a time: the reference heat-bath generator.
+
+    Singles are kept when the exact element magnitude reaches the cutoff.
+    Doubles are screened on the integral magnitude before the parity
+    sign (heat-bath criterion); the returned value is the exact signed
+    element. Exact zeros are dropped. Order: alpha singles, beta singles,
+    alpha-alpha, beta-beta, then alpha-beta doubles.
+    """
+    eri = ham.two_body
+    strings = (det.alpha, det.beta)
+    orbs = [_orbitals(bits, ham.n_orb) for bits in strings]
+    out = []
+
+    def with_string(spin, bits):
+        return (bits, det.beta) if spin == 0 else (det.alpha, bits)
+
+    for spin, (occ, vir) in enumerate(orbs):
+        same, other = strings[spin], strings[1 - spin]
+        for hole in occ:
+            for part in vir:
+                val = _single_element(ham, same, other, hole, part)
+                if val != 0.0 and abs(val) >= magnitude_cutoff:
+                    new = same ^ (1 << hole) ^ (1 << part)
+                    out.append((with_string(spin, new), float(val)))
+
+    for spin, (occ, vir) in enumerate(orbs):
+        bits = strings[spin]
+        for h1, h2 in itertools.combinations(occ, 2):
+            for p1, p2 in itertools.combinations(vir, 2):
+                mag = eri[h1, p1, h2, p2] - eri[h1, p2, h2, p1]
+                if mag == 0.0 or abs(mag) < magnitude_cutoff:
+                    continue
+                new, sign = _double_move(bits, h1, h2, p1, p2)
+                out.append((with_string(spin, new), float(sign * mag)))
+
+    (occ_a, vir_a), (occ_b, vir_b) = orbs
+    for ha in occ_a:
+        for pa in vir_a:
+            sa = _between_sign(det.alpha, ha, pa)
+            new_a = det.alpha ^ (1 << ha) ^ (1 << pa)
+            for hb in occ_b:
+                for pb in vir_b:
+                    mag = eri[ha, pa, hb, pb]
+                    if mag == 0.0 or abs(mag) < magnitude_cutoff:
+                        continue
+                    sb = _between_sign(det.beta, hb, pb)
+                    out.append(((new_a, det.beta ^ (1 << hb) ^ (1 << pb)),
+                                float(sa * sb * mag)))
+    return out
 
 
 def spin_string_tables(ham, strings) -> dict:

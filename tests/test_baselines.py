@@ -1,10 +1,11 @@
 import pytest
 
 from conftest import random_hamiltonian
-from oracles import brute_force_matrix
+from oracles import brute_force_matrix, reference_connected
 from sqdci.baselines import HCIOptions, ext_hci, hci_variational
 from sqdci.errors import ConfigError
-from sqdci.solver import fci_ground_state
+from sqdci.hamiltonian import Determinant
+from sqdci.solver import fci_ground_state, solve_subspace
 from sqdci.sqd import ExtensionThresholds, extend_subspace
 
 
@@ -44,10 +45,49 @@ def test_hci_diagnostics():
 
 
 def test_hci_options_validation():
-    with pytest.raises(ConfigError):
-        HCIOptions(epsilon1=-1.0)
-    with pytest.raises(ConfigError):
-        HCIOptions(energy_tol=0.0)
+    nan = float("nan")
+    for bad in ({"epsilon1": -1.0}, {"epsilon1": nan}, {"energy_tol": 0.0},
+                {"energy_tol": nan}):
+        with pytest.raises(ConfigError):
+            HCIOptions(**bad)
+    HCIOptions(epsilon1=float("inf"))
+
+
+def _reference_hci(ham, epsilon1, max_iterations=50, energy_tol=1e-9):
+    """The HCI sweep one determinant at a time, on the reference
+    generator and Python sets: (result, sweeps)."""
+    current = solve_subspace(ham, [ham.hf_determinant()])
+    sweeps = 0
+    for sweeps in range(1, max_iterations + 1):
+        in_basis = set(current.basis)
+        new = set()
+        for det, coeff in zip(current.basis, current.vector):
+            amp = abs(coeff)
+            if amp < 1e-14:
+                continue
+            new.update(Determinant(*target) for target, _ in
+                       reference_connected(ham, det, epsilon1 / amp))
+        new -= in_basis
+        if not new:
+            break
+        previous_energy = current.energy
+        current = solve_subspace(ham, sorted(in_basis | new))
+        if abs(previous_energy - current.energy) < energy_tol:
+            break
+    return current, sweeps
+
+
+@pytest.mark.parametrize("n_beta", [3, 4])
+@pytest.mark.parametrize("epsilon1", [0.3, 0.1, 1e-2])
+def test_hci_basis_matches_reference_sweep(n_beta, epsilon1):
+    # At 1e-2 the space passes 2000 determinants (the Davidson path).
+    ham = random_hamiltonian(8, 4, n_beta, seed=40 + n_beta,
+                             diagonal_spread=3.0)
+    expected, sweeps = _reference_hci(ham, epsilon1)
+    result = hci_variational(ham, HCIOptions(epsilon1=epsilon1))
+    assert result.basis == expected.basis
+    assert result.diagnostics["hci_sweeps"] == sweeps
+    assert abs(result.energy - expected.energy) <= 1e-12
 
 
 def test_ext_hci_reaches_fci_on_small_sector(ham_2e2o):

@@ -213,6 +213,32 @@ def test_main_rejects_bad_flip_probability(one_orbital, capsys, flip):
                   flip_probability=float(flip)).validate()
 
 
+@pytest.mark.parametrize("flag", ["--epsilon1", "--eta"])
+def test_main_rejects_nan_epsilon1_and_eta(fixture_2e2o, tmp_path, capsys,
+                                           flag):
+    out = tmp_path / "record.json"
+    assert main(["run", "--hamiltonian", str(fixture_2e2o), "--method", "hci",
+                 flag, "nan", "--out", str(out)]) == 2
+    assert "not nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_hci_records_are_strict_json(fixture_2e2o, tmp_path):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    out = tmp_path / "record.json"
+    assert main(["run", "--hamiltonian", str(fixture_2e2o),
+                 "--method", "ext-hci", "--epsilon1", "0.01",
+                 "--out", str(out)]) == 0
+    record = json.loads(out.read_text(), parse_constant=reject)
+    assert record["config"]["epsilon1"] == 0.01
+    # An infinite threshold stays legal: it keeps only the HF determinant.
+    assert main(["run", "--hamiltonian", str(fixture_2e2o), "--method", "hci",
+                 "--epsilon1", "inf", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["dimension"] == 1
+
+
 @pytest.mark.parametrize("line", ["shots = many", "flip_probability = lots",
                                   "seed = 1.5"])
 def test_main_unparsable_config_value_is_config_error(one_orbital, tmp_path,

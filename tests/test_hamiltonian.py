@@ -1,3 +1,6 @@
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import random_hamiltonian
 from oracles import (brute_force_matrix, excitation_degree,
-                     exhaustive_connected, spin_string_tables)
+                     exhaustive_connected, reference_connected,
+                     spin_string_tables)
+from sqdci import hamiltonian
 from sqdci.errors import ConfigError
 from sqdci.hamiltonian import (ActiveSpaceHamiltonian, Determinant,
                                ProductHamiltonian, _spin_tables,
@@ -75,7 +80,7 @@ def test_connected_determinants_matches_exhaustive_enumeration():
     ham = random_hamiltonian(4, 2, 1, seed=9)
     basis = sector_basis(4, 2, 1)
     det = hartree_fock_determinant(2, 1)
-    got = dict(connected_determinants(ham, det))
+    got = dict(reference_connected(ham, det))
     expected = dict(exhaustive_connected(ham, det, basis))
     assert set(got) == set(expected)
     for d in expected:
@@ -86,20 +91,68 @@ def test_connected_cutoff_screens_and_keeps_exact_singles():
     ham = random_hamiltonian(4, 2, 2, seed=10)
     det = hartree_fock_determinant(2, 2)
     cutoff = 0.05
-    pairs = connected_determinants(ham, det, cutoff)
+    pairs = reference_connected(ham, det, cutoff)
     exact = dict(exhaustive_connected(ham, det, ham.sector_basis()))
     for other, value in pairs:
         assert value == pytest.approx(exact[other], abs=1e-12)
-        if excitation_degree(det, other) == 1:
+        if excitation_degree(det, Determinant(*other)) == 1:
             assert abs(value) >= cutoff
     # Infinite cutoff: nothing survives.
-    assert connected_determinants(ham, det, float("inf")) == []
+    assert reference_connected(ham, det, float("inf")) == []
 
 
 def test_negative_cutoff_rejected():
     ham = random_hamiltonian(2, 1, 1, seed=1)
-    with pytest.raises(ConfigError):
-        connected_determinants(ham, Determinant(1, 1), -1.0)
+    for cutoff in (-1.0, float("nan")):
+        with pytest.raises(ConfigError):
+            connected_determinants(ham, [1, 1], [1, 1], [0.0, cutoff])
+
+
+@st.composite
+def _heat_bath_batch(draw):
+    """Distinct sources over up to 6 orbitals from one or two sectors
+    (open-shell, asymmetric, or with a one-string spin: 0 or n_orb
+    electrons), each with a cutoff that may be 0 or inf, and a block size
+    that may split the batch into one chunk per source. With integrals on
+    a 1/64 grid every element is exact, so a cutoff may also equal one."""
+    n = draw(st.integers(1, 6))
+    ham = random_hamiltonian(n, 1, 1, seed=draw(st.integers(0, 2**16)))
+    exact = draw(st.booleans())
+    if exact:
+        ham = ActiveSpaceHamiltonian(
+            n_orb=n, n_alpha=1, n_beta=1, core_energy=0.0,
+            one_body=np.round(ham.one_body * 64) / 64,
+            two_body=np.round(ham.two_body * 64) / 64)
+    sectors = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)),
+                            min_size=1, max_size=2))
+    pool = sorted({d for na, nb in sectors for d in sector_basis(n, na, nb)})
+    sources = draw(st.lists(st.sampled_from(pool), max_size=10, unique=True))
+    cutoffs = []
+    for det in sources:
+        cutoff = st.sampled_from([0.0, float("inf")]) | st.floats(0.0, 0.6)
+        levels = exact and sorted({abs(v) for _, v in reference_connected(ham, det)})
+        if levels:
+            cutoff |= st.sampled_from(levels)
+        cutoffs.append(draw(cutoff))
+    return ham, sources, cutoffs, draw(st.sampled_from([1, 1 << 16]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_heat_bath_batch())
+def test_batched_generator_matches_reference(batch):
+    ham, sources, cutoffs, block = batch
+    with mock.patch.object(hamiltonian, "_BLOCK_CANDIDATES", block):
+        rows = connected_determinants(ham, [d.alpha for d in sources],
+                                      [d.beta for d in sources], cutoffs)
+    got = list(zip(rows["source"].tolist(), rows["alpha"].tolist(),
+                   rows["beta"].tolist()))
+    expected = [((k, *target), value)
+                for k, (det, cutoff) in enumerate(zip(sources, cutoffs))
+                for target, value in reference_connected(ham, det, cutoff)]
+    assert Counter(got) == Counter(row for row, _ in expected)
+    values = dict(expected)
+    for row, value in zip(got, rows["value"]):
+        assert abs(value - values[row]) <= 1e-12
 
 
 def test_sparse_matvec_matches_oracle():
@@ -191,7 +244,7 @@ def _matrix_from_connected(ham, basis):
     mat = np.zeros((len(basis), len(basis)))
     for j, det in enumerate(basis):
         mat[j, j] = _slater_condon_diagonal(ham, det)
-        for other, value in connected_determinants(ham, det):
+        for other, value in reference_connected(ham, det):
             if other in index:
                 mat[index[other], j] = value
     return mat
