@@ -2,7 +2,9 @@
 
 Only the variational stage is implemented (no perturbative correction);
 the extension step shares :func:`sqdci.sqd.extend_subspace` with the
-sampled-subspace pipeline so both methods densify identically.
+sampled-subspace pipeline so both methods densify identically. Both keep
+their bases packed (see :mod:`sqdci.hamiltonian`) and take unions with
+:func:`~sqdci.hamiltonian.merge_bases`.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigError
-from .hamiltonian import (ActiveSpaceHamiltonian, Determinant,
-                          connected_determinants)
+from .hamiltonian import (ActiveSpaceHamiltonian, connected_determinants,
+                          merge_bases)
 from .solver import DavidsonOptions, SubspaceResult, solve_subspace
 from .sqd import (EXTENSION_DIMENSION_CAP, ExtensionThresholds,
                   extend_subspace)
@@ -42,35 +44,28 @@ def hci_variational(ham: ActiveSpaceHamiltonian,
 
     Each sweep adds every determinant coupled to the current wavefunction
     with |H_{d'd} c_d| >= epsilon1, then re-diagonalizes; stops when the
-    space is stable or the energy change drops below energy_tol. The
-    basis is kept as sorted (alpha, beta) ``uint64`` rows: one batched
-    :func:`connected_determinants` call lists a sweep's candidates, and
-    one stable ``lexsort`` merges the new ones in, in the sorted order of
-    the ``Determinant`` list that :func:`solve_subspace` receives.
+    space is stable or the energy change drops below energy_tol. One
+    batched :func:`connected_determinants` call lists a sweep's
+    candidates, and :func:`merge_bases` merges the new ones in.
     """
     opts = opts or HCIOptions()
-    hf = ham.hf_determinant()
-    dets = np.array([hf], dtype=np.uint64)  # rows (alpha, beta), sorted
-    current = solve_subspace(ham, [hf], solver_opts)
+    dets = np.array([ham.hf_determinant()], dtype=np.uint64)
+    current = solve_subspace(ham, dets, solver_opts)
     sweeps = 0
     for sweeps in range(1, opts.max_iterations + 1):
         amp = np.abs(current.vector)
         live = amp >= 1e-14
         found = connected_determinants(ham, dets[live, 0], dets[live, 1],
                                        opts.epsilon1 / amp[live])
-        merged = np.concatenate(
-            [dets, np.column_stack([found["alpha"], found["beta"]])])
-        order = np.lexsort(merged.T[::-1])  # stable: basis rows head their runs
-        merged = merged[order]
-        head = np.concatenate([[True], np.any(merged[1:] != merged[:-1], axis=1)])
-        if np.all(order[head] < len(dets)):
+        merged = merge_bases(
+            dets, np.column_stack([found["alpha"], found["beta"]]))
+        if len(merged) == len(dets):
             break
-        dets = merged[head]
+        dets = merged
         if len(dets) > HCI_DIMENSION_CAP:
             raise CapacityError(f"HCI space grew past {HCI_DIMENSION_CAP}")
         previous_energy = current.energy
-        current = solve_subspace(
-            ham, list(map(Determinant, *dets.T.tolist())), solver_opts)
+        current = solve_subspace(ham, dets, solver_opts)
         if abs(previous_energy - current.energy) < opts.energy_tol:
             break
     current.diagnostics["hci_sweeps"] = sweeps
@@ -84,12 +79,11 @@ def ext_hci(ham: ActiveSpaceHamiltonian, prior: SubspaceResult,
             dimension_cap: int = EXTENSION_DIMENSION_CAP) -> SubspaceResult:
     """Excitation extension of an HCI ground state (single re-diagonalization)."""
     thresholds = thresholds or ExtensionThresholds()
-    extended = set(extend_subspace(prior.vector, prior.basis, thresholds,
-                                   ham.n_orb))
-    extended.update(prior.basis)
+    extended = merge_bases(extend_subspace(prior.vector, prior.basis,
+                                           thresholds, ham.n_orb), prior.basis)
     if len(extended) > dimension_cap:
         raise CapacityError(
             f"extended dimension {len(extended)} exceeds cap {dimension_cap}")
-    result = solve_subspace(ham, sorted(extended), solver_opts)
+    result = solve_subspace(ham, extended, solver_opts)
     result.diagnostics["extended_from"] = len(prior.basis)
     return result

@@ -130,7 +130,9 @@ def execute_run(config: RunConfig) -> dict:
         "tool": "sqdci",
         "version": __version__,
         "method": config.method,
-        "config": asdict(config),
+        # Infinite thresholds as "inf"/"-inf": the record stays strict JSON.
+        "config": {key: str(value) if value in (np.inf, -np.inf) else value
+                   for key, value in asdict(config).items()},
     }
 
     if config.method == "fci":
@@ -170,7 +172,7 @@ def execute_run(config: RunConfig) -> dict:
 
 
 def _dump_record(record: dict, path: str | None):
-    text = json.dumps(record, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -2,27 +2,34 @@
 
 :func:`connected_determinants` lists the heat-bath screened, valued
 singles and doubles of a batch of determinants (the HCI selection
-generator), :func:`excitations` the unscreened moves of one determinant,
-:func:`build_sparse_matrix` assembles the projected Hamiltonian over an
-explicit basis, and :class:`ProductHamiltonian` applies it matrix free
-when the basis is the Cartesian product of two string sets.
+generator), :func:`build_sparse_matrix` assembles the projected
+Hamiltonian over an explicit basis, and :class:`ProductHamiltonian`
+applies it matrix free when the basis is the Cartesian product of two
+string sets.
+
+Determinants are pairs of occupation bitmasks (alpha, beta) over spatial
+orbitals, bit p for orbital p. A basis is a ``(dim, 2)`` ``uint64`` array
+of (alpha, beta) rows, distinct and in lexicographic order; row i holds
+coefficient i of a state vector. :func:`merge_bases` puts a union of
+bases in that form; :func:`basis_strings` splits one into its sorted
+distinct strings and rejects repeated or unsorted rows.
 
 The builder is string driven (Knowles & Handy, CPL 111, 315 (1984)).
-The basis is split into its sorted distinct alpha and beta strings, and
-each determinant becomes an index pair (ia, ib). Per spin, a table lists
-the single excitations (target string, hole, particle, parity, same-spin
-part of the element) and the same-spin doubles (target string, signed
-element) that stay inside that spin's distinct strings. The tables are
-built in numpy from the strings as ``uint64`` bitmasks: every candidate
-move is listed per popcount group, its target found by ``searchsorted``,
-and its parity taken with ``np.bitwise_count``. The matrix is then
-assembled in numpy, over fixed-size blocks of determinants: each block
-expands the tables of its determinants' strings into candidate pairs
-(singles of either spin with the other string fixed, same-spin doubles,
-and alpha-beta doubles as the product of the two singles tables), looks the
-targets up among the sorted basis keys ``ia * n_beta_strings + ib``,
-and keeps the hits. Diagonals come from the occupation rows of the
-strings through the Coulomb and exchange matrices. Bases need not be
+Each determinant becomes the index pair (ia, ib) of its strings. Per
+spin, a table lists the single excitations (target string, hole,
+particle, parity, same-spin part of the element) and the same-spin
+doubles (target string, signed element) that stay inside that spin's
+distinct strings. The tables are built in numpy from the strings as
+``uint64`` bitmasks: every candidate move is listed per popcount group,
+its target found by ``searchsorted``, and its parity taken with
+``np.bitwise_count``. The matrix is then assembled in numpy, over
+fixed-size blocks of determinants: each block expands the tables of its
+determinants' strings into candidate pairs (singles of either spin with
+the other string fixed, same-spin doubles, and alpha-beta doubles as the
+product of the two singles tables), looks the targets up among the basis
+keys ``ia * n_beta_strings + ib`` (ascending, because the basis is
+sorted), and keeps the hits. Diagonals come from the occupation rows of
+the strings through the Coulomb and exchange matrices. Bases need not be
 Cartesian products of their strings, nor lie in one sector.
 
 The result is a :class:`CSRMatrix`, a plain numpy CSR triple. Every row
@@ -34,8 +41,7 @@ of :class:`ProductHamiltonian`: dense same-spin string matrices, plus
 one GEMM with the pair-integral block per sigma. It stores O(strings^2
 + pairs^2) numbers instead of the CSR matrix's O(dim x connections).
 
-Determinants are pairs of occupation bitmasks (alpha, beta) over spatial
-orbitals. The fermionic sign convention places all alpha spin-orbitals
+The fermionic sign convention places all alpha spin-orbitals
 (ascending orbital index) before all beta spin-orbitals; parities reduce
 to per-spin counts of occupied orbitals between excitation endpoints.
 
@@ -62,31 +68,54 @@ class Determinant(NamedTuple):
     alpha: int
     beta: int
 
-    def n_alpha(self) -> int:
-        return self.alpha.bit_count()
-
-    def n_beta(self) -> int:
-        return self.beta.bit_count()
-
 
 def hartree_fock_determinant(n_alpha: int, n_beta: int) -> Determinant:
     """Lowest-orbital filling: the restricted HF reference."""
     return Determinant((1 << n_alpha) - 1, (1 << n_beta) - 1)
 
 
-def sector_basis(n_orb: int, n_alpha: int, n_beta: int) -> list[Determinant]:
-    """All determinants of the (n_alpha, n_beta) sector.
+def sector_basis(n_orb: int, n_alpha: int, n_beta: int) -> np.ndarray:
+    """All determinants of the (n_alpha, n_beta) sector, as a basis."""
+    alphas, betas = (np.array(sorted(sum(1 << p for p in occ) for occ in
+                                     itertools.combinations(range(n_orb), k)),
+                              dtype=np.uint64) for k in (n_alpha, n_beta))
+    return np.column_stack([np.repeat(alphas, len(betas)),
+                            np.tile(betas, len(alphas))])
 
-    Ordering is canonical: alpha bitmask value ascending, then beta.
+
+def merge_bases(*bases: np.ndarray) -> np.ndarray:
+    """The union of ``bases`` as a basis: concatenated, put in order by a
+    stable ``lexsort``, and the first row of each run of equal rows kept."""
+    rows = np.concatenate(bases)
+    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+    head = np.ones(len(rows), dtype=bool)
+    head[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return rows[head]
+
+
+def distinct_strings(strings: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of ``strings`` (``np.unique`` imports numpy.ma)."""
+    strings = np.sort(strings)
+    head = np.ones(len(strings), dtype=bool)
+    head[1:] = strings[1:] != strings[:-1]
+    return strings[head]
+
+
+def basis_strings(basis: np.ndarray):
+    """(alphas, ia, betas, ib): each spin's sorted distinct strings and the
+    index of every row's string in them.
+
+    Raises :class:`ConfigError` unless the keys ``ia * len(betas) + ib``
+    strictly increase, that is unless the rows are distinct and sorted.
     """
-    def strings(k):
-        masks = [sum(1 << p for p in occ)
-                 for occ in itertools.combinations(range(n_orb), k)]
-        return sorted(masks)
-
-    alphas = strings(n_alpha)
-    betas = strings(n_beta)
-    return [Determinant(a, b) for a in alphas for b in betas]
+    found = []
+    for column in basis.T:
+        strings = distinct_strings(column)
+        found += [strings, np.searchsorted(strings, column)]
+    keys = found[1] * len(found[2]) + found[3]
+    if np.any(keys[1:] <= keys[:-1]):
+        raise ConfigError("basis rows must be distinct and in (alpha, beta) order")
+    return found
 
 
 def sector_dimension(n_orb: int, n_alpha: int, n_beta: int) -> int:
@@ -164,7 +193,7 @@ class ActiveSpaceHamiltonian:
     def hf_determinant(self) -> Determinant:
         return hartree_fock_determinant(self.n_alpha, self.n_beta)
 
-    def sector_basis(self) -> list[Determinant]:
+    def sector_basis(self) -> np.ndarray:
         return sector_basis(self.n_orb, self.n_alpha, self.n_beta)
 
     @cached_property
@@ -195,49 +224,6 @@ class ActiveSpaceHamiltonian:
             start=np.searchsorted(key, np.arange(2 * n * n + 1) * (size + 1)),
             first=part1[order], second=part2[order], value=value[order],
             levels=levels, key=key)
-
-
-def _holes_and_particles(bits: int, n_orb: int) -> tuple[list[int], list[int]]:
-    """Occupied and virtual orbitals of one spin string, ascending."""
-    return ([p for p in range(n_orb) if bits >> p & 1],
-            [p for p in range(n_orb) if not bits >> p & 1])
-
-
-def _with_string(det: Determinant, spin: int, bits: int) -> Determinant:
-    """``det`` with its alpha (spin 0) or beta (spin 1) string replaced."""
-    return Determinant(bits, det.beta) if spin == 0 else Determinant(det.alpha, bits)
-
-
-def excitations(det: Determinant, n_orb: int,
-                doubles: bool = True) -> list[Determinant]:
-    """Determinants one spin-orbital move from ``det`` (and two, with ``doubles``).
-
-    Purely combinatorial (no integral screening); stays in the sector of
-    ``det`` by construction and lists each determinant once, never
-    ``det`` itself.
-    """
-    strings = (det.alpha, det.beta)
-    orbs = [_holes_and_particles(bits, n_orb) for bits in strings]
-    singles = [[bits ^ (1 << h) ^ (1 << p) for h in occ for p in vir]
-               for bits, (occ, vir) in zip(strings, orbs)]
-    out = [_with_string(det, spin, bits)
-           for spin in (0, 1) for bits in singles[spin]]
-    if doubles:
-        for spin, (occ, vir) in enumerate(orbs):
-            out += [_with_string(det, spin, strings[spin] ^ (1 << h1)
-                                 ^ (1 << h2) ^ (1 << p1) ^ (1 << p2))
-                    for h1, h2 in itertools.combinations(occ, 2)
-                    for p1, p2 in itertools.combinations(vir, 2)]
-        out += [Determinant(a, b) for a in singles[0] for b in singles[1]]
-    return out
-
-
-def unique_strings(strings) -> tuple[list[int], np.ndarray]:
-    """Sorted distinct spin strings, and the int64 index of each input in them."""
-    unique = sorted(set(strings))
-    where = {bits: k for k, bits in enumerate(unique)}
-    return unique, np.fromiter(map(where.__getitem__, strings), np.int64,
-                               count=len(strings))
 
 
 def occupation_rows(strings, n_orb: int) -> np.ndarray:
@@ -507,20 +493,15 @@ def connected_determinants(ham: ActiveSpaceHamiltonian, alphas, betas,
 
 
 def build_sparse_matrix(ham: ActiveSpaceHamiltonian,
-                        basis: list[Determinant]) -> CSRMatrix:
-    """Sparse CSR projected Hamiltonian over ``basis`` (distinct determinants).
+                        basis: np.ndarray) -> CSRMatrix:
+    """Sparse CSR projected Hamiltonian over ``basis``.
 
     Exact-zero off-diagonal elements are not stored; every diagonal is.
     """
     dim = len(basis)
-    alphas, ia = unique_strings([d.alpha for d in basis])
-    betas, ib = unique_strings([d.beta for d in basis])
+    alphas, ia, betas, ib = basis_strings(basis)
     stride = len(betas)
     keys = ia * stride + ib
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
-        raise ConfigError("basis contains duplicates")
 
     tables = ta, tb = _spin_tables(ham, alphas), _spin_tables(ham, betas)
     eri = ham.two_body
@@ -535,16 +516,16 @@ def build_sparse_matrix(ham: ActiveSpaceHamiltonian,
             + n_double[1][ib] + n_single[0][ia] * n_single[1][ib])
     work_end = np.cumsum(work)
 
-    # In a full product of its strings, a key is its own sorted position.
+    # In a full product of its strings, a key is its own row.
     product = dim == len(alphas) * stride
 
     def find(targets):
         if product:
-            return np.ones(len(targets), dtype=bool), order[targets]
-        pos = np.searchsorted(sorted_keys, targets)
+            return np.ones(len(targets), dtype=bool), targets
+        pos = np.searchsorted(keys, targets)
         pos[pos == dim] = 0
-        hit = sorted_keys[pos] == targets
-        return hit, order[pos[hit]]
+        hit = keys[pos] == targets
+        return hit, pos[hit]
 
     # Row j holds the elements reached from basis[j]; H is real symmetric,
     # so each block of source determinants fills a contiguous run of rows.
@@ -695,8 +676,8 @@ class ProductHamiltonian:
     a short last block keep stale values that no gather reads.
     """
 
-    def __init__(self, ham: ActiveSpaceHamiltonian, alphas: list[int],
-                 betas: list[int]):
+    def __init__(self, ham: ActiveSpaceHamiltonian, alphas: np.ndarray,
+                 betas: np.ndarray):
         ta, tb = _spin_tables(ham, alphas), _spin_tables(ham, betas)
         n_a, n_b = len(alphas), len(betas)
         self.shape = (n_a * n_b,) * 2

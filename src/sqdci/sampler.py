@@ -245,22 +245,8 @@ class SectorState:
     n_beta: int
     amplitudes: np.ndarray
 
-    def basis(self) -> list[Determinant]:
+    def basis(self) -> np.ndarray:
         return sector_basis(self.n_orb, self.n_alpha, self.n_beta)
-
-
-def determinant_to_bitstring(det: Determinant, n_orb: int) -> str:
-    alpha = "".join("1" if det.alpha >> i & 1 else "0" for i in range(n_orb))
-    beta = "".join("1" if det.beta >> i & 1 else "0" for i in range(n_orb))
-    return alpha + beta
-
-
-def bitstring_to_determinant(bits: str, n_orb: int) -> Determinant:
-    if len(bits) != 2 * n_orb:
-        raise ConfigError("bitstring length does not match 2 * n_orb")
-    alpha = sum(1 << i for i in range(n_orb) if bits[i] == "1")
-    beta = sum(1 << i for i in range(n_orb) if bits[n_orb + i] == "1")
-    return Determinant(alpha, beta)
 
 
 def _givens_decompose(unitary: np.ndarray):
@@ -345,19 +331,19 @@ def lucj_state(params: LUCJParams, n_orb: int, n_alpha: int,
     dim = sector_dimension(n_orb, n_alpha, n_beta)
     if dim > SECTOR_DIMENSION_CAP:
         raise CapacityError(f"sector dimension {dim} over simulation bound")
-    dets = sector_basis(n_orb, n_alpha, n_beta)
+    basis = sector_basis(n_orb, n_alpha, n_beta)
+    dets = list(map(Determinant, *basis.T.tolist()))
     occ = None
     amps = np.zeros(dim, dtype=complex)
-    hf = hartree_fock_determinant(n_alpha, n_beta)
-    amps[dets.index(hf)] = 1.0
+    amps[dets.index(hartree_fock_determinant(n_alpha, n_beta))] = 1.0
     for K, J in params.layers:
         if K.shape != (n_orb, n_orb):
             raise ConfigError("K generator has wrong shape")
         amps = apply_orbital_rotation(amps, dets, K)
         if J is not None and np.any(J):
             if occ is None:
-                occ = np.hstack([occupation_rows([d.alpha for d in dets], n_orb),
-                                 occupation_rows([d.beta for d in dets], n_orb)])
+                occ = np.hstack([occupation_rows(basis[:, 0], n_orb),
+                                 occupation_rows(basis[:, 1], n_orb)])
             phases = np.einsum("dp,pq,dq->d", occ, J, occ)
             amps = amps * np.exp(1j * phases)
     if params.final_rotation is not None:
@@ -389,13 +375,9 @@ def sample_counts(state: SectorState, shots: int, seed: int) -> BitstringCounts:
     probs = probs / probs.sum()
     gen = rng.stream(seed, "sample")
     draws = gen.multinomial(shots, probs)
-    dets = state.basis()
     hit = np.flatnonzero(draws)
-    return BitstringCounts.packed(
-        2 * state.n_orb,
-        np.fromiter((dets[i].alpha for i in hit), np.uint64, count=len(hit)),
-        np.fromiter((dets[i].beta for i in hit), np.uint64, count=len(hit)),
-        draws[hit])
+    alpha, beta = state.basis()[hit].T
+    return BitstringCounts.packed(2 * state.n_orb, alpha, beta, draws[hit])
 
 
 def apply_readout_noise(counts: BitstringCounts,

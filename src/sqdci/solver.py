@@ -5,7 +5,8 @@ and a GD+k thick restart; ``dense_eigensolve`` is the direct
 oracle/fallback.
 ``solve_subspace`` picks between them by dimension and is the single
 entry point used by the SQD and HCI drivers. Both paths use numpy's
-LAPACK ``eigh``. Davidson multiplies by the matrix-free
+LAPACK ``eigh``. Bases are packed rows as :mod:`sqdci.hamiltonian` defines
+them, and vectors are in basis order. Davidson multiplies by the matrix-free
 :class:`~sqdci.hamiltonian.ProductHamiltonian` when the basis is the full
 product of its alpha and beta strings (SQD closures, the FCI sector),
 and by the builder's numpy CSR matrix otherwise (HCI, the extension,
@@ -22,17 +23,16 @@ import numpy as np
 
 from . import rng
 from .errors import CapacityError, ConfigError, ConvergenceError
-from .hamiltonian import (ActiveSpaceHamiltonian, Determinant,
-                          ProductHamiltonian, build_sparse_matrix, sector_basis,
-                          sigma_block_rows, unique_strings)
+from .hamiltonian import (ActiveSpaceHamiltonian, ProductHamiltonian,
+                          basis_strings, build_sparse_matrix, sector_basis,
+                          sigma_block_rows)
 
 DENSE_THRESHOLD = 512
 # Memory a product-space solve may plan for; see product_solve_bytes.
 MEMORY_BUDGET_BYTES = 4 << 30
-# A Determinant in the basis list (72 B, measured with tracemalloc on a
-# 6e5-determinant sector basis), the result's copy of the list, and the
-# string lists and index arrays of the product check; rounded up.
-BASIS_BYTES_PER_DETERMINANT = 160
+# The packed basis rows and the index arrays of the product check: 41 B
+# at their tracemalloc peak on (10,5,5) and (12,6,6) sectors; rounded up.
+BASIS_BYTES_PER_DETERMINANT = 48
 
 
 @dataclass
@@ -68,7 +68,7 @@ class SubspaceResult:
 
     energy: float
     vector: np.ndarray
-    basis: list[Determinant]
+    basis: np.ndarray
     dimension: int
     diagnostics: dict = field(default_factory=dict)
 
@@ -224,66 +224,48 @@ def davidson_lowest(matvec, diagonal, opts: DavidsonOptions) -> SpectrumResult:
                           converged=bool(converged and verified))
 
 
-def _product_operator(ham: ActiveSpaceHamiltonian, basis: list[Determinant],
-                      max_subspace: int):
-    """Matrix-free operator and grid keys when ``basis`` is a full product.
-
-    Returns ``None`` when ``basis`` is not the Cartesian product of its
-    distinct alpha and beta strings.
-    """
-    alphas, ia = unique_strings([d.alpha for d in basis])
-    betas, ib = unique_strings([d.beta for d in basis])
+def _product_operator(ham: ActiveSpaceHamiltonian, basis: np.ndarray,
+                      max_subspace: int) -> ProductHamiltonian | None:
+    """Matrix-free operator when ``basis`` is the full product of its
+    distinct alpha and beta strings, else ``None``."""
+    alphas, _, betas, _ = basis_strings(basis)
     if len(basis) != len(alphas) * len(betas):
         return None
-    # A basis with duplicates can still have the size of the product.
-    keys = ia * len(betas) + ib
-    if np.bincount(keys).max() > 1:
-        raise ConfigError("basis contains duplicates")
     _check_product_memory(ham.n_orb, len(alphas), len(betas), max_subspace)
-    return ProductHamiltonian(ham, alphas, betas), keys
+    return ProductHamiltonian(ham, alphas, betas)
 
 
-def solve_subspace(ham: ActiveSpaceHamiltonian, basis: list[Determinant],
+def solve_subspace(ham: ActiveSpaceHamiltonian, basis: np.ndarray,
                    opts: DavidsonOptions | None = None) -> SubspaceResult:
     """Ground state of H projected onto ``basis``.
 
     Below ``DENSE_THRESHOLD`` the CSR matrix is diagonalized directly.
     Above it, Davidson runs on the matrix-free :class:`ProductHamiltonian`
-    when ``basis`` is the full product of its strings (in any order), and
-    on the CSR matrix otherwise. Raises :class:`ConvergenceError` when
-    Davidson does not reach ``opts.residual_tol``.
+    when ``basis`` is the full product of its strings, and on the CSR
+    matrix otherwise. Raises :class:`ConfigError` for an empty, unsorted
+    or repeated basis and :class:`ConvergenceError` when Davidson does not
+    reach ``opts.residual_tol``.
     """
-    if not basis:
+    if not len(basis):
         raise ConfigError("empty determinant basis")
     opts = opts or DavidsonOptions()
     dim = len(basis)
     if dim < DENSE_THRESHOLD:
         spec = dense_eigensolve(build_sparse_matrix(ham, basis).toarray())
         return SubspaceResult(energy=spec.energies[0], vector=spec.vectors[0],
-                              basis=list(basis), dimension=dim,
+                              basis=basis, dimension=dim,
                               diagnostics={"method": "dense", "operator": "csr"})
 
-    product = _product_operator(ham, basis, opts.max_subspace)
-    if product is None:
-        mat = build_sparse_matrix(ham, basis)
-        matvec, diagonal, operator = mat.__matmul__, mat.diagonal(), "csr"
-    else:
-        op, keys = product
-        matvec, diagonal, operator = op.__matmul__, op.diagonal(), "product"
-        if not np.array_equal(keys, np.arange(dim)):
-            # Davidson works in basis order; sigma in the grid order.
-            def matvec(v):
-                grid = np.empty(dim)
-                grid[keys] = v
-                return (op @ grid)[keys]
-            diagonal = diagonal[keys]
-    spec = davidson_lowest(matvec, diagonal, opts)
+    op = (_product_operator(ham, basis, opts.max_subspace)
+          or build_sparse_matrix(ham, basis))
+    operator = "product" if isinstance(op, ProductHamiltonian) else "csr"
+    spec = davidson_lowest(op.__matmul__, op.diagonal(), opts)
     if not spec.converged:
         raise ConvergenceError(
             f"Davidson did not converge in {spec.iterations_used} "
             f"iterations (dimension {dim})")
     return SubspaceResult(energy=spec.energies[0], vector=spec.vectors[0],
-                          basis=list(basis), dimension=dim,
+                          basis=basis, dimension=dim,
                           diagnostics={"method": "davidson",
                                        "iterations": spec.iterations_used,
                                        "converged": spec.converged,
@@ -298,7 +280,7 @@ def product_solve_bytes(n_orb: int, n_alpha_strings: int, n_beta_strings: int,
     (2 * ``max_subspace`` vectors), eight work vectors (the diagonal, the
     Ritz vector, its residual, the correction and its denominators, the
     sigma output and its product temporary, the grid keys), and the
-    ``Determinant`` list. Per space: the dense string matrices, the
+    packed basis. Per space: the dense string matrices, the
     pair-integral block, and the D, F and gather buffers of one block.
     """
     dim = n_alpha_strings * n_beta_strings

@@ -5,6 +5,7 @@ the Hamming-valid shots only; later iterations first repair the invalid
 shots toward the current mean orbital occupations, then re-draw batches
 from the combined pool. The excitation extension re-diagonalizes each
 final batch eigenstate over its singles/doubles-augmented basis.
+Subspaces are the packed ``uint64`` bases of :mod:`sqdci.hamiltonian`.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import numpy as np
 
 from . import rng
 from .errors import CapacityError, ConfigError, EmptyValidSampleError
-from .hamiltonian import (ActiveSpaceHamiltonian, Determinant, excitations,
-                          occupation_rows, unique_strings)
+from .hamiltonian import (_BLOCK_CANDIDATES, ActiveSpaceHamiltonian,
+                          basis_strings, distinct_strings, merge_bases,
+                          occupation_rows)
 from .sampler import (BitstringCounts, merge_counts, pack_bits, shot_rows,
                       unpack_bits)
 from .solver import DavidsonOptions, solve_subspace
@@ -56,7 +58,7 @@ class ExtensionThresholds:
 
 @dataclass
 class BatchSolution:
-    basis: list[Determinant]
+    basis: np.ndarray
     vector: np.ndarray
     energy: float
     shot_weight: int
@@ -68,7 +70,7 @@ class SQDResult:
     energy: float
     energy_history: list[float]
     occupations: np.ndarray
-    basis: list[Determinant]
+    basis: np.ndarray
     dimension: int
     raw_dimension: int
     batches: list[BatchSolution] = field(default_factory=list)
@@ -133,23 +135,17 @@ def recover_configurations(invalid: BitstringCounts, occupations: np.ndarray,
     return merge_counts(nq, blocks)
 
 
-def build_subspace(samples: BitstringCounts, closure: bool) -> list[Determinant]:
-    """Determinant basis from sector-valid samples.
-
-    With closure on, the basis is the Cartesian product of the unique
-    alpha and beta strings observed; ordering is canonical (alpha value,
-    then beta value).
-    """
+def build_subspace(samples: BitstringCounts, closure: bool) -> np.ndarray:
+    """Determinant basis of sector-valid samples: their rows, or with
+    closure on the Cartesian product of their distinct alpha and beta
+    strings."""
     if not len(samples):
         raise ConfigError("empty sample set")
     if not closure:
-        order = np.lexsort((samples.beta, samples.alpha))
-        return list(map(Determinant, samples.alpha[order].tolist(),
-                        samples.beta[order].tolist()))
-    # Not np.unique: its first call imports numpy.ma (about 15 ms).
-    alphas = sorted(set(samples.alpha.tolist()))
-    betas = sorted(set(samples.beta.tolist()))
-    return [Determinant(a, b) for a in alphas for b in betas]
+        return merge_bases(np.column_stack([samples.alpha, samples.beta]))
+    alphas, betas = distinct_strings(samples.alpha), distinct_strings(samples.beta)
+    return np.column_stack([np.repeat(alphas, len(betas)),
+                            np.tile(betas, len(alphas))])
 
 
 def _empirical_occupations(counts: BitstringCounts) -> np.ndarray:
@@ -160,12 +156,11 @@ def _empirical_occupations(counts: BitstringCounts) -> np.ndarray:
 def _eigenvector_occupations(basis, vector, n_orb):
     """Alpha then beta orbital occupations of sum_d |c_d|^2 |d><d|."""
     weights = np.abs(np.asarray(vector)) ** 2
-    occ = []
-    for spin in (0, 1):
-        strings, index = unique_strings([det[spin] for det in basis])
-        occ.append(np.bincount(index, weights, minlength=len(strings))
-                   @ occupation_rows(strings, n_orb))
-    return np.concatenate(occ)
+    alphas, ia, betas, ib = basis_strings(basis)
+    return np.concatenate([
+        np.bincount(index, weights, minlength=len(strings))
+        @ occupation_rows(strings, n_orb)
+        for strings, index in ((alphas, ia), (betas, ib))])
 
 
 def _draw_batch(counts: BitstringCounts, size: int,
@@ -235,28 +230,49 @@ def sqd_ground_state(ham: ActiveSpaceHamiltonian, counts: BitstringCounts,
                      n_orb=ham.n_orb)
 
 
-def extend_subspace(eigenvector: np.ndarray, basis: list[Determinant],
-                    thresholds: ExtensionThresholds,
-                    n_orb: int) -> list[Determinant]:
-    """Excitation extension of a subspace eigenstate.
+def extend_subspace(eigenvector: np.ndarray, basis: np.ndarray,
+                    thresholds: ExtensionThresholds, n_orb: int) -> np.ndarray:
+    """Excitation extension of a subspace eigenstate, as a basis.
 
     Keeps configurations with |amplitude| >= discard_below, adds all
     their single excitations, and all double excitations of those with
-    |amplitude| > doubles_above; the result is deduplicated and stays in
-    the particle-number sector.
+    |amplitude| > doubles_above; the result stays in the particle-number
+    sector. A move XORs a string with a mask: a 2-bit mask is a single
+    where the string holds one of its bits, a 4-bit mask a same-spin double
+    where it holds two; alpha-beta doubles are the beta singles of the
+    alpha singles. Rows are expanded in chunks of about
+    ``_BLOCK_CANDIDATES`` mask tests.
     """
-    eigenvector = np.asarray(eigenvector)
+    eigenvector = np.abs(np.asarray(eigenvector))
     if len(eigenvector) != len(basis):
         raise ConfigError("eigenvector/basis dimension mismatch")
-    retained = [d for d, c in zip(basis, eigenvector)
-                if abs(c) >= thresholds.discard_below]
-    out = set(retained)
-    for det, coeff in zip(basis, eigenvector):
-        if abs(coeff) < thresholds.discard_below:
-            continue
-        out.update(excitations(det, n_orb,
-                               doubles=abs(coeff) > thresholds.doubles_above))
-    return sorted(out)
+    bit = np.uint64(1) << np.arange(n_orb, dtype=np.uint64)
+    low, high = np.triu_indices(n_orb, 1)
+    pairs = bit[low] | bit[high]
+    quads = (pairs[:, None] | pairs)[high[:, None] < low]
+
+    def moves(rows, masks, electrons, spin):
+        """Rows one move from ``rows`` in their ``spin`` string, one per
+        mask that holds ``electrons`` of its bits; in chunks of rows."""
+        step = max(1, _BLOCK_CANDIDATES // max(1, len(masks)))
+        for lo in range(0, len(rows), step):
+            block = rows[lo:lo + step]
+            row, col = np.nonzero(np.bitwise_count(
+                block[:, spin, None] & masks) == electrons)
+            moved = block[row]
+            moved[:, spin] ^= masks[col]
+            yield moved
+
+    kept = basis[eigenvector >= thresholds.discard_below]
+    doubles = basis[eigenvector > thresholds.doubles_above]
+    found = [kept]
+    for spin in (0, 1):
+        found += moves(kept, pairs, 1, spin)
+        found += moves(doubles, quads, 2, spin)
+    # Alpha-beta doubles: the beta singles of the alpha singles.
+    found += moves(np.concatenate([kept[:0], *moves(doubles, pairs, 1, 0)]),
+                   pairs, 1, 1)
+    return merge_bases(*found)
 
 
 def ext_sqd(ham: ActiveSpaceHamiltonian, prior: SQDResult,
@@ -276,15 +292,13 @@ def ext_sqd(ham: ActiveSpaceHamiltonian, prior: SQDResult,
     pool = prior.batches if batches is None else prior.batches[:batches]
     solutions = []
     for batch in pool:
-        extended = set(extend_subspace(batch.vector, batch.basis,
-                                       thresholds, ham.n_orb))
-        extended.update(batch.basis)
-        extended.update(prior.basis)
+        extended = merge_bases(extend_subspace(batch.vector, batch.basis,
+                                               thresholds, ham.n_orb),
+                               batch.basis, prior.basis)
         if len(extended) > dimension_cap:
             raise CapacityError(
                 f"extended dimension {len(extended)} exceeds cap {dimension_cap}")
-        ext_basis = sorted(extended)
-        solved = solve_subspace(ham, ext_basis, solver_opts)
+        solved = solve_subspace(ham, extended, solver_opts)
         solutions.append(BatchSolution(basis=solved.basis,
                                        vector=solved.vector,
                                        energy=solved.energy,

@@ -12,6 +12,16 @@ ONE_ORBITAL_FCIDUMP = (
 )
 
 
+def packed(dets) -> np.ndarray:
+    """A basis array of (alpha, beta) pairs, rows in the given order."""
+    return np.array(dets, dtype=np.uint64).reshape(-1, 2)
+
+
+def as_pairs(basis) -> list[tuple[int, int]]:
+    """(alpha, beta) tuples of Python ints, one per row of ``basis``."""
+    return [(int(a), int(b)) for a, b in basis]
+
+
 def symmetrize_eri(eri: np.ndarray) -> np.ndarray:
     """Copy one representative value over each 8-fold orbit of (pq|rs),
     so the symmetry holds bitwise exactly."""

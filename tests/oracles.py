@@ -18,7 +18,22 @@ from scipy.stats import binom
 
 
 def det_to_state(det, n_orb: int) -> int:
-    return det.alpha | (det.beta << n_orb)
+    alpha, beta = map(int, det)
+    return alpha | (beta << n_orb)
+
+
+def determinant_to_bitstring(det, n_orb: int) -> str:
+    """Counts-file bitstring of (alpha, beta): alpha bits 0..n-1, then beta."""
+    alpha, beta = map(int, det)
+    return ("".join("1" if alpha >> i & 1 else "0" for i in range(n_orb))
+            + "".join("1" if beta >> i & 1 else "0" for i in range(n_orb)))
+
+
+def bitstring_to_determinant(bits: str, n_orb: int) -> tuple[int, int]:
+    if len(bits) != 2 * n_orb:
+        raise ValueError("bitstring length does not match 2 * n_orb")
+    return (sum(1 << i for i in range(n_orb) if bits[i] == "1"),
+            sum(1 << i for i in range(n_orb) if bits[n_orb + i] == "1"))
 
 
 def _parity_below(state: int, q: int) -> int:
@@ -123,8 +138,8 @@ def one_rdm_alpha(vector, dets, n_orb: int) -> np.ndarray:
 
 def excitation_degree(d1, d2) -> int:
     """Number of spin-orbital moves between two determinants."""
-    return ((d1.alpha ^ d2.alpha).bit_count()
-            + (d1.beta ^ d2.beta).bit_count()) // 2
+    (a1, b1), (a2, b2) = map(int, d1), map(int, d2)
+    return ((a1 ^ a2).bit_count() + (b1 ^ b2).bit_count()) // 2
 
 
 def exhaustive_connected(ham, det, dets, cutoff=0.0):
@@ -150,6 +165,34 @@ def _orbitals(bits: int, n_orb: int) -> tuple[list[int], list[int]]:
     """Occupied and virtual orbitals of one spin string, ascending."""
     return ([p for p in range(n_orb) if bits >> p & 1],
             [p for p in range(n_orb) if not bits >> p & 1])
+
+
+def _with_string(det, spin: int, bits: int) -> tuple[int, int]:
+    """``det`` with its alpha (spin 0) or beta (spin 1) string replaced."""
+    return (bits, det[1]) if spin == 0 else (det[0], bits)
+
+
+def excitations(det, n_orb: int, doubles: bool = True) -> list[tuple[int, int]]:
+    """Determinants one spin-orbital move from ``det`` (and two, with ``doubles``).
+
+    Purely combinatorial (no integral screening); stays in the sector of
+    ``det`` by construction and lists each determinant once, never
+    ``det`` itself.
+    """
+    strings = tuple(map(int, det))
+    orbs = [_orbitals(bits, n_orb) for bits in strings]
+    singles = [[bits ^ (1 << h) ^ (1 << p) for h in occ for p in vir]
+               for bits, (occ, vir) in zip(strings, orbs)]
+    out = [_with_string(strings, spin, bits)
+           for spin in (0, 1) for bits in singles[spin]]
+    if doubles:
+        for spin, (occ, vir) in enumerate(orbs):
+            out += [_with_string(strings, spin, strings[spin] ^ (1 << h1)
+                                 ^ (1 << h2) ^ (1 << p1) ^ (1 << p2))
+                    for h1, h2 in itertools.combinations(occ, 2)
+                    for p1, p2 in itertools.combinations(vir, 2)]
+        out += [(a, b) for a in singles[0] for b in singles[1]]
+    return out
 
 
 def _double_move(bits: int, h1: int, h2: int, p1: int,
@@ -338,11 +381,12 @@ def density_density_phases(J: np.ndarray, dets, n_orb: int) -> np.ndarray:
     """phi_d = sum_{p sigma, r tau} J[ps, rt] <d|n_ps n_rt|d> per determinant."""
     phases = np.zeros(len(dets))
     for i, det in enumerate(dets):
+        alpha, beta = map(int, det)
         occ = np.zeros(2 * n_orb)
         for p in range(n_orb):
-            if det.alpha >> p & 1:
+            if alpha >> p & 1:
                 occ[p] = 1.0
-            if det.beta >> p & 1:
+            if beta >> p & 1:
                 occ[n_orb + p] = 1.0
         phases[i] = occ @ J @ occ
     return phases

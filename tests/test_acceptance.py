@@ -10,18 +10,18 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ONE_ORBITAL_FCIDUMP, random_hamiltonian
-from oracles import (brute_force_matrix, excitation_degree, one_rdm_alpha,
-                     total_variation, valid_probability_after_flips)
+from conftest import ONE_ORBITAL_FCIDUMP, as_pairs, packed, random_hamiltonian
+from oracles import (brute_force_matrix, determinant_to_bitstring,
+                     excitation_degree, one_rdm_alpha, total_variation,
+                     valid_probability_after_flips)
 import scipy.linalg
 
 from sqdci.baselines import HCIOptions, ext_hci, hci_variational
 from sqdci.cli import RunConfig, execute_run, reaction_report
-from sqdci.hamiltonian import (Determinant, build_sparse_matrix,
-                               hartree_fock_determinant, sector_basis)
+from sqdci.hamiltonian import (build_sparse_matrix, hartree_fock_determinant,
+                               sector_basis)
 from sqdci.sampler import (LUCJParams, NoiseModel, apply_readout_noise,
-                           determinant_to_bitstring, lucj_state,
-                           sample_counts, state_from_ci_vector)
+                           lucj_state, sample_counts, state_from_ci_vector)
 from sqdci.solver import DavidsonOptions, davidson_lowest, dense_eigensolve, fci_ground_state
 from sqdci.sqd import (ExtensionThresholds, RecoveryConfig, ext_sqd,
                        extend_subspace, partition_by_hamming,
@@ -156,18 +156,18 @@ def test_criterion_05_recovery_efficacy():
 
 def test_criterion_06_extension_thresholds():
     n = 4
-    d1 = Determinant(0b0011, 0b0011)   # amplitude 0.2: singles + doubles
-    d2 = Determinant(0b0101, 0b0011)   # amplitude 0.05: singles only
-    d3 = Determinant(0b1100, 0b1100)   # amplitude 0.005: discarded
+    d1 = (0b0011, 0b0011)   # amplitude 0.2: singles + doubles
+    d2 = (0b0101, 0b0011)   # amplitude 0.05: singles only
+    d3 = (0b1100, 0b1100)   # amplitude 0.005: discarded
     vector = np.array([0.2, 0.05, 0.005])
-    out = set(extend_subspace(vector, [d1, d2, d3],
-                              ExtensionThresholds(), n))
+    out = as_pairs(extend_subspace(vector, packed([d1, d2, d3]),
+                                   ExtensionThresholds(), n))
     expected = {d1, d2}
-    expected |= {d for d in sector_basis(n, 2, 2)
+    expected |= {d for d in as_pairs(sector_basis(n, 2, 2))
                  if 1 <= excitation_degree(d1, d) <= 2}
-    expected |= {d for d in sector_basis(n, 2, 2)
+    expected |= {d for d in as_pairs(sector_basis(n, 2, 2))
                  if excitation_degree(d2, d) == 1}
-    assert out == expected
+    assert out == sorted(expected)
     assert d3 not in out
     print("criterion 6: PASS — amplitudes (0.2, 0.05, 0.005) yield "
           "singles+doubles / singles / dropped under thresholds 1e-2/1e-1")

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from conftest import random_hamiltonian
+from conftest import as_pairs, packed, random_hamiltonian
 from oracles import brute_force_matrix, reference_connected
 from sqdci.baselines import HCIOptions, ext_hci, hci_variational
 from sqdci.errors import ConfigError
@@ -56,22 +57,22 @@ def test_hci_options_validation():
 def _reference_hci(ham, epsilon1, max_iterations=50, energy_tol=1e-9):
     """The HCI sweep one determinant at a time, on the reference
     generator and Python sets: (result, sweeps)."""
-    current = solve_subspace(ham, [ham.hf_determinant()])
+    current = solve_subspace(ham, packed([ham.hf_determinant()]))
     sweeps = 0
     for sweeps in range(1, max_iterations + 1):
-        in_basis = set(current.basis)
+        in_basis = set(as_pairs(current.basis))
         new = set()
-        for det, coeff in zip(current.basis, current.vector):
+        for det, coeff in zip(as_pairs(current.basis), current.vector):
             amp = abs(coeff)
             if amp < 1e-14:
                 continue
-            new.update(Determinant(*target) for target, _ in
-                       reference_connected(ham, det, epsilon1 / amp))
+            new.update(target for target, _ in
+                       reference_connected(ham, Determinant(*det), epsilon1 / amp))
         new -= in_basis
         if not new:
             break
         previous_energy = current.energy
-        current = solve_subspace(ham, sorted(in_basis | new))
+        current = solve_subspace(ham, packed(sorted(in_basis | new)))
         if abs(previous_energy - current.energy) < energy_tol:
             break
     return current, sweeps
@@ -85,7 +86,7 @@ def test_hci_basis_matches_reference_sweep(n_beta, epsilon1):
                              diagonal_spread=3.0)
     expected, sweeps = _reference_hci(ham, epsilon1)
     result = hci_variational(ham, HCIOptions(epsilon1=epsilon1))
-    assert result.basis == expected.basis
+    assert np.array_equal(result.basis, expected.basis)
     assert result.diagnostics["hci_sweeps"] == sweeps
     assert abs(result.energy - expected.energy) <= 1e-12
 
@@ -119,4 +120,4 @@ def test_extension_code_path_shared(ham_4e4o):
                         ham_4e4o.n_orb)
     b = extend_subspace(prior.vector, prior.basis, ExtensionThresholds(),
                         ham_4e4o.n_orb)
-    assert a == b
+    assert np.array_equal(a, b)

@@ -233,10 +233,15 @@ def test_main_hci_records_are_strict_json(fixture_2e2o, tmp_path):
                  "--out", str(out)]) == 0
     record = json.loads(out.read_text(), parse_constant=reject)
     assert record["config"]["epsilon1"] == 0.01
-    # An infinite threshold stays legal: it keeps only the HF determinant.
-    assert main(["run", "--hamiltonian", str(fixture_2e2o), "--method", "hci",
-                 "--epsilon1", "inf", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["dimension"] == 1
+    # Infinite thresholds stay legal (epsilon1 inf keeps only the HF
+    # determinant) and are echoed as strings.
+    for flag, field, dimension in (("--epsilon1", "epsilon1", 1),
+                                   ("--eta", "eta", 4)):
+        assert main(["run", "--hamiltonian", str(fixture_2e2o), "--method",
+                     "hci", flag, "inf", "--out", str(out)]) == 0
+        record = json.loads(out.read_text(), parse_constant=reject)
+        assert record["config"][field] == "inf"
+        assert record["dimension"] == dimension
 
 
 @pytest.mark.parametrize("line", ["shots = many", "flip_probability = lots",
@@ -301,9 +306,10 @@ def test_sqdci_threads_applied_before_numpy_loads():
 
 def test_cli_runs_load_no_scipy(tmp_path):
     # FCI at dimension 1225 takes the Davidson path; the LUCJ sampler with
-    # readout noise takes the orbital-rotation exp/log and recovery paths.
-    # numpy.ma must stay unloaded too: np.unique imports it on first call
-    # (about 15 ms), so the run path avoids np.unique.
+    # readout noise takes the orbital-rotation exp/log and recovery paths;
+    # ext-sqd and closure 0 take the extension, the basis unions and the
+    # unclosed batch basis. numpy.ma must stay unloaded too: np.unique
+    # imports it on first call (about 15 ms), so the run path avoids it.
     large, small = tmp_path / "h7.fcidump", tmp_path / "h4.fcidump"
     write_fcidump_path(random_hamiltonian(7, 3, 3, seed=25), large)
     write_fcidump_path(random_hamiltonian(4, 2, 2, seed=26), small)
@@ -318,6 +324,10 @@ def test_cli_runs_load_no_scipy(tmp_path):
          "--samples-per-batch", "20"],
         ["--hamiltonian", str(small), "--method", "ext-hci",
          "--epsilon1", "0.01"],
+        *(["--hamiltonian", str(small), "--method", method, "--sampler",
+           "ci-vector", "--shots", "2000", "--iterations", "2", "--batches",
+           "2", "--samples-per-batch", "20", "--closure", closure]
+          for method, closure in (("ext-sqd", "1"), ("sqd", "0"))),
     ]
     runs = [["run", *argv, "--out", str(tmp_path / f"{i}.json")]
             for i, argv in enumerate(runs)]
@@ -330,7 +340,7 @@ def test_cli_runs_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)],
                          env=env, check=True, capture_output=True, text=True,
                          timeout=120).stdout
-    assert json.loads(out) == [[0, 0, 0], []]
+    assert json.loads(out) == [[0] * 5, []]
     assert json.loads((tmp_path / "0.json").read_text())["dimension"] == 1225
 
 

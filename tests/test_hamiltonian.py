@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_hamiltonian
-from oracles import (brute_force_matrix, excitation_degree,
+from conftest import as_pairs, packed, random_hamiltonian
+from oracles import (brute_force_matrix, excitation_degree, excitations,
                      exhaustive_connected, reference_connected,
                      spin_string_tables)
 from sqdci import hamiltonian
@@ -15,7 +15,7 @@ from sqdci.errors import ConfigError
 from sqdci.hamiltonian import (ActiveSpaceHamiltonian, Determinant,
                                ProductHamiltonian, _spin_tables,
                                build_sparse_matrix, connected_determinants,
-                               excitations, hartree_fock_determinant,
+                               hartree_fock_determinant, merge_bases,
                                occupation_rows, sector_basis)
 
 
@@ -25,13 +25,13 @@ def test_one_orbital_closed_shell_diagonal():
                                  one_body=np.array([[-1.0]]),
                                  two_body=np.full((1, 1, 1, 1), 0.5))
     # 2*h00 + (00|00) + E0 = 2*(-1.0) + 0.5 + 0.25
-    built = build_sparse_matrix(ham, [Determinant(1, 1)]).toarray()
+    built = build_sparse_matrix(ham, packed([(1, 1)])).toarray()
     assert built[0, 0] == pytest.approx(-1.25, abs=1e-14)
 
 
 def test_empty_determinant_diagonal_is_core_energy():
     ham = random_hamiltonian(3, 1, 1, seed=0)
-    built = build_sparse_matrix(ham, [Determinant(0, 0)]).toarray()
+    built = build_sparse_matrix(ham, packed([(0, 0)])).toarray()
     assert built[0, 0] == ham.core_energy
 
 
@@ -54,31 +54,30 @@ def test_built_matrix_is_symmetric():
 def test_cross_sector_elements_vanish():
     # Basis spanning the (2,1), (3,1), (2,2) and (1,2) sectors.
     ham = random_hamiltonian(3, 2, 1, seed=4)
-    d1 = Determinant(0b011, 0b001)
-    others = [Determinant(0b111, 0b001), Determinant(0b011, 0b011),
-              Determinant(0b001, 0b011)]
-    basis = [d1] + others
+    d1 = (0b011, 0b001)  # row 1 of the sorted basis
+    basis = packed(sorted([d1, (0b111, 0b001), (0b011, 0b011), (0b001, 0b011)]))
     built = build_sparse_matrix(ham, basis).toarray()
     assert np.max(np.abs(built - brute_force_matrix(ham, basis))) < 1e-12
-    assert np.all(built[0, 1:] == 0.0) and np.all(built[1:, 0] == 0.0)
+    others = [0, 2, 3]
+    assert np.all(built[1, others] == 0.0) and np.all(built[others, 1] == 0.0)
 
 
 def test_triple_excitation_vanishes():
     ham = random_hamiltonian(4, 2, 2, seed=8)
-    d1 = Determinant(0b0011, 0b0011)
-    d2 = Determinant(0b1100, 0b0101)  # 3 spin-orbital moves
+    d1 = (0b0011, 0b0011)
+    d2 = (0b1100, 0b0101)  # 3 spin-orbital moves
     assert excitation_degree(d1, d2) == 3
     # A double of d1 keeps the basis from being block-diagonal by accident.
-    basis = [d1, d2, Determinant(0b0101, 0b0101)]
+    basis = packed([d1, (0b0101, 0b0101), d2])
     built = build_sparse_matrix(ham, basis).toarray()
     assert np.max(np.abs(built - brute_force_matrix(ham, basis))) < 1e-12
-    assert built[0, 1] == 0.0 and built[1, 0] == 0.0
-    assert built[0, 2] != 0.0
+    assert built[0, 2] == 0.0 and built[2, 0] == 0.0
+    assert built[0, 1] != 0.0
 
 
 def test_connected_determinants_matches_exhaustive_enumeration():
     ham = random_hamiltonian(4, 2, 1, seed=9)
-    basis = sector_basis(4, 2, 1)
+    basis = as_pairs(sector_basis(4, 2, 1))
     det = hartree_fock_determinant(2, 1)
     got = dict(reference_connected(ham, det))
     expected = dict(exhaustive_connected(ham, det, basis))
@@ -92,7 +91,7 @@ def test_connected_cutoff_screens_and_keeps_exact_singles():
     det = hartree_fock_determinant(2, 2)
     cutoff = 0.05
     pairs = reference_connected(ham, det, cutoff)
-    exact = dict(exhaustive_connected(ham, det, ham.sector_basis()))
+    exact = dict(exhaustive_connected(ham, det, as_pairs(ham.sector_basis())))
     for other, value in pairs:
         assert value == pytest.approx(exact[other], abs=1e-12)
         if excitation_degree(det, Determinant(*other)) == 1:
@@ -125,7 +124,8 @@ def _heat_bath_batch(draw):
             two_body=np.round(ham.two_body * 64) / 64)
     sectors = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)),
                             min_size=1, max_size=2))
-    pool = sorted({d for na, nb in sectors for d in sector_basis(n, na, nb)})
+    pool = sorted({Determinant(*d) for na, nb in sectors
+                   for d in as_pairs(sector_basis(n, na, nb))})
     sources = draw(st.lists(st.sampled_from(pool), max_size=10, unique=True))
     cutoffs = []
     for det in sources:
@@ -185,7 +185,7 @@ def test_csr_matrix_operations_match_dense():
     ref = random_hamiltonian(4, 2, 1, seed=14)
     ham = ActiveSpaceHamiltonian(n_orb=4, n_alpha=2, n_beta=1, core_energy=0.0,
                                  one_body=ref.one_body, two_body=ref.two_body)
-    basis = [Determinant(0, 0)] + sector_basis(4, 2, 1) + [Determinant(0b11, 0b11)]
+    basis = merge_bases(packed([(0, 0), (0b11, 0b11)]), sector_basis(4, 2, 1))
     built = build_sparse_matrix(ham, basis)
     dense = built.toarray()
     dim = len(basis)
@@ -209,13 +209,15 @@ def _subset_problem(draw):
     sector, sometimes mixed with a second (possibly empty-spin) sector."""
     n = draw(st.integers(1, 5))
     na, nb = draw(st.integers(1, n)), draw(st.integers(1, n))
-    pool = sector_basis(n, na, nb)
+    pool = as_pairs(sector_basis(n, na, nb))
     if draw(st.booleans()):
-        pool += sector_basis(n, draw(st.integers(0, n)), draw(st.integers(0, n)))
+        pool += as_pairs(sector_basis(n, draw(st.integers(0, n)),
+                                      draw(st.integers(0, n))))
     pool = sorted(set(pool))
     basis = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=24,
                           unique=True))
-    return random_hamiltonian(n, na, nb, seed=draw(st.integers(0, 2**16))), basis
+    return (random_hamiltonian(n, na, nb, seed=draw(st.integers(0, 2**16))),
+            packed(sorted(basis)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -240,6 +242,7 @@ def _slater_condon_diagonal(ham, det):
 
 
 def _matrix_from_connected(ham, basis):
+    basis = [Determinant(*d) for d in as_pairs(basis)]
     index = {d: i for i, d in enumerate(basis)}
     mat = np.zeros((len(basis), len(basis)))
     for j, det in enumerate(basis):
@@ -254,14 +257,14 @@ def test_builder_matches_connected_generator_at_eight_orbitals():
     # The HCI selection values and the builder must agree.
     gen = np.random.default_rng(5)
     ham = random_hamiltonian(8, 4, 4, seed=30)
-    full = ham.sector_basis()
-    alphas = sorted(gen.choice(sorted({d.alpha for d in full}), 20, replace=False))
-    betas = sorted(gen.choice(sorted({d.beta for d in full}), 20, replace=False))
-    product = [Determinant(int(a), int(b)) for a in alphas for b in betas]
+    strings = _strings(8, 4)
+    alphas = sorted(gen.choice(strings, 20, replace=False))
+    betas = sorted(gen.choice(strings, 20, replace=False))
+    product = packed([(a, b) for a in alphas for b in betas])
     open_shell = random_hamiltonian(8, 4, 3, seed=31)
     sector = open_shell.sector_basis()
     picks = sorted(gen.choice(len(sector), 400, replace=False))
-    for h, basis in ((ham, product), (open_shell, [sector[i] for i in picks])):
+    for h, basis in ((ham, product), (open_shell, sector[picks])):
         built = build_sparse_matrix(h, basis).toarray()
         assert np.max(np.abs(built - _matrix_from_connected(h, basis))) < 1e-12
 
@@ -270,14 +273,14 @@ def test_builder_rejects_duplicate_basis():
     ham = random_hamiltonian(2, 1, 1, seed=15)
     basis = ham.sector_basis()
     with pytest.raises(ConfigError):
-        build_sparse_matrix(ham, basis + [basis[0]])
+        build_sparse_matrix(ham, np.vstack([basis, basis[:1]]))
 
 
 def test_excitations_complete():
     n = 4
-    for det, (na, nb) in ((Determinant(0b0011, 0b0101), (2, 2)),
-                          (Determinant(0b0111, 0b0001), (3, 1))):
-        sector = sector_basis(n, na, nb)
+    for det, (na, nb) in (((0b0011, 0b0101), (2, 2)),
+                          ((0b0111, 0b0001), (3, 1))):
+        sector = as_pairs(sector_basis(n, na, nb))
         for doubles, top in ((True, 2), (False, 1)):
             got = excitations(det, n, doubles=doubles)
             assert len(got) == len(set(got))
@@ -287,9 +290,8 @@ def test_excitations_complete():
 
 def test_sector_basis_ordering_and_size():
     basis = sector_basis(4, 2, 2)
-    assert len(basis) == 36
-    assert basis == sorted(basis)
-    assert len(set(basis)) == 36
+    assert basis.shape == (36, 2) and basis.dtype == np.uint64
+    assert as_pairs(basis) == sorted(set(as_pairs(basis)))
 
 
 def test_asymmetric_integrals_rejected():
@@ -311,7 +313,7 @@ def test_hamiltonian_arrays_are_read_only():
 
 
 def _strings(n, k):
-    return sorted({d.alpha for d in sector_basis(n, k, 1)})
+    return sorted(set(sector_basis(n, k, 1)[:, 0].tolist()))
 
 
 def _sigma_matrix(op):
@@ -344,7 +346,7 @@ def test_product_sigma_matches_oracle(problem):
 def test_product_sigma_matches_csr_on_full_sector():
     ham = random_hamiltonian(8, 4, 4, seed=32)
     basis = ham.sector_basis()
-    strings = sorted({d.alpha for d in basis})
+    strings = _strings(8, 4)
     op = ProductHamiltonian(ham, strings, strings)
     csr = build_sparse_matrix(ham, basis)
     vectors = np.random.default_rng(3).normal(size=(3, len(basis)))

@@ -4,14 +4,16 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (apply_operator_string, density_density_phases,
-                     det_to_state, one_body_operator_matrix, one_rdm_alpha,
-                     total_variation, valid_probability_after_flips)
+from conftest import as_pairs
+from oracles import (apply_operator_string, bitstring_to_determinant,
+                     density_density_phases, det_to_state,
+                     determinant_to_bitstring, one_body_operator_matrix,
+                     one_rdm_alpha, total_variation,
+                     valid_probability_after_flips)
 from sqdci.errors import ConfigError
 from sqdci.hamiltonian import Determinant, hartree_fock_determinant, sector_basis
 from sqdci.sampler import (BitstringCounts, LUCJParams, NoiseModel,
                            apply_orbital_rotation, apply_readout_noise,
-                           bitstring_to_determinant, determinant_to_bitstring,
                            lucj_params_from_ccsd, lucj_state, read_counts,
                            sample_counts, state_from_ci_vector, write_counts)
 from sqdci.sampler import _expm_antisymmetric, _real_log_orthogonal
@@ -24,7 +26,7 @@ def random_antisymmetric(n, seed, scale=0.5):
 
 
 def rhf_index(dets, n_alpha, n_beta):
-    return dets.index(hartree_fock_determinant(n_alpha, n_beta))
+    return as_pairs(dets).index(hartree_fock_determinant(n_alpha, n_beta))
 
 
 # ---------------------------------------------------------------- bitstrings
@@ -32,12 +34,12 @@ def rhf_index(dets, n_alpha, n_beta):
 @settings(max_examples=50, deadline=None)
 @given(alpha=st.integers(0, 31), beta=st.integers(0, 31))
 def test_bitstring_round_trip(alpha, beta):
-    det = Determinant(alpha, beta)
+    det = (alpha, beta)
     assert bitstring_to_determinant(determinant_to_bitstring(det, 5), 5) == det
 
 
 def test_bitstring_layout_bit0_leftmost():
-    assert determinant_to_bitstring(Determinant(0b001, 0b100), 3) == "100001"
+    assert determinant_to_bitstring((0b001, 0b100), 3) == "100001"
 
 
 # ------------------------------------------------------------ state building
@@ -55,7 +57,7 @@ def test_orbital_rotation_matches_matrix_exponential_oracle():
     # second-quantized generator's exact matrix exponential.
     for n, na, nb, seed in [(3, 2, 1, 0), (4, 2, 2, 1), (4, 3, 1, 2)]:
         K = random_antisymmetric(n, seed)
-        dets = sector_basis(n, na, nb)
+        dets = [Determinant(*d) for d in as_pairs(sector_basis(n, na, nb))]
         gen_mat = one_body_operator_matrix(K, dets, n)
         exact = scipy.linalg.expm(gen_mat)
         rng = np.random.default_rng(seed + 10)
@@ -159,8 +161,7 @@ def test_state_norm_and_sector_confinement():
         final_rotation=random_antisymmetric(n, 10))
     state = lucj_state(params, n, na, nb)
     assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-10)
-    for det in state.basis():
-        assert det.n_alpha() == na and det.n_beta() == nb
+    assert np.all(np.bitwise_count(state.basis()) == [na, nb])
 
 
 def test_params_validation():

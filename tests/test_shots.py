@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import sqdci.sqd
-from oracles import readout_noise_per_key, recovery_per_shot
+from oracles import (bitstring_to_determinant, readout_noise_per_key,
+                     recovery_per_shot)
 from sqdci import rng
 from sqdci.errors import CapacityError, ConfigError
 from sqdci.sampler import (BitstringCounts, NoiseModel, apply_readout_noise,
-                           bitstring_to_determinant, read_counts,
-                           sample_counts, state_from_ci_vector)
+                           read_counts, sample_counts, state_from_ci_vector)
 from sqdci.sqd import recover_configurations
 
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from conftest import random_hamiltonian
+from conftest import packed, random_hamiltonian
 from oracles import brute_force_matrix
 from sqdci.errors import CapacityError, ConfigError, ConvergenceError
-from sqdci.hamiltonian import Determinant, build_sparse_matrix
+from sqdci.hamiltonian import build_sparse_matrix
 from sqdci.solver import (DENSE_THRESHOLD, DavidsonOptions, davidson_lowest,
                           dense_eigensolve, fci_ground_state,
                           product_solve_bytes, solve_subspace)
@@ -139,7 +139,7 @@ def test_fci_one_orbital_single_determinant():
     result = fci_ground_state(ham)
     assert result.dimension == 1
     assert result.energy == pytest.approx(
-        brute_force_matrix(ham, [Determinant(1, 1)])[0, 0], abs=1e-12)
+        brute_force_matrix(ham, [(1, 1)])[0, 0], abs=1e-12)
 
 
 def test_fci_matches_brute_force_dense():
@@ -208,8 +208,8 @@ def test_fci_takes_product_path_and_matches_dense(monkeypatch):
 def test_product_closure_at_threshold_is_matrix_free(monkeypatch):
     # 16 x 32 strings of (7,3,3): exactly DENSE_THRESHOLD determinants.
     ham = random_hamiltonian(7, 3, 3, seed=27, diagonal_spread=1.0)
-    strings = sorted({d.alpha for d in ham.sector_basis()})
-    basis = [Determinant(a, b) for a in strings[:16] for b in strings[:32]]
+    strings = sorted(set(ham.sector_basis()[:, 0].tolist()))
+    basis = packed([(a, b) for a in strings[:16] for b in strings[:32]])
     assert len(basis) == DENSE_THRESHOLD
     exact = np.linalg.eigvalsh(build_sparse_matrix(ham, basis).toarray())[0]
     monkeypatch.setattr("sqdci.solver.build_sparse_matrix", _no_csr)
@@ -218,33 +218,34 @@ def test_product_closure_at_threshold_is_matrix_free(monkeypatch):
     assert result.energy == pytest.approx(exact, abs=1e-10)
 
 
-def test_shuffled_product_basis_gives_same_state():
+@pytest.mark.parametrize("size", [30, 600])  # the dense and Davidson paths
+def test_unsorted_or_repeated_basis_rejected(size):
+    # Bases must be distinct rows in (alpha, beta) order: a swapped pair
+    # (in alpha or only in beta) or a repeated row is a ConfigError, on a
+    # full product of strings (size 600) as well as on a part of one.
     ham = random_hamiltonian(7, 3, 3, seed=28, diagonal_spread=1.0)
-    strings = sorted({d.alpha for d in ham.sector_basis()})
-    basis = [Determinant(a, b) for a in strings[:20] for b in strings[:30]]
-    order = np.random.default_rng(6).permutation(len(basis))
-    shuffled = [basis[i] for i in order]
-    canonical = solve_subspace(ham, basis)
-    permuted = solve_subspace(ham, shuffled)
-    assert permuted.diagnostics["operator"] == "product"
-    assert permuted.basis == shuffled
-    assert permuted.energy == pytest.approx(canonical.energy, abs=1e-10)
-    overlap = permuted.vector @ canonical.vector[order]
-    assert abs(overlap) == pytest.approx(1.0, abs=1e-8)
-    residual = (build_sparse_matrix(ham, shuffled) @ permuted.vector
-                - permuted.energy * permuted.vector)
-    assert np.linalg.norm(residual) < 1e-7
+    strings = sorted(set(ham.sector_basis()[:, 0].tolist()))
+    basis = packed([(a, b) for a in strings[:20] for b in strings[:30]])[:size]
+    swapped_alpha, swapped_beta = basis.copy(), basis.copy()
+    swapped_alpha[[0, -1]] = basis[[-1, 0]]
+    swapped_beta[[0, 1]] = basis[[1, 0]]
+    repeated = np.vstack([basis[:1], basis[:-1]])
+    for bad in (swapped_alpha, swapped_beta, repeated):
+        for solve in (solve_subspace, build_sparse_matrix):
+            with pytest.raises(ConfigError, match="distinct"):
+                solve(ham, bad)
+    assert solve_subspace(ham, basis).dimension == size
 
 
 def test_duplicate_basis_of_product_size_rejected():
     # 20 x 30 distinct strings, but one product determinant repeated in
     # place of another: the size still equals the product's.
     ham = random_hamiltonian(7, 3, 3, seed=29)
-    strings = sorted({d.alpha for d in ham.sector_basis()})
-    basis = [Determinant(a, b) for a in strings[:20] for b in strings[:30]]
+    strings = sorted(set(ham.sector_basis()[:, 0].tolist()))
+    basis = packed([(a, b) for a in strings[:20] for b in strings[:30]])
     basis[-1] = basis[0]
-    basis[-2] = Determinant(strings[19], strings[29])
-    with pytest.raises(ConfigError, match="duplicates"):
+    basis[-2] = (strings[19], strings[29])
+    with pytest.raises(ConfigError, match="distinct"):
         solve_subspace(ham, basis)
 
 

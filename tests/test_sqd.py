@@ -1,12 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_force_matrix, excitation_degree
+from conftest import as_pairs, packed
+from oracles import (brute_force_matrix, determinant_to_bitstring,
+                     excitation_degree, excitations)
+from sqdci import sqd
 from sqdci.errors import CapacityError, ConfigError, EmptyValidSampleError
-from sqdci.hamiltonian import (Determinant, hartree_fock_determinant,
+from sqdci.hamiltonian import (hartree_fock_determinant, merge_bases,
                                sector_basis)
-from sqdci.sampler import (BitstringCounts, determinant_to_bitstring,
-                           sample_counts, state_from_ci_vector)
+from sqdci.sampler import BitstringCounts, sample_counts, state_from_ci_vector
 from sqdci.solver import fci_ground_state
 from sqdci.sqd import (ExtensionThresholds, RecoveryConfig,
                        _eigenvector_occupations, build_subspace, ext_sqd,
@@ -99,13 +105,13 @@ def test_recovery_rejects_bad_occupations():
 
 def test_eigenvector_occupations_match_per_determinant_loop():
     n = 5
-    basis = sector_basis(n, 2, 3)[::3] + sector_basis(n, 1, 1)[::4]
+    basis = merge_bases(sector_basis(n, 2, 3)[::3], sector_basis(n, 1, 1)[::4])
     vector = np.random.default_rng(4).normal(size=len(basis))
     expected = np.zeros(2 * n)
-    for det, c in zip(basis, vector):
+    for (alpha, beta), c in zip(as_pairs(basis), vector):
         for p in range(n):
-            expected[p] += c * c * (det.alpha >> p & 1)
-            expected[n + p] += c * c * (det.beta >> p & 1)
+            expected[p] += c * c * (alpha >> p & 1)
+            expected[n + p] += c * c * (beta >> p & 1)
     got = _eigenvector_occupations(basis, vector, n)
     assert np.max(np.abs(got - expected)) < 1e-12
 
@@ -113,14 +119,16 @@ def test_eigenvector_occupations_match_per_determinant_loop():
 def test_build_subspace_closure_product():
     counts = BitstringCounts(4, {"1001": 2, "0110": 1})
     basis = build_subspace(counts, closure=True)
-    assert len(basis) == 4  # 2 alpha strings x 2 beta strings
+    # 2 alpha strings x 2 beta strings, in (alpha, beta) order.
+    assert basis.dtype == np.uint64
+    assert as_pairs(basis) == [(1, 1), (1, 2), (2, 1), (2, 2)]
     raw = build_subspace(counts, closure=False)
-    assert len(raw) == 2
+    assert as_pairs(raw) == [(1, 2), (2, 1)]
 
 
 def test_build_subspace_duplicates_collapse():
     counts = BitstringCounts(4, {"1010": 5})
-    assert build_subspace(counts, closure=False) == [Determinant(1, 1)]
+    assert as_pairs(build_subspace(counts, closure=False)) == [(1, 1)]
 
 
 def test_build_subspace_empty_rejected():
@@ -198,41 +206,88 @@ def test_closure_never_raises_energy(ham_4e4o):
 
 def test_extension_threshold_example():
     n, na, nb = 4, 2, 2
-    d1 = Determinant(0b0011, 0b0011)
-    d2 = Determinant(0b0101, 0b0011)
-    d3 = Determinant(0b1100, 0b1100)  # >2 moves from d1, >1 from d2
-    basis = [d1, d2, d3]
+    d1 = (0b0011, 0b0011)
+    d2 = (0b0101, 0b0011)
+    d3 = (0b1100, 0b1100)  # >2 moves from d1, >1 from d2
+    basis = packed([d1, d2, d3])
     vector = np.array([0.2, 0.05, 0.005])
-    out = set(extend_subspace(vector, basis, ExtensionThresholds(), n))
+    out = as_pairs(extend_subspace(vector, basis, ExtensionThresholds(), n))
+    sector = as_pairs(sector_basis(n, na, nb))
     expected = {d1, d2}
-    expected |= {d for d in sector_basis(n, na, nb)
-                 if 1 <= excitation_degree(d1, d) <= 2}
-    expected |= {d for d in sector_basis(n, na, nb)
-                 if excitation_degree(d2, d) == 1}
-    assert out == expected
+    expected |= {d for d in sector if 1 <= excitation_degree(d1, d) <= 2}
+    expected |= {d for d in sector if excitation_degree(d2, d) == 1}
+    assert out == sorted(expected)
     assert d3 not in out
 
 
 def test_extension_zero_thresholds_give_cisd():
     n = 4
     hf = hartree_fock_determinant(2, 2)
-    out = set(extend_subspace(np.array([1.0]), [hf],
-                              ExtensionThresholds(0.0, 0.0), n))
-    cisd = {hf} | {d for d in sector_basis(n, 2, 2)
-                   if excitation_degree(hf, d) <= 2}
-    assert out == cisd
+    out = as_pairs(extend_subspace(np.array([1.0]), packed([hf]),
+                                   ExtensionThresholds(0.0, 0.0), n))
+    cisd = {d for d in as_pairs(sector_basis(n, 2, 2))
+            if excitation_degree(hf, d) <= 2}
+    assert out == sorted(cisd)
 
 
 def test_extension_is_superset_of_retained(ham_4e4o):
     counts, _ = fci_counts(ham_4e4o, shots=3000, seed=3)
     result = sqd_ground_state(ham_4e4o, counts, RecoveryConfig(iterations=1))
-    out = set(extend_subspace(result.batches[0].vector,
-                              result.batches[0].basis,
-                              ExtensionThresholds(), ham_4e4o.n_orb))
-    retained = {d for d, c in zip(result.batches[0].basis,
+    out = set(as_pairs(extend_subspace(result.batches[0].vector,
+                                       result.batches[0].basis,
+                                       ExtensionThresholds(), ham_4e4o.n_orb)))
+    retained = {d for d, c in zip(as_pairs(result.batches[0].basis),
                                   result.batches[0].vector)
                 if abs(c) >= 1e-2}
     assert retained <= out
+
+
+def _reference_extension(vector, basis, thresholds, n_orb):
+    """The extension one determinant at a time on Python sets, sorted."""
+    out = set()
+    for det, coeff in zip(as_pairs(basis), vector):
+        if abs(coeff) >= thresholds.discard_below:
+            out.add(det)
+            out.update(excitations(det, n_orb,
+                                   doubles=abs(coeff) > thresholds.doubles_above))
+    return sorted(out)
+
+
+@st.composite
+def _extension_problem(draw):
+    """A basis over up to 7 orbitals from one or two sectors (open-shell,
+    asymmetric, or with 0 or n_orb electrons in a spin), amplitudes that
+    may equal a threshold, thresholds at 0, at 1 or equal to each other,
+    and a chunk size that may expand one mask at a time."""
+    n = draw(st.integers(1, 7))
+    sectors = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)),
+                            min_size=1, max_size=2))
+    pool = sorted({d for na, nb in sectors
+                   for d in as_pairs(sector_basis(n, na, nb))})
+    basis = sorted(draw(st.lists(st.sampled_from(pool), min_size=1, unique=True,
+                                 max_size=draw(st.sampled_from([3, 30])))))
+    level = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    discard = draw(level)
+    doubles = draw(st.sampled_from([discard, 1.0]) | st.floats(discard, 1.0))
+    thresholds = ExtensionThresholds(discard, doubles)
+    amplitude = st.sampled_from([0.0, discard, doubles, 1.0]) | st.floats(0.0, 1.0)
+    signs = st.sampled_from([1.0, -1.0])
+    vector = np.array([draw(amplitude) * draw(signs) for _ in basis])
+    return vector, packed(basis), thresholds, n, draw(st.sampled_from([1, 1 << 16]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_extension_problem())
+# Two rows three moves apart in each spin: no row's doubles cover the
+# other's alpha-beta doubles.
+@example((np.ones(2), packed([(0b111, 0b111), (0b111000, 0b111000)]),
+          ExtensionThresholds(0.0, 0.0), 7, 1 << 16))
+def test_packed_extension_matches_reference(problem):
+    vector, basis, thresholds, n, block = problem
+    with mock.patch.object(sqd, "_BLOCK_CANDIDATES", block):
+        got = extend_subspace(vector, basis, thresholds, n)
+    assert got.dtype == np.uint64 and got.shape == (len(got), 2)
+    assert as_pairs(got) == _reference_extension(vector, basis, thresholds, n)
 
 
 def test_thresholds_validation():
