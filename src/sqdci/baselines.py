@@ -80,7 +80,8 @@ def ext_hci(ham: ActiveSpaceHamiltonian, prior: SubspaceResult,
     """Excitation extension of an HCI ground state (single re-diagonalization)."""
     thresholds = thresholds or ExtensionThresholds()
     extended = merge_bases(extend_subspace(prior.vector, prior.basis,
-                                           thresholds, ham.n_orb), prior.basis)
+                                           thresholds, ham.n_orb,
+                                           dimension_cap), prior.basis)
     if len(extended) > dimension_cap:
         raise CapacityError(
             f"extended dimension {len(extended)} exceeds cap {dimension_cap}")

@@ -74,11 +74,16 @@ def hartree_fock_determinant(n_alpha: int, n_beta: int) -> Determinant:
     return Determinant((1 << n_alpha) - 1, (1 << n_beta) - 1)
 
 
+def sector_strings(n_orb: int, n_electrons: int) -> np.ndarray:
+    """All ``n_electrons``-electron strings over ``n_orb`` orbitals, sorted."""
+    return np.array(sorted(sum(1 << p for p in occ) for occ in
+                           itertools.combinations(range(n_orb), n_electrons)),
+                    dtype=np.uint64)
+
+
 def sector_basis(n_orb: int, n_alpha: int, n_beta: int) -> np.ndarray:
     """All determinants of the (n_alpha, n_beta) sector, as a basis."""
-    alphas, betas = (np.array(sorted(sum(1 << p for p in occ) for occ in
-                                     itertools.combinations(range(n_orb), k)),
-                              dtype=np.uint64) for k in (n_alpha, n_beta))
+    alphas, betas = sector_strings(n_orb, n_alpha), sector_strings(n_orb, n_beta)
     return np.column_stack([np.repeat(alphas, len(betas)),
                             np.tile(betas, len(alphas))])
 

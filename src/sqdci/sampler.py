@@ -1,10 +1,22 @@
 """Exact LUCJ-style state preparation and bitstring sampling.
 
-The statevector is simulated in the fixed (n_alpha, n_beta) sector:
-orbital-rotation layers exp(K) are decomposed into adjacent two-level
-Givens rotations applied directly to the determinant basis, and the
-density-density layer exp(iJ) is a diagonal phase. Both conserve
-particle number exactly, so the state never leaves the sector.
+The statevector is simulated in the fixed (n_alpha, n_beta) sector, as an
+n_alpha_strings x n_beta_strings complex grid over the sorted alpha and
+beta strings; flattened, the grid is in ``sector_basis`` row order. An
+orbital-rotation layer exp(K) acts on each spin alone. It is decomposed
+into a diagonal of signs and adjacent two-level Givens rotations: the
+signs multiply whole rows (alpha) or columns (beta) by popcount parities,
+and a rotation in the plane (p, p+1) pairs each string that has p+1 set
+and p clear with its partner, found by ``searchsorted``, and rotates the
+two rows (columns) at once. The density-density layer exp(iJ) is a phase
+grid, an outer sum of per-spin terms plus one alpha-beta matrix product.
+Both conserve particle number exactly, so the state never leaves the
+sector. :func:`sample_counts` draws the multinomial over the flattened
+grid and splits each hit into its (alpha, beta) string indices.
+
+Readout noise draws every shot's uniforms, but only the shots with a
+flipped bit get masks and a sort; the others return to their own row as
+counts.
 
 Bitstring layout: bit 0 is leftmost; bits [0, n) hold the alpha orbital
 occupations and bits [n, 2n) the beta occupations. Shots are held packed
@@ -18,13 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import rng, solver
 from .errors import CapacityError, ConfigError
-from .hamiltonian import (Determinant, hartree_fock_determinant,
-                          occupation_rows, sector_basis, sector_dimension)
+from .hamiltonian import (occupation_rows, sector_basis, sector_dimension,
+                          sector_strings)
 
-SECTOR_DIMENSION_CAP = 10_000_000
-
+# Bytes per sector determinant that lucj_state and sample_counts hold at
+# their peak: the grid, the two spin-pass copies of apply_orbital_rotation
+# and its row temporaries, or the phase grid, or the probabilities and
+# draws of the multinomial. 49-55 B at the tracemalloc peak on (10,5,5),
+# (10,5,4) and (12,6,6) sectors with one CCSD mode; rounded up.
+STATE_BYTES_PER_DETERMINANT = 64
 
 # Widest spin string a packed uint64 holds.
 MAX_ORBITALS_PER_SPIN = 64
@@ -273,51 +289,68 @@ def _givens_decompose(unitary: np.ndarray):
     return rotations, signs
 
 
-def _apply_spin_givens(amps, dets, index, orbital, theta, spin):
-    """Rotate amplitudes in the adjacent orbital plane (orbital, orbital+1)."""
-    c, s = np.cos(theta), np.sin(theta)
-    a_bit, b_bit = 1 << orbital, 1 << (orbital + 1)
-    for i, det in enumerate(dets):
-        bits = det.alpha if spin == 0 else det.beta
-        # Act once per mixed pair: pick the representative with the upper
-        # orbital occupied and the lower one empty.
-        if not (bits & b_bit and not bits & a_bit):
-            continue
-        flipped = bits ^ a_bit ^ b_bit
-        partner = (Determinant(flipped, det.beta) if spin == 0
-                   else Determinant(det.alpha, flipped))
-        j = index[partner]
-        # Adjacent orbitals: no occupied orbital lies strictly between,
-        # so the fermionic parity is +1.
-        ci, cj = amps[i], amps[j]
-        amps[i] = c * ci - s * cj
-        amps[j] = s * ci + c * cj
+def state_preparation_bytes(n_orb: int, n_alpha: int, n_beta: int) -> int:
+    """Bytes :func:`lucj_state` and :func:`sample_counts` hold at their peak
+    on the (n_alpha, n_beta) sector (estimate)."""
+    return STATE_BYTES_PER_DETERMINANT * sector_dimension(n_orb, n_alpha,
+                                                          n_beta)
 
 
-def apply_orbital_rotation(amps: np.ndarray, dets: list[Determinant],
+def _rotate_spin(rows: np.ndarray, strings: np.ndarray, rotations,
+                 negated: int) -> None:
+    """Apply one spin's factor of exp(K) in place to ``rows``, one row per
+    string of ``strings``: first the signs of the orbitals in the bitmask
+    ``negated``, then the Givens rotations in reverse with negated angles."""
+    if negated:
+        odd = np.bitwise_count(strings & np.uint64(negated)) & 1
+        rows[odd.astype(bool)] *= -1.0
+    for orbital, theta in reversed(rotations):
+        low, high = np.uint64(1 << orbital), np.uint64(2 << orbital)
+        # Each pair is acted on once, from the string with the upper
+        # orbital occupied and the lower one empty. Adjacent orbitals: no
+        # occupied orbital lies strictly between, so the parity is +1.
+        i = np.flatnonzero(((strings & high) != 0) & ((strings & low) == 0))
+        j = np.searchsorted(strings, strings[i] ^ (low | high))
+        c, s = np.cos(-theta), np.sin(-theta)
+        upper, lower = rows[i], rows[j]
+        rows[i] = c * upper - s * lower
+        rows[j] = s * upper + c * lower
+
+
+def apply_orbital_rotation(grid: np.ndarray, alphas: np.ndarray,
+                           betas: np.ndarray,
                            generator: np.ndarray) -> np.ndarray:
-    """Apply exp(K) (same rotation on both spins) to sector amplitudes."""
+    """exp(K) (the same rotation on both spins) applied to an amplitude
+    grid over the sorted strings ``alphas`` (rows) and ``betas`` (columns).
+
+    U = G_1^T ... G_m^T D factors as U_alpha (x) U_beta, so each spin is
+    rotated alone: the beta pass on a transposed copy, whose rows are then
+    contiguous, and the alpha pass on its transpose. Returns a new grid.
+    """
     K = np.asarray(generator, dtype=float)
     if np.max(np.abs(K + K.T)) > 1e-12:
         raise ConfigError("rotation generator is not antisymmetric")
-    unitary = _expm_antisymmetric(K)
-    rotations, signs = _givens_decompose(unitary)
-    amps = np.array(amps, dtype=complex)
-    index = {d: i for i, d in enumerate(dets)}
+    rotations, signs = _givens_decompose(_expm_antisymmetric(K))
+    negated = sum(1 << p for p in np.flatnonzero(signs < 0).tolist())
+    swapped = np.array(np.asarray(grid).T, dtype=complex, order="C")
+    _rotate_spin(swapped, betas, rotations, negated)
+    grid = np.array(swapped.T, order="C")
+    del swapped  # before the alpha pass: state_preparation_bytes counts on it
+    _rotate_spin(grid, alphas, rotations, negated)
+    return grid
 
-    # U = G_1^T ... G_m^T D: apply D first, then rotations in reverse
-    # with negated angles.
-    flipped = [p for p, sign in enumerate(signs) if sign < 0]
-    if flipped:
-        for i, det in enumerate(dets):
-            parity = sum((det.alpha >> p & 1) + (det.beta >> p & 1)
-                         for p in flipped)
-            if parity & 1:
-                amps[i] = -amps[i]
-    for orbital, theta in reversed(rotations):
-        _apply_spin_givens(amps, dets, index, orbital, -theta, spin=0)
-        _apply_spin_givens(amps, dets, index, orbital, -theta, spin=1)
-    return amps
+
+def _density_phases(J: np.ndarray, alphas: np.ndarray, betas: np.ndarray,
+                    n_orb: int) -> np.ndarray:
+    """Grid of sum_{p sigma, r tau} J[p sigma, r tau] n_{p sigma} n_{r tau}:
+    oa Jaa oa + ob Jbb ob + oa (Jab + Jba^T) ob over the string occupations."""
+    oa, ob = occupation_rows(alphas, n_orb), occupation_rows(betas, n_orb)
+    same_alpha = np.einsum("ap,pq,aq->a", oa, J[:n_orb, :n_orb], oa)
+    same_beta = np.einsum("bp,pq,bq->b", ob, J[n_orb:, n_orb:], ob)
+    cross = oa @ (J[:n_orb, n_orb:] + J[n_orb:, :n_orb].T) @ ob.T
+    cross += same_alpha[:, None]
+    cross += same_beta
+    return cross
 
 
 def lucj_state(params: LUCJParams, n_orb: int, n_alpha: int,
@@ -327,27 +360,29 @@ def lucj_state(params: LUCJParams, n_orb: int, n_alpha: int,
     Starting from the RHF determinant, each layer applies exp(K) then
     the diagonal phase exp(i sum_{p sigma, r tau} J n n); the final
     rotation, if present, is applied last. The result has unit norm.
+    Raises :class:`CapacityError`, before allocating, when
+    :func:`state_preparation_bytes` exceeds ``solver.MEMORY_BUDGET_BYTES``.
     """
-    dim = sector_dimension(n_orb, n_alpha, n_beta)
-    if dim > SECTOR_DIMENSION_CAP:
-        raise CapacityError(f"sector dimension {dim} over simulation bound")
-    basis = sector_basis(n_orb, n_alpha, n_beta)
-    dets = list(map(Determinant, *basis.T.tolist()))
-    occ = None
-    amps = np.zeros(dim, dtype=complex)
-    amps[dets.index(hartree_fock_determinant(n_alpha, n_beta))] = 1.0
-    for K, J in params.layers:
-        if K.shape != (n_orb, n_orb):
-            raise ConfigError("K generator has wrong shape")
-        amps = apply_orbital_rotation(amps, dets, K)
-        if J is not None and np.any(J):
-            if occ is None:
-                occ = np.hstack([occupation_rows(basis[:, 0], n_orb),
-                                 occupation_rows(basis[:, 1], n_orb)])
-            phases = np.einsum("dp,pq,dq->d", occ, J, occ)
-            amps = amps * np.exp(1j * phases)
+    steps = list(params.layers)
     if params.final_rotation is not None:
-        amps = apply_orbital_rotation(amps, dets, params.final_rotation)
+        steps.append((params.final_rotation, None))
+    if any(K.shape != (n_orb, n_orb) for K, _ in steps):
+        raise ConfigError("K generator has wrong shape")
+    need = state_preparation_bytes(n_orb, n_alpha, n_beta)
+    if need > solver.MEMORY_BUDGET_BYTES:
+        raise CapacityError(
+            f"sector ({n_orb}, {n_alpha}, {n_beta}) state preparation needs "
+            f"about {need / 2**30:.1f} GiB, over the "
+            f"{solver.MEMORY_BUDGET_BYTES / 2**30:.1f} GiB budget")
+    alphas, betas = sector_strings(n_orb, n_alpha), sector_strings(n_orb, n_beta)
+    grid = np.zeros((len(alphas), len(betas)), dtype=complex)
+    # The lowest filling is the smallest string of each spin.
+    grid[0, 0] = 1.0
+    for K, J in steps:
+        grid = apply_orbital_rotation(grid, alphas, betas, K)
+        if J is not None and np.any(J):
+            grid *= np.exp(1j * _density_phases(J, alphas, betas, n_orb))
+    amps = grid.ravel()
     norm = np.linalg.norm(amps)
     if abs(norm - 1.0) > 1e-10:
         raise ArithmeticError(f"state norm drifted to {norm}")
@@ -367,7 +402,11 @@ def state_from_ci_vector(vector: np.ndarray, n_orb: int, n_alpha: int,
 
 
 def sample_counts(state: SectorState, shots: int, seed: int) -> BitstringCounts:
-    """Multinomial sampling of |amplitude|^2 with a seeded Philox stream."""
+    """Multinomial sampling of |amplitude|^2 with a seeded Philox stream.
+
+    Amplitude i is grid entry (i // n_beta_strings, i % n_beta_strings),
+    so each hit reads its packed strings straight from the sorted strings.
+    """
     if shots <= 0:
         raise ConfigError("shots must be positive")
     _half_widths(2 * state.n_orb)
@@ -376,8 +415,11 @@ def sample_counts(state: SectorState, shots: int, seed: int) -> BitstringCounts:
     gen = rng.stream(seed, "sample")
     draws = gen.multinomial(shots, probs)
     hit = np.flatnonzero(draws)
-    alpha, beta = state.basis()[hit].T
-    return BitstringCounts.packed(2 * state.n_orb, alpha, beta, draws[hit])
+    betas = sector_strings(state.n_orb, state.n_beta)
+    ia, ib = np.divmod(hit, len(betas))
+    return BitstringCounts.packed(
+        2 * state.n_orb, sector_strings(state.n_orb, state.n_alpha)[ia],
+        betas[ib], draws[hit])
 
 
 def apply_readout_noise(counts: BitstringCounts,
@@ -385,20 +427,44 @@ def apply_readout_noise(counts: BitstringCounts,
     """Flip each bit of each shot independently with the model probability.
 
     Shots are visited in row order and each draws ``n_qubits`` uniforms
-    from one stream, so the result does not depend on the block size.
+    from one stream, so the result does not depend on the block size. A
+    shot with no flip stays in its row's count. Only the flipped bits are
+    listed, by ``flatnonzero``; each shot with one gets a flip mask per
+    spin, the exact ``uint64`` sum of its distinct bit weights, and is
+    sorted into the result. Rows left with no shots are dropped.
     """
     p = noise.flip_probability
     if p == 0.0:
         return counts
     gen = rng.stream(noise.seed, "readout-noise")
     nq = counts.n_qubits
-    blocks = []
+    width, _ = _half_widths(nq)
+    column = np.arange(nq)
+    in_alpha = column < width
+    weight = np.uint64(1) << np.where(in_alpha, column,
+                                      column - width).astype(np.uint64)
+    alpha_weight = np.where(in_alpha, weight, np.uint64(0))
+    beta_weight = np.where(in_alpha, np.uint64(0), weight)
+    stayed = counts.count.copy()
+    alphas, betas = [counts.alpha], [counts.beta]
     for rows in shot_rows(counts.count, _NOISE_BLOCK_SHOTS):
-        flip_alpha, flip_beta = pack_bits(gen.random((len(rows), nq)) < p, nq)
-        blocks.append(BitstringCounts.packed(
-            nq, counts.alpha[rows] ^ flip_alpha, counts.beta[rows] ^ flip_beta,
-            np.ones(len(rows), dtype=np.int64)))
-    return merge_counts(nq, blocks)
+        shot, bit = np.divmod(
+            np.flatnonzero(gen.random((len(rows), nq)) < p), nq)
+        if not len(shot):
+            continue
+        first = np.flatnonzero(np.diff(shot, prepend=-1))
+        moved = rows[shot[first]]
+        stayed -= np.bincount(moved, minlength=len(counts))
+        alphas.append(counts.alpha[moved]
+                      ^ np.add.reduceat(alpha_weight[bit], first))
+        betas.append(counts.beta[moved]
+                     ^ np.add.reduceat(beta_weight[bit], first))
+    alpha = np.concatenate(alphas)
+    noisy = BitstringCounts.packed(
+        nq, alpha, np.concatenate(betas),
+        np.concatenate([stayed, np.ones(len(alpha) - len(counts),
+                                        dtype=np.int64)]))
+    return noisy.take(noisy.count > 0)
 
 
 def lucj_params_from_ccsd(t1: np.ndarray | None, t2: np.ndarray,

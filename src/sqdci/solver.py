@@ -80,7 +80,11 @@ def _check_finite(arrays):
 
 
 def dense_eigensolve(matrix: np.ndarray) -> SpectrumResult:
-    """Full spectrum of a symmetric real matrix (direct method)."""
+    """Full spectrum of a symmetric real matrix (direct method).
+
+    The vectors are views into one eigenvector matrix; a caller that keeps
+    one copies it.
+    """
     matrix = np.asarray(matrix, dtype=float)
     dim = matrix.shape[0]
     if matrix.shape != (dim, dim):
@@ -91,8 +95,7 @@ def dense_eigensolve(matrix: np.ndarray) -> SpectrumResult:
         raise ConfigError("matrix is not symmetric")
     evals, evecs = np.linalg.eigh(matrix)
     _check_finite([evals, evecs])
-    return SpectrumResult(energies=[float(e) for e in evals],
-                          vectors=[evecs[:, i].copy() for i in range(dim)],
+    return SpectrumResult(energies=evals.tolist(), vectors=list(evecs.T),
                           iterations_used=1, converged=True)
 
 
@@ -252,7 +255,9 @@ def solve_subspace(ham: ActiveSpaceHamiltonian, basis: np.ndarray,
     dim = len(basis)
     if dim < DENSE_THRESHOLD:
         spec = dense_eigensolve(build_sparse_matrix(ham, basis).toarray())
-        return SubspaceResult(energy=spec.energies[0], vector=spec.vectors[0],
+        # A copy, so the result does not hold the whole eigenvector matrix.
+        return SubspaceResult(energy=spec.energies[0],
+                              vector=spec.vectors[0].copy(),
                               basis=basis, dimension=dim,
                               diagnostics={"method": "dense", "operator": "csr"})
 

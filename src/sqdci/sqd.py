@@ -6,6 +6,12 @@ shots toward the current mean orbital occupations, then re-draw batches
 from the combined pool. The excitation extension re-diagonalizes each
 final batch eigenstate over its singles/doubles-augmented basis.
 Subspaces are the packed ``uint64`` bases of :mod:`sqdci.hamiltonian`.
+
+Recovery works on blocks of packed shots: each spin half flips its
+Gumbel-top-|excess| bits, found in |excess| rounds of ``argmax``. The
+extension folds its candidate rows into a running merge, so its memory
+follows the result, not the candidate count, and its dimension cap holds
+before every candidate is expanded.
 """
 
 from __future__ import annotations
@@ -19,8 +25,7 @@ from .errors import CapacityError, ConfigError, EmptyValidSampleError
 from .hamiltonian import (_BLOCK_CANDIDATES, ActiveSpaceHamiltonian,
                           basis_strings, distinct_strings, merge_bases,
                           occupation_rows)
-from .sampler import (BitstringCounts, merge_counts, pack_bits, shot_rows,
-                      unpack_bits)
+from .sampler import BitstringCounts, shot_rows, unpack_bits
 from .solver import DavidsonOptions, solve_subspace
 
 EXTENSION_DIMENSION_CAP = 50_000_000
@@ -98,7 +103,10 @@ def recover_configurations(invalid: BitstringCounts, occupations: np.ndarray,
     without replacement. Each shot draws that choice at once by
     Gumbel-top-k (Kool et al., arXiv:1903.06059): it flips the |excess|
     candidate bits of largest log-weight plus a Gumbel draw, one draw per
-    bit. Every output shot is sector-valid by construction.
+    bit. The top k are taken in |excess| rounds of ``argmax`` over the
+    shots that still need a flip, each round setting the chosen score to
+    -inf; the first maximum is the first bit in a stable descending sort.
+    Every output shot is sector-valid by construction.
     """
     occupations = np.asarray(occupations, dtype=float)
     nq = invalid.n_qubits
@@ -112,12 +120,13 @@ def recover_configurations(invalid: BitstringCounts, occupations: np.ndarray,
     clear_weight = np.log(1.0 - occupations + eps)
     set_weight = np.log(occupations + eps)
     gen = rng.stream(seed, "recovery")
-    blocks = []
+    halves = ((invalid.alpha, slice(0, n), n_alpha),
+              (invalid.beta, slice(n, nq), n_beta))
+    repaired = ([invalid.alpha[:0]], [invalid.beta[:0]])
     for rows in shot_rows(invalid.count, _RECOVERY_BLOCK_SHOTS):
         bits = unpack_bits(invalid.alpha[rows], invalid.beta[rows], nq)
         gumbel = gen.gumbel(size=bits.shape)
-        flips = np.zeros(bits.shape, dtype=bool)
-        for half, target in ((slice(0, n), n_alpha), (slice(n, nq), n_beta)):
+        for (strings, half, target), out in zip(halves, repaired):
             occupied = bits[:, half].astype(bool)
             excess = occupied.sum(axis=1) - target
             candidate = occupied == (excess > 0)[:, None]
@@ -125,14 +134,18 @@ def recover_configurations(invalid: BitstringCounts, occupations: np.ndarray,
                              np.where(occupied, clear_weight[half],
                                       set_weight[half]) + gumbel[:, half],
                              -np.inf)
-            ranked = np.argsort(-score, axis=1, kind="stable")
-            chosen = np.arange(score.shape[1]) < np.abs(excess)[:, None]
-            np.put_along_axis(flips[:, half], ranked, chosen, axis=1)
-        flip_alpha, flip_beta = pack_bits(flips, nq)
-        blocks.append(BitstringCounts.packed(
-            nq, invalid.alpha[rows] ^ flip_alpha, invalid.beta[rows] ^ flip_beta,
-            np.ones(len(rows), dtype=np.int64)))
-    return merge_counts(nq, blocks)
+            weight = np.uint64(1) << np.arange(score.shape[1], dtype=np.uint64)
+            flip = np.zeros(len(rows), dtype=np.uint64)
+            todo = np.abs(excess)
+            for done in range(todo.max(initial=0)):
+                need = np.flatnonzero(todo > done)
+                best = np.argmax(score[need], axis=1)
+                flip[need] |= weight[best]
+                score[need, best] = -np.inf
+            out.append(strings[rows] ^ flip)
+    alpha, beta = map(np.concatenate, repaired)
+    return BitstringCounts.packed(nq, alpha, beta,
+                                  np.ones(len(alpha), dtype=np.int64))
 
 
 def build_subspace(samples: BitstringCounts, closure: bool) -> np.ndarray:
@@ -230,8 +243,19 @@ def sqd_ground_state(ham: ActiveSpaceHamiltonian, counts: BitstringCounts,
                      n_orb=ham.n_orb)
 
 
+def _fold(merged: np.ndarray, pending: list, dimension_cap: int) -> np.ndarray:
+    """``merged`` and the ``pending`` candidate rows as one basis; raises
+    :class:`CapacityError` when it holds more than ``dimension_cap`` rows."""
+    merged = merge_bases(merged, *pending)
+    if len(merged) > dimension_cap:
+        raise CapacityError(
+            f"extended dimension {len(merged)} exceeds cap {dimension_cap}")
+    return merged
+
+
 def extend_subspace(eigenvector: np.ndarray, basis: np.ndarray,
-                    thresholds: ExtensionThresholds, n_orb: int) -> np.ndarray:
+                    thresholds: ExtensionThresholds, n_orb: int,
+                    dimension_cap: int = EXTENSION_DIMENSION_CAP) -> np.ndarray:
     """Excitation extension of a subspace eigenstate, as a basis.
 
     Keeps configurations with |amplitude| >= discard_below, adds all
@@ -241,7 +265,12 @@ def extend_subspace(eigenvector: np.ndarray, basis: np.ndarray,
     where the string holds one of its bits, a 4-bit mask a same-spin double
     where it holds two; alpha-beta doubles are the beta singles of the
     alpha singles. Rows are expanded in chunks of about
-    ``_BLOCK_CANDIDATES`` mask tests.
+    ``_BLOCK_CANDIDATES`` mask tests. Candidates are folded into a running
+    merge once they outnumber both ``_BLOCK_CANDIDATES`` and the rows
+    merged so far: a small extension merges once, a large one holds a
+    multiple of its result instead of every candidate, and the merges sort
+    fewer than twice as many rows as there are candidates. Raises
+    :class:`CapacityError` once the result passes ``dimension_cap`` rows.
     """
     eigenvector = np.abs(np.asarray(eigenvector))
     if len(eigenvector) != len(basis):
@@ -263,16 +292,25 @@ def extend_subspace(eigenvector: np.ndarray, basis: np.ndarray,
             moved[:, spin] ^= masks[col]
             yield moved
 
+    def candidates():
+        yield kept
+        for spin in (0, 1):
+            yield from moves(kept, pairs, 1, spin)
+            yield from moves(doubles, quads, 2, spin)
+        # Alpha-beta doubles: the beta singles of the alpha singles.
+        yield from moves(np.concatenate([kept[:0],
+                                         *moves(doubles, pairs, 1, 0)]),
+                         pairs, 1, 1)
+
     kept = basis[eigenvector >= thresholds.discard_below]
     doubles = basis[eigenvector > thresholds.doubles_above]
-    found = [kept]
-    for spin in (0, 1):
-        found += moves(kept, pairs, 1, spin)
-        found += moves(doubles, quads, 2, spin)
-    # Alpha-beta doubles: the beta singles of the alpha singles.
-    found += moves(np.concatenate([kept[:0], *moves(doubles, pairs, 1, 0)]),
-                   pairs, 1, 1)
-    return merge_bases(*found)
+    merged, pending, held = kept[:0], [], 0
+    for block in candidates():
+        pending.append(block)
+        held += len(block)
+        if held > max(_BLOCK_CANDIDATES, len(merged)):
+            merged, pending, held = _fold(merged, pending, dimension_cap), [], 0
+    return _fold(merged, pending, dimension_cap)
 
 
 def ext_sqd(ham: ActiveSpaceHamiltonian, prior: SQDResult,
@@ -293,7 +331,8 @@ def ext_sqd(ham: ActiveSpaceHamiltonian, prior: SQDResult,
     solutions = []
     for batch in pool:
         extended = merge_bases(extend_subspace(batch.vector, batch.basis,
-                                               thresholds, ham.n_orb),
+                                               thresholds, ham.n_orb,
+                                               dimension_cap),
                                batch.basis, prior.basis)
         if len(extended) > dimension_cap:
             raise CapacityError(

@@ -7,6 +7,10 @@ ordering convention in the implementation is pinned against these.
 Fock states are encoded as 2n-bit integers over spin-orbitals: bits
 [0, n) are the alpha orbitals, bits [n, 2n) the beta orbitals, matching
 the package's "all alpha ascending, then all beta" ordering.
+
+The one exception is the per-determinant LUCJ reference, which takes the
+package's Givens factorisation of exp(K): it pins how the grid applies
+the factors, and the factorisation itself is pinned against scipy's expm.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import itertools
 
 import numpy as np
 from scipy.stats import binom
+
+from sqdci.sampler import _expm_antisymmetric, _givens_decompose
 
 
 def det_to_state(det, n_orb: int) -> int:
@@ -441,3 +447,67 @@ def recovery_per_shot(entries: dict, occupations: np.ndarray, n_alpha: int,
             repaired = "".join(map(str, alpha + beta))
             out[repaired] = out.get(repaired, 0) + 1
     return out
+
+
+def sector_determinants(n_orb: int, n_alpha: int, n_beta: int) -> list:
+    """(alpha, beta) pairs of the sector, alpha strings ascending, then beta."""
+    def strings(k):
+        return sorted(sum(1 << p for p in occ)
+                      for occ in itertools.combinations(range(n_orb), k))
+    return [(a, b) for a in strings(n_alpha) for b in strings(n_beta)]
+
+
+def _givens_per_determinant(amps, dets, index, orbital, theta, spin):
+    """Rotate amplitudes in the adjacent orbital plane (orbital, orbital+1)."""
+    c, s = np.cos(theta), np.sin(theta)
+    a_bit, b_bit = 1 << orbital, 1 << (orbital + 1)
+    for i, det in enumerate(dets):
+        bits = det[spin]
+        # Act once per mixed pair: pick the representative with the upper
+        # orbital occupied and the lower one empty.
+        if not (bits & b_bit and not bits & a_bit):
+            continue
+        flipped = bits ^ a_bit ^ b_bit
+        j = index[(flipped, det[1]) if spin == 0 else (det[0], flipped)]
+        # Adjacent orbitals: no occupied orbital lies strictly between,
+        # so the fermionic parity is +1.
+        ci, cj = amps[i], amps[j]
+        amps[i] = c * ci - s * cj
+        amps[j] = s * ci + c * cj
+
+
+def orbital_rotation_per_determinant(amps, dets, generator) -> np.ndarray:
+    """exp(K) on both spins of amplitudes over ``dets``, one determinant and
+    one Givens pair at a time through a dict index."""
+    rotations, signs = _givens_decompose(
+        _expm_antisymmetric(np.asarray(generator, dtype=float)))
+    amps = np.array(amps, dtype=complex)
+    index = {d: i for i, d in enumerate(dets)}
+    # U = G_1^T ... G_m^T D: apply D first, then rotations in reverse
+    # with negated angles.
+    flipped = [p for p, sign in enumerate(signs) if sign < 0]
+    for i, (alpha, beta) in enumerate(dets):
+        if sum((alpha >> p & 1) + (beta >> p & 1) for p in flipped) & 1:
+            amps[i] = -amps[i]
+    for orbital, theta in reversed(rotations):
+        _givens_per_determinant(amps, dets, index, orbital, -theta, spin=0)
+        _givens_per_determinant(amps, dets, index, orbital, -theta, spin=1)
+    return amps
+
+
+def lucj_amplitudes_per_determinant(params, n_orb: int, n_alpha: int,
+                                    n_beta: int) -> np.ndarray:
+    """The LUCJ statevector over :func:`sector_determinants`: from the RHF
+    determinant, each layer's exp(K) then exp(i J n n), then the final
+    rotation."""
+    dets = sector_determinants(n_orb, n_alpha, n_beta)
+    amps = np.zeros(len(dets), dtype=complex)
+    amps[dets.index(((1 << n_alpha) - 1, (1 << n_beta) - 1))] = 1.0
+    for K, J in params.layers:
+        amps = orbital_rotation_per_determinant(amps, dets, K)
+        if J is not None:
+            amps = amps * np.exp(1j * density_density_phases(J, dets, n_orb))
+    if params.final_rotation is not None:
+        amps = orbital_rotation_per_determinant(amps, dets,
+                                                params.final_rotation)
+    return amps

@@ -1,22 +1,28 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import as_pairs
 from oracles import (apply_operator_string, bitstring_to_determinant,
                      density_density_phases, det_to_state,
-                     determinant_to_bitstring, one_body_operator_matrix,
-                     one_rdm_alpha, total_variation,
+                     determinant_to_bitstring, lucj_amplitudes_per_determinant,
+                     one_body_operator_matrix, one_rdm_alpha,
+                     sector_determinants, total_variation,
                      valid_probability_after_flips)
-from sqdci.errors import ConfigError
-from sqdci.hamiltonian import Determinant, hartree_fock_determinant, sector_basis
+from sqdci import rng
+from sqdci.errors import CapacityError, ConfigError
+from sqdci.hamiltonian import hartree_fock_determinant, sector_strings
 from sqdci.sampler import (BitstringCounts, LUCJParams, NoiseModel,
                            apply_orbital_rotation, apply_readout_noise,
                            lucj_params_from_ccsd, lucj_state, read_counts,
-                           sample_counts, state_from_ci_vector, write_counts)
-from sqdci.sampler import _expm_antisymmetric, _real_log_orthogonal
+                           sample_counts, state_from_ci_vector,
+                           state_preparation_bytes, write_counts)
+from sqdci.sampler import (_expm_antisymmetric, _givens_decompose,
+                           _real_log_orthogonal)
 
 
 def random_antisymmetric(n, seed, scale=0.5):
@@ -57,14 +63,16 @@ def test_orbital_rotation_matches_matrix_exponential_oracle():
     # second-quantized generator's exact matrix exponential.
     for n, na, nb, seed in [(3, 2, 1, 0), (4, 2, 2, 1), (4, 3, 1, 2)]:
         K = random_antisymmetric(n, seed)
-        dets = [Determinant(*d) for d in as_pairs(sector_basis(n, na, nb))]
+        alphas, betas = sector_strings(n, na), sector_strings(n, nb)
+        dets = sector_determinants(n, na, nb)
         gen_mat = one_body_operator_matrix(K, dets, n)
         exact = scipy.linalg.expm(gen_mat)
-        rng = np.random.default_rng(seed + 10)
-        v = rng.normal(size=len(dets)) + 1j * rng.normal(size=len(dets))
+        gen = np.random.default_rng(seed + 10)
+        v = gen.normal(size=len(dets)) + 1j * gen.normal(size=len(dets))
         v /= np.linalg.norm(v)
-        got = apply_orbital_rotation(v, dets, K)
-        assert np.max(np.abs(got - exact @ v)) < 1e-9
+        got = apply_orbital_rotation(v.reshape(len(alphas), len(betas)),
+                                     alphas, betas, K)
+        assert np.max(np.abs(got.ravel() - exact @ v)) < 1e-9
 
 
 def rotation_generator(angles, n, seed):
@@ -124,6 +132,126 @@ def test_real_log_orthogonal_rejects_half_turn():
     # rather than return a wrong generator.
     with pytest.raises(ArithmeticError):
         _real_log_orthogonal(np.diag([-1.0, -1.0, 1.0]))
+
+
+def half_turn(n, first, seed, scale=0.4):
+    """Antisymmetric K: a half turn in the orbital plane (first, first + 1)
+    and a random rotation of the other orbitals. With the plane at either
+    end, the Givens elimination never mixes it with the others and leaves
+    the half turn to the diagonal as two negative signs."""
+    K = random_antisymmetric(n, seed, scale)
+    plane = [first, first + 1]
+    K[plane, :] = 0.0
+    K[:, plane] = 0.0
+    K[first + 1, first], K[first, first + 1] = np.pi, -np.pi
+    return K
+
+
+def random_symmetric(n, seed, scale=0.5):
+    a = np.random.default_rng(seed).normal(size=(n, n)) * scale
+    return a + a.T
+
+
+@st.composite
+def lucj_problems(draw):
+    """LUCJ parameters over up to 7 orbitals and a sector that may be open
+    shell, asymmetric, or hold 0 or n_orb electrons in one spin. A
+    generator may hold a half turn, whose Givens factors have negative
+    signs; a J layer is a random symmetric 2n x 2n matrix, so its
+    alpha-beta and beta-alpha blocks differ."""
+    n = draw(st.integers(1, 7))
+    na, nb = draw(st.integers(0, n)), draw(st.integers(0, n))
+    seeds = st.integers(0, 2**32 - 1)
+
+    def generator():
+        if n > 1 and draw(st.booleans()):
+            return half_turn(n, draw(st.sampled_from([0, n - 2])),
+                             draw(seeds))
+        return random_antisymmetric(n, draw(seeds),
+                                    draw(st.sampled_from([0.3, 2.0])))
+
+    layers = [(generator(), draw(st.none() | seeds.map(
+        lambda seed: random_symmetric(2 * n, seed))))
+        for _ in range(draw(st.integers(1, 2)))]
+    final = generator() if draw(st.booleans()) else None
+    return LUCJParams(layers=layers, final_rotation=final), n, na, nb
+
+
+HALF_TURN_PROBLEM = (LUCJParams(
+    layers=[(half_turn(5, 0, seed=60), random_symmetric(10, seed=61)),
+            (random_antisymmetric(5, seed=62, scale=2.0), None)],
+    final_rotation=half_turn(5, 3, seed=63)), 5, 3, 1)
+
+
+def test_half_turn_generators_have_negative_givens_signs():
+    params = HALF_TURN_PROBLEM[0]
+    for K in (params.layers[0][0], params.final_rotation):
+        _, signs = _givens_decompose(_expm_antisymmetric(K))
+        assert np.sum(signs < 0) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(lucj_problems())
+@example(HALF_TURN_PROBLEM)
+@example((HALF_TURN_PROBLEM[0], 5, 0, 5))
+def test_grid_lucj_matches_per_determinant_oracle(problem):
+    params, n, na, nb = problem
+    got = lucj_state(params, n, na, nb).amplitudes
+    expected = lucj_amplitudes_per_determinant(params, n, na, nb)
+    assert np.max(np.abs(got - expected)) < 1e-13
+
+
+def ccsd_params(n_orb, seed, n_layers=2):
+    nocc = n_orb // 2
+    nvirt = n_orb - nocc
+    gen = np.random.default_rng(seed)
+    t2 = gen.normal(size=(nocc, nocc, nvirt, nvirt)) * 0.1
+    t2 = 0.5 * (t2 + t2.transpose(1, 0, 3, 2))
+    return lucj_params_from_ccsd(gen.normal(size=(nocc, nvirt)) * 0.05, t2,
+                                 n_layers)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_grid_counts_equal_per_determinant_counts(n):
+    # The multinomial over the oracle's amplitudes, hits read from its
+    # determinant list, gives the same counts at a fixed seed.
+    params = ccsd_params(n, seed=n)
+    shots, seed = 300_000, 12
+    got = sample_counts(lucj_state(params, n, n // 2, n // 2), shots, seed)
+    amps = lucj_amplitudes_per_determinant(params, n, n // 2, n // 2)
+    probs = np.abs(amps) ** 2
+    draws = rng.stream(seed, "sample").multinomial(shots, probs / probs.sum())
+    dets = sector_determinants(n, n // 2, n // 2)
+    expected = {determinant_to_bitstring(dets[i], n): int(draws[i])
+                for i in np.flatnonzero(draws)}
+    assert got.entries == expected
+
+
+def test_state_preparation_bytes_cover_the_peak():
+    # The estimate must cover what preparation and sampling allocate,
+    # without being so loose that the budget turns away sectors that fit.
+    params = ccsd_params(10, seed=3, n_layers=1)
+    tracemalloc.start()
+    try:
+        sample_counts(lucj_state(params, 10, 5, 5), 1000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= state_preparation_bytes(10, 5, 5) <= 1.5 * peak
+
+
+def test_state_preparation_over_memory_budget_is_capacity_error(monkeypatch):
+    need = state_preparation_bytes(7, 4, 2)
+    monkeypatch.setattr("sqdci.solver.MEMORY_BUDGET_BYTES", need)
+    assert lucj_state(LUCJParams.zero(7), 7, 4, 2).amplitudes[0] == 1.0
+    monkeypatch.setattr("sqdci.solver.MEMORY_BUDGET_BYTES", need - 1)
+
+    def no_strings(*args):
+        raise AssertionError("the cap must hold before the grid is built")
+
+    monkeypatch.setattr("sqdci.sampler.sector_strings", no_strings)
+    with pytest.raises(CapacityError, match="budget"):
+        lucj_state(LUCJParams.zero(7), 7, 4, 2)
 
 
 def test_rotated_determinant_one_rdm():

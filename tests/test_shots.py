@@ -13,7 +13,8 @@ from oracles import (bitstring_to_determinant, readout_noise_per_key,
 from sqdci import rng
 from sqdci.errors import CapacityError, ConfigError
 from sqdci.sampler import (BitstringCounts, NoiseModel, apply_readout_noise,
-                           read_counts, sample_counts, state_from_ci_vector)
+                           merge_counts, pack_bits, read_counts, sample_counts,
+                           shot_rows, state_from_ci_vector, unpack_bits)
 from sqdci.sqd import recover_configurations
 
 
@@ -86,6 +87,19 @@ def test_noise_matches_per_key_oracle(n_orb, p):
         assert got.entries == expected
 
 
+@pytest.mark.parametrize("p", [0.01, 0.5, 1.0])
+def test_noise_keeps_no_row_without_shots(p):
+    # Rows whose every shot flips away, and rows that came in with no
+    # shots, must not survive as zero counts.
+    entries = random_entries(8, 12, seed=3)
+    entries.update({"00000000": 0, "11110000": 1})
+    noisy = apply_readout_noise(BitstringCounts(8, entries),
+                                NoiseModel(p, seed=4))
+    assert np.all(noisy.count > 0)
+    assert len(noisy) == len(noisy.entries)
+    assert noisy.total_shots == sum(entries.values())
+
+
 # ------------------------------------------------------------------ recovery
 
 # Open shell, n_alpha != n_beta; each half of the keys has too many or too
@@ -119,6 +133,54 @@ def test_recovery_matches_per_shot_oracle_in_distribution():
     dof = len(a) - 1
     assert dof >= 20
     assert np.sum((a - b) ** 2 / (a + b)) < chi2.ppf(0.999, dof)
+
+
+def recovery_by_sort(invalid, occupations, n_alpha, n_beta, seed):
+    """Gumbel-top-k recovery that ranks every shot's bits by a stable
+    descending argsort, from the same Gumbel draws."""
+    nq = invalid.n_qubits
+    n = nq // 2
+    clear_weight = np.log(1.0 - occupations + 1e-6)
+    set_weight = np.log(occupations + 1e-6)
+    gen = rng.stream(seed, "recovery")
+    blocks = []
+    for rows in shot_rows(invalid.count, sqdci.sqd._RECOVERY_BLOCK_SHOTS):
+        bits = unpack_bits(invalid.alpha[rows], invalid.beta[rows], nq)
+        gumbel = gen.gumbel(size=bits.shape)
+        flips = np.zeros(bits.shape, dtype=bool)
+        for half, target in ((slice(0, n), n_alpha), (slice(n, nq), n_beta)):
+            occupied = bits[:, half].astype(bool)
+            excess = occupied.sum(axis=1) - target
+            candidate = occupied == (excess > 0)[:, None]
+            score = np.where(candidate,
+                             np.where(occupied, clear_weight[half],
+                                      set_weight[half]) + gumbel[:, half],
+                             -np.inf)
+            ranked = np.argsort(-score, axis=1, kind="stable")
+            chosen = np.arange(score.shape[1]) < np.abs(excess)[:, None]
+            np.put_along_axis(flips[:, half], ranked, chosen, axis=1)
+        flip_alpha, flip_beta = pack_bits(flips, nq)
+        blocks.append(BitstringCounts.packed(
+            nq, invalid.alpha[rows] ^ flip_alpha, invalid.beta[rows] ^ flip_beta,
+            np.ones(len(rows), dtype=np.int64)))
+    return merge_counts(nq, blocks)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_recovery_matches_sorted_ranking_exactly(seed):
+    # Every invalid key of the open-shell sector: |excess| takes each value
+    # from 1 to the largest a half allows (3 for alpha, 4 for beta).
+    n, n_alpha, n_beta = RECOVERY_SECTOR
+    keys = (format(k, f"0{2 * n}b") for k in range(2 ** (2 * n)))
+    invalid = BitstringCounts(2 * n, {key: 3 for key in keys
+                                      if key[:n].count("1") != n_alpha
+                                      or key[n:].count("1") != n_beta})
+    got = recover_configurations(invalid, RECOVERY_OCCUPATIONS, n_alpha,
+                                 n_beta, seed)
+    expected = recovery_by_sort(invalid, RECOVERY_OCCUPATIONS, n_alpha,
+                                n_beta, seed)
+    assert got.entries == expected.entries
+    assert np.array_equal(got.count, expected.count)
 
 
 @pytest.mark.parametrize("block", [1, 7, 2**20])

@@ -290,6 +290,27 @@ def test_packed_extension_matches_reference(problem):
     assert as_pairs(got) == _reference_extension(vector, basis, thresholds, n)
 
 
+def test_extension_cap_holds_on_the_running_merge(monkeypatch):
+    basis = sector_basis(6, 3, 3)[::7]
+    vector = np.full(len(basis), 0.05)  # every row kept, no doubles
+    full = extend_subspace(vector, basis, ExtensionThresholds(), 6)
+    assert np.array_equal(extend_subspace(vector, basis, ExtensionThresholds(),
+                                          6, dimension_cap=len(full)), full)
+    with pytest.raises(CapacityError):
+        extend_subspace(vector, basis, ExtensionThresholds(), 6,
+                        dimension_cap=len(full) - 1)
+    # With one-row folds, a cap below the kept rows fires at the first
+    # merge, before the moves are expanded.
+    merges = []
+    monkeypatch.setattr(sqd, "_BLOCK_CANDIDATES", 1)
+    monkeypatch.setattr(sqd, "merge_bases",
+                        lambda *b: merges.append(b) or merge_bases(*b))
+    with pytest.raises(CapacityError):
+        extend_subspace(vector, basis, ExtensionThresholds(), 6,
+                        dimension_cap=len(basis) - 1)
+    assert len(merges) == 1
+
+
 def test_thresholds_validation():
     with pytest.raises(ConfigError):
         ExtensionThresholds(discard_below=0.5, doubles_above=0.1)
