@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rng, __version__
 from .activespace import DEFAULT_ETA
-from .baselines import HCIOptions, ext_hci, hci_variational
+from .baselines import ext_hci, hci_variational
 from .errors import (CapacityError, ConfigError, ConvergenceError,
                      EmptyValidSampleError)
 from .fcidump import read_fcidump
@@ -140,7 +140,7 @@ def execute_run(config: RunConfig) -> dict:
         record.update(energy=result.energy, dimension=result.dimension,
                       iterations=1, energy_history=[result.energy])
     elif config.method in ("hci", "ext-hci"):
-        hci = hci_variational(ham, HCIOptions(epsilon1=config.epsilon1))
+        hci = hci_variational(ham, config.epsilon1)
         record.update(energy=hci.energy, dimension=hci.dimension,
                       iterations=hci.diagnostics.get("hci_sweeps", 0),
                       energy_history=[hci.energy])
@@ -161,7 +161,7 @@ def execute_run(config: RunConfig) -> dict:
                       iterations=config.iterations,
                       energy_history=list(sqd.energy_history))
         if config.method == "ext-sqd":
-            extended = ext_sqd(ham, sqd, thresholds, batches=config.batches)
+            extended = ext_sqd(ham, sqd, thresholds)
             record.update(energy=extended.energy,
                           dimension_extended=extended.dimension)
             record["energy_history"] = list(sqd.energy_history) + [extended.energy]

@@ -271,17 +271,9 @@ class CSRMatrix:
         out[self._rows(), self.indices] = self.data
         return out
 
-    def __matmul__(self, x):
-        x = np.asarray(x)
-        if x.ndim == 1:
-            return np.add.reduceat(self.data * x[self.indices], self.indptr[:-1])
-        # One column at a time: reduceat along axis 0 of a 2-D gather is
-        # several times slower.
-        out = np.empty((self.shape[0], x.shape[1]),
-                       dtype=np.result_type(self.data, x))
-        for j in range(x.shape[1]):
-            out[:, j] = self @ x[:, j]
-        return out
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """Product with one vector."""
+        return np.add.reduceat(self.data * x[self.indices], self.indptr[:-1])
 
 
 # Candidate (determinant, connected determinant) pairs expanded at once

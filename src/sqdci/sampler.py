@@ -32,8 +32,7 @@ import numpy as np
 
 from . import rng, solver
 from .errors import CapacityError, ConfigError
-from .hamiltonian import (occupation_rows, sector_basis, sector_dimension,
-                          sector_strings)
+from .hamiltonian import occupation_rows, sector_dimension, sector_strings
 
 # Bytes per sector determinant that lucj_state and sample_counts hold at
 # their peak: the grid, the two spin-pass copies of apply_orbital_rotation
@@ -172,9 +171,6 @@ class BitstringCounts:
         counts.count = self.count[rows]
         return counts
 
-    def merged_with(self, other: "BitstringCounts") -> "BitstringCounts":
-        return merge_counts(self.n_qubits, [self, other])
-
 
 def merge_counts(n_qubits: int, parts) -> BitstringCounts:
     """Shot-count sum of several multisets of ``n_qubits``-bit strings."""
@@ -260,9 +256,6 @@ class SectorState:
     n_alpha: int
     n_beta: int
     amplitudes: np.ndarray
-
-    def basis(self) -> np.ndarray:
-        return sector_basis(self.n_orb, self.n_alpha, self.n_beta)
 
 
 def _givens_decompose(unitary: np.ndarray):

@@ -1,8 +1,8 @@
 """Eigensolvers for projected Hamiltonians.
 
-``davidson_lowest`` is a block Davidson with diagonal preconditioning
+``davidson_lowest`` is a one-root Davidson with diagonal preconditioning
 and a GD+k thick restart; ``dense_eigensolve`` is the direct
-oracle/fallback.
+oracle/fallback. Both return the lowest eigenpair only.
 ``solve_subspace`` picks between them by dimension and is the single
 entry point used by the SQD and HCI drivers. Both paths use numpy's
 LAPACK ``eigh``. Bases are packed rows as :mod:`sqdci.hamiltonian` defines
@@ -12,6 +12,10 @@ product of its alpha and beta strings (SQD closures, the FCI sector),
 and by the builder's numpy CSR matrix otherwise (HCI, the extension,
 ``closure=0``). A product solve's memory is estimated up front by
 :func:`product_solve_bytes` and capped at ``MEMORY_BUDGET_BYTES``.
+
+The Davidson settings are the module constants ``RESIDUAL_TOL``,
+``MAX_ITERATIONS`` and ``MAX_SUBSPACE``; the functions read them at call
+time.
 """
 
 from __future__ import annotations
@@ -28,6 +32,11 @@ from .hamiltonian import (ActiveSpaceHamiltonian, ProductHamiltonian,
                           sigma_block_rows)
 
 DENSE_THRESHOLD = 512
+# Davidson: residual norm at convergence, iteration limit, and the rows of
+# its preallocated basis and sigma blocks.
+RESIDUAL_TOL = 1e-8
+MAX_ITERATIONS = 300
+MAX_SUBSPACE = 20
 # Memory a product-space solve may plan for; see product_solve_bytes.
 MEMORY_BUDGET_BYTES = 4 << 30
 # The packed basis rows and the index arrays of the product check: 41 B
@@ -36,28 +45,11 @@ BASIS_BYTES_PER_DETERMINANT = 48
 
 
 @dataclass
-class DavidsonOptions:
-    n_roots: int = 1
-    residual_tol: float = 1e-8
-    max_iterations: int = 300
-    max_subspace: int = 0  # 0 -> max(20, 4 * n_roots)
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_roots < 1:
-            raise ConfigError("n_roots must be >= 1")
-        if self.residual_tol <= 0:
-            raise ConfigError("residual_tol must be positive")
-        if self.max_subspace == 0:
-            self.max_subspace = max(20, 4 * self.n_roots)
-        if self.max_subspace < 2 * self.n_roots:
-            raise ConfigError("max_subspace must be >= 2 * n_roots")
-
-
-@dataclass
 class SpectrumResult:
-    energies: list[float]
-    vectors: list[np.ndarray]
+    """Lowest eigenpair of a symmetric operator."""
+
+    energy: float
+    vector: np.ndarray
     iterations_used: int
     converged: bool
 
@@ -80,11 +72,7 @@ def _check_finite(arrays):
 
 
 def dense_eigensolve(matrix: np.ndarray) -> SpectrumResult:
-    """Full spectrum of a symmetric real matrix (direct method).
-
-    The vectors are views into one eigenvector matrix; a caller that keeps
-    one copies it.
-    """
+    """Lowest eigenpair of a symmetric real matrix (direct method)."""
     matrix = np.asarray(matrix, dtype=float)
     dim = matrix.shape[0]
     if matrix.shape != (dim, dim):
@@ -95,7 +83,8 @@ def dense_eigensolve(matrix: np.ndarray) -> SpectrumResult:
         raise ConfigError("matrix is not symmetric")
     evals, evecs = np.linalg.eigh(matrix)
     _check_finite([evals, evecs])
-    return SpectrumResult(energies=evals.tolist(), vectors=list(evecs.T),
+    # A copy, so the result does not hold the whole eigenvector matrix.
+    return SpectrumResult(energy=float(evals[0]), vector=evecs[:, 0].copy(),
                           iterations_used=1, converged=True)
 
 
@@ -119,31 +108,29 @@ def _orthonormal_rows(block: np.ndarray, against: np.ndarray) -> np.ndarray:
     return out[:size]
 
 
-def davidson_lowest(matvec, diagonal, opts: DavidsonOptions) -> SpectrumResult:
-    """Lowest eigenpairs of a symmetric operator given its matvec.
+def davidson_lowest(matvec, diagonal) -> SpectrumResult:
+    """Lowest eigenpair of a symmetric operator given its matvec.
 
     Generalized Davidson with diagonal preconditioning and a GD+k thick
     restart (Stathopoulos, SIAM J. Sci. Comput. 29, 481 (2007)). The
     basis V and its image W = HV live in preallocated blocks of
-    ``max_subspace`` rows. Each new vector is orthonormalised by CGS2,
+    ``MAX_SUBSPACE`` rows. Each new vector is orthonormalised by CGS2,
     multiplied once, and adds one row and column to the Rayleigh matrix
     V W^T. When the blocks are full, the restart keeps the current Ritz
-    vectors and, room permitting, the previous iteration's, orthonormalised
+    vector and, room permitting, the previous iteration's, orthonormalised
     in the coefficient space of V; V, W and the Rayleigh matrix are rotated
     by that coefficient block, so no vector is multiplied twice.
 
-    Deterministic for a fixed seed: initial guesses are unit vectors on
-    the lowest diagonal entries (ties by index), and random vectors are
-    used only to replace numerically degenerate corrections.
+    Deterministic: the initial guess is the unit vector on the lowest
+    diagonal entry (ties by index), and random vectors, from a fixed
+    stream, are used only to replace a numerically degenerate correction.
+    Converged means the final Ritz pair's residual, recomputed with one
+    more matvec, is below ``RESIDUAL_TOL``.
     """
     diagonal = np.asarray(diagonal, dtype=float)
     dim = len(diagonal)
-    k = opts.n_roots
-    if dim < k:
-        raise ConfigError("operator dimension smaller than n_roots")
-
-    gen = rng.stream(opts.seed, "davidson")
-    cap = min(opts.max_subspace, dim)
+    gen = rng.stream(0, "davidson")
+    cap = min(MAX_SUBSPACE, dim)
     basis = np.empty((cap, dim))
     sigma = np.empty((cap, dim))
     rayleigh = np.empty((cap, cap))
@@ -160,43 +147,44 @@ def davidson_lowest(matvec, diagonal, opts: DavidsonOptions) -> SpectrumResult:
         rayleigh[size:end, :end] = cross.T
         return end
 
-    start = np.zeros((k, dim))
-    start[np.arange(k), np.argsort(diagonal, kind="stable")[:k]] = 1.0
-    size = append(start, 0)
-    ritz = start
-    previous = np.zeros((k, 0))  # last iteration's Ritz coefficients
+    # The Ritz vector, its residual and the correction are (1, dim) rows.
+    # The residual norm is a row sum (axis=1); the norm of a 1-D vector is
+    # a dot product, which rounds differently.
+    ritz = np.zeros((1, dim))
+    ritz[0, np.argmin(diagonal)] = 1.0
+    size = append(ritz, 0)
+    previous = np.zeros((1, 0))  # last iteration's Ritz coefficients
     converged = False
     iterations = 0
 
-    for iterations in range(1, opts.max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         evals, evecs = np.linalg.eigh(rayleigh[:size, :size])
-        theta, coef = evals[:k], evecs[:, :k].T
+        theta, coef = evals[0], evecs[:, :1].T
         ritz = coef @ basis[:size]
-        residuals = coef @ sigma[:size] - theta[:, None] * ritz
-        norms = np.linalg.norm(residuals, axis=1)
-        _check_finite([theta, ritz, norms])
-        if np.all(norms < opts.residual_tol):
+        residual = coef @ sigma[:size] - theta * ritz
+        norm = np.linalg.norm(residual, axis=1)
+        _check_finite([theta, ritz, norm])
+        if norm[0] < RESIDUAL_TOL:
             converged = True
             break
 
-        todo = norms >= opts.residual_tol
-        denom = diagonal - theta[todo, None]
+        denom = diagonal - theta
         denom = np.where(np.abs(denom) < 1e-8,
                          np.copysign(1e-8, denom + 1e-300), denom)
-        block = _orthonormal_rows(residuals[todo] / denom, basis[:size])
+        block = _orthonormal_rows(residual / denom, basis[:size])
         if len(block) == 0:
             # Correction space collapsed: expand with a seeded random vector.
             block = _orthonormal_rows(gen.standard_normal((1, dim)),
                                       basis[:size])
             if len(block) == 0:
                 break
-        if size + len(block) > cap:
-            # GD+k restart; k + len(block) <= cap leaves room for the Ritz
-            # vectors and the block.
-            padded = np.zeros((k, size))
+        if size == cap:
+            # GD+k restart: the Ritz vector, the previous one if there is
+            # room beside the new correction, then the correction.
+            padded = np.zeros((1, size))
             padded[:, :previous.shape[1]] = previous
             keep = np.vstack([coef, _orthonormal_rows(padded, coef)
-                              [:cap - k - len(block)]])
+                              [:cap - 2]])
             basis[:len(keep)] = keep @ basis[:size]
             sigma[:len(keep)] = keep @ sigma[:size]
             small = keep @ rayleigh[:size, :size] @ keep.T
@@ -207,39 +195,29 @@ def davidson_lowest(matvec, diagonal, opts: DavidsonOptions) -> SpectrumResult:
         size = append(block, size)
 
     # Post-hoc residual verification, independent of internal bookkeeping.
-    vectors = []
-    energies = []
-    verified = True
-    for v in ritz:
-        v = v / np.linalg.norm(v)
-        hv = matvec(v)
-        e = float(v @ hv)
-        if np.linalg.norm(hv - e * v) >= opts.residual_tol:
-            verified = False
-        energies.append(e)
-        vectors.append(v)
-    order = np.argsort(energies, kind="stable")
-    energies = [energies[i] for i in order]
-    vectors = [vectors[i] for i in order]
-    _check_finite(vectors)
-    return SpectrumResult(energies=energies, vectors=vectors,
+    vector = ritz[0] / np.linalg.norm(ritz[0])
+    hv = matvec(vector)
+    energy = float(vector @ hv)
+    verified = np.linalg.norm(hv - energy * vector) < RESIDUAL_TOL
+    _check_finite([vector])
+    return SpectrumResult(energy=energy, vector=vector,
                           iterations_used=iterations,
                           converged=bool(converged and verified))
 
 
-def _product_operator(ham: ActiveSpaceHamiltonian, basis: np.ndarray,
-                      max_subspace: int) -> ProductHamiltonian | None:
+def _product_operator(ham: ActiveSpaceHamiltonian,
+                      basis: np.ndarray) -> ProductHamiltonian | None:
     """Matrix-free operator when ``basis`` is the full product of its
     distinct alpha and beta strings, else ``None``."""
     alphas, _, betas, _ = basis_strings(basis)
     if len(basis) != len(alphas) * len(betas):
         return None
-    _check_product_memory(ham.n_orb, len(alphas), len(betas), max_subspace)
+    _check_product_memory(ham.n_orb, len(alphas), len(betas))
     return ProductHamiltonian(ham, alphas, betas)
 
 
-def solve_subspace(ham: ActiveSpaceHamiltonian, basis: np.ndarray,
-                   opts: DavidsonOptions | None = None) -> SubspaceResult:
+def solve_subspace(ham: ActiveSpaceHamiltonian,
+                   basis: np.ndarray) -> SubspaceResult:
     """Ground state of H projected onto ``basis``.
 
     Below ``DENSE_THRESHOLD`` the CSR matrix is diagonalized directly.
@@ -247,29 +225,25 @@ def solve_subspace(ham: ActiveSpaceHamiltonian, basis: np.ndarray,
     when ``basis`` is the full product of its strings, and on the CSR
     matrix otherwise. Raises :class:`ConfigError` for an empty, unsorted
     or repeated basis and :class:`ConvergenceError` when Davidson does not
-    reach ``opts.residual_tol``.
+    reach ``RESIDUAL_TOL``.
     """
     if not len(basis):
         raise ConfigError("empty determinant basis")
-    opts = opts or DavidsonOptions()
     dim = len(basis)
     if dim < DENSE_THRESHOLD:
         spec = dense_eigensolve(build_sparse_matrix(ham, basis).toarray())
-        # A copy, so the result does not hold the whole eigenvector matrix.
-        return SubspaceResult(energy=spec.energies[0],
-                              vector=spec.vectors[0].copy(),
+        return SubspaceResult(energy=spec.energy, vector=spec.vector,
                               basis=basis, dimension=dim,
                               diagnostics={"method": "dense", "operator": "csr"})
 
-    op = (_product_operator(ham, basis, opts.max_subspace)
-          or build_sparse_matrix(ham, basis))
+    op = _product_operator(ham, basis) or build_sparse_matrix(ham, basis)
     operator = "product" if isinstance(op, ProductHamiltonian) else "csr"
-    spec = davidson_lowest(op.__matmul__, op.diagonal(), opts)
+    spec = davidson_lowest(op.__matmul__, op.diagonal())
     if not spec.converged:
         raise ConvergenceError(
             f"Davidson did not converge in {spec.iterations_used} "
             f"iterations (dimension {dim})")
-    return SubspaceResult(energy=spec.energies[0], vector=spec.vectors[0],
+    return SubspaceResult(energy=spec.energy, vector=spec.vector,
                           basis=basis, dimension=dim,
                           diagnostics={"method": "davidson",
                                        "iterations": spec.iterations_used,
@@ -277,12 +251,12 @@ def solve_subspace(ham: ActiveSpaceHamiltonian, basis: np.ndarray,
                                        "operator": operator})
 
 
-def product_solve_bytes(n_orb: int, n_alpha_strings: int, n_beta_strings: int,
-                        max_subspace: int) -> int:
+def product_solve_bytes(n_orb: int, n_alpha_strings: int,
+                        n_beta_strings: int) -> int:
     """Bytes a Davidson solve on a product space holds at its peak (estimate).
 
     Per determinant: the preallocated Davidson basis and sigma blocks
-    (2 * ``max_subspace`` vectors), eight work vectors (the diagonal, the
+    (2 * ``MAX_SUBSPACE`` vectors), eight work vectors (the diagonal, the
     Ritz vector, its residual, the correction and its denominators, the
     sigma output and its product temporary, the grid keys), and the
     packed basis. Per space: the dense string matrices, the
@@ -292,16 +266,15 @@ def product_solve_bytes(n_orb: int, n_alpha_strings: int, n_beta_strings: int,
     n_pairs = n_orb * (n_orb + 1) // 2
     block = n_pairs * n_beta_strings * sigma_block_rows(
         n_orb, n_alpha_strings, n_beta_strings)
-    floats = (dim * (2 * max_subspace + 8) + n_alpha_strings ** 2
+    floats = (dim * (2 * MAX_SUBSPACE + 8) + n_alpha_strings ** 2
               + n_beta_strings ** 2 + n_pairs ** 2 + 3 * block)
     return 8 * floats + BASIS_BYTES_PER_DETERMINANT * dim
 
 
 def _check_product_memory(n_orb: int, n_alpha_strings: int,
-                          n_beta_strings: int, max_subspace: int) -> None:
+                          n_beta_strings: int) -> None:
     """Raise :class:`CapacityError` when a product solve would not fit."""
-    need = product_solve_bytes(n_orb, n_alpha_strings, n_beta_strings,
-                               max_subspace)
+    need = product_solve_bytes(n_orb, n_alpha_strings, n_beta_strings)
     if need > MEMORY_BUDGET_BYTES:
         raise CapacityError(
             f"product space {n_alpha_strings} x {n_beta_strings} needs about "
@@ -309,17 +282,15 @@ def _check_product_memory(n_orb: int, n_alpha_strings: int,
             f"GiB budget")
 
 
-def fci_ground_state(ham: ActiveSpaceHamiltonian,
-                     opts: DavidsonOptions | None = None) -> SubspaceResult:
+def fci_ground_state(ham: ActiveSpaceHamiltonian) -> SubspaceResult:
     """Exact ground state over the complete (n_alpha, n_beta) sector.
 
     Raises :class:`CapacityError`, before building the basis, when the
     product solve would exceed ``MEMORY_BUDGET_BYTES``.
     """
-    opts = opts or DavidsonOptions()
     _check_product_memory(ham.n_orb, comb(ham.n_orb, ham.n_alpha),
-                          comb(ham.n_orb, ham.n_beta), opts.max_subspace)
+                          comb(ham.n_orb, ham.n_beta))
     basis = sector_basis(ham.n_orb, ham.n_alpha, ham.n_beta)
-    result = solve_subspace(ham, basis, opts)
+    result = solve_subspace(ham, basis)
     result.diagnostics["fci"] = True
     return result

@@ -9,9 +9,12 @@ Subspaces are the packed ``uint64`` bases of :mod:`sqdci.hamiltonian`.
 
 Recovery works on blocks of packed shots: each spin half flips its
 Gumbel-top-|excess| bits, found in |excess| rounds of ``argmax``. The
-extension folds its candidate rows into a running merge, so its memory
-follows the result, not the candidate count, and its dimension cap holds
-before every candidate is expanded.
+extension folds its candidate rows, and the bases the caller includes,
+into a running merge, so its memory follows the result, not the candidate
+count, and the one ``EXTENSION_DIMENSION_CAP`` check covers the whole
+union before every candidate is expanded. The loop's shape comes from
+:class:`RecoveryConfig`; the solver settings are constants of
+:mod:`sqdci.solver`.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .errors import CapacityError, ConfigError, EmptyValidSampleError
 from .hamiltonian import (_BLOCK_CANDIDATES, ActiveSpaceHamiltonian,
                           basis_strings, distinct_strings, merge_bases,
                           occupation_rows)
-from .sampler import BitstringCounts, shot_rows, unpack_bits
-from .solver import DavidsonOptions, solve_subspace
+from .sampler import BitstringCounts, merge_counts, shot_rows, unpack_bits
+from .solver import solve_subspace
 
 EXTENSION_DIMENSION_CAP = 50_000_000
 # Invalid shots ``recover_configurations`` repairs at once; bounds its
@@ -79,7 +82,6 @@ class SQDResult:
     dimension: int
     raw_dimension: int
     batches: list[BatchSolution] = field(default_factory=list)
-    n_orb: int = 0
 
 
 def partition_by_hamming(counts: BitstringCounts, n_alpha: int,
@@ -188,8 +190,7 @@ def _draw_batch(counts: BitstringCounts, size: int,
 
 
 def sqd_ground_state(ham: ActiveSpaceHamiltonian, counts: BitstringCounts,
-                     cfg: RecoveryConfig,
-                     solver_opts: DavidsonOptions | None = None) -> SQDResult:
+                     cfg: RecoveryConfig) -> SQDResult:
     """Run the full recovery/batching/diagonalization loop."""
     if counts.total_shots == 0:
         raise ConfigError("counts are empty")
@@ -213,14 +214,14 @@ def sqd_ground_state(ham: ActiveSpaceHamiltonian, counts: BitstringCounts,
                 invalid, occupations, ham.n_alpha, ham.n_beta,
                 seed=rng.stream(cfg.seed, "recover-seed", iteration)
                 .integers(2**63))
-            pool = valid.merged_with(recovered)
+            pool = merge_counts(counts.n_qubits, [valid, recovered])
 
         batches = []
         for b in range(cfg.batches):
             gen = rng.stream(cfg.seed, "batch", iteration, b)
             batch_counts = _draw_batch(pool, cfg.samples_per_batch, gen)
             basis = build_subspace(batch_counts, cfg.closure)
-            solved = solve_subspace(ham, basis, solver_opts)
+            solved = solve_subspace(ham, basis)
             batches.append(BatchSolution(basis=solved.basis,
                                          vector=solved.vector,
                                          energy=solved.energy,
@@ -239,24 +240,25 @@ def sqd_ground_state(ham: ActiveSpaceHamiltonian, counts: BitstringCounts,
                      occupations=_eigenvector_occupations(
                          best.basis, best.vector, ham.n_orb),
                      basis=best.basis, dimension=len(best.basis),
-                     raw_dimension=best.raw_dimension, batches=batches,
-                     n_orb=ham.n_orb)
+                     raw_dimension=best.raw_dimension, batches=batches)
 
 
-def _fold(merged: np.ndarray, pending: list, dimension_cap: int) -> np.ndarray:
+def _fold(merged: np.ndarray, pending: list) -> np.ndarray:
     """``merged`` and the ``pending`` candidate rows as one basis; raises
-    :class:`CapacityError` when it holds more than ``dimension_cap`` rows."""
+    :class:`CapacityError` when it holds more than
+    ``EXTENSION_DIMENSION_CAP`` rows."""
     merged = merge_bases(merged, *pending)
-    if len(merged) > dimension_cap:
-        raise CapacityError(
-            f"extended dimension {len(merged)} exceeds cap {dimension_cap}")
+    if len(merged) > EXTENSION_DIMENSION_CAP:
+        raise CapacityError(f"extended dimension {len(merged)} exceeds cap "
+                            f"{EXTENSION_DIMENSION_CAP}")
     return merged
 
 
 def extend_subspace(eigenvector: np.ndarray, basis: np.ndarray,
                     thresholds: ExtensionThresholds, n_orb: int,
-                    dimension_cap: int = EXTENSION_DIMENSION_CAP) -> np.ndarray:
-    """Excitation extension of a subspace eigenstate, as a basis.
+                    *include: np.ndarray) -> np.ndarray:
+    """Excitation extension of a subspace eigenstate, with the ``include``
+    bases, as one basis.
 
     Keeps configurations with |amplitude| >= discard_below, adds all
     their single excitations, and all double excitations of those with
@@ -269,8 +271,9 @@ def extend_subspace(eigenvector: np.ndarray, basis: np.ndarray,
     merge once they outnumber both ``_BLOCK_CANDIDATES`` and the rows
     merged so far: a small extension merges once, a large one holds a
     multiple of its result instead of every candidate, and the merges sort
-    fewer than twice as many rows as there are candidates. Raises
-    :class:`CapacityError` once the result passes ``dimension_cap`` rows.
+    fewer than twice as many rows as there are candidates. The ``include``
+    bases are candidates too. Raises :class:`CapacityError` once the
+    result passes ``EXTENSION_DIMENSION_CAP`` rows.
     """
     eigenvector = np.abs(np.asarray(eigenvector))
     if len(eigenvector) != len(basis):
@@ -293,6 +296,7 @@ def extend_subspace(eigenvector: np.ndarray, basis: np.ndarray,
             yield moved
 
     def candidates():
+        yield from include
         yield kept
         for spin in (0, 1):
             yield from moves(kept, pairs, 1, spin)
@@ -309,35 +313,27 @@ def extend_subspace(eigenvector: np.ndarray, basis: np.ndarray,
         pending.append(block)
         held += len(block)
         if held > max(_BLOCK_CANDIDATES, len(merged)):
-            merged, pending, held = _fold(merged, pending, dimension_cap), [], 0
-    return _fold(merged, pending, dimension_cap)
+            merged, pending, held = _fold(merged, pending), [], 0
+    return _fold(merged, pending)
 
 
 def ext_sqd(ham: ActiveSpaceHamiltonian, prior: SQDResult,
-            thresholds: ExtensionThresholds | None = None,
-            batches: int | None = None,
-            solver_opts: DavidsonOptions | None = None,
-            dimension_cap: int = EXTENSION_DIMENSION_CAP) -> SQDResult:
+            thresholds: ExtensionThresholds | None = None) -> SQDResult:
     """Excitation-extended re-diagonalization of the final SQD batches.
 
     Each batch eigenstate is extended independently (single iteration,
-    no recovery); every extension includes the prior winning basis, so
-    the best extended energy cannot exceed the prior energy.
+    no recovery); every extension includes the batch's and the prior
+    winning basis, so the best extended energy cannot exceed the prior
+    energy.
     """
     if not prior.batches:
         raise ConfigError("prior result carries no batch eigenstates")
     thresholds = thresholds or ExtensionThresholds()
-    pool = prior.batches if batches is None else prior.batches[:batches]
     solutions = []
-    for batch in pool:
-        extended = merge_bases(extend_subspace(batch.vector, batch.basis,
-                                               thresholds, ham.n_orb,
-                                               dimension_cap),
-                               batch.basis, prior.basis)
-        if len(extended) > dimension_cap:
-            raise CapacityError(
-                f"extended dimension {len(extended)} exceeds cap {dimension_cap}")
-        solved = solve_subspace(ham, extended, solver_opts)
+    for batch in prior.batches:
+        extended = extend_subspace(batch.vector, batch.basis, thresholds,
+                                   ham.n_orb, batch.basis, prior.basis)
+        solved = solve_subspace(ham, extended)
         solutions.append(BatchSolution(basis=solved.basis,
                                        vector=solved.vector,
                                        energy=solved.energy,
@@ -347,5 +343,4 @@ def ext_sqd(ham: ActiveSpaceHamiltonian, prior: SQDResult,
                      occupations=_eigenvector_occupations(
                          best.basis, best.vector, ham.n_orb),
                      basis=best.basis, dimension=len(best.basis),
-                     raw_dimension=len(best.basis), batches=solutions,
-                     n_orb=ham.n_orb)
+                     raw_dimension=len(best.basis), batches=solutions)

@@ -16,13 +16,13 @@ from oracles import (brute_force_matrix, determinant_to_bitstring,
                      valid_probability_after_flips)
 import scipy.linalg
 
-from sqdci.baselines import HCIOptions, ext_hci, hci_variational
+from sqdci.baselines import ext_hci, hci_variational
 from sqdci.cli import RunConfig, execute_run, reaction_report
 from sqdci.hamiltonian import (build_sparse_matrix, hartree_fock_determinant,
                                sector_basis)
 from sqdci.sampler import (LUCJParams, NoiseModel, apply_readout_noise,
                            lucj_state, sample_counts, state_from_ci_vector)
-from sqdci.solver import DavidsonOptions, davidson_lowest, dense_eigensolve, fci_ground_state
+from sqdci.solver import davidson_lowest, dense_eigensolve, fci_ground_state
 from sqdci.sqd import (ExtensionThresholds, RecoveryConfig, ext_sqd,
                        extend_subspace, partition_by_hamming,
                        recover_configurations, sqd_ground_state)
@@ -60,19 +60,17 @@ def test_criterion_02_eigensolver_oracle():
     for seed in range(20):
         mat = random_sparse_symmetric(200, seed=200 + seed)
         exact = np.linalg.eigvalsh(mat)[0]
-        spec = davidson_lowest(lambda v: mat @ v, np.diag(mat),
-                               DavidsonOptions())
-        assert spec.energies[0] == pytest.approx(exact, abs=1e-9)
+        spec = davidson_lowest(lambda v: mat @ v, np.diag(mat))
+        assert spec.energy == pytest.approx(exact, abs=1e-9)
     for n, na, nb, seed in [(4, 2, 2, 0), (5, 2, 2, 1), (6, 3, 3, 2),
                             (7, 3, 3, 3)]:
         ham = random_hamiltonian(n, na, nb, seed=300 + seed)
         basis = sector_basis(n, na, nb)
         assert len(basis) <= 4096
         sparse = build_sparse_matrix(ham, basis)
-        spec = davidson_lowest(lambda v: sparse @ v, sparse.diagonal(),
-                               DavidsonOptions())
-        exact = dense_eigensolve(sparse.toarray()).energies[0]
-        assert spec.energies[0] == pytest.approx(exact, abs=1e-9)
+        spec = davidson_lowest(lambda v: sparse @ v, sparse.diagonal())
+        exact = dense_eigensolve(sparse.toarray()).energy
+        assert spec.energy == pytest.approx(exact, abs=1e-9)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     print(f"criterion 2: PASS — Davidson matches dense diagonalization "
@@ -117,7 +115,7 @@ def test_criterion_04_variational_chain():
                                RecoveryConfig(iterations=2, batches=4,
                                               samples_per_batch=8, seed=seed))
         ext = ext_sqd(ham, sqd)
-        hci = hci_variational(ham, HCIOptions(epsilon1=5e-3))
+        hci = hci_variational(ham, 5e-3)
         ext_h = ext_hci(ham, hci)
         slack = 1e-9
         assert e_fci <= ext.energy + slack <= sqd.energy + 2 * slack
@@ -185,7 +183,7 @@ def test_criterion_07_lucj_sampler():
     a = gen.normal(size=(4, 4)) * 0.6
     K = a - a.T
     state = lucj_state(LUCJParams(layers=[(K, None)]), 4, 2, 2)
-    dm = one_rdm_alpha(state.amplitudes, state.basis(), 4)
+    dm = one_rdm_alpha(state.amplitudes, sector_basis(4, 2, 2), 4)
     U = scipy.linalg.expm(K)
     P = np.diag([1.0, 1.0, 0.0, 0.0])
     assert np.max(np.abs(dm - U @ P @ U.T)) < 1e-9
@@ -195,7 +193,7 @@ def test_criterion_07_lucj_sampler():
     params = LUCJParams(layers=[(b - b.T, 0.2 * np.eye(10))])
     state = lucj_state(params, 5, 2, 2)
     counts = sample_counts(state, shots=1_000_000, seed=702)
-    keys = [determinant_to_bitstring(d, 5) for d in state.basis()]
+    keys = [determinant_to_bitstring(d, 5) for d in sector_basis(5, 2, 2)]
     tv = total_variation(counts, np.abs(state.amplitudes) ** 2, keys)
     assert tv < 0.01
     print(f"criterion 7: PASS — zero-parameter state samples only RHF; "
@@ -207,9 +205,9 @@ def test_criterion_08_hci_limits():
     for n, na, nb, seed in [(4, 2, 2, 800), (6, 3, 3, 801)]:
         ham = random_hamiltonian(n, na, nb, seed=seed)
         exact = fci_ground_state(ham).energy
-        zero_eps = hci_variational(ham, HCIOptions(epsilon1=0.0))
+        zero_eps = hci_variational(ham, 0.0)
         assert zero_eps.energy == pytest.approx(exact, abs=1e-10)
-        energies = [hci_variational(ham, HCIOptions(epsilon1=eps)).energy
+        energies = [hci_variational(ham, eps).energy
                     for eps in (1e-2, 1e-3, 1e-4, 0.0)]
         for tighter, looser in zip(energies[1:], energies):
             assert tighter <= looser + 1e-12

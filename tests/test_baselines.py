@@ -3,15 +3,16 @@ import pytest
 
 from conftest import as_pairs, packed, random_hamiltonian
 from oracles import brute_force_matrix, reference_connected
-from sqdci.baselines import HCIOptions, ext_hci, hci_variational
-from sqdci.errors import ConfigError
+from sqdci.baselines import ext_hci, hci_variational
+from sqdci import sqd
+from sqdci.errors import CapacityError, ConfigError
 from sqdci.hamiltonian import Determinant
 from sqdci.solver import fci_ground_state, solve_subspace
 from sqdci.sqd import ExtensionThresholds, extend_subspace
 
 
 def test_huge_epsilon_keeps_hf_only(ham_4e4o):
-    result = hci_variational(ham_4e4o, HCIOptions(epsilon1=1e6))
+    result = hci_variational(ham_4e4o, 1e6)
     assert result.dimension == 1
     assert result.energy == pytest.approx(
         brute_force_matrix(ham_4e4o, [ham_4e4o.hf_determinant()])[0, 0],
@@ -20,13 +21,13 @@ def test_huge_epsilon_keeps_hf_only(ham_4e4o):
 
 def test_zero_epsilon_reaches_fci(ham_2e2o, ham_4e4o):
     for ham in (ham_2e2o, ham_4e4o):
-        result = hci_variational(ham, HCIOptions(epsilon1=0.0))
+        result = hci_variational(ham, 0.0)
         exact = fci_ground_state(ham)
         assert result.energy == pytest.approx(exact.energy, abs=1e-10)
 
 
 def test_energy_monotone_in_epsilon(ham_4e4o):
-    energies = [hci_variational(ham_4e4o, HCIOptions(epsilon1=eps)).energy
+    energies = [hci_variational(ham_4e4o, eps).energy
                 for eps in (1e-1, 1e-3, 1e-5, 0.0)]
     for tighter, looser in zip(energies[1:], energies):
         assert tighter <= looser + 1e-12
@@ -34,24 +35,22 @@ def test_energy_monotone_in_epsilon(ham_4e4o):
 
 def test_hci_variational_above_fci(ham_4e4o):
     exact = fci_ground_state(ham_4e4o)
-    result = hci_variational(ham_4e4o, HCIOptions(epsilon1=1e-2))
+    result = hci_variational(ham_4e4o, 1e-2)
     assert result.energy >= exact.energy - 1e-12
 
 
 def test_hci_diagnostics():
     ham = random_hamiltonian(4, 2, 2, seed=31)
-    result = hci_variational(ham, HCIOptions(epsilon1=1e-3))
+    result = hci_variational(ham, 1e-3)
     assert result.diagnostics["epsilon1"] == 1e-3
     assert result.diagnostics["hci_sweeps"] >= 1
 
 
-def test_hci_options_validation():
-    nan = float("nan")
-    for bad in ({"epsilon1": -1.0}, {"epsilon1": nan}, {"energy_tol": 0.0},
-                {"energy_tol": nan}):
+def test_hci_options_validation(ham_2e2o):
+    for bad in (-1.0, float("nan")):
         with pytest.raises(ConfigError):
-            HCIOptions(**bad)
-    HCIOptions(epsilon1=float("inf"))
+            hci_variational(ham_2e2o, bad)
+    assert hci_variational(ham_2e2o, float("inf")).dimension == 1
 
 
 def _reference_hci(ham, epsilon1, max_iterations=50, energy_tol=1e-9):
@@ -85,27 +84,27 @@ def test_hci_basis_matches_reference_sweep(n_beta, epsilon1):
     ham = random_hamiltonian(8, 4, n_beta, seed=40 + n_beta,
                              diagonal_spread=3.0)
     expected, sweeps = _reference_hci(ham, epsilon1)
-    result = hci_variational(ham, HCIOptions(epsilon1=epsilon1))
+    result = hci_variational(ham, epsilon1)
     assert np.array_equal(result.basis, expected.basis)
     assert result.diagnostics["hci_sweeps"] == sweeps
     assert abs(result.energy - expected.energy) <= 1e-12
 
 
 def test_ext_hci_reaches_fci_on_small_sector(ham_2e2o):
-    prior = hci_variational(ham_2e2o, HCIOptions(epsilon1=1e-1))
+    prior = hci_variational(ham_2e2o, 1e-1)
     result = ext_hci(ham_2e2o, prior, ExtensionThresholds(0.0, 0.0))
     exact = fci_ground_state(ham_2e2o)
     assert result.energy == pytest.approx(exact.energy, abs=1e-9)
 
 
 def test_ext_hci_noop_thresholds(ham_4e4o):
-    prior = hci_variational(ham_4e4o, HCIOptions(epsilon1=1e-2))
+    prior = hci_variational(ham_4e4o, 1e-2)
     result = ext_hci(ham_4e4o, prior, ExtensionThresholds(1.0, 1.0))
     assert result.energy == pytest.approx(prior.energy, abs=1e-12)
 
 
 def test_ext_hci_never_above_hci(ham_4e4o):
-    prior = hci_variational(ham_4e4o, HCIOptions(epsilon1=1e-2))
+    prior = hci_variational(ham_4e4o, 1e-2)
     result = ext_hci(ham_4e4o, prior)
     assert result.energy <= prior.energy + 1e-12
     hf_energy = brute_force_matrix(ham_4e4o, [ham_4e4o.hf_determinant()])[0, 0]
@@ -115,9 +114,20 @@ def test_ext_hci_never_above_hci(ham_4e4o):
 def test_extension_code_path_shared(ham_4e4o):
     # Both extension consumers call the same function; identical inputs
     # must give identical extended spaces.
-    prior = hci_variational(ham_4e4o, HCIOptions(epsilon1=1e-2))
+    prior = hci_variational(ham_4e4o, 1e-2)
     a = extend_subspace(prior.vector, prior.basis, ExtensionThresholds(),
                         ham_4e4o.n_orb)
     b = extend_subspace(prior.vector, prior.basis, ExtensionThresholds(),
                         ham_4e4o.n_orb)
     assert np.array_equal(a, b)
+
+
+def test_ext_hci_cap_counts_the_hci_basis(ham_4e4o, monkeypatch):
+    # No-op thresholds: the extended space is the HCI basis alone.
+    prior = hci_variational(ham_4e4o, 1e-2)
+    monkeypatch.setattr(sqd, "EXTENSION_DIMENSION_CAP", len(prior.basis))
+    extended = ext_hci(ham_4e4o, prior, ExtensionThresholds(1.0, 1.0))
+    assert extended.dimension == len(prior.basis)
+    monkeypatch.setattr(sqd, "EXTENSION_DIMENSION_CAP", len(prior.basis) - 1)
+    with pytest.raises(CapacityError):
+        ext_hci(ham_4e4o, prior, ExtensionThresholds(1.0, 1.0))

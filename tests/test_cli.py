@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import subprocess
@@ -15,7 +14,7 @@ from sqdci.cli import (RunConfig, build_parser, execute_run, main,
 from sqdci.errors import ConfigError
 from sqdci.fcidump import write_fcidump_path
 from sqdci.sampler import BitstringCounts, write_counts
-from sqdci.solver import DavidsonOptions, fci_ground_state
+from sqdci.solver import fci_ground_state
 from sqdci.units import EV_PER_HARTREE
 
 
@@ -287,8 +286,7 @@ def test_main_non_converged_solve_exit_code(tmp_path, monkeypatch, capsys):
     # Davidson path; one iteration cannot converge.
     path = tmp_path / "h7.fcidump"
     write_fcidump_path(random_hamiltonian(7, 3, 3, seed=24), path)
-    monkeypatch.setattr("sqdci.solver.DavidsonOptions",
-                        functools.partial(DavidsonOptions, max_iterations=1))
+    monkeypatch.setattr("sqdci.solver.MAX_ITERATIONS", 1)
     assert main(["run", "--hamiltonian", str(path), "--method", "fci"]) == 3
     assert capsys.readouterr().err.startswith("error: Davidson did not converge")
 

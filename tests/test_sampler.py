@@ -15,7 +15,8 @@ from oracles import (apply_operator_string, bitstring_to_determinant,
                      valid_probability_after_flips)
 from sqdci import rng
 from sqdci.errors import CapacityError, ConfigError
-from sqdci.hamiltonian import hartree_fock_determinant, sector_strings
+from sqdci.hamiltonian import (hartree_fock_determinant, sector_basis,
+                               sector_strings)
 from sqdci.sampler import (BitstringCounts, LUCJParams, NoiseModel,
                            apply_orbital_rotation, apply_readout_noise,
                            lucj_params_from_ccsd, lucj_state, read_counts,
@@ -52,7 +53,7 @@ def test_bitstring_layout_bit0_leftmost():
 
 def test_zero_params_give_pure_rhf():
     state = lucj_state(LUCJParams.zero(4), 4, 2, 2)
-    dets = state.basis()
+    dets = sector_basis(4, 2, 2)
     amps = np.zeros(len(dets), dtype=complex)
     amps[rhf_index(dets, 2, 2)] = 1.0
     assert np.allclose(state.amplitudes, amps, atol=1e-12)
@@ -258,7 +259,7 @@ def test_rotated_determinant_one_rdm():
     n, na, nb = 4, 2, 2
     K = random_antisymmetric(n, seed=5)
     state = lucj_state(LUCJParams(layers=[(K, None)]), n, na, nb)
-    dets = state.basis()
+    dets = sector_basis(n, na, nb)
     dm = one_rdm_alpha(state.amplitudes, dets, n)
     U = scipy.linalg.expm(K)
     P = np.diag([1.0] * na + [0.0] * (n - na))
@@ -272,7 +273,7 @@ def test_phase_layer_matches_oracle_and_preserves_marginals():
     J = gen.normal(size=(2 * n, 2 * n))
     J = 0.5 * (J + J.T)
     state = lucj_state(LUCJParams(layers=[(K, J)]), n, na, nb)
-    dets = state.basis()
+    dets = sector_basis(n, na, nb)
     plain = lucj_state(LUCJParams(layers=[(K, None)]), n, na, nb)
     phases = density_density_phases(J, dets, n)
     assert np.max(np.abs(state.amplitudes
@@ -289,7 +290,7 @@ def test_state_norm_and_sector_confinement():
         final_rotation=random_antisymmetric(n, 10))
     state = lucj_state(params, n, na, nb)
     assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-10)
-    assert np.all(np.bitwise_count(state.basis()) == [na, nb])
+    assert np.all(np.bitwise_count(sector_basis(n, na, nb)) == [na, nb])
 
 
 def test_params_validation():
@@ -337,7 +338,7 @@ def test_sampled_distribution_total_variation():
         final_rotation=random_antisymmetric(n, 12, scale=0.3))
     state = lucj_state(params, n, na, nb)
     counts = sample_counts(state, shots=1_000_000, seed=0)
-    keys = [determinant_to_bitstring(d, n) for d in state.basis()]
+    keys = [determinant_to_bitstring(d, n) for d in sector_basis(n, na, nb)]
     probs = np.abs(state.amplitudes) ** 2
     assert total_variation(counts, probs, keys) < 0.01
 
@@ -382,7 +383,7 @@ def test_zero_amplitudes_reproduce_rhf():
     params = lucj_params_from_ccsd(np.zeros((nocc, nvirt)),
                                    np.zeros((nocc, nocc, nvirt, nvirt)), 1)
     state = lucj_state(params, 4, 2, 2)
-    dets = state.basis()
+    dets = sector_basis(4, 2, 2)
     assert abs(state.amplitudes[rhf_index(dets, 2, 2)]) == pytest.approx(
         1.0, abs=1e-12)
 
@@ -414,7 +415,7 @@ def test_single_double_amplitude_first_order_overlap():
     t2[j, i, b, a] = eps
     params = lucj_params_from_ccsd(None, t2, n_layers=1)
     state = lucj_state(params, n, na, nb)
-    dets = state.basis()
+    dets = sector_basis(n, na, nb)
 
     # phi = (1 + T2 - T2+)|RHF> with T2 = sum t2[ijab] a+_aA a_iA a+_bB a_jB
     phi = np.zeros(len(dets))

@@ -8,9 +8,10 @@ from conftest import packed, random_hamiltonian
 from oracles import brute_force_matrix
 from sqdci.errors import CapacityError, ConfigError, ConvergenceError
 from sqdci.hamiltonian import build_sparse_matrix
-from sqdci.solver import (DENSE_THRESHOLD, DavidsonOptions, davidson_lowest,
-                          dense_eigensolve, fci_ground_state,
-                          product_solve_bytes, solve_subspace)
+from sqdci import solver
+from sqdci.solver import (DENSE_THRESHOLD, davidson_lowest, dense_eigensolve,
+                          fci_ground_state, product_solve_bytes,
+                          solve_subspace)
 
 
 def random_sparse_symmetric(dim, seed, density=0.05, spread=2.0):
@@ -24,13 +25,15 @@ def random_sparse_symmetric(dim, seed, density=0.05, spread=2.0):
 
 def test_dense_identity():
     spec = dense_eigensolve(np.eye(3))
-    assert spec.energies == [1.0, 1.0, 1.0]
+    assert spec.energy == 1.0
+    assert np.linalg.norm(spec.vector) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_dense_two_by_two():
     spec = dense_eigensolve(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert spec.energies[0] == pytest.approx(-1.0, abs=1e-14)
-    assert spec.energies[1] == pytest.approx(1.0, abs=1e-14)
+    assert spec.energy == pytest.approx(-1.0, abs=1e-14)
+    assert np.abs(spec.vector) == pytest.approx([2 ** -0.5] * 2, abs=1e-14)
+    assert spec.vector[0] * spec.vector[1] < 0
 
 
 def test_dense_rejects_asymmetric_and_oversized():
@@ -42,57 +45,47 @@ def test_dense_rejects_asymmetric_and_oversized():
 
 def test_davidson_diagonal_matrix():
     diag = np.array([1.0, 2.0, 3.0])
-    spec = davidson_lowest(lambda v: diag * v, diag, DavidsonOptions())
-    assert spec.energies[0] == pytest.approx(1.0, abs=1e-12)
-    assert abs(spec.vectors[0][0]) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_davidson_two_roots_on_diagonal():
-    diag = np.array([5.0, -1.0, 0.0])
-    spec = davidson_lowest(lambda v: diag * v, diag,
-                           DavidsonOptions(n_roots=2))
-    assert spec.energies[0] == pytest.approx(-1.0, abs=1e-12)
-    assert spec.energies[1] == pytest.approx(0.0, abs=1e-12)
+    spec = davidson_lowest(lambda v: diag * v, diag)
+    assert spec.energy == pytest.approx(1.0, abs=1e-12)
+    assert abs(spec.vector[0]) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_davidson_matches_dense_on_random_sparse():
     for seed in range(5):
         mat = random_sparse_symmetric(200, seed)
         exact = np.linalg.eigvalsh(mat)[0]
-        spec = davidson_lowest(lambda v: mat @ v, np.diag(mat),
-                               DavidsonOptions())
+        spec = davidson_lowest(lambda v: mat @ v, np.diag(mat))
         assert spec.converged
-        assert spec.energies[0] == pytest.approx(exact, abs=1e-9)
+        assert spec.energy == pytest.approx(exact, abs=1e-9)
 
 
 def test_davidson_residuals_verified_post_hoc():
     mat = random_sparse_symmetric(120, seed=3)
-    spec = davidson_lowest(lambda v: mat @ v, np.diag(mat), DavidsonOptions())
-    v, e = spec.vectors[0], spec.energies[0]
+    spec = davidson_lowest(lambda v: mat @ v, np.diag(mat))
+    v, e = spec.vector, spec.energy
     assert np.linalg.norm(mat @ v - e * v) < 1e-8
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_davidson_deterministic():
     mat = random_sparse_symmetric(150, seed=4)
-    runs = [davidson_lowest(lambda v: mat @ v, np.diag(mat),
-                            DavidsonOptions(seed=9)) for _ in range(2)]
-    assert runs[0].energies == runs[1].energies
-    assert np.array_equal(runs[0].vectors[0], runs[1].vectors[0])
+    runs = [davidson_lowest(lambda v: mat @ v, np.diag(mat)) for _ in range(2)]
+    assert runs[0].energy == runs[1].energy
+    assert np.array_equal(runs[0].vector, runs[1].vector)
 
 
-@pytest.mark.parametrize("n_roots, max_subspace", [(1, 2), (1, 4), (2, 4)])
-def test_davidson_forced_restarts_match_dense(n_roots, max_subspace):
+@pytest.mark.parametrize("max_subspace", [2, 4])
+def test_davidson_forced_restarts_match_dense(max_subspace, monkeypatch):
+    monkeypatch.setattr(solver, "MAX_SUBSPACE", max_subspace)
     mat = random_sparse_symmetric(200, seed=6)
-    spec = davidson_lowest(lambda v: mat @ v, np.diag(mat),
-                           DavidsonOptions(n_roots=n_roots,
-                                           max_subspace=max_subspace))
+    spec = davidson_lowest(lambda v: mat @ v, np.diag(mat))
     assert spec.converged
-    exact = np.linalg.eigvalsh(mat)[:n_roots]
-    assert np.max(np.abs(np.array(spec.energies) - exact)) < 1e-10
+    assert spec.iterations_used > max_subspace  # so the basis restarted
+    assert abs(spec.energy - np.linalg.eigvalsh(mat)[0]) < 1e-10
 
 
-def test_davidson_restart_multiplies_nothing_again():
+def test_davidson_restart_multiplies_nothing_again(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_SUBSPACE", 4)
     mat = random_sparse_symmetric(200, seed=7)
     inputs = []
 
@@ -100,38 +93,23 @@ def test_davidson_restart_multiplies_nothing_again():
         inputs.append(v.copy())
         return mat @ v
 
-    spec = davidson_lowest(matvec, np.diag(mat), DavidsonOptions(max_subspace=4))
+    spec = davidson_lowest(matvec, np.diag(mat))
     assert spec.converged
     assert spec.iterations_used > 4  # so the 4-vector basis restarted
-    # One start vector and one correction per further iteration are added
-    # (a single root), each multiplied once; then one post-hoc check.
+    # One start vector and one correction per further iteration are added,
+    # each multiplied once; then one post-hoc check.
     assert len(inputs) == spec.iterations_used + 1
-    assert np.array_equal(inputs[-1], spec.vectors[0])
+    assert np.array_equal(inputs[-1], spec.vector)
 
 
-def test_davidson_rerun_with_restarts_is_bitwise_identical():
+def test_davidson_rerun_with_restarts_is_bitwise_identical(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_SUBSPACE", 6)
     mat = random_sparse_symmetric(150, seed=8)
-    runs = [davidson_lowest(lambda v: mat @ v, np.diag(mat),
-                            DavidsonOptions(n_roots=2, max_subspace=6, seed=3))
+    runs = [davidson_lowest(lambda v: mat @ v, np.diag(mat))
             for _ in range(2)]
     assert runs[0].iterations_used == runs[1].iterations_used > 6
-    assert runs[0].energies == runs[1].energies
-    for a, b in zip(runs[0].vectors, runs[1].vectors):
-        assert np.array_equal(a, b)
-
-
-def test_davidson_dimension_smaller_than_roots():
-    with pytest.raises(ConfigError):
-        davidson_lowest(lambda v: v, np.ones(1), DavidsonOptions(n_roots=2))
-
-
-def test_options_validation():
-    with pytest.raises(ConfigError):
-        DavidsonOptions(n_roots=0)
-    with pytest.raises(ConfigError):
-        DavidsonOptions(residual_tol=0.0)
-    with pytest.raises(ConfigError):
-        DavidsonOptions(n_roots=3, max_subspace=4)
+    assert runs[0].energy == runs[1].energy
+    assert np.array_equal(runs[0].vector, runs[1].vector)
 
 
 def test_fci_one_orbital_single_determinant():
@@ -176,11 +154,12 @@ def test_solve_subspace_davidson_path_matches_dense():
     assert result.energy == pytest.approx(exact, abs=1e-9)
 
 
-def test_solve_subspace_raises_when_davidson_does_not_converge():
+def test_solve_subspace_raises_when_davidson_does_not_converge(monkeypatch):
     ham = random_hamiltonian(7, 3, 3, seed=24, diagonal_spread=1.0)
     basis = ham.sector_basis()[:DENSE_THRESHOLD]
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
     with pytest.raises(ConvergenceError):
-        solve_subspace(ham, basis, DavidsonOptions(max_iterations=1))
+        solve_subspace(ham, basis)
 
 
 def test_empty_basis_rejected():
@@ -259,13 +238,13 @@ def test_product_solve_bytes_bounds_traced_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    estimate = product_solve_bytes(8, 70, 70, DavidsonOptions().max_subspace)
+    estimate = product_solve_bytes(8, 70, 70)
     assert peak <= estimate <= 1.5 * peak
 
 
 def test_fci_over_memory_budget_is_capacity_error(monkeypatch):
     ham = random_hamiltonian(7, 3, 3, seed=30)
-    need = product_solve_bytes(7, 35, 35, DavidsonOptions().max_subspace)
+    need = product_solve_bytes(7, 35, 35)
     monkeypatch.setattr("sqdci.solver.MEMORY_BUDGET_BYTES", need - 1)
 
     def no_basis(*args):
@@ -276,8 +255,9 @@ def test_fci_over_memory_budget_is_capacity_error(monkeypatch):
         fci_ground_state(ham)
     # A wider Davidson subspace raises the estimate past the budget.
     monkeypatch.setattr("sqdci.solver.MEMORY_BUDGET_BYTES", need)
+    monkeypatch.setattr("sqdci.solver.MAX_SUBSPACE", solver.MAX_SUBSPACE + 1)
     with pytest.raises(CapacityError):
-        fci_ground_state(ham, DavidsonOptions(max_subspace=21))
+        fci_ground_state(ham)
 
 
 def test_product_basis_over_memory_budget_is_capacity_error(monkeypatch):

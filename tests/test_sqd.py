@@ -294,21 +294,38 @@ def test_extension_cap_holds_on_the_running_merge(monkeypatch):
     basis = sector_basis(6, 3, 3)[::7]
     vector = np.full(len(basis), 0.05)  # every row kept, no doubles
     full = extend_subspace(vector, basis, ExtensionThresholds(), 6)
+    monkeypatch.setattr(sqd, "EXTENSION_DIMENSION_CAP", len(full))
     assert np.array_equal(extend_subspace(vector, basis, ExtensionThresholds(),
-                                          6, dimension_cap=len(full)), full)
+                                          6), full)
+    monkeypatch.setattr(sqd, "EXTENSION_DIMENSION_CAP", len(full) - 1)
     with pytest.raises(CapacityError):
-        extend_subspace(vector, basis, ExtensionThresholds(), 6,
-                        dimension_cap=len(full) - 1)
+        extend_subspace(vector, basis, ExtensionThresholds(), 6)
     # With one-row folds, a cap below the kept rows fires at the first
     # merge, before the moves are expanded.
     merges = []
+    monkeypatch.setattr(sqd, "EXTENSION_DIMENSION_CAP", len(basis) - 1)
     monkeypatch.setattr(sqd, "_BLOCK_CANDIDATES", 1)
     monkeypatch.setattr(sqd, "merge_bases",
                         lambda *b: merges.append(b) or merge_bases(*b))
     with pytest.raises(CapacityError):
-        extend_subspace(vector, basis, ExtensionThresholds(), 6,
-                        dimension_cap=len(basis) - 1)
+        extend_subspace(vector, basis, ExtensionThresholds(), 6)
     assert len(merges) == 1
+
+
+def test_extension_includes_bases_under_one_cap(monkeypatch):
+    # The included rows join the union, and the cap counts them too.
+    basis = sector_basis(6, 3, 3)[::7]
+    vector = np.full(len(basis), 0.05)
+    thresholds = ExtensionThresholds(0.1, 0.1)  # only the included rows
+    other = sector_basis(6, 3, 3)[1::5]
+    got = extend_subspace(vector, basis, thresholds, 6, basis, other)
+    assert np.array_equal(got, merge_bases(basis, other))
+    monkeypatch.setattr(sqd, "EXTENSION_DIMENSION_CAP", len(got))
+    assert np.array_equal(
+        extend_subspace(vector, basis, thresholds, 6, basis, other), got)
+    monkeypatch.setattr(sqd, "EXTENSION_DIMENSION_CAP", len(got) - 1)
+    with pytest.raises(CapacityError):
+        extend_subspace(vector, basis, thresholds, 6, basis, other)
 
 
 def test_thresholds_validation():
@@ -343,9 +360,9 @@ def test_ext_sqd_noop_thresholds_keep_energy(ham_4e4o):
     assert result.energy == pytest.approx(prior.energy, abs=1e-12)
 
 
-def test_ext_sqd_capacity_cap(ham_4e4o):
+def test_ext_sqd_capacity_cap(ham_4e4o, monkeypatch):
     counts, _ = fci_counts(ham_4e4o, shots=500, seed=8)
     prior = sqd_ground_state(ham_4e4o, counts, RecoveryConfig(iterations=1))
+    monkeypatch.setattr(sqd, "EXTENSION_DIMENSION_CAP", 2)
     with pytest.raises(CapacityError):
-        ext_sqd(ham_4e4o, prior, ExtensionThresholds(0.0, 0.0),
-                dimension_cap=2)
+        ext_sqd(ham_4e4o, prior, ExtensionThresholds(0.0, 0.0))

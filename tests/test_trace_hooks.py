@@ -1,25 +1,44 @@
-"""Every name the benchmark's tracer wraps must exist in ``sqdci``.
+"""Every name the benchmark's tracer wraps must exist in ``sqdci``, and a
+traced CLI run must end in a result with every layer metric present.
 
 ``bench/tracer.py`` drops the metrics of a wrapped name that no longer
-exists with only a note, so a refactor that removes or renames one would
-otherwise go unnoticed until a traced benchmark run.
+exists, or whose result it no longer understands, with only a note, so a
+refactor that removes, renames or reshapes one would otherwise go
+unnoticed until a traced benchmark run.
 """
 
 import importlib
 import importlib.util
+import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+import pytest
+
+from conftest import random_hamiltonian
+from sqdci.fcidump import write_fcidump_path
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
+TRACED_CLI = ROOT / "bench" / "traced_cli.py"
 
 # Hooked but gone from sqdci; ROADMAP item 0 drops the hook with the
 # next change to the benchmark.
 KNOWN_DEAD = {("sqdci.solver", "build_dense_matrix")}
 
 
-def test_every_traced_name_resolves():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("sqdci_bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_name_resolves():
+    tracer = _load_tracer()
     hooked = [(module, attr) for module, attr, *_ in tracer.HOOKS]
     hooked.append(("sqdci.solver", "davidson_lowest"))
     missing = [f"{module}.{attr}" for module, attr in hooked
@@ -27,3 +46,38 @@ def test_every_traced_name_resolves():
                and not callable(getattr(importlib.import_module(module), attr,
                                         None))]
     assert missing == []
+
+
+@pytest.mark.parametrize("method, extra", [
+    ("fci", []),  # dimension 1225: Davidson on the product operator
+    ("ext-hci", ["--epsilon1", "1e-3"]),  # Davidson on the CSR matrix
+], ids=["fci", "ext-hci"])
+def test_traced_run_ends_in_a_result(method, extra, tmp_path):
+    fcidump = tmp_path / "h7.fcidump"
+    write_fcidump_path(random_hamiltonian(7, 3, 3, seed=24,
+                                          diagonal_spread=1.0), fcidump)
+    trace_path, record_path = tmp_path / "trace.json", tmp_path / "record.json"
+    env = dict(os.environ, SQDCI_THREADS="1",
+               PYTHONPATH=str(Path(importlib.import_module("sqdci").__file__)
+                              .parents[1]))
+    done = subprocess.run(
+        [sys.executable, str(TRACED_CLI), str(trace_path), "run",
+         "--hamiltonian", str(fcidump), "--method", method,
+         "--out", str(record_path), *extra],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    record = json.loads(record_path.read_text(),
+                        parse_constant=lambda c: pytest.fail(f"{c} in record"))
+    assert math.isfinite(record["energy"])
+
+    trace = json.loads(trace_path.read_text())
+    assert trace["broken"] == []
+    dead = [f"{module}.{attr}" for module, attr in KNOWN_DEAD]
+    assert [note for note in trace["notes"]
+            if not any(name in note for name in dead)] == []
+    assert trace["counters"]["davidson_iters"] > 0
+    spans = {span[0] for span in trace["spans"]}
+    assert "solver>davidson_lowest.matvec" in spans
+    metrics, _ = _load_tracer().layer_metrics(trace)
+    assert metrics["solver.davidson_iters"] == trace["counters"]["davidson_iters"]
+    assert metrics["solver.matvec_s"] > 0
