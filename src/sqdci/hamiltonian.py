@@ -4,8 +4,8 @@
 singles and doubles of a batch of determinants (the HCI selection
 generator), :func:`build_sparse_matrix` assembles the projected
 Hamiltonian over an explicit basis, and :class:`ProductHamiltonian`
-applies it matrix free when the basis is the Cartesian product of two
-string sets.
+applies it matrix free on the Cartesian product of two string sets, or,
+row-masked, on any basis inside that product.
 
 Determinants are pairs of occupation bitmasks (alpha, beta) over spatial
 orbitals, bit p for orbital p. A basis is a ``(dim, 2)`` ``uint64`` array
@@ -36,10 +36,17 @@ The result is a :class:`CSRMatrix`, a plain numpy CSR triple. Every row
 stores its diagonal, so the product with a vector is one gather and one
 ``np.add.reduceat`` over the row starts, with no empty-row special case.
 
+Before assembly the builder bounds the entries it may store from the
+string tables and raises :class:`CapacityError` when the bytes exceed
+the caller's ``max_bytes``.
+
 On a product basis the same string tables give the factorised operator
 of :class:`ProductHamiltonian`: dense same-spin string matrices, plus
 one GEMM with the pair-integral block per sigma. It stores O(strings^2
-+ pairs^2) numbers instead of the CSR matrix's O(dim x connections).
++ pairs^2) numbers instead of the CSR matrix's O(dim x connections). A
+basis that is only part of the product of its strings is applied as
+P H P: the vector is scattered into the zeroed grid and sigma read back
+on the basis rows, so each product costs a sigma over the whole grid.
 
 The fermionic sign convention places all alpha spin-orbitals
 (ascending orbital index) before all beta spin-orbitals; parities reduce
@@ -59,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import CapacityError, ConfigError
 
 
 class Determinant(NamedTuple):
@@ -197,9 +204,6 @@ class ActiveSpaceHamiltonian:
 
     def hf_determinant(self) -> Determinant:
         return hartree_fock_determinant(self.n_alpha, self.n_beta)
-
-    def sector_basis(self) -> np.ndarray:
-        return sector_basis(self.n_orb, self.n_alpha, self.n_beta)
 
     @cached_property
     def _heat_bath(self) -> _HeatBath:
@@ -489,11 +493,14 @@ def connected_determinants(ham: ActiveSpaceHamiltonian, alphas, betas,
     return out
 
 
-def build_sparse_matrix(ham: ActiveSpaceHamiltonian,
-                        basis: np.ndarray) -> CSRMatrix:
+def build_sparse_matrix(ham: ActiveSpaceHamiltonian, basis: np.ndarray,
+                        max_bytes: float = float("inf")) -> CSRMatrix:
     """Sparse CSR projected Hamiltonian over ``basis``.
 
     Exact-zero off-diagonal elements are not stored; every diagonal is.
+    Raises :class:`CapacityError`, after the string tables are built and
+    before the matrix is assembled, when the bytes the assembly may hold
+    exceed ``max_bytes``.
     """
     dim = len(basis)
     alphas, ia, betas, ib = basis_strings(basis)
@@ -512,6 +519,18 @@ def build_sparse_matrix(ham: ActiveSpaceHamiltonian,
     work = (1 + n_single[0][ia] + n_single[1][ib] + n_double[0][ia]
             + n_double[1][ib] + n_single[0][ia] * n_single[1][ib])
     work_end = np.cumsum(work)
+    # Every candidate may be stored: a column and a value (16 B), held
+    # twice while the blocks are joined, or once more by the gather of a
+    # product. One block's temporaries take under 160 B per candidate
+    # plus two n_orb-wide rows of a single's element.
+    candidates = int(work.sum())
+    block = min(candidates, max(_BLOCK_CANDIDATES, int(work.max(initial=0))))
+    need = 32 * candidates + (160 + 16 * ham.n_orb) * block + 16 * dim
+    if need > max_bytes:
+        raise CapacityError(
+            f"sparse matrix over {dim} determinants needs up to "
+            f"{need / 2**30:.1f} GiB, over the {max_bytes / 2**30:.1f} GiB "
+            f"left in the budget")
 
     # In a full product of its strings, a key is its own row.
     product = dim == len(alphas) * stride
@@ -671,14 +690,20 @@ class ProductHamiltonian:
     entries are gathered from F and summed per target with
     ``np.add.reduceat``. The D and F buffers are allocated once; rows of
     a short last block keep stale values that no gather reads.
+
+    With ``rows``, the grid index ``ia * len(betas) + ib`` of each row of
+    a basis that is only part of the product, the operator is P H P on
+    that basis: ``op @ v`` writes v into a preallocated grid that is zero
+    off ``rows``, applies sigma and returns the basis rows. ``shape`` and
+    :meth:`diagonal` are then in basis space.
     """
 
     def __init__(self, ham: ActiveSpaceHamiltonian, alphas: np.ndarray,
-                 betas: np.ndarray):
+                 betas: np.ndarray, rows: np.ndarray | None = None):
         ta, tb = _spin_tables(ham, alphas), _spin_tables(ham, betas)
         n_a, n_b = len(alphas), len(betas)
-        self.shape = (n_a * n_b,) * 2
         self._grid = (n_a, n_b)
+        self._rows = rows
         self._h_alpha = _string_matrix(ham, ta)
         self._h_alpha[np.diag_indices(n_a)] += ham.core_energy
         self._h_beta = _string_matrix(ham, tb)
@@ -686,6 +711,10 @@ class ProductHamiltonian:
                           + np.diag(self._h_beta)[None, :]
                           + (ta.occ @ np.einsum("ppqq->pq", ham.two_body))
                           @ tb.occ.T).ravel()
+        if rows is not None:
+            self._diagonal = self._diagonal[rows]
+            self._scatter = np.zeros(n_a * n_b)
+        self.shape = (len(self._diagonal),) * 2
 
         first, second = np.tril_indices(ham.n_orb)
         n_pairs = len(first)
@@ -712,7 +741,11 @@ class ProductHamiltonian:
         return self._diagonal
 
     def __matmul__(self, x):
-        c = np.asarray(x, dtype=float).reshape(self._grid)
+        if self._rows is None:
+            c = np.asarray(x, dtype=float).reshape(self._grid)
+        else:
+            self._scatter[self._rows] = x
+            c = self._scatter.reshape(self._grid)
         sigma = self._h_alpha @ c
         sigma += c @ self._h_beta
         pair_b, target_b, source_b, sign_b = self._beta
@@ -727,4 +760,5 @@ class ProductHamiltonian:
             gathered = f.reshape(-1, n_b)[f_rows]
             gathered *= sign
             sigma[targets] += np.add.reduceat(gathered, starts, axis=0)
-        return sigma.ravel()
+        sigma = sigma.ravel()
+        return sigma if self._rows is None else sigma[self._rows]

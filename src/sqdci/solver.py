@@ -3,15 +3,20 @@
 ``davidson_lowest`` is a one-root Davidson with diagonal preconditioning
 and a GD+k thick restart; ``dense_eigensolve`` is the direct
 oracle/fallback. Both return the lowest eigenpair only.
-``solve_subspace`` picks between them by dimension and is the single
-entry point used by the SQD and HCI drivers. Both paths use numpy's
-LAPACK ``eigh``. Bases are packed rows as :mod:`sqdci.hamiltonian` defines
-them, and vectors are in basis order. Davidson multiplies by the matrix-free
-:class:`~sqdci.hamiltonian.ProductHamiltonian` when the basis is the full
-product of its alpha and beta strings (SQD closures, the FCI sector),
-and by the builder's numpy CSR matrix otherwise (HCI, the extension,
-``closure=0``). A product solve's memory is estimated up front by
-:func:`product_solve_bytes` and capped at ``MEMORY_BUDGET_BYTES``.
+``solve_subspace`` picks between them by dimension (``DENSE_THRESHOLD``)
+and is the single entry point used by the SQD and HCI drivers. Both paths
+use numpy's LAPACK ``eigh``. Bases are packed rows as
+:mod:`sqdci.hamiltonian` defines them, and vectors are in basis order.
+Davidson multiplies by the matrix-free
+:class:`~sqdci.hamiltonian.ProductHamiltonian` over the basis's alpha and
+beta strings: unmasked when the basis is their full product (SQD
+closures, the FCI sector), and row-masked when their grid holds at most
+``MASKED_GRID_RATIO`` times the basis rows (most extensions and HCI
+bases). On sparser grids it multiplies by the builder's numpy CSR matrix.
+Either operator's memory is estimated before it is built, by
+:func:`product_solve_bytes` or inside
+:func:`~sqdci.hamiltonian.build_sparse_matrix`, and capped at
+``MEMORY_BUDGET_BYTES``.
 
 The Davidson settings are the module constants ``RESIDUAL_TOL``,
 ``MAX_ITERATIONS`` and ``MAX_SUBSPACE``; the functions read them at call
@@ -31,13 +36,28 @@ from .hamiltonian import (ActiveSpaceHamiltonian, ProductHamiltonian,
                           basis_strings, build_sparse_matrix, sector_basis,
                           sigma_block_rows)
 
-DENSE_THRESHOLD = 512
+# Below this many rows a full eigh of the densified CSR matrix beats
+# Davidson on the product sigma. Dense/Davidson per solve, one pinned
+# core, product bases of random strings at n_orb 6, 8 and 10 with random
+# integrals: 1.7-1.8/3.2-4.5 ms at dim 64, 3.8-4.6/5.9-9.0 ms at 144,
+# 6.4-7.8/6.1-10.3 ms at 196, 9.1-9.6/9.0-10.9 ms at 225 and
+# 11-13/6.7-12 ms at 256; 19-27/6.6-13 ms at 400. Easier spectra cross
+# lower: 3.5/3.6 ms at 144 on other product bases at the same sizes.
+DENSE_THRESHOLD = 200
+# Davidson uses the row-masked product sigma while the string grid holds
+# at most this many times the basis rows, and CSR above. Extensions of
+# Hubbard-ring batches (U = 4), masked/CSR: 0.78/1.00 s at n_orb 10, grid
+# ratio 4.9; 22.4/25.0 s at n_orb 12, ratio 4.4; 15.8/8.0 s at n_orb 12,
+# ratio 11.9. A Hubbard (10,5,5) HCI basis at ratio 12.6 took 0.83/0.29 s,
+# and the two broke even near ratio 9.7 at n_orb 12.
+MASKED_GRID_RATIO = 8
 # Davidson: residual norm at convergence, iteration limit, and the rows of
 # its preallocated basis and sigma blocks.
 RESIDUAL_TOL = 1e-8
 MAX_ITERATIONS = 300
 MAX_SUBSPACE = 20
-# Memory a product-space solve may plan for; see product_solve_bytes.
+# Memory a solve may plan for; see product_solve_bytes and
+# build_sparse_matrix.
 MEMORY_BUDGET_BYTES = 4 << 30
 # The packed basis rows and the index arrays of the product check: 41 B
 # at their tracemalloc peak on (10,5,5) and (12,6,6) sectors; rounded up.
@@ -205,39 +225,41 @@ def davidson_lowest(matvec, diagonal) -> SpectrumResult:
                           converged=bool(converged and verified))
 
 
-def _product_operator(ham: ActiveSpaceHamiltonian,
-                      basis: np.ndarray) -> ProductHamiltonian | None:
-    """Matrix-free operator when ``basis`` is the full product of its
-    distinct alpha and beta strings, else ``None``."""
-    alphas, _, betas, _ = basis_strings(basis)
-    if len(basis) != len(alphas) * len(betas):
-        return None
-    _check_product_memory(ham.n_orb, len(alphas), len(betas))
-    return ProductHamiltonian(ham, alphas, betas)
-
-
 def solve_subspace(ham: ActiveSpaceHamiltonian,
                    basis: np.ndarray) -> SubspaceResult:
     """Ground state of H projected onto ``basis``.
 
     Below ``DENSE_THRESHOLD`` the CSR matrix is diagonalized directly.
     Above it, Davidson runs on the matrix-free :class:`ProductHamiltonian`
-    when ``basis`` is the full product of its strings, and on the CSR
-    matrix otherwise. Raises :class:`ConfigError` for an empty, unsorted
-    or repeated basis and :class:`ConvergenceError` when Davidson does not
-    reach ``RESIDUAL_TOL``.
+    over the basis's strings: unmasked when ``basis`` is their full
+    product, row-masked when that grid holds at most ``MASKED_GRID_RATIO``
+    times the basis rows. On a larger grid it runs on the CSR matrix.
+    Raises :class:`ConfigError` for an empty, unsorted or repeated basis,
+    :class:`CapacityError` when the chosen operator's estimate exceeds
+    ``MEMORY_BUDGET_BYTES``, and :class:`ConvergenceError` when Davidson
+    does not reach ``RESIDUAL_TOL``.
     """
     if not len(basis):
         raise ConfigError("empty determinant basis")
     dim = len(basis)
     if dim < DENSE_THRESHOLD:
-        spec = dense_eigensolve(build_sparse_matrix(ham, basis).toarray())
+        spec = dense_eigensolve(build_sparse_matrix(
+            ham, basis, MEMORY_BUDGET_BYTES).toarray())
         return SubspaceResult(energy=spec.energy, vector=spec.vector,
                               basis=basis, dimension=dim,
                               diagnostics={"method": "dense", "operator": "csr"})
 
-    op = _product_operator(ham, basis) or build_sparse_matrix(ham, basis)
-    operator = "product" if isinstance(op, ProductHamiltonian) else "csr"
+    alphas, ia, betas, ib = basis_strings(basis)
+    grid = len(alphas) * len(betas)
+    if grid > MASKED_GRID_RATIO * dim:
+        op, operator = build_sparse_matrix(
+            ham, basis, MEMORY_BUDGET_BYTES - 8 * _davidson_floats(dim)), "csr"
+    else:
+        _check_product_memory(ham.n_orb, len(alphas), len(betas), dim)
+        rows = None if grid == dim else ia * len(betas) + ib
+        op = ProductHamiltonian(ham, alphas, betas, rows)
+        operator = "product" if rows is None else "masked"
+    del ia, ib  # not held through the solve
     spec = davidson_lowest(op.__matmul__, op.diagonal())
     if not spec.converged:
         raise ConvergenceError(
@@ -251,30 +273,44 @@ def solve_subspace(ham: ActiveSpaceHamiltonian,
                                        "operator": operator})
 
 
-def product_solve_bytes(n_orb: int, n_alpha_strings: int,
-                        n_beta_strings: int) -> int:
-    """Bytes a Davidson solve on a product space holds at its peak (estimate).
+def _davidson_floats(dim: int) -> int:
+    """Floats of a Davidson solve over ``dim`` rows, apart from its operator:
+    the basis and sigma blocks (2 * ``MAX_SUBSPACE`` rows) and six work
+    vectors (the diagonal, the Ritz vector, its residual, the correction
+    and its denominators, and the grid keys of the basis)."""
+    return dim * (2 * MAX_SUBSPACE + 6)
 
-    Per determinant: the preallocated Davidson basis and sigma blocks
-    (2 * ``MAX_SUBSPACE`` vectors), eight work vectors (the diagonal, the
-    Ritz vector, its residual, the correction and its denominators, the
-    sigma output and its product temporary, the grid keys), and the
-    packed basis. Per space: the dense string matrices, the
-    pair-integral block, and the D, F and gather buffers of one block.
+
+def product_solve_bytes(n_orb: int, n_alpha_strings: int,
+                        n_beta_strings: int, dim: int | None = None) -> int:
+    """Bytes a Davidson solve on ``ProductHamiltonian`` holds at its peak
+    (estimate).
+
+    ``dim`` is the number of basis rows; it defaults to the whole grid of
+    ``n_alpha_strings * n_beta_strings`` determinants. Per basis row: the
+    Davidson floats of :func:`_davidson_floats` and the packed basis. Per
+    grid row: the sigma output and its product temporary, and for a
+    masked solve (``dim`` below the grid) the scatter grid, with the
+    gathered output and the row index per basis row. Per space: the dense
+    string matrices, the pair-integral block, and the D, F and gather
+    buffers of one block.
     """
-    dim = n_alpha_strings * n_beta_strings
+    grid = n_alpha_strings * n_beta_strings
+    dim = grid if dim is None else dim
+    masked = dim < grid
     n_pairs = n_orb * (n_orb + 1) // 2
     block = n_pairs * n_beta_strings * sigma_block_rows(
         n_orb, n_alpha_strings, n_beta_strings)
-    floats = (dim * (2 * MAX_SUBSPACE + 8) + n_alpha_strings ** 2
-              + n_beta_strings ** 2 + n_pairs ** 2 + 3 * block)
+    floats = (_davidson_floats(dim) + grid * (2 + masked) + 2 * dim * masked
+              + n_alpha_strings ** 2 + n_beta_strings ** 2 + n_pairs ** 2
+              + 3 * block)
     return 8 * floats + BASIS_BYTES_PER_DETERMINANT * dim
 
 
 def _check_product_memory(n_orb: int, n_alpha_strings: int,
-                          n_beta_strings: int) -> None:
+                          n_beta_strings: int, dim: int | None = None) -> None:
     """Raise :class:`CapacityError` when a product solve would not fit."""
-    need = product_solve_bytes(n_orb, n_alpha_strings, n_beta_strings)
+    need = product_solve_bytes(n_orb, n_alpha_strings, n_beta_strings, dim)
     if need > MEMORY_BUDGET_BYTES:
         raise CapacityError(
             f"product space {n_alpha_strings} x {n_beta_strings} needs about "

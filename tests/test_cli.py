@@ -291,6 +291,31 @@ def test_main_non_converged_solve_exit_code(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: Davidson did not converge")
 
 
+def test_main_over_memory_budget_exit_code(tmp_path, monkeypatch, capsys):
+    # ext-hci over (7,3,3): HCI's first, one-row solve builds a CSR matrix;
+    # its 205-row basis on 31 x 31 strings runs masked.
+    path = tmp_path / "h7.fcidump"
+    write_fcidump_path(random_hamiltonian(7, 3, 3, seed=24,
+                                          diagonal_spread=1.0), path)
+    argv = ["run", "--hamiltonian", str(path), "--method", "ext-hci",
+            "--epsilon1", "1e-3"]
+
+    def not_built(*args):
+        raise AssertionError("the cap must hold before the operator is built")
+
+    # One row, and no move among its strings: a bound of 320 bytes.
+    monkeypatch.setattr("sqdci.solver.MEMORY_BUDGET_BYTES", 319)
+    monkeypatch.setattr("sqdci.hamiltonian._expand", not_built)
+    assert main(argv) == 4
+    assert "sparse matrix over 1 determinants" in capsys.readouterr().err
+    monkeypatch.undo()
+    monkeypatch.setattr("sqdci.solver.product_solve_bytes",
+                        lambda *args: (4 << 30) + 1)
+    monkeypatch.setattr("sqdci.solver.ProductHamiltonian", not_built)
+    assert main(argv) == 4
+    assert "product space 31 x 31" in capsys.readouterr().err
+
+
 def test_sqdci_threads_applied_before_numpy_loads():
     env = dict(os.environ, SQDCI_THREADS="1", OMP_NUM_THREADS="4",
                PYTHONPATH=str(Path(sqdci.__file__).parents[1]))

@@ -47,7 +47,7 @@ def test_matrix_matches_brute_force_oracle():
 
 def test_built_matrix_is_symmetric():
     ham = random_hamiltonian(4, 2, 2, seed=3)
-    built = build_sparse_matrix(ham, ham.sector_basis()).toarray()
+    built = build_sparse_matrix(ham, sector_basis(4, 2, 2)).toarray()
     assert np.max(np.abs(built - built.T)) < 1e-14
 
 
@@ -91,7 +91,8 @@ def test_connected_cutoff_screens_and_keeps_exact_singles():
     det = hartree_fock_determinant(2, 2)
     cutoff = 0.05
     pairs = reference_connected(ham, det, cutoff)
-    exact = dict(exhaustive_connected(ham, det, as_pairs(ham.sector_basis())))
+    exact = dict(exhaustive_connected(ham, det,
+                                      as_pairs(sector_basis(4, 2, 2))))
     for other, value in pairs:
         assert value == pytest.approx(exact[other], abs=1e-12)
         if excitation_degree(det, Determinant(*other)) == 1:
@@ -157,7 +158,7 @@ def test_batched_generator_matches_reference(batch):
 
 def test_sparse_matvec_matches_oracle():
     ham = random_hamiltonian(4, 2, 2, seed=12)
-    basis = ham.sector_basis()
+    basis = sector_basis(4, 2, 2)
     mat = brute_force_matrix(ham, basis)
     built = build_sparse_matrix(ham, basis)
     gen = np.random.default_rng(0)
@@ -171,7 +172,7 @@ def test_sparse_matvec_matches_oracle():
 
 def test_sparse_matvec_on_partial_basis():
     ham = random_hamiltonian(4, 2, 2, seed=13)
-    basis = ham.sector_basis()[::3]
+    basis = sector_basis(4, 2, 2)[::3]
     mat = brute_force_matrix(ham, basis)
     v = np.linspace(-1, 1, len(basis))
     built = build_sparse_matrix(ham, basis)
@@ -259,7 +260,7 @@ def test_builder_matches_connected_generator_at_eight_orbitals():
     betas = sorted(gen.choice(strings, 20, replace=False))
     product = packed([(a, b) for a in alphas for b in betas])
     open_shell = random_hamiltonian(8, 4, 3, seed=31)
-    sector = open_shell.sector_basis()
+    sector = sector_basis(8, 4, 3)
     picks = sorted(gen.choice(len(sector), 400, replace=False))
     for h, basis in ((ham, product), (open_shell, sector[picks])):
         built = build_sparse_matrix(h, basis).toarray()
@@ -268,7 +269,7 @@ def test_builder_matches_connected_generator_at_eight_orbitals():
 
 def test_builder_rejects_duplicate_basis():
     ham = random_hamiltonian(2, 1, 1, seed=15)
-    basis = ham.sector_basis()
+    basis = sector_basis(2, 1, 1)
     with pytest.raises(ConfigError):
         build_sparse_matrix(ham, np.vstack([basis, basis[:1]]))
 
@@ -340,9 +341,33 @@ def test_product_sigma_matches_oracle(problem):
     assert np.max(np.abs(op.diagonal() - np.diag(oracle))) < 1e-12
 
 
+@st.composite
+def _masked_problem(draw):
+    """A :func:`_product_problem` grid and a random set of its rows: a
+    single row, or any number of them."""
+    ham, alphas, betas = draw(_product_problem())
+    grid = len(alphas) * len(betas)
+    rows = draw(st.sets(st.integers(0, grid - 1), min_size=1,
+                        max_size=draw(st.sampled_from([1, grid]))))
+    return ham, alphas, betas, np.array(sorted(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_masked_problem())
+def test_masked_sigma_matches_oracle(problem):
+    ham, alphas, betas, rows = problem
+    basis = [Determinant(alphas[r // len(betas)], betas[r % len(betas)])
+             for r in rows]
+    oracle = brute_force_matrix(ham, basis)
+    op = ProductHamiltonian(ham, alphas, betas, rows)
+    assert op.shape == (len(rows), len(rows))
+    assert np.max(np.abs(_sigma_matrix(op) - oracle)) < 1e-12
+    assert np.max(np.abs(op.diagonal() - np.diag(oracle))) < 1e-12
+
+
 def test_product_sigma_matches_csr_on_full_sector():
     ham = random_hamiltonian(8, 4, 4, seed=32)
-    basis = ham.sector_basis()
+    basis = sector_basis(8, 4, 4)
     strings = _strings(8, 4)
     op = ProductHamiltonian(ham, strings, strings)
     csr = build_sparse_matrix(ham, basis)

@@ -7,7 +7,7 @@ import scipy.sparse
 from conftest import packed, random_hamiltonian
 from oracles import brute_force_matrix
 from sqdci.errors import CapacityError, ConfigError, ConvergenceError
-from sqdci.hamiltonian import build_sparse_matrix
+from sqdci.hamiltonian import build_sparse_matrix, sector_basis
 from sqdci import solver
 from sqdci.solver import (DENSE_THRESHOLD, davidson_lowest, dense_eigensolve,
                           fci_ground_state, product_solve_bytes,
@@ -123,7 +123,8 @@ def test_fci_one_orbital_single_determinant():
 def test_fci_matches_brute_force_dense():
     ham = random_hamiltonian(2, 1, 1, seed=21)
     result = fci_ground_state(ham)
-    oracle = np.linalg.eigvalsh(brute_force_matrix(ham, ham.sector_basis()))[0]
+    oracle = np.linalg.eigvalsh(brute_force_matrix(ham,
+                                                   sector_basis(2, 1, 1)))[0]
     assert result.energy == pytest.approx(oracle, abs=1e-10)
 
 
@@ -136,7 +137,7 @@ def test_fci_below_hartree_fock():
 
 def test_variational_monotonicity_under_nesting():
     ham = random_hamiltonian(4, 2, 2, seed=23)
-    basis = ham.sector_basis()
+    basis = sector_basis(4, 2, 2)
     inner = solve_subspace(ham, basis[:10])
     outer = solve_subspace(ham, basis[:25])
     full = solve_subspace(ham, basis)
@@ -145,9 +146,9 @@ def test_variational_monotonicity_under_nesting():
 
 
 def test_solve_subspace_davidson_path_matches_dense():
-    # 600-determinant basis exceeds the dense threshold, forcing Davidson.
+    # 600 determinants, above the dense threshold, on 18 x 35 strings.
     ham = random_hamiltonian(7, 3, 3, seed=24, diagonal_spread=1.0)
-    basis = ham.sector_basis()[:600]
+    basis = sector_basis(7, 3, 3)[:600]
     result = solve_subspace(ham, basis)
     assert result.diagnostics["method"] == "davidson"
     exact = np.linalg.eigvalsh(build_sparse_matrix(ham, basis).toarray())[0]
@@ -155,8 +156,9 @@ def test_solve_subspace_davidson_path_matches_dense():
 
 
 def test_solve_subspace_raises_when_davidson_does_not_converge(monkeypatch):
+    # DENSE_THRESHOLD rows take Davidson; the dense path would not raise.
     ham = random_hamiltonian(7, 3, 3, seed=24, diagonal_spread=1.0)
-    basis = ham.sector_basis()[:DENSE_THRESHOLD]
+    basis = sector_basis(7, 3, 3)[:DENSE_THRESHOLD]
     monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
     with pytest.raises(ConvergenceError):
         solve_subspace(ham, basis)
@@ -169,13 +171,13 @@ def test_empty_basis_rejected():
 
 
 def _no_csr(*args):
-    raise AssertionError("product basis must not build a CSR matrix")
+    raise AssertionError("this basis must not build a CSR matrix")
 
 
 def test_fci_takes_product_path_and_matches_dense(monkeypatch):
     # (7,3,3): dimension 1225, above the dense threshold.
     ham = random_hamiltonian(7, 3, 3, seed=26, diagonal_spread=1.0)
-    exact = np.linalg.eigvalsh(build_sparse_matrix(ham, ham.sector_basis())
+    exact = np.linalg.eigvalsh(build_sparse_matrix(ham, sector_basis(7, 3, 3))
                                .toarray())[0]
     monkeypatch.setattr("sqdci.solver.build_sparse_matrix", _no_csr)
     result = fci_ground_state(ham)
@@ -185,15 +187,60 @@ def test_fci_takes_product_path_and_matches_dense(monkeypatch):
 
 
 def test_product_closure_at_threshold_is_matrix_free(monkeypatch):
-    # 16 x 32 strings of (7,3,3): exactly DENSE_THRESHOLD determinants.
+    # 10 x 20 strings of (7,3,3): exactly DENSE_THRESHOLD determinants.
     ham = random_hamiltonian(7, 3, 3, seed=27, diagonal_spread=1.0)
-    strings = sorted(set(ham.sector_basis()[:, 0].tolist()))
-    basis = packed([(a, b) for a in strings[:16] for b in strings[:32]])
+    strings = sorted(set(sector_basis(7, 3, 3)[:, 0].tolist()))
+    basis = packed([(a, b) for a in strings[:10] for b in strings[:20]])
     assert len(basis) == DENSE_THRESHOLD
     exact = np.linalg.eigvalsh(build_sparse_matrix(ham, basis).toarray())[0]
+    assert solve_subspace(ham, basis[:-1]).diagnostics["method"] == "dense"
     monkeypatch.setattr("sqdci.solver.build_sparse_matrix", _no_csr)
     result = solve_subspace(ham, basis)
     assert result.diagnostics["operator"] == "product"
+    assert result.energy == pytest.approx(exact, abs=1e-10)
+
+
+def test_product_closure_below_512_runs_davidson(monkeypatch):
+    # 16 x 25 strings of (7,3,3): 400 determinants, a full eigh before the
+    # dense threshold fell to its measured crossover.
+    ham = random_hamiltonian(7, 3, 3, seed=35, diagonal_spread=1.0)
+    strings = sorted(set(sector_basis(7, 3, 3)[:, 0].tolist()))
+    basis = packed([(a, b) for a in strings[:16] for b in strings[:25]])
+    exact = np.linalg.eigvalsh(build_sparse_matrix(ham, basis).toarray())[0]
+    monkeypatch.setattr("sqdci.solver.build_sparse_matrix", _no_csr)
+    result = solve_subspace(ham, basis)
+    assert result.diagnostics["method"] == "davidson"
+    assert result.diagnostics["operator"] == "product"
+    assert result.energy == pytest.approx(exact, abs=1e-10)
+
+
+def test_low_ratio_basis_runs_masked(monkeypatch):
+    # Every other row of (7,3,3): 613 rows on the 35 x 35 grid, ratio 2.
+    ham = random_hamiltonian(7, 3, 3, seed=36, diagonal_spread=1.0)
+    basis = sector_basis(7, 3, 3)[::2]
+    exact = np.linalg.eigvalsh(build_sparse_matrix(ham, basis).toarray())[0]
+    monkeypatch.setattr("sqdci.solver.build_sparse_matrix", _no_csr)
+    result = solve_subspace(ham, basis)
+    assert result.diagnostics["method"] == "davidson"
+    assert result.diagnostics["operator"] == "masked"
+    assert result.energy == pytest.approx(exact, abs=1e-10)
+
+
+def _high_ratio_basis():
+    """Four rows per alpha string of (8,4,4): 280 rows on the 70 x 70 grid,
+    a ratio of 17.5."""
+    strings = sorted(set(sector_basis(8, 4, 4)[:, 0].tolist()))
+    return packed(sorted((a, strings[(i + k) % 70])
+                         for i, a in enumerate(strings) for k in range(4)))
+
+
+def test_high_ratio_basis_runs_on_csr():
+    ham = random_hamiltonian(8, 4, 4, seed=37, diagonal_spread=1.0)
+    basis = _high_ratio_basis()
+    result = solve_subspace(ham, basis)
+    assert result.diagnostics["method"] == "davidson"
+    assert result.diagnostics["operator"] == "csr"
+    exact = np.linalg.eigvalsh(brute_force_matrix(ham, basis))[0]
     assert result.energy == pytest.approx(exact, abs=1e-10)
 
 
@@ -203,7 +250,7 @@ def test_unsorted_or_repeated_basis_rejected(size):
     # (in alpha or only in beta) or a repeated row is a ConfigError, on a
     # full product of strings (size 600) as well as on a part of one.
     ham = random_hamiltonian(7, 3, 3, seed=28, diagonal_spread=1.0)
-    strings = sorted(set(ham.sector_basis()[:, 0].tolist()))
+    strings = sorted(set(sector_basis(7, 3, 3)[:, 0].tolist()))
     basis = packed([(a, b) for a in strings[:20] for b in strings[:30]])[:size]
     swapped_alpha, swapped_beta = basis.copy(), basis.copy()
     swapped_alpha[[0, -1]] = basis[[-1, 0]]
@@ -220,7 +267,7 @@ def test_duplicate_basis_of_product_size_rejected():
     # 20 x 30 distinct strings, but one product determinant repeated in
     # place of another: the size still equals the product's.
     ham = random_hamiltonian(7, 3, 3, seed=29)
-    strings = sorted(set(ham.sector_basis()[:, 0].tolist()))
+    strings = sorted(set(sector_basis(7, 3, 3)[:, 0].tolist()))
     basis = packed([(a, b) for a in strings[:20] for b in strings[:30]])
     basis[-1] = basis[0]
     basis[-2] = (strings[19], strings[29])
@@ -239,6 +286,21 @@ def test_product_solve_bytes_bounds_traced_peak():
     finally:
         tracemalloc.stop()
     estimate = product_solve_bytes(8, 70, 70)
+    assert peak <= estimate <= 1.5 * peak
+
+
+def test_masked_solve_bytes_bound_traced_peak():
+    # Every third row of (8,4,4): 1634 rows on the 70 x 70 grid.
+    ham = random_hamiltonian(8, 4, 4, seed=32, diagonal_spread=0.5)
+    basis = sector_basis(8, 4, 4)[::3]
+    tracemalloc.start()
+    try:
+        result = solve_subspace(ham, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.diagnostics["operator"] == "masked"
+    estimate = product_solve_bytes(8, 70, 70, len(basis))
     assert peak <= estimate <= 1.5 * peak
 
 
@@ -265,4 +327,34 @@ def test_product_basis_over_memory_budget_is_capacity_error(monkeypatch):
     monkeypatch.setattr("sqdci.solver.MEMORY_BUDGET_BYTES", 1 << 20)
     monkeypatch.setattr("sqdci.solver.build_sparse_matrix", _no_csr)
     with pytest.raises(CapacityError):
-        solve_subspace(ham, ham.sector_basis())
+        solve_subspace(ham, sector_basis(7, 3, 3))
+
+
+def _not_built(*args):
+    raise AssertionError("the cap must hold before the operator is built")
+
+
+def test_masked_basis_over_memory_budget_is_capacity_error(monkeypatch):
+    ham = random_hamiltonian(7, 3, 3, seed=38)
+    basis = sector_basis(7, 3, 3)[::2]
+    need = product_solve_bytes(7, 35, 35, len(basis))
+    # The masked estimate is the one checked: below the full grid's.
+    assert need < product_solve_bytes(7, 35, 35)
+    monkeypatch.setattr("sqdci.solver.MEMORY_BUDGET_BYTES", need)
+    assert solve_subspace(ham, basis).diagnostics["operator"] == "masked"
+    monkeypatch.setattr("sqdci.solver.MEMORY_BUDGET_BYTES", need - 1)
+    monkeypatch.setattr("sqdci.solver.build_sparse_matrix", _no_csr)
+    monkeypatch.setattr("sqdci.solver.ProductHamiltonian", _not_built)
+    with pytest.raises(CapacityError, match="budget"):
+        solve_subspace(ham, basis)
+
+
+def test_csr_over_memory_budget_is_capacity_error(monkeypatch):
+    ham = random_hamiltonian(8, 4, 4, seed=39)
+    monkeypatch.setattr("sqdci.solver.MEMORY_BUDGET_BYTES", 1 << 20)
+    # _expand is the assembly's first step after the string tables.
+    monkeypatch.setattr("sqdci.hamiltonian._expand", _not_built)
+    with pytest.raises(CapacityError, match="budget"):
+        solve_subspace(ham, _high_ratio_basis())
+    with pytest.raises(CapacityError, match="budget"):
+        build_sparse_matrix(ham, _high_ratio_basis(), max_bytes=1 << 20)
