@@ -2,8 +2,9 @@
 
 Core objects live in submodules:
 
-* :mod:`sqdci.hamiltonian` -- determinants, active-space Hamiltonians,
-  Slater-Condon matrix elements and the projected-Hamiltonian builder.
+* :mod:`sqdci.hamiltonian` -- packed determinant bases, active-space
+  Hamiltonians, Slater-Condon matrix elements and the projected-Hamiltonian
+  builder and matrix-free operator.
 * :mod:`sqdci.fcidump` -- FCIDUMP reader/writer.
 * :mod:`sqdci.solver` -- Davidson and dense eigensolvers, FCI driver.
 * :mod:`sqdci.sampler` -- LUCJ statevector simulation, multinomial shot

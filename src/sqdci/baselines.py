@@ -11,6 +11,8 @@ module constants.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .errors import CapacityError, ConfigError
@@ -26,7 +28,8 @@ ENERGY_TOL = 1e-9
 
 def hci_variational(ham: ActiveSpaceHamiltonian,
                     epsilon1: float) -> SubspaceResult:
-    """Variational heat-bath selection from the HF determinant.
+    """Variational heat-bath selection from the HF determinant, the
+    lowest orbitals of each spin filled.
 
     Each sweep adds every determinant coupled to the current wavefunction
     with |H_{d'd} c_d| >= epsilon1, then re-diagonalizes; stops when the
@@ -37,7 +40,8 @@ def hci_variational(ham: ActiveSpaceHamiltonian,
     """
     if not epsilon1 >= 0:  # written so that nan fails too
         raise ConfigError("epsilon1 must be nonnegative")
-    dets = np.array([ham.hf_determinant()], dtype=np.uint64)
+    dets = np.array([[(1 << ham.n_alpha) - 1, (1 << ham.n_beta) - 1]],
+                    dtype=np.uint64)
     current = solve_subspace(ham, dets)
     sweeps = 0
     for sweeps in range(1, MAX_SWEEPS + 1):
@@ -64,10 +68,17 @@ def hci_variational(ham: ActiveSpaceHamiltonian,
 def ext_hci(ham: ActiveSpaceHamiltonian, prior: SubspaceResult,
             thresholds: ExtensionThresholds | None = None) -> SubspaceResult:
     """Excitation extension of an HCI ground state, with the HCI basis
-    itself (single re-diagonalization)."""
+    itself (single re-diagonalization).
+
+    When the extension adds nothing it is the HCI basis, whose solve is
+    ``prior``: a copy of it is returned instead of solving again.
+    """
     thresholds = thresholds or ExtensionThresholds()
     extended = extend_subspace(prior.vector, prior.basis, thresholds,
                                ham.n_orb, prior.basis)
-    result = solve_subspace(ham, extended)
+    if len(extended) == len(prior.basis):
+        result = replace(prior, diagnostics=dict(prior.diagnostics))
+    else:
+        result = solve_subspace(ham, extended)
     result.diagnostics["extended_from"] = len(prior.basis)
     return result

@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import rng, __version__
-from .activespace import DEFAULT_ETA
 from .baselines import ext_hci, hci_variational
 from .errors import (CapacityError, ConfigError, ConvergenceError,
                      EmptyValidSampleError)
@@ -56,11 +55,9 @@ class RunConfig:
     samples_per_batch: int = 1000
     discard_below: float = 1e-2
     doubles_above: float = 1e-1
-    eta: float = DEFAULT_ETA
     flip_probability: float = 0.0
     seed: int = 0
     epsilon1: float = 1e-4
-    closure: bool = True
     lucj_layers: int = 1
     amplitudes_path: str = ""
     counts_path: str = ""
@@ -81,8 +78,8 @@ class RunConfig:
         if not 0.0 <= self.flip_probability <= 1.0:  # false for nan too
             raise ConfigError("flip probability must be a finite value in "
                               f"[0, 1], got {self.flip_probability}")
-        if np.isnan(self.eta) or np.isnan(self.epsilon1):  # echoed in the record
-            raise ConfigError("eta and epsilon1 must be numbers, not nan")
+        if np.isnan(self.epsilon1):  # echoed in the record
+            raise ConfigError("epsilon1 must be a number, not nan")
         if self.method in ("sqd", "ext-sqd"):
             if self.sampler == "counts-file":
                 if not self.counts_path:
@@ -154,7 +151,7 @@ def execute_run(config: RunConfig) -> dict:
         recovery = RecoveryConfig(iterations=config.iterations,
                                   batches=config.batches,
                                   samples_per_batch=config.samples_per_batch,
-                                  seed=config.seed, closure=config.closure)
+                                  seed=config.seed)
         sqd = sqd_ground_state(ham, counts, recovery)
         record.update(energy=sqd.energy, dimension=sqd.dimension,
                       dimension_raw=sqd.raw_dimension,
@@ -275,75 +272,47 @@ def _read_config_file(path) -> dict:
 
 def _coerce(field_name: str, value):
     kind = RunConfig.__dataclass_fields__[field_name].type
-    if isinstance(value, str):
-        if kind in ("int", "float"):
-            try:
-                return int(value) if kind == "int" else float(value)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"bad {kind} for {field_name}: {value!r}") from exc
-        if kind == "bool":
-            if value.lower() in ("1", "true", "on", "yes"):
-                return True
-            if value.lower() in ("0", "false", "off", "no"):
-                return False
-            raise ConfigError(f"bad boolean for {field_name}: {value!r}")
+    if isinstance(value, str) and kind in ("int", "float"):
+        try:
+            return int(value) if kind == "int" else float(value)
+        except ValueError as exc:
+            raise ConfigError(f"bad {kind} for {field_name}: {value!r}") from exc
     return value
 
 
 def _build_run_config(args) -> RunConfig:
-    values = {}
-    if args.config:
-        values.update(_read_config_file(args.config))
-    overrides = {
-        "hamiltonian_path": args.hamiltonian,
-        "method": args.method,
-        "sampler": args.sampler,
-        "shots": args.shots,
-        "iterations": args.iterations,
-        "batches": args.batches,
-        "samples_per_batch": args.samples_per_batch,
-        "discard_below": args.discard_below,
-        "doubles_above": args.doubles_above,
-        "eta": args.eta,
-        "flip_probability": args.flip_prob,
-        "seed": args.seed,
-        "epsilon1": args.epsilon1,
-        "closure": args.closure,
-        "lucj_layers": args.lucj_layers,
-        "amplitudes_path": args.amplitudes,
-        "counts_path": args.counts,
-        "output_path": args.out,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = value
-    config = RunConfig()
-    for key, value in values.items():
-        setattr(config, key, _coerce(key, value))
-    return config
+    """The config file's values, overridden by every flag given."""
+    values = _read_config_file(args.config) if args.config else {}
+    for key in RunConfig.__dataclass_fields__:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+    return RunConfig(**{key: _coerce(key, value)
+                        for key, value in values.items()})
 
 
 def _add_run_arguments(parser):
-    parser.add_argument("--hamiltonian", help="FCIDUMP file")
+    """One flag per :class:`RunConfig` field, its dest the field name."""
+    parser.add_argument("--hamiltonian", dest="hamiltonian_path",
+                        help="FCIDUMP file")
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--method", choices=METHODS)
     parser.add_argument("--sampler", choices=SAMPLERS)
     parser.add_argument("--shots", type=int)
     parser.add_argument("--iterations", type=int)
     parser.add_argument("--batches", type=int)
-    parser.add_argument("--samples-per-batch", type=int, dest="samples_per_batch")
-    parser.add_argument("--discard-below", type=float, dest="discard_below")
-    parser.add_argument("--doubles-above", type=float, dest="doubles_above")
-    parser.add_argument("--eta", type=float)
-    parser.add_argument("--flip-prob", type=float, dest="flip_prob")
+    parser.add_argument("--samples-per-batch", type=int)
+    parser.add_argument("--discard-below", type=float)
+    parser.add_argument("--doubles-above", type=float)
+    parser.add_argument("--flip-prob", type=float, dest="flip_probability")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--epsilon1", type=float)
-    parser.add_argument("--closure", type=int, choices=(0, 1))
-    parser.add_argument("--lucj-layers", type=int, dest="lucj_layers")
-    parser.add_argument("--amplitudes", help="npz with t2 (and optional t1)")
-    parser.add_argument("--counts", help="counts file (sampler=counts-file)")
-    parser.add_argument("--out", help="output path (default stdout)")
+    parser.add_argument("--lucj-layers", type=int)
+    parser.add_argument("--amplitudes", dest="amplitudes_path",
+                        help="npz with t2 (and optional t1)")
+    parser.add_argument("--counts", dest="counts_path",
+                        help="counts file (sampler=counts-file)")
+    parser.add_argument("--out", dest="output_path",
+                        help="output path (default stdout)")
 
 
 def build_parser():
@@ -359,7 +328,7 @@ def build_parser():
     reaction.add_argument("--product", required=True)
     reaction.add_argument("--reactant", required=True)
     reaction.add_argument("--allow-method-mismatch", action="store_true")
-    reaction.add_argument("--out")
+    reaction.add_argument("--out", dest="output_path")
 
     scan = sub.add_parser("scan", help="run methods over a sized FCIDUMP family")
     _add_run_arguments(scan)
@@ -378,12 +347,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             record = execute_run(_build_run_config(args))
-            _dump_record(record, args.out)
+            _dump_record(record, args.output_path)
         elif args.command == "reaction":
             report = reaction_report(_load_json(args.product),
                                      _load_json(args.reactant),
                                      allow_mismatch=args.allow_method_mismatch)
-            _dump_record(report, args.out)
+            _dump_record(report, args.output_path)
         elif args.command == "scan":
             config = _build_run_config(args)
             sizes = [int(s) for s in args.sizes.split(",") if s]
@@ -392,7 +361,7 @@ def main(argv=None) -> int:
                 if method not in METHODS:
                     raise ConfigError(f"unknown method {method!r}")
             rows = scan_table(config, args.template, sizes, methods)
-            _write_csv(rows, args.out)
+            _write_csv(rows, args.output_path)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

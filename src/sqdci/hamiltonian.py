@@ -10,9 +10,11 @@ row-masked, on any basis inside that product.
 Determinants are pairs of occupation bitmasks (alpha, beta) over spatial
 orbitals, bit p for orbital p. A basis is a ``(dim, 2)`` ``uint64`` array
 of (alpha, beta) rows, distinct and in lexicographic order; row i holds
-coefficient i of a state vector. :func:`merge_bases` puts a union of
-bases in that form; :func:`basis_strings` splits one into its sorted
-distinct strings and rejects repeated or unsorted rows.
+coefficient i of a state vector. :func:`product_basis` builds the
+Cartesian product of two string sets in that form (an SQD batch, the
+FCI sector), :func:`merge_bases` puts a union of bases in it, and
+:func:`basis_strings` splits one into its sorted distinct strings and
+rejects repeated or unsorted rows.
 
 The builder is string driven (Knowles & Handy, CPL 111, 315 (1984)).
 Each determinant becomes the index pair (ia, ib) of its strings. Per
@@ -69,18 +71,6 @@ import numpy as np
 from .errors import CapacityError, ConfigError
 
 
-class Determinant(NamedTuple):
-    """One electronic configuration: occupation bitmasks per spin."""
-
-    alpha: int
-    beta: int
-
-
-def hartree_fock_determinant(n_alpha: int, n_beta: int) -> Determinant:
-    """Lowest-orbital filling: the restricted HF reference."""
-    return Determinant((1 << n_alpha) - 1, (1 << n_beta) - 1)
-
-
 def sector_strings(n_orb: int, n_electrons: int) -> np.ndarray:
     """All ``n_electrons``-electron strings over ``n_orb`` orbitals, sorted."""
     return np.array(sorted(sum(1 << p for p in occ) for occ in
@@ -88,11 +78,17 @@ def sector_strings(n_orb: int, n_electrons: int) -> np.ndarray:
                     dtype=np.uint64)
 
 
-def sector_basis(n_orb: int, n_alpha: int, n_beta: int) -> np.ndarray:
-    """All determinants of the (n_alpha, n_beta) sector, as a basis."""
-    alphas, betas = sector_strings(n_orb, n_alpha), sector_strings(n_orb, n_beta)
+def product_basis(alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Every (alpha, beta) pair of two sorted distinct string sets, as a
+    basis: row ``ia * len(betas) + ib`` is (alphas[ia], betas[ib])."""
     return np.column_stack([np.repeat(alphas, len(betas)),
                             np.tile(betas, len(alphas))])
+
+
+def sector_basis(n_orb: int, n_alpha: int, n_beta: int) -> np.ndarray:
+    """All determinants of the (n_alpha, n_beta) sector, as a basis."""
+    return product_basis(sector_strings(n_orb, n_alpha),
+                         sector_strings(n_orb, n_beta))
 
 
 def merge_bases(*bases: np.ndarray) -> np.ndarray:
@@ -201,9 +197,6 @@ class ActiveSpaceHamiltonian:
         # Read-only views: the Hamiltonian is immutable after construction.
         self.one_body.flags.writeable = False
         self.two_body.flags.writeable = False
-
-    def hf_determinant(self) -> Determinant:
-        return hartree_fock_determinant(self.n_alpha, self.n_beta)
 
     @cached_property
     def _heat_bath(self) -> _HeatBath:
@@ -721,19 +714,20 @@ class ProductHamiltonian:
         self._v = ham.two_body[first[:, None], second[:, None],
                                first[None, :], second[None, :]]
         self._beta = _pair_entries(tb)
-        rows = sigma_block_rows(ham.n_orb, n_a, n_b)
-        self._d = np.zeros((n_pairs, rows, n_b))
-        self._f = np.empty((n_pairs, rows * n_b))
+        block_rows = sigma_block_rows(ham.n_orb, n_a, n_b)
+        self._d = np.zeros((n_pairs, block_rows, n_b))
+        self._f = np.empty((n_pairs, block_rows * n_b))
         # Per block of source alpha rows: flat row of F, sign, run starts
         # and the distinct targets, with the entries sorted by target.
         pair, target, source, sign = _pair_entries(ta)
         self._blocks = []
-        for lo in range(0, n_a, rows):
-            hi = min(lo + rows, n_a)
+        for lo in range(0, n_a, block_rows):
+            hi = min(lo + block_rows, n_a)
             mine = (source >= lo) & (source < hi)
             block_target = target[mine]
             starts = np.flatnonzero(np.diff(block_target, prepend=-1))
-            self._blocks.append((lo, hi, pair[mine] * rows + source[mine] - lo,
+            self._blocks.append((lo, hi,
+                                 pair[mine] * block_rows + source[mine] - lo,
                                  sign[mine][:, None], starts,
                                  block_target[starts]))
 

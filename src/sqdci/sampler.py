@@ -62,8 +62,8 @@ def _half_widths(n_qubits: int) -> tuple[int, int]:
 def pack_bits(rows: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """uint64 alpha and beta strings of an (m, ``n_qubits``) 0/1 array.
 
-    Bit i of a string is column i of its half of the row, the layout of
-    :class:`Determinant`.
+    Bit i of a string is column i of its half of the row, the layout of a
+    basis row (see :mod:`sqdci.hamiltonian`).
     """
     width, _ = _half_widths(n_qubits)
     rows = np.asarray(rows, dtype=bool)

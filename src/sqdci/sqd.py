@@ -2,10 +2,12 @@
 
 The self-consistent loop: iteration 1 diagonalizes batches drawn from
 the Hamming-valid shots only; later iterations first repair the invalid
-shots toward the current mean orbital occupations, then re-draw batches
-from the combined pool. The excitation extension re-diagonalizes each
-final batch eigenstate over its singles/doubles-augmented basis.
-Subspaces are the packed ``uint64`` bases of :mod:`sqdci.hamiltonian`.
+shots toward the mean orbital occupations of the previous iteration's
+batch eigenstates, then re-draw batches from the combined pool. Each
+batch is diagonalized in the alpha x beta product of its distinct
+strings. The excitation extension re-diagonalizes each final batch
+eigenstate over its singles/doubles-augmented basis. Subspaces are the
+packed ``uint64`` bases of :mod:`sqdci.hamiltonian`.
 
 Recovery works on blocks of packed shots: each spin half flips its
 Gumbel-top-|excess| bits, found in |excess| rounds of ``argmax``. The
@@ -27,7 +29,7 @@ from . import rng
 from .errors import CapacityError, ConfigError, EmptyValidSampleError
 from .hamiltonian import (_BLOCK_CANDIDATES, ActiveSpaceHamiltonian,
                           basis_strings, distinct_strings, merge_bases,
-                          occupation_rows)
+                          occupation_rows, product_basis)
 from .sampler import BitstringCounts, merge_counts, shot_rows, unpack_bits
 from .solver import solve_subspace
 
@@ -45,7 +47,6 @@ class RecoveryConfig:
     batches: int = 16
     samples_per_batch: int = 1000
     seed: int = 0
-    closure: bool = True
 
     def __post_init__(self):
         if self.iterations < 1 or self.batches < 1 or self.samples_per_batch < 1:
@@ -70,14 +71,13 @@ class BatchSolution:
     vector: np.ndarray
     energy: float
     shot_weight: int
-    raw_dimension: int = 0  # distinct sampled determinants before closure
+    raw_dimension: int = 0  # distinct sampled determinants, before the product
 
 
 @dataclass
 class SQDResult:
     energy: float
     energy_history: list[float]
-    occupations: np.ndarray
     basis: np.ndarray
     dimension: int
     raw_dimension: int
@@ -150,22 +150,13 @@ def recover_configurations(invalid: BitstringCounts, occupations: np.ndarray,
                                   np.ones(len(alpha), dtype=np.int64))
 
 
-def build_subspace(samples: BitstringCounts, closure: bool) -> np.ndarray:
-    """Determinant basis of sector-valid samples: their rows, or with
-    closure on the Cartesian product of their distinct alpha and beta
-    strings."""
+def build_subspace(samples: BitstringCounts) -> np.ndarray:
+    """Determinant basis of sector-valid samples: the Cartesian product of
+    their distinct alpha and beta strings."""
     if not len(samples):
         raise ConfigError("empty sample set")
-    if not closure:
-        return merge_bases(np.column_stack([samples.alpha, samples.beta]))
-    alphas, betas = distinct_strings(samples.alpha), distinct_strings(samples.beta)
-    return np.column_stack([np.repeat(alphas, len(betas)),
-                            np.tile(betas, len(alphas))])
-
-
-def _empirical_occupations(counts: BitstringCounts) -> np.ndarray:
-    rows = unpack_bits(counts.alpha, counts.beta, counts.n_qubits)
-    return (counts.count @ rows) / counts.total_shots
+    return product_basis(distinct_strings(samples.alpha),
+                         distinct_strings(samples.beta))
 
 
 def _eigenvector_occupations(basis, vector, n_orb):
@@ -201,7 +192,6 @@ def sqd_ground_state(ham: ActiveSpaceHamiltonian, counts: BitstringCounts,
         raise EmptyValidSampleError(
             "no sampled configuration has the correct Hamming weights")
 
-    occupations = _empirical_occupations(valid)
     history: list[float] = []
     batches: list[BatchSolution] = []
     best: BatchSolution | None = None
@@ -210,6 +200,13 @@ def sqd_ground_state(ham: ActiveSpaceHamiltonian, counts: BitstringCounts,
         if iteration == 1 or invalid.total_shots == 0:
             pool = valid
         else:
+            # Repair toward the shot-weighted mean occupations of the
+            # previous iteration's batch eigenstates.
+            total_weight = sum(s.shot_weight for s in batches)
+            occupations = np.clip(sum(
+                (s.shot_weight / total_weight)
+                * _eigenvector_occupations(s.basis, s.vector, ham.n_orb)
+                for s in batches), 0.0, 1.0)
             recovered = recover_configurations(
                 invalid, occupations, ham.n_alpha, ham.n_beta,
                 seed=rng.stream(cfg.seed, "recover-seed", iteration)
@@ -220,7 +217,7 @@ def sqd_ground_state(ham: ActiveSpaceHamiltonian, counts: BitstringCounts,
         for b in range(cfg.batches):
             gen = rng.stream(cfg.seed, "batch", iteration, b)
             batch_counts = _draw_batch(pool, cfg.samples_per_batch, gen)
-            basis = build_subspace(batch_counts, cfg.closure)
+            basis = build_subspace(batch_counts)
             solved = solve_subspace(ham, basis)
             batches.append(BatchSolution(basis=solved.basis,
                                          vector=solved.vector,
@@ -229,16 +226,8 @@ def sqd_ground_state(ham: ActiveSpaceHamiltonian, counts: BitstringCounts,
                                          raw_dimension=len(batch_counts)))
         best = min(batches, key=lambda s: s.energy)
         history.append(best.energy)
-        total_weight = sum(s.shot_weight for s in batches)
-        occupations = sum(
-            (s.shot_weight / total_weight)
-            * _eigenvector_occupations(s.basis, s.vector, ham.n_orb)
-            for s in batches)
-        occupations = np.clip(occupations, 0.0, 1.0)
 
     return SQDResult(energy=best.energy, energy_history=history,
-                     occupations=_eigenvector_occupations(
-                         best.basis, best.vector, ham.n_orb),
                      basis=best.basis, dimension=len(best.basis),
                      raw_dimension=best.raw_dimension, batches=batches)
 
@@ -340,7 +329,5 @@ def ext_sqd(ham: ActiveSpaceHamiltonian, prior: SQDResult,
                                        shot_weight=batch.shot_weight))
     best = min(solutions, key=lambda s: s.energy)
     return SQDResult(energy=best.energy, energy_history=[best.energy],
-                     occupations=_eigenvector_occupations(
-                         best.basis, best.vector, ham.n_orb),
                      basis=best.basis, dimension=len(best.basis),
                      raw_dimension=len(best.basis), batches=solutions)

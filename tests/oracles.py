@@ -16,11 +16,25 @@ the factors, and the factorisation itself is pinned against scipy's expm.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import binom
 
 from sqdci.sampler import _expm_antisymmetric, _givens_decompose
+
+
+class Determinant(NamedTuple):
+    """One configuration as Python ints: the alpha and beta occupation
+    bitmasks, bit p for orbital p (the layout of a basis row)."""
+
+    alpha: int
+    beta: int
+
+
+def hartree_fock_determinant(n_alpha: int, n_beta: int) -> Determinant:
+    """Lowest-orbital filling of each spin: the restricted HF reference."""
+    return Determinant((1 << n_alpha) - 1, (1 << n_beta) - 1)
 
 
 def det_to_state(det, n_orb: int) -> int:

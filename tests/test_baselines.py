@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import as_pairs, packed, random_hamiltonian
-from oracles import brute_force_matrix, reference_connected
+from oracles import (Determinant, brute_force_matrix,
+                     hartree_fock_determinant, reference_connected)
 from sqdci.baselines import ext_hci, hci_variational
-from sqdci import sqd
+from sqdci import baselines, sqd
 from sqdci.errors import CapacityError, ConfigError
-from sqdci.hamiltonian import Determinant
 from sqdci.solver import fci_ground_state, solve_subspace
 from sqdci.sqd import ExtensionThresholds, extend_subspace
 
@@ -15,7 +15,7 @@ def test_huge_epsilon_keeps_hf_only(ham_4e4o):
     result = hci_variational(ham_4e4o, 1e6)
     assert result.dimension == 1
     assert result.energy == pytest.approx(
-        brute_force_matrix(ham_4e4o, [ham_4e4o.hf_determinant()])[0, 0],
+        brute_force_matrix(ham_4e4o, [hartree_fock_determinant(2, 2)])[0, 0],
         abs=1e-12)
 
 
@@ -56,7 +56,8 @@ def test_hci_options_validation(ham_2e2o):
 def _reference_hci(ham, epsilon1, max_iterations=50, energy_tol=1e-9):
     """The HCI sweep one determinant at a time, on the reference
     generator and Python sets: (result, sweeps)."""
-    current = solve_subspace(ham, packed([ham.hf_determinant()]))
+    hf = hartree_fock_determinant(ham.n_alpha, ham.n_beta)
+    current = solve_subspace(ham, packed([hf]))
     sweeps = 0
     for sweeps in range(1, max_iterations + 1):
         in_basis = set(as_pairs(current.basis))
@@ -103,11 +104,32 @@ def test_ext_hci_noop_thresholds(ham_4e4o):
     assert result.energy == pytest.approx(prior.energy, abs=1e-12)
 
 
+def test_ext_hci_reuses_the_hci_solve_when_nothing_is_added(monkeypatch):
+    # At 1e-3 HCI ends on the whole 1 225-row (7,3,3) sector, so the
+    # extension is the HCI basis and a second solve would repeat the first.
+    ham = random_hamiltonian(7, 3, 3, seed=24, diagonal_spread=1.0)
+    prior, smaller = hci_variational(ham, 1e-3), hci_variational(ham, 1e-1)
+    assert prior.dimension == 1225
+    calls = []
+    monkeypatch.setattr(baselines, "solve_subspace",
+                        lambda *a: calls.append(a) or solve_subspace(*a))
+    result = ext_hci(ham, prior)
+    assert calls == []
+    assert result.energy == solve_subspace(ham, prior.basis).energy
+    assert result.dimension == 1225
+    assert result.diagnostics["extended_from"] == 1225
+    assert "extended_from" not in prior.diagnostics
+    # An extension that adds rows is solved, once.
+    ext_hci(ham, smaller)
+    assert len(calls) == 1
+
+
 def test_ext_hci_never_above_hci(ham_4e4o):
     prior = hci_variational(ham_4e4o, 1e-2)
     result = ext_hci(ham_4e4o, prior)
     assert result.energy <= prior.energy + 1e-12
-    hf_energy = brute_force_matrix(ham_4e4o, [ham_4e4o.hf_determinant()])[0, 0]
+    hf_energy = brute_force_matrix(ham_4e4o,
+                                   [hartree_fock_determinant(2, 2)])[0, 0]
     assert prior.energy <= hf_energy + 1e-12
 
 

@@ -212,14 +212,27 @@ def test_main_rejects_bad_flip_probability(one_orbital, capsys, flip):
                   flip_probability=float(flip)).validate()
 
 
-@pytest.mark.parametrize("flag", ["--epsilon1", "--eta"])
-def test_main_rejects_nan_epsilon1_and_eta(fixture_2e2o, tmp_path, capsys,
-                                           flag):
+def test_main_rejects_nan_epsilon1(fixture_2e2o, tmp_path, capsys):
     out = tmp_path / "record.json"
     assert main(["run", "--hamiltonian", str(fixture_2e2o), "--method", "hci",
-                 flag, "nan", "--out", str(out)]) == 2
+                 "--epsilon1", "nan", "--out", str(out)]) == 2
     assert "not nan" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name,value", [("closure", "0"), ("eta", "0.001")])
+def test_removed_options_are_config_errors(fixture_2e2o, tmp_path, capsys,
+                                           name, value):
+    # Neither a flag (argparse exits 2) nor a config-file key (exit 2).
+    run = ["run", "--hamiltonian", str(fixture_2e2o), "--method", "fci"]
+    with pytest.raises(SystemExit) as exit_info:
+        main([*run, f"--{name}", value])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: --{name}" in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{name} = {value}\n")
+    assert main([*run, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: unknown config key {name!r}\n"
 
 
 def test_main_hci_records_are_strict_json(fixture_2e2o, tmp_path):
@@ -232,15 +245,13 @@ def test_main_hci_records_are_strict_json(fixture_2e2o, tmp_path):
                  "--out", str(out)]) == 0
     record = json.loads(out.read_text(), parse_constant=reject)
     assert record["config"]["epsilon1"] == 0.01
-    # Infinite thresholds stay legal (epsilon1 inf keeps only the HF
-    # determinant) and are echoed as strings.
-    for flag, field, dimension in (("--epsilon1", "epsilon1", 1),
-                                   ("--eta", "eta", 4)):
-        assert main(["run", "--hamiltonian", str(fixture_2e2o), "--method",
-                     "hci", flag, "inf", "--out", str(out)]) == 0
-        record = json.loads(out.read_text(), parse_constant=reject)
-        assert record["config"][field] == "inf"
-        assert record["dimension"] == dimension
+    # An infinite threshold stays legal (epsilon1 inf keeps only the HF
+    # determinant) and is echoed as a string.
+    assert main(["run", "--hamiltonian", str(fixture_2e2o), "--method", "hci",
+                 "--epsilon1", "inf", "--out", str(out)]) == 0
+    record = json.loads(out.read_text(), parse_constant=reject)
+    assert record["config"]["epsilon1"] == "inf"
+    assert record["dimension"] == 1
 
 
 @pytest.mark.parametrize("line", ["shots = many", "flip_probability = lots",
@@ -330,9 +341,11 @@ def test_sqdci_threads_applied_before_numpy_loads():
 def test_cli_runs_load_no_scipy(tmp_path):
     # FCI at dimension 1225 takes the Davidson path; the LUCJ sampler with
     # readout noise takes the orbital-rotation exp/log and recovery paths;
-    # ext-sqd and closure 0 take the extension, the basis unions and the
-    # unclosed batch basis. numpy.ma must stay unloaded too: np.unique
-    # imports it on first call (about 15 ms), so the run path avoids it.
+    # ext-sqd takes the extension and the basis unions. ext-hci at 1e-3 on
+    # the (7,3,3) file solves its 205- and 1 065-row HCI bases on the
+    # row-masked product sigma (their operator was "masked" when checked
+    # once). numpy.ma must stay unloaded too: np.unique imports it on
+    # first call (about 15 ms), so the run path avoids it.
     large, small = tmp_path / "h7.fcidump", tmp_path / "h4.fcidump"
     write_fcidump_path(random_hamiltonian(7, 3, 3, seed=25), large)
     write_fcidump_path(random_hamiltonian(4, 2, 2, seed=26), small)
@@ -347,10 +360,11 @@ def test_cli_runs_load_no_scipy(tmp_path):
          "--samples-per-batch", "20"],
         ["--hamiltonian", str(small), "--method", "ext-hci",
          "--epsilon1", "0.01"],
-        *(["--hamiltonian", str(small), "--method", method, "--sampler",
-           "ci-vector", "--shots", "2000", "--iterations", "2", "--batches",
-           "2", "--samples-per-batch", "20", "--closure", closure]
-          for method, closure in (("ext-sqd", "1"), ("sqd", "0"))),
+        ["--hamiltonian", str(small), "--method", "ext-sqd", "--sampler",
+         "ci-vector", "--shots", "2000", "--iterations", "2", "--batches",
+         "2", "--samples-per-batch", "20"],
+        ["--hamiltonian", str(large), "--method", "ext-hci",
+         "--epsilon1", "1e-3"],
     ]
     runs = [["run", *argv, "--out", str(tmp_path / f"{i}.json")]
             for i, argv in enumerate(runs)]
@@ -416,4 +430,3 @@ def test_default_protocol_values():
     assert config.batches == 16
     assert config.discard_below == 1e-2
     assert config.doubles_above == 1e-1
-    assert config.eta == 1e-3

@@ -7,15 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import as_pairs, packed, random_hamiltonian
-from oracles import (brute_force_matrix, excitation_degree, excitations,
-                     exhaustive_connected, reference_connected,
+from oracles import (Determinant, brute_force_matrix, excitation_degree,
+                     excitations, exhaustive_connected,
+                     hartree_fock_determinant, reference_connected,
                      spin_string_tables)
 from sqdci import hamiltonian
 from sqdci.errors import ConfigError
-from sqdci.hamiltonian import (ActiveSpaceHamiltonian, Determinant,
-                               ProductHamiltonian, _spin_tables,
-                               build_sparse_matrix, connected_determinants,
-                               hartree_fock_determinant, merge_bases,
+from sqdci.hamiltonian import (ActiveSpaceHamiltonian, ProductHamiltonian,
+                               _spin_tables, build_sparse_matrix,
+                               connected_determinants, merge_bases,
                                occupation_rows, sector_basis)
 
 

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from conftest import as_pairs
 from oracles import (apply_operator_string, bitstring_to_determinant,
                      density_density_phases, det_to_state,
-                     determinant_to_bitstring, lucj_amplitudes_per_determinant,
+                     determinant_to_bitstring, hartree_fock_determinant,
+                     lucj_amplitudes_per_determinant,
                      one_body_operator_matrix, one_rdm_alpha,
                      sector_determinants, total_variation,
                      valid_probability_after_flips)
 from sqdci import rng
 from sqdci.errors import CapacityError, ConfigError
-from sqdci.hamiltonian import (hartree_fock_determinant, sector_basis,
-                               sector_strings)
+from sqdci.hamiltonian import sector_basis, sector_strings
 from sqdci.sampler import (BitstringCounts, LUCJParams, NoiseModel,
                            apply_orbital_rotation, apply_readout_noise,
                            lucj_params_from_ccsd, lucj_state, read_counts,

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse
 
 from conftest import packed, random_hamiltonian
-from oracles import brute_force_matrix
+from oracles import brute_force_matrix, hartree_fock_determinant
 from sqdci.errors import CapacityError, ConfigError, ConvergenceError
 from sqdci.hamiltonian import build_sparse_matrix, sector_basis
 from sqdci import solver
@@ -131,7 +131,8 @@ def test_fci_matches_brute_force_dense():
 def test_fci_below_hartree_fock():
     ham = random_hamiltonian(4, 2, 2, seed=22)
     result = fci_ground_state(ham)
-    e_hf = brute_force_matrix(ham, [ham.hf_determinant()])[0, 0]
+    hf = hartree_fock_determinant(ham.n_alpha, ham.n_beta)
+    e_hf = brute_force_matrix(ham, [hf])[0, 0]
     assert result.energy <= e_hf + 1e-12
 
 

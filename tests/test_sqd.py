@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import as_pairs, packed
 from oracles import (brute_force_matrix, determinant_to_bitstring,
-                     excitation_degree, excitations)
+                     excitation_degree, excitations, hartree_fock_determinant)
 from sqdci import sqd
 from sqdci.errors import CapacityError, ConfigError, EmptyValidSampleError
-from sqdci.hamiltonian import (hartree_fock_determinant, merge_bases,
-                               sector_basis)
-from sqdci.sampler import BitstringCounts, sample_counts, state_from_ci_vector
+from sqdci.hamiltonian import merge_bases, sector_basis
+from sqdci.sampler import (BitstringCounts, merge_counts, sample_counts,
+                           state_from_ci_vector)
 from sqdci.solver import fci_ground_state
 from sqdci.sqd import (ExtensionThresholds, RecoveryConfig,
                        _eigenvector_occupations, build_subspace, ext_sqd,
@@ -118,22 +118,20 @@ def test_eigenvector_occupations_match_per_determinant_loop():
 
 def test_build_subspace_closure_product():
     counts = BitstringCounts(4, {"1001": 2, "0110": 1})
-    basis = build_subspace(counts, closure=True)
+    basis = build_subspace(counts)
     # 2 alpha strings x 2 beta strings, in (alpha, beta) order.
     assert basis.dtype == np.uint64
     assert as_pairs(basis) == [(1, 1), (1, 2), (2, 1), (2, 2)]
-    raw = build_subspace(counts, closure=False)
-    assert as_pairs(raw) == [(1, 2), (2, 1)]
 
 
 def test_build_subspace_duplicates_collapse():
     counts = BitstringCounts(4, {"1010": 5})
-    assert as_pairs(build_subspace(counts, closure=False)) == [(1, 1)]
+    assert as_pairs(build_subspace(counts)) == [(1, 1)]
 
 
 def test_build_subspace_empty_rejected():
     with pytest.raises(ConfigError):
-        build_subspace(BitstringCounts(4, {}), closure=True)
+        build_subspace(BitstringCounts(4, {}))
 
 
 # ------------------------------------------------------------------- the loop
@@ -176,7 +174,9 @@ def test_loop_deterministic(ham_4e4o):
     a = sqd_ground_state(ham_4e4o, counts, cfg)
     b = sqd_ground_state(ham_4e4o, counts, cfg)
     assert a.energy_history == b.energy_history
-    assert np.array_equal(a.occupations, b.occupations)
+    assert np.array_equal(a.basis, b.basis)
+    for x, y in zip(a.batches, b.batches, strict=True):
+        assert np.array_equal(x.vector, y.vector)
 
 
 def test_result_invariants(ham_4e4o):
@@ -184,22 +184,26 @@ def test_result_invariants(ham_4e4o):
     result = sqd_ground_state(ham_4e4o, counts,
                               RecoveryConfig(iterations=2, batches=3,
                                              samples_per_batch=12))
-    assert np.all(result.occupations >= 0) and np.all(result.occupations <= 1)
-    assert result.occupations.sum() == pytest.approx(4.0, abs=1e-8)
+    assert result.energy == min(b.energy for b in result.batches)
     assert result.dimension == len(result.basis)
     assert len(result.energy_history) == 2
     assert result.raw_dimension <= result.dimension
 
 
-def test_closure_never_raises_energy(ham_4e4o):
+def test_occupations_only_for_iterations_that_recover(ham_4e4o, monkeypatch):
+    # Each recovering iteration takes the occupations of the previous
+    # iteration's batch eigenstates; with no invalid shots none are taken.
+    calls = []
+    real = sqd._eigenvector_occupations
+    monkeypatch.setattr(sqd, "_eigenvector_occupations",
+                        lambda *a: calls.append(a) or real(*a))
+    cfg = RecoveryConfig(iterations=3, batches=2, samples_per_batch=8)
     counts, _ = fci_counts(ham_4e4o, shots=400, seed=11)
-    on = sqd_ground_state(ham_4e4o, counts,
-                          RecoveryConfig(iterations=1, batches=2,
-                                         samples_per_batch=8, closure=True))
-    off = sqd_ground_state(ham_4e4o, counts,
-                           RecoveryConfig(iterations=1, batches=2,
-                                          samples_per_batch=8, closure=False))
-    assert on.energy <= off.energy + 1e-12
+    sqd_ground_state(ham_4e4o, counts, cfg)
+    assert calls == []
+    noisy = merge_counts(8, [counts, BitstringCounts(8, {"11100000": 7})])
+    sqd_ground_state(ham_4e4o, noisy, cfg)
+    assert len(calls) == 4  # iterations 2 and 3, two batches each
 
 
 # ------------------------------------------------------------------ extension
