@@ -23,9 +23,8 @@ from .baselines import ext_hci, hci_variational
 from .errors import (CapacityError, ConfigError, ConvergenceError,
                      EmptyValidSampleError)
 from .fcidump import read_fcidump
-from .sampler import (NoiseModel, apply_readout_noise, lucj_params_from_ccsd,
-                      lucj_state, read_counts, sample_counts,
-                      state_from_ci_vector)
+from .sampler import (SectorState, apply_readout_noise, lucj_params_from_ccsd,
+                      lucj_state, read_counts, sample_counts)
 from .solver import fci_ground_state
 from .sqd import ExtensionThresholds, RecoveryConfig, ext_sqd, sqd_ground_state
 from .units import hartree_to_ev
@@ -96,8 +95,8 @@ def _acquire_counts(config: RunConfig, ham):
     else:
         if config.sampler == "ci-vector":
             reference = fci_ground_state(ham)
-            state = state_from_ci_vector(reference.vector, ham.n_orb,
-                                         ham.n_alpha, ham.n_beta)
+            state = SectorState(ham.n_orb, ham.n_alpha, ham.n_beta,
+                                reference.vector)
         else:
             data = np.load(config.amplitudes_path)
             if "t2" not in data:
@@ -109,10 +108,9 @@ def _acquire_counts(config: RunConfig, ham):
                                seed=int(rng.stream(config.seed, "shots")
                                         .integers(2**63)))
     if config.flip_probability > 0:
-        noise = NoiseModel(config.flip_probability,
-                           seed=int(rng.stream(config.seed, "noise")
-                                    .integers(2**63)))
-        counts = apply_readout_noise(counts, noise)
+        counts = apply_readout_noise(
+            counts, config.flip_probability,
+            seed=int(rng.stream(config.seed, "noise").integers(2**63)))
     return counts
 
 

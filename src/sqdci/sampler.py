@@ -3,16 +3,17 @@
 The statevector is simulated in the fixed (n_alpha, n_beta) sector, as an
 n_alpha_strings x n_beta_strings complex grid over the sorted alpha and
 beta strings; flattened, the grid is in ``sector_basis`` row order. An
-orbital-rotation layer exp(K) acts on each spin alone. It is decomposed
-into a diagonal of signs and adjacent two-level Givens rotations: the
-signs multiply whole rows (alpha) or columns (beta) by popcount parities,
-and a rotation in the plane (p, p+1) pairs each string that has p+1 set
-and p clear with its partner, found by ``searchsorted``, and rotates the
-two rows (columns) at once. The density-density layer exp(iJ) is a phase
-grid, an outer sum of per-spin terms plus one alpha-beta matrix product.
-Both conserve particle number exactly, so the state never leaves the
-sector. :func:`sample_counts` draws the multinomial over the flattened
-grid and splits each hit into its (alpha, beta) string indices.
+orbital-rotation layer is held as its orthogonal matrix U and acts on each
+spin alone. U is decomposed into a diagonal of signs and adjacent
+two-level Givens rotations: the signs multiply whole rows (alpha) or
+columns (beta) by popcount parities, and a rotation in the plane
+(p, p+1) pairs each string that has p+1 set and p clear with its
+partner, found by ``searchsorted``, and rotates the two rows (columns)
+at once. The density-density layer exp(iJ) is a phase grid, an outer sum
+of per-spin terms plus one alpha-beta matrix product. Both conserve
+particle number exactly, so the state never leaves the sector.
+:func:`sample_counts` draws the multinomial over the flattened grid and
+splits each hit into its (alpha, beta) string indices.
 
 Readout noise draws every shot's uniforms, but only the shots with a
 flipped bit get masks and a sort; the others return to their own row as
@@ -196,27 +197,26 @@ def shot_rows(count: np.ndarray, block: int):
                               side="right")
 
 
-@dataclass
-class NoiseModel:
-    """Independent per-bit readout flips."""
-
-    flip_probability: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.flip_probability <= 1.0:
-            raise ConfigError("flip probability must be in [0, 1]")
+def _orthogonal(rotation, what: str) -> np.ndarray:
+    """``rotation`` as a float array; :class:`ConfigError` unless it is a
+    square matrix U with max |U U^T - 1| <= 1e-10."""
+    U = np.asarray(rotation, dtype=float)
+    if (U.ndim != 2 or U.shape[0] != U.shape[1]
+            or np.max(np.abs(U @ U.T - np.eye(len(U))), initial=0.0) > 1e-10):
+        raise ConfigError(f"{what} is not an orthogonal matrix")
+    return U
 
 
 @dataclass
 class LUCJParams:
     """Layered cluster-Jastrow circuit parameters.
 
-    Each layer is a pair (K, J): K is a real antisymmetric n x n
-    orbital-rotation generator applied identically to both spins, J is a
-    real symmetric 2n x 2n density-density coupling over spin-orbitals
-    (None means no phase layer). ``final_rotation`` is an optional
-    trailing K-type generator.
+    Each layer is a pair (U, J): U is a real orthogonal n x n orbital
+    rotation applied identically to both spins, J is a real symmetric
+    2n x 2n density-density coupling over spin-orbitals (None means no
+    phase layer). ``final_rotation`` is an optional trailing U. Rotations
+    are held as matrices, not generators, as in ffsim's UCJ operators, so
+    any orthogonal U is valid, half turns and reflections included.
     """
 
     layers: list
@@ -224,33 +224,25 @@ class LUCJParams:
 
     def __post_init__(self):
         checked = []
-        for K, J in self.layers:
-            K = np.asarray(K, dtype=float)
-            if np.max(np.abs(K + K.T)) > 1e-12:
-                raise ConfigError("K generator is not antisymmetric")
+        for U, J in self.layers:
+            U = _orthogonal(U, "layer rotation")
             if J is not None:
                 J = np.asarray(J, dtype=float)
-                if J.shape != (2 * K.shape[0],) * 2:
+                if J.shape != (2 * len(U),) * 2:
                     raise ConfigError("J must be 2n x 2n over spin-orbitals")
                 if np.max(np.abs(J - J.T)) > 1e-12:
                     raise ConfigError("J coupling is not symmetric")
-            checked.append((K, J))
+            checked.append((U, J))
         self.layers = checked
         if self.final_rotation is not None:
-            K = np.asarray(self.final_rotation, dtype=float)
-            if np.max(np.abs(K + K.T)) > 1e-12:
-                raise ConfigError("final rotation is not antisymmetric")
-            self.final_rotation = K
-
-    @staticmethod
-    def zero(n_orb: int, n_layers: int = 1) -> "LUCJParams":
-        return LUCJParams(layers=[(np.zeros((n_orb, n_orb)), None)
-                                  for _ in range(n_layers)])
+            self.final_rotation = _orthogonal(self.final_rotation,
+                                              "final rotation")
 
 
 @dataclass
 class SectorState:
-    """Normalized amplitudes over the canonical sector determinant basis."""
+    """Amplitudes over the canonical sector determinant basis (sampling
+    normalizes them)."""
 
     n_orb: int
     n_alpha: int
@@ -259,7 +251,7 @@ class SectorState:
 
 
 def _givens_decompose(unitary: np.ndarray):
-    """QR-style elimination of exp(K) into adjacent-plane rotations.
+    """QR-style elimination of an orthogonal U into adjacent-plane rotations.
 
     Returns (rotations, diagonal_signs) with G_m ... G_1 U = diag(signs),
     each rotation a tuple (upper_row, angle) acting in the plane
@@ -291,7 +283,7 @@ def state_preparation_bytes(n_orb: int, n_alpha: int, n_beta: int) -> int:
 
 def _rotate_spin(rows: np.ndarray, strings: np.ndarray, rotations,
                  negated: int) -> None:
-    """Apply one spin's factor of exp(K) in place to ``rows``, one row per
+    """Apply one spin's factor of U in place to ``rows``, one row per
     string of ``strings``: first the signs of the orbitals in the bitmask
     ``negated``, then the Givens rotations in reverse with negated angles."""
     if negated:
@@ -312,18 +304,16 @@ def _rotate_spin(rows: np.ndarray, strings: np.ndarray, rotations,
 
 def apply_orbital_rotation(grid: np.ndarray, alphas: np.ndarray,
                            betas: np.ndarray,
-                           generator: np.ndarray) -> np.ndarray:
-    """exp(K) (the same rotation on both spins) applied to an amplitude
-    grid over the sorted strings ``alphas`` (rows) and ``betas`` (columns).
+                           rotation: np.ndarray) -> np.ndarray:
+    """The orthogonal orbital rotation U (the same on both spins) applied
+    to an amplitude grid over the sorted strings ``alphas`` (rows) and
+    ``betas`` (columns).
 
     U = G_1^T ... G_m^T D factors as U_alpha (x) U_beta, so each spin is
     rotated alone: the beta pass on a transposed copy, whose rows are then
     contiguous, and the alpha pass on its transpose. Returns a new grid.
     """
-    K = np.asarray(generator, dtype=float)
-    if np.max(np.abs(K + K.T)) > 1e-12:
-        raise ConfigError("rotation generator is not antisymmetric")
-    rotations, signs = _givens_decompose(_expm_antisymmetric(K))
+    rotations, signs = _givens_decompose(_orthogonal(rotation, "rotation"))
     negated = sum(1 << p for p in np.flatnonzero(signs < 0).tolist())
     swapped = np.array(np.asarray(grid).T, dtype=complex, order="C")
     _rotate_spin(swapped, betas, rotations, negated)
@@ -350,17 +340,18 @@ def lucj_state(params: LUCJParams, n_orb: int, n_alpha: int,
                n_beta: int) -> SectorState:
     """Exact sector statevector of the layered cluster-Jastrow circuit.
 
-    Starting from the RHF determinant, each layer applies exp(K) then
-    the diagonal phase exp(i sum_{p sigma, r tau} J n n); the final
-    rotation, if present, is applied last. The result has unit norm.
+    Starting from the RHF determinant, each layer applies its orbital
+    rotation U then the diagonal phase exp(i sum_{p sigma, r tau} J n n);
+    the final rotation, if present, is applied last. The result has unit
+    norm.
     Raises :class:`CapacityError`, before allocating, when
     :func:`state_preparation_bytes` exceeds ``solver.MEMORY_BUDGET_BYTES``.
     """
     steps = list(params.layers)
     if params.final_rotation is not None:
         steps.append((params.final_rotation, None))
-    if any(K.shape != (n_orb, n_orb) for K, _ in steps):
-        raise ConfigError("K generator has wrong shape")
+    if any(U.shape != (n_orb, n_orb) for U, _ in steps):
+        raise ConfigError("orbital rotation has wrong shape")
     need = state_preparation_bytes(n_orb, n_alpha, n_beta)
     if need > solver.MEMORY_BUDGET_BYTES:
         raise CapacityError(
@@ -371,25 +362,14 @@ def lucj_state(params: LUCJParams, n_orb: int, n_alpha: int,
     grid = np.zeros((len(alphas), len(betas)), dtype=complex)
     # The lowest filling is the smallest string of each spin.
     grid[0, 0] = 1.0
-    for K, J in steps:
-        grid = apply_orbital_rotation(grid, alphas, betas, K)
+    for U, J in steps:
+        grid = apply_orbital_rotation(grid, alphas, betas, U)
         if J is not None and np.any(J):
             grid *= np.exp(1j * _density_phases(J, alphas, betas, n_orb))
     amps = grid.ravel()
     norm = np.linalg.norm(amps)
     if abs(norm - 1.0) > 1e-10:
         raise ArithmeticError(f"state norm drifted to {norm}")
-    return SectorState(n_orb=n_orb, n_alpha=n_alpha, n_beta=n_beta,
-                       amplitudes=amps)
-
-
-def state_from_ci_vector(vector: np.ndarray, n_orb: int, n_alpha: int,
-                         n_beta: int) -> SectorState:
-    """Wrap a CI eigenvector (over the canonical sector basis) for sampling."""
-    vector = np.asarray(vector)
-    if len(vector) != sector_dimension(n_orb, n_alpha, n_beta):
-        raise ConfigError("CI vector has wrong sector dimension")
-    amps = vector.astype(complex) / np.linalg.norm(vector)
     return SectorState(n_orb=n_orb, n_alpha=n_alpha, n_beta=n_beta,
                        amplitudes=amps)
 
@@ -403,6 +383,9 @@ def sample_counts(state: SectorState, shots: int, seed: int) -> BitstringCounts:
     if shots <= 0:
         raise ConfigError("shots must be positive")
     _half_widths(2 * state.n_orb)
+    if len(state.amplitudes) != sector_dimension(state.n_orb, state.n_alpha,
+                                                 state.n_beta):
+        raise ConfigError("amplitudes have the wrong sector dimension")
     probs = np.abs(state.amplitudes) ** 2
     probs = probs / probs.sum()
     gen = rng.stream(seed, "sample")
@@ -415,9 +398,9 @@ def sample_counts(state: SectorState, shots: int, seed: int) -> BitstringCounts:
         betas[ib], draws[hit])
 
 
-def apply_readout_noise(counts: BitstringCounts,
-                        noise: NoiseModel) -> BitstringCounts:
-    """Flip each bit of each shot independently with the model probability.
+def apply_readout_noise(counts: BitstringCounts, flip_probability: float,
+                        seed: int) -> BitstringCounts:
+    """Flip each bit of each shot independently with ``flip_probability``.
 
     Shots are visited in row order and each draws ``n_qubits`` uniforms
     from one stream, so the result does not depend on the block size. A
@@ -426,10 +409,12 @@ def apply_readout_noise(counts: BitstringCounts,
     spin, the exact ``uint64`` sum of its distinct bit weights, and is
     sorted into the result. Rows left with no shots are dropped.
     """
-    p = noise.flip_probability
+    p = flip_probability
+    if not 0.0 <= p <= 1.0:
+        raise ConfigError("flip probability must be in [0, 1]")
     if p == 0.0:
         return counts
-    gen = rng.stream(noise.seed, "readout-noise")
+    gen = rng.stream(seed, "readout-noise")
     nq = counts.n_qubits
     width, _ = _half_widths(nq)
     column = np.arange(nq)
@@ -465,21 +450,30 @@ def lucj_params_from_ccsd(t1: np.ndarray | None, t2: np.ndarray,
     """Derive layer parameters from coupled-cluster amplitudes.
 
     The doubles tensor is matricized as M[(i,a),(j,b)] = t2[i,j,a,b] and
-    eigendecomposed; the ``n_layers`` largest-|eigenvalue| modes each
-    yield an orbital-rotation generator (the antisymmetric completion of
-    the reshaped eigenvector) and a rank-one density-density coupling
-    weighted by the eigenvalue. Singles fold into the final rotation.
+    eigendecomposed; each of the ``n_layers`` largest-|eigenvalue| modes
+    has its reshaped eigenvector completed to a symmetric n x n matrix,
+    whose orthogonal eigenvector matrix V diagonalizes the mode, and a
+    rank-one density-density coupling weighted by the eigenvalue. Singles
+    fold into the final rotation exp(K) of the t1 generator K.
 
     Each retained mode expands to a conjugated pair of layers
-    (rotate in, phase, rotate back) so that the first-order action on
-    the reference reproduces the doubles excitations.
+    (V^T then the phase, then V) so that the first-order action on the
+    reference reproduces the doubles excitations. V is used as eigh returns
+    it: a determinant of -1 or a half turn needs no special case.
     """
+    if n_layers < 0:
+        raise ConfigError(f"n_layers must be nonnegative, got {n_layers}")
     t2 = np.asarray(t2, dtype=float)
+    if t2.ndim != 4:
+        raise ConfigError("t2 must have shape (occ, occ, virt, virt)")
     nocc, nocc2, nvirt, nvirt2 = t2.shape
     if nocc != nocc2 or nvirt != nvirt2:
         raise ConfigError("t2 must have shape (occ, occ, virt, virt)")
+    if not np.all(np.isfinite(t2)):
+        raise ConfigError("t2 holds a non-finite amplitude")
     if np.max(np.abs(t2 - t2.transpose(1, 0, 3, 2))) > 1e-10:
         raise ConfigError("t2 lacks the required index symmetry")
+    final_rotation = _t1_rotation(t1, nocc, nvirt)
     n_orb = nocc + nvirt
     n_elec = 2 * nocc
 
@@ -488,10 +482,10 @@ def lucj_params_from_ccsd(t1: np.ndarray | None, t2: np.ndarray,
     order = np.argsort(-np.abs(evals), kind="stable")
     rank = int(np.sum(np.abs(evals) > 1e-14))
     if rank == 0:
-        # Zero amplitudes: all-zero layers reproduce the reference.
-        layers = [(np.zeros((n_orb, n_orb)), None) for _ in range(n_layers)]
-        return LUCJParams(layers=layers,
-                          final_rotation=_t1_generator(t1, nocc, nvirt))
+        # Zero amplitudes: identity layers reproduce the reference.
+        return LUCJParams(layers=[(np.eye(n_orb), None)
+                                  for _ in range(n_layers)],
+                          final_rotation=final_rotation)
     if n_layers > rank:
         raise ConfigError(f"n_layers={n_layers} exceeds t2 rank {rank}")
 
@@ -503,62 +497,37 @@ def lucj_params_from_ccsd(t1: np.ndarray | None, t2: np.ndarray,
         sym[:nocc, nocc:] = block
         sym[nocc:, :nocc] = block.T
         svals, svecs = np.linalg.eigh(sym)
-        if np.linalg.det(svecs) < 0:
-            svecs = svecs.copy()
-            svecs[:, 0] = -svecs[:, 0]
-        gen = _real_log_orthogonal(svecs)
         ss = np.concatenate([svals, svals])
         coupling = lam * np.outer(ss, ss)
         # Uniform shift: cancels the scalar (occupied-trace) phase the
         # squared mode operator picks up on the reference; a constant
         # added to J contributes phase c * N^2 within a fixed sector.
         coupling = coupling - 2.0 * lam / n_elec**2
-        layers.append((-gen, coupling))
-        layers.append((gen, None))
-    return LUCJParams(layers=layers,
-                      final_rotation=_t1_generator(t1, nocc, nvirt))
+        layers.append((svecs.T, coupling))
+        layers.append((svecs, None))
+    return LUCJParams(layers=layers, final_rotation=final_rotation)
 
 
-def _t1_generator(t1, nocc, nvirt):
+def _t1_rotation(t1, nocc, nvirt):
+    """exp(K) of the singles generator, K[nocc + a, i] = t1[i, a] =
+    -K[i, nocc + a]; None without singles."""
     if t1 is None:
         return None
     t1 = np.asarray(t1, dtype=float)
     if t1.shape != (nocc, nvirt):
         raise ConfigError("t1 must have shape (occ, virt)")
-    if not np.any(t1):
-        return np.zeros((nocc + nvirt,) * 2)
+    if not np.all(np.isfinite(t1)):
+        raise ConfigError("t1 holds a non-finite amplitude")
     gen = np.zeros((nocc + nvirt,) * 2)
     gen[nocc:, :nocc] = t1.T
     gen[:nocc, nocc:] = -t1
-    return gen
+    return _expm_antisymmetric(gen)
 
 
 def _expm_antisymmetric(generator: np.ndarray) -> np.ndarray:
     """exp(K) of a real antisymmetric K from the Hermitian eigh of iK."""
     evals, evecs = np.linalg.eigh(1j * generator)
     return ((evecs * np.exp(-1j * evals)) @ evecs.conj().T).real
-
-
-def _real_log_orthogonal(orthogonal: np.ndarray) -> np.ndarray:
-    """Real antisymmetric logarithm of a special orthogonal matrix.
-
-    On each invariant plane Q = cos(t) + sin(t) J with J^2 = -1, so the
-    symmetric part S = (Q + Q^T)/2 holds cos(t) and the antisymmetric
-    part A = (Q - Q^T)/2 holds sin(t) J. The logarithm t J is therefore
-    A f(S) with f(c) = arccos(c) / sqrt(1 - c^2), taken through the eigh
-    of S; f is smooth except at c = -1, so angles at pi fail the
-    round-trip check.
-    """
-    cosines, vecs = np.linalg.eigh(0.5 * (orthogonal + orthogonal.T))
-    cosines = np.clip(cosines, -1.0, 1.0)
-    sines = np.sqrt((1.0 - cosines) * (1.0 + cosines))
-    ratio = np.ones_like(cosines)
-    np.divide(np.arccos(cosines), sines, out=ratio, where=sines > 0.0)
-    log = 0.5 * (orthogonal - orthogonal.T) @ (vecs * ratio) @ vecs.T
-    log = 0.5 * (log - log.T)
-    if np.max(np.abs(_expm_antisymmetric(log) - orthogonal)) > 1e-8:
-        raise ArithmeticError("failed to take a real logarithm of rotation")
-    return log
 
 
 def write_counts(counts: BitstringCounts, path) -> None:

@@ -9,8 +9,9 @@ Fock states are encoded as 2n-bit integers over spin-orbitals: bits
 the package's "all alpha ascending, then all beta" ordering.
 
 The one exception is the per-determinant LUCJ reference, which takes the
-package's Givens factorisation of exp(K): it pins how the grid applies
-the factors, and the factorisation itself is pinned against scipy's expm.
+package's Givens factorisation of an orbital rotation U: it pins how the
+grid applies the factors, and the factorisation itself is pinned against
+scipy's expm of the second-quantized generator.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.stats import binom
 
-from sqdci.sampler import _expm_antisymmetric, _givens_decompose
+from sqdci.sampler import _givens_decompose
 
 
 class Determinant(NamedTuple):
@@ -490,11 +491,10 @@ def _givens_per_determinant(amps, dets, index, orbital, theta, spin):
         amps[j] = s * ci + c * cj
 
 
-def orbital_rotation_per_determinant(amps, dets, generator) -> np.ndarray:
-    """exp(K) on both spins of amplitudes over ``dets``, one determinant and
-    one Givens pair at a time through a dict index."""
-    rotations, signs = _givens_decompose(
-        _expm_antisymmetric(np.asarray(generator, dtype=float)))
+def orbital_rotation_per_determinant(amps, dets, rotation) -> np.ndarray:
+    """The orthogonal rotation U on both spins of amplitudes over ``dets``,
+    one determinant and one Givens pair at a time through a dict index."""
+    rotations, signs = _givens_decompose(np.asarray(rotation, dtype=float))
     amps = np.array(amps, dtype=complex)
     index = {d: i for i, d in enumerate(dets)}
     # U = G_1^T ... G_m^T D: apply D first, then rotations in reverse
@@ -512,13 +512,13 @@ def orbital_rotation_per_determinant(amps, dets, generator) -> np.ndarray:
 def lucj_amplitudes_per_determinant(params, n_orb: int, n_alpha: int,
                                     n_beta: int) -> np.ndarray:
     """The LUCJ statevector over :func:`sector_determinants`: from the RHF
-    determinant, each layer's exp(K) then exp(i J n n), then the final
+    determinant, each layer's rotation U then exp(i J n n), then the final
     rotation."""
     dets = sector_determinants(n_orb, n_alpha, n_beta)
     amps = np.zeros(len(dets), dtype=complex)
     amps[dets.index(((1 << n_alpha) - 1, (1 << n_beta) - 1))] = 1.0
-    for K, J in params.layers:
-        amps = orbital_rotation_per_determinant(amps, dets, K)
+    for U, J in params.layers:
+        amps = orbital_rotation_per_determinant(amps, dets, U)
         if J is not None:
             amps = amps * np.exp(1j * density_density_phases(J, dets, n_orb))
     if params.final_rotation is not None:

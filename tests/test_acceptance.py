@@ -21,8 +21,8 @@ from sqdci.activespace import DEFAULT_ETA, filter_contributions
 from sqdci.baselines import ext_hci, hci_variational
 from sqdci.cli import RunConfig, execute_run, reaction_report
 from sqdci.hamiltonian import build_sparse_matrix, sector_basis
-from sqdci.sampler import (LUCJParams, NoiseModel, apply_readout_noise,
-                           lucj_state, sample_counts, state_from_ci_vector)
+from sqdci.sampler import (LUCJParams, SectorState, apply_readout_noise,
+                           lucj_state, sample_counts)
 from sqdci.solver import davidson_lowest, dense_eigensolve, fci_ground_state
 from sqdci.sqd import (ExtensionThresholds, RecoveryConfig, ext_sqd,
                        extend_subspace, partition_by_hamming,
@@ -33,8 +33,7 @@ from test_solver import random_sparse_symmetric
 
 def fci_counts(ham, shots, seed=0):
     reference = fci_ground_state(ham)
-    state = state_from_ci_vector(reference.vector, ham.n_orb,
-                                 ham.n_alpha, ham.n_beta)
+    state = SectorState(ham.n_orb, ham.n_alpha, ham.n_beta, reference.vector)
     return sample_counts(state, shots, seed=seed), reference.energy
 
 
@@ -131,7 +130,7 @@ def test_criterion_05_recovery_efficacy():
     ham = random_hamiltonian(4, 2, 2, seed=600, diagonal_spread=1.0)
     shots, p = 100_000, 0.05
     counts, _ = fci_counts(ham, shots=shots, seed=600)
-    noisy = apply_readout_noise(counts, NoiseModel(p, seed=601))
+    noisy = apply_readout_noise(counts, p, seed=601)
     cfg = RecoveryConfig(iterations=4, batches=8, samples_per_batch=40,
                          seed=602)
     clean_energy = sqd_ground_state(ham, counts, cfg).energy
@@ -174,8 +173,8 @@ def test_criterion_06_extension_thresholds():
 
 
 def test_criterion_07_lucj_sampler():
-    # Zero parameters: only the RHF bitstring is ever sampled.
-    state = lucj_state(LUCJParams.zero(4), 4, 2, 2)
+    # Identity rotation: only the RHF bitstring is ever sampled.
+    state = lucj_state(LUCJParams(layers=[(np.eye(4), None)]), 4, 2, 2)
     counts = sample_counts(state, shots=20_000, seed=700)
     rhf_key = determinant_to_bitstring(hartree_fock_determinant(2, 2), 4)
     assert counts.entries == {rhf_key: 20_000}
@@ -183,23 +182,22 @@ def test_criterion_07_lucj_sampler():
     # J=0 single layer: rotated-determinant one-body density matrix.
     gen = np.random.default_rng(701)
     a = gen.normal(size=(4, 4)) * 0.6
-    K = a - a.T
-    state = lucj_state(LUCJParams(layers=[(K, None)]), 4, 2, 2)
+    U = scipy.linalg.expm(a - a.T)
+    state = lucj_state(LUCJParams(layers=[(U, None)]), 4, 2, 2)
     dm = one_rdm_alpha(state.amplitudes, sector_basis(4, 2, 2), 4)
-    U = scipy.linalg.expm(K)
     P = np.diag([1.0, 1.0, 0.0, 0.0])
     assert np.max(np.abs(dm - U @ P @ U.T)) < 1e-9
 
     # Sampled distribution TV distance on a 100-dimensional sector.
     b = gen.normal(size=(5, 5)) * 0.4
-    params = LUCJParams(layers=[(b - b.T, 0.2 * np.eye(10))])
+    params = LUCJParams(layers=[(scipy.linalg.expm(b - b.T), 0.2 * np.eye(10))])
     state = lucj_state(params, 5, 2, 2)
     counts = sample_counts(state, shots=1_000_000, seed=702)
     keys = [determinant_to_bitstring(d, 5) for d in sector_basis(5, 2, 2)]
     tv = total_variation(counts, np.abs(state.amplitudes) ** 2, keys)
     assert tv < 0.01
-    print(f"criterion 7: PASS — zero-parameter state samples only RHF; "
-          f"1-RDM matches exp(K) P exp(K)^T within 1e-9; TV={tv:.4f} < 0.01 "
+    print(f"criterion 7: PASS — identity-rotation state samples only RHF; "
+          f"1-RDM matches U P U^T within 1e-9; TV={tv:.4f} < 0.01 "
           f"at 1e6 shots")
 
 

@@ -16,6 +16,7 @@ from sqdci.fcidump import write_fcidump_path
 from sqdci.sampler import BitstringCounts, write_counts
 from sqdci.solver import fci_ground_state
 from sqdci.units import EV_PER_HARTREE
+from test_sampler import half_turn_t2
 
 
 @pytest.fixture
@@ -82,6 +83,41 @@ def test_run_lucj_sampler(fixture_2e2o, tmp_path):
                                    amplitudes_path=str(amp_path),
                                    shots=20_000, iterations=2, batches=2))
     assert np.isfinite(record["energy"])
+
+
+def lucj_run(tmp_path, layers="1", **arrays):
+    """``run`` argv of a small LUCJ SQD on (4,2,2) with ``arrays`` saved as
+    its amplitudes file."""
+    hamiltonian, amplitudes = tmp_path / "h4.fcidump", tmp_path / "amps.npz"
+    write_fcidump_path(random_hamiltonian(4, 2, 2, seed=3), hamiltonian)
+    np.savez(amplitudes, **arrays)
+    return ["run", "--hamiltonian", str(hamiltonian), "--method", "sqd",
+            "--sampler", "lucj", "--amplitudes", str(amplitudes),
+            "--lucj-layers", layers, "--shots", "2000", "--iterations", "2",
+            "--batches", "2", "--samples-per-batch", "20",
+            "--out", str(tmp_path / "record.json")]
+
+
+def test_main_lucj_half_turn_mode(tmp_path):
+    assert main(lucj_run(tmp_path, t2=half_turn_t2(0.1))) == 0
+    assert np.isfinite(json.loads((tmp_path / "record.json").read_text())
+                       ["energy"])
+
+
+@pytest.mark.parametrize("layers, arrays, message", [
+    ("-1", {"t2": half_turn_t2(0.1)}, "nonnegative"),
+    ("-3", {"t2": half_turn_t2(0.1)}, "nonnegative"),
+    ("1", {"t2": np.zeros((2, 2))}, "t2 must have shape"),
+    ("1", {"t2": np.full((2, 2, 2, 2), np.nan)}, "t2 holds a non-finite"),
+    ("1", {"t1": np.full((2, 2), np.inf), "t2": half_turn_t2(0.1)},
+     "t1 holds a non-finite"),
+], ids=["layers-1", "layers-3", "t2-2d", "t2-nan", "t1-inf"])
+def test_main_bad_lucj_input_is_config_error(tmp_path, capsys, layers, arrays,
+                                             message):
+    assert main(lucj_run(tmp_path, layers, **arrays)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "record.json").exists()
 
 
 def test_run_hci_and_ext_hci(fixture_2e2o):

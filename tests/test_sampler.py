@@ -17,19 +17,26 @@ from oracles import (apply_operator_string, bitstring_to_determinant,
 from sqdci import rng
 from sqdci.errors import CapacityError, ConfigError
 from sqdci.hamiltonian import sector_basis, sector_strings
-from sqdci.sampler import (BitstringCounts, LUCJParams, NoiseModel,
+from sqdci.sampler import (BitstringCounts, LUCJParams, SectorState,
                            apply_orbital_rotation, apply_readout_noise,
                            lucj_params_from_ccsd, lucj_state, read_counts,
-                           sample_counts, state_from_ci_vector,
-                           state_preparation_bytes, write_counts)
-from sqdci.sampler import (_expm_antisymmetric, _givens_decompose,
-                           _real_log_orthogonal)
+                           sample_counts, state_preparation_bytes,
+                           write_counts)
+from sqdci.sampler import _expm_antisymmetric, _givens_decompose
 
 
 def random_antisymmetric(n, seed, scale=0.5):
     gen = np.random.default_rng(seed)
     a = gen.normal(size=(n, n)) * scale
     return a - a.T
+
+
+def random_rotation(n, seed, scale=0.5):
+    return scipy.linalg.expm(random_antisymmetric(n, seed, scale))
+
+
+def identity_layer(n):
+    return LUCJParams(layers=[(np.eye(n), None)])
 
 
 def rhf_index(dets, n_alpha, n_beta):
@@ -52,7 +59,7 @@ def test_bitstring_layout_bit0_leftmost():
 # ------------------------------------------------------------ state building
 
 def test_zero_params_give_pure_rhf():
-    state = lucj_state(LUCJParams.zero(4), 4, 2, 2)
+    state = lucj_state(identity_layer(4), 4, 2, 2)
     dets = sector_basis(4, 2, 2)
     amps = np.zeros(len(dets), dtype=complex)
     amps[rhf_index(dets, 2, 2)] = 1.0
@@ -72,7 +79,7 @@ def test_orbital_rotation_matches_matrix_exponential_oracle():
         v = gen.normal(size=len(dets)) + 1j * gen.normal(size=len(dets))
         v /= np.linalg.norm(v)
         got = apply_orbital_rotation(v.reshape(len(alphas), len(betas)),
-                                     alphas, betas, K)
+                                     alphas, betas, scipy.linalg.expm(K))
         assert np.max(np.abs(got.ravel() - exact @ v)) < 1e-9
 
 
@@ -83,14 +90,6 @@ def rotation_generator(angles, n, seed):
     for k, angle in enumerate(angles):
         K[2 * k + 1, 2 * k], K[2 * k, 2 * k + 1] = angle, -angle
     return q @ K @ q.T
-
-
-def random_special_orthogonal(n, seed):
-    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
 
 
 @pytest.mark.parametrize("K", [
@@ -106,46 +105,25 @@ def test_antisymmetric_exponential_matches_expm(K):
     assert np.max(np.abs(_expm_antisymmetric(K) - scipy.linalg.expm(K))) < 1e-12
 
 
-@pytest.mark.parametrize("orthogonal", [
-    np.eye(1), np.eye(4),
-    random_special_orthogonal(3, seed=40), random_special_orthogonal(6, seed=41),
-    random_special_orthogonal(9, seed=42),
-    scipy.linalg.expm(rotation_generator([0.9, 0.9], 4, seed=43)),
-    scipy.linalg.expm(rotation_generator([2.5, 2.5, 1e-9], 7, seed=44)),
-], ids=["n1", "identity", "random3", "random6", "random9", "repeated2",
-        "repeated3"])
-def test_real_log_orthogonal_round_trip(orthogonal):
-    log = _real_log_orthogonal(orthogonal)
-    assert np.array_equal(log, -log.T)
-    assert np.max(np.abs(scipy.linalg.expm(log) - orthogonal)) < 1e-12
-    # Principal branch: every rotation angle lies in [-pi, pi].
-    assert np.max(np.abs(np.linalg.eigvals(log))) <= np.pi + 1e-12
-
-
-def test_real_log_orthogonal_recovers_generator():
-    for angles, n, seed in [([0.4, 1.1], 5, 50), ([3.0, 3.0], 4, 51)]:
-        K = rotation_generator(angles, n, seed)
-        assert np.max(np.abs(_real_log_orthogonal(scipy.linalg.expm(K)) - K)) < 1e-10
-
-
-def test_real_log_orthogonal_rejects_half_turn():
-    # f(c) has no finite value at c = -1: the round-trip check must fire
-    # rather than return a wrong generator.
-    with pytest.raises(ArithmeticError):
-        _real_log_orthogonal(np.diag([-1.0, -1.0, 1.0]))
-
-
 def half_turn(n, first, seed, scale=0.4):
-    """Antisymmetric K: a half turn in the orbital plane (first, first + 1)
-    and a random rotation of the other orbitals. With the plane at either
-    end, the Givens elimination never mixes it with the others and leaves
-    the half turn to the diagonal as two negative signs."""
+    """exp(K): a half turn in the orbital plane (first, first + 1) and a
+    random rotation of the other orbitals. With the plane at either end,
+    the Givens elimination never mixes it with the others and leaves the
+    half turn to the diagonal as two negative signs."""
     K = random_antisymmetric(n, seed, scale)
     plane = [first, first + 1]
     K[plane, :] = 0.0
     K[:, plane] = 0.0
     K[first + 1, first], K[first, first + 1] = np.pi, -np.pi
-    return K
+    return scipy.linalg.expm(K)
+
+
+def reflection(n, seed):
+    """A random orthogonal matrix with determinant -1."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    if np.linalg.det(q) > 0:
+        q[:, 0] = -q[:, 0]
+    return q
 
 
 def random_symmetric(n, seed, scale=0.5):
@@ -157,37 +135,40 @@ def random_symmetric(n, seed, scale=0.5):
 def lucj_problems(draw):
     """LUCJ parameters over up to 7 orbitals and a sector that may be open
     shell, asymmetric, or hold 0 or n_orb electrons in one spin. A
-    generator may hold a half turn, whose Givens factors have negative
-    signs; a J layer is a random symmetric 2n x 2n matrix, so its
+    rotation may hold a half turn or have determinant -1, so its Givens
+    factors have negative signs; a J layer is a random symmetric 2n x 2n matrix, so its
     alpha-beta and beta-alpha blocks differ."""
     n = draw(st.integers(1, 7))
     na, nb = draw(st.integers(0, n)), draw(st.integers(0, n))
     seeds = st.integers(0, 2**32 - 1)
 
-    def generator():
-        if n > 1 and draw(st.booleans()):
+    def rotation():
+        kind = draw(st.sampled_from(["random", "half turn", "reflection"]))
+        if kind == "reflection":
+            return reflection(n, draw(seeds))
+        if kind == "half turn" and n > 1:
             return half_turn(n, draw(st.sampled_from([0, n - 2])),
                              draw(seeds))
-        return random_antisymmetric(n, draw(seeds),
-                                    draw(st.sampled_from([0.3, 2.0])))
+        return random_rotation(n, draw(seeds),
+                               draw(st.sampled_from([0.3, 2.0])))
 
-    layers = [(generator(), draw(st.none() | seeds.map(
+    layers = [(rotation(), draw(st.none() | seeds.map(
         lambda seed: random_symmetric(2 * n, seed))))
         for _ in range(draw(st.integers(1, 2)))]
-    final = generator() if draw(st.booleans()) else None
+    final = rotation() if draw(st.booleans()) else None
     return LUCJParams(layers=layers, final_rotation=final), n, na, nb
 
 
 HALF_TURN_PROBLEM = (LUCJParams(
     layers=[(half_turn(5, 0, seed=60), random_symmetric(10, seed=61)),
-            (random_antisymmetric(5, seed=62, scale=2.0), None)],
+            (random_rotation(5, seed=62, scale=2.0), None)],
     final_rotation=half_turn(5, 3, seed=63)), 5, 3, 1)
 
 
 def test_half_turn_generators_have_negative_givens_signs():
     params = HALF_TURN_PROBLEM[0]
-    for K in (params.layers[0][0], params.final_rotation):
-        _, signs = _givens_decompose(_expm_antisymmetric(K))
+    for U in (params.layers[0][0], params.final_rotation):
+        _, signs = _givens_decompose(U)
         assert np.sum(signs < 0) == 2
 
 
@@ -244,7 +225,7 @@ def test_state_preparation_bytes_cover_the_peak():
 def test_state_preparation_over_memory_budget_is_capacity_error(monkeypatch):
     need = state_preparation_bytes(7, 4, 2)
     monkeypatch.setattr("sqdci.solver.MEMORY_BUDGET_BYTES", need)
-    assert lucj_state(LUCJParams.zero(7), 7, 4, 2).amplitudes[0] == 1.0
+    assert lucj_state(identity_layer(7), 7, 4, 2).amplitudes[0] == 1.0
     monkeypatch.setattr("sqdci.solver.MEMORY_BUDGET_BYTES", need - 1)
 
     def no_strings(*args):
@@ -252,29 +233,40 @@ def test_state_preparation_over_memory_budget_is_capacity_error(monkeypatch):
 
     monkeypatch.setattr("sqdci.sampler.sector_strings", no_strings)
     with pytest.raises(CapacityError, match="budget"):
-        lucj_state(LUCJParams.zero(7), 7, 4, 2)
+        lucj_state(identity_layer(7), 7, 4, 2)
+
+
+def one_layer_one_rdm_error(U, n, na, nb):
+    """max |gamma_alpha - U P U^T| of the one-layer state U|RHF>."""
+    state = lucj_state(LUCJParams(layers=[(U, None)]), n, na, nb)
+    dm = one_rdm_alpha(state.amplitudes, sector_basis(n, na, nb), n)
+    P = np.diag([1.0] * na + [0.0] * (n - na))
+    return np.max(np.abs(dm - U @ P @ U.T))
 
 
 def test_rotated_determinant_one_rdm():
-    n, na, nb = 4, 2, 2
-    K = random_antisymmetric(n, seed=5)
-    state = lucj_state(LUCJParams(layers=[(K, None)]), n, na, nb)
-    dets = sector_basis(n, na, nb)
-    dm = one_rdm_alpha(state.amplitudes, dets, n)
-    U = scipy.linalg.expm(K)
-    P = np.diag([1.0] * na + [0.0] * (n - na))
-    assert np.max(np.abs(dm - U @ P @ U.T)) < 1e-9
+    assert one_layer_one_rdm_error(random_rotation(4, seed=5), 4, 2, 2) < 1e-9
+
+
+@pytest.mark.parametrize("U", [half_turn(4, 0, seed=64),
+                               half_turn(5, 3, seed=65),
+                               reflection(4, seed=66)],
+                         ids=["half-turn-first", "half-turn-last",
+                              "reflection"])
+def test_half_turn_and_reflection_one_rdm(U):
+    # Rotations with no real logarithm, and det -1, are valid layers.
+    assert one_layer_one_rdm_error(U, len(U), 2, 1) < 1e-9
 
 
 def test_phase_layer_matches_oracle_and_preserves_marginals():
     n, na, nb = 3, 2, 1
-    K = random_antisymmetric(n, seed=6)
+    U = random_rotation(n, seed=6)
     gen = np.random.default_rng(7)
     J = gen.normal(size=(2 * n, 2 * n))
     J = 0.5 * (J + J.T)
-    state = lucj_state(LUCJParams(layers=[(K, J)]), n, na, nb)
+    state = lucj_state(LUCJParams(layers=[(U, J)]), n, na, nb)
     dets = sector_basis(n, na, nb)
-    plain = lucj_state(LUCJParams(layers=[(K, None)]), n, na, nb)
+    plain = lucj_state(LUCJParams(layers=[(U, None)]), n, na, nb)
     phases = density_density_phases(J, dets, n)
     assert np.max(np.abs(state.amplitudes
                          - np.exp(1j * phases) * plain.amplitudes)) < 1e-10
@@ -285,28 +277,34 @@ def test_phase_layer_matches_oracle_and_preserves_marginals():
 def test_state_norm_and_sector_confinement():
     n, na, nb = 4, 2, 1
     params = LUCJParams(
-        layers=[(random_antisymmetric(n, 8), np.eye(2 * n) * 0.3),
-                (random_antisymmetric(n, 9), None)],
-        final_rotation=random_antisymmetric(n, 10))
+        layers=[(random_rotation(n, 8), np.eye(2 * n) * 0.3),
+                (random_rotation(n, 9), None)],
+        final_rotation=random_rotation(n, 10))
     state = lucj_state(params, n, na, nb)
     assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-10)
     assert np.all(np.bitwise_count(sector_basis(n, na, nb)) == [na, nb])
 
 
 def test_params_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="orthogonal"):
         LUCJParams(layers=[(np.ones((2, 2)), None)])
-    K = np.zeros((2, 2))
+    with pytest.raises(ConfigError, match="orthogonal"):
+        LUCJParams(layers=[(np.eye(3)[:2], None)])
+    U = np.eye(2)
     with pytest.raises(ConfigError):
-        LUCJParams(layers=[(K, np.ones((4, 4)) + np.triu(np.ones((4, 4))))])
-    with pytest.raises(ConfigError):
+        LUCJParams(layers=[(U, np.ones((4, 4)) + np.triu(np.ones((4, 4))))])
+    with pytest.raises(ConfigError, match="orthogonal"):
         LUCJParams(layers=[], final_rotation=np.ones((2, 2)))
+    grid = np.ones((1, 1), dtype=complex)
+    with pytest.raises(ConfigError, match="orthogonal"):
+        apply_orbital_rotation(grid, sector_strings(2, 1)[:1],
+                               sector_strings(2, 1)[:1], 1.01 * U)
 
 
 # -------------------------------------------------------------------- sampling
 
 def test_pure_rhf_samples_only_rhf():
-    state = lucj_state(LUCJParams.zero(3), 3, 2, 1)
+    state = lucj_state(identity_layer(3), 3, 2, 1)
     counts = sample_counts(state, shots=5000, seed=1)
     expected = determinant_to_bitstring(hartree_fock_determinant(2, 1), 3)
     assert counts.entries == {expected: 5000}
@@ -315,14 +313,14 @@ def test_pure_rhf_samples_only_rhf():
 def test_uniform_superposition_frequencies():
     vec = np.zeros(4)
     vec[0] = vec[3] = 1.0 / np.sqrt(2)
-    state = state_from_ci_vector(vec, 2, 1, 1)
+    state = SectorState(2, 1, 1, vec)
     counts = sample_counts(state, shots=100_000, seed=2)
     for key, count in counts.entries.items():
         assert 0.494 <= count / 100_000 <= 0.506
 
 
 def test_sampling_deterministic_and_rejects_zero_shots():
-    state = lucj_state(LUCJParams.zero(2), 2, 1, 1)
+    state = lucj_state(identity_layer(2), 2, 1, 1)
     a = sample_counts(state, 1000, seed=3)
     b = sample_counts(state, 1000, seed=3)
     assert a.entries == b.entries
@@ -330,12 +328,17 @@ def test_sampling_deterministic_and_rejects_zero_shots():
         sample_counts(state, 0, seed=3)
 
 
+def test_sampling_rejects_amplitudes_of_another_sector():
+    with pytest.raises(ConfigError, match="sector dimension"):
+        sample_counts(SectorState(3, 1, 1, np.ones(4)), 10, seed=0)
+
+
 def test_sampled_distribution_total_variation():
     n, na, nb = 5, 2, 2  # 100-determinant sector
     params = LUCJParams(
-        layers=[(random_antisymmetric(n, 11, scale=0.4),
+        layers=[(random_rotation(n, 11, scale=0.4),
                  0.2 * np.eye(2 * n))],
-        final_rotation=random_antisymmetric(n, 12, scale=0.3))
+        final_rotation=random_rotation(n, 12, scale=0.3))
     state = lucj_state(params, n, na, nb)
     counts = sample_counts(state, shots=1_000_000, seed=0)
     keys = [determinant_to_bitstring(d, n) for d in sector_basis(n, na, nb)]
@@ -347,20 +350,26 @@ def test_sampled_distribution_total_variation():
 
 def test_noise_p0_identity_p1_complement():
     counts = BitstringCounts(4, {"0011": 7, "1100": 2})
-    same = apply_readout_noise(counts, NoiseModel(0.0, seed=0))
+    same = apply_readout_noise(counts, 0.0, seed=0)
     assert same.entries == counts.entries
-    flipped = apply_readout_noise(counts, NoiseModel(1.0, seed=0))
+    flipped = apply_readout_noise(counts, 1.0, seed=0)
     assert flipped.entries == {"1100": 7, "0011": 2}
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+def test_noise_rejects_probability_outside_unit_interval(p):
+    with pytest.raises(ConfigError, match="flip probability"):
+        apply_readout_noise(BitstringCounts(4, {"0011": 7}), p, seed=0)
 
 
 def test_noise_forbidden_fraction_matches_convolution_oracle():
     n, na, nb = 4, 2, 2
     state = lucj_state(LUCJParams(
-        layers=[(random_antisymmetric(n, 13, scale=0.3), None)]), n, na, nb)
+        layers=[(random_rotation(n, 13, scale=0.3), None)]), n, na, nb)
     shots = 200_000
     p = 0.05
     counts = sample_counts(state, shots, seed=4)
-    noisy = apply_readout_noise(counts, NoiseModel(p, seed=5))
+    noisy = apply_readout_noise(counts, p, seed=5)
     assert noisy.total_shots == shots
     valid = sum(c for k, c in noisy.entries.items()
                 if k[:n].count("1") == na and k[n:].count("1") == nb)
@@ -371,8 +380,8 @@ def test_noise_forbidden_fraction_matches_convolution_oracle():
 
 def test_noise_deterministic_per_seed():
     counts = BitstringCounts(4, {"0110": 500})
-    a = apply_readout_noise(counts, NoiseModel(0.1, seed=8))
-    b = apply_readout_noise(counts, NoiseModel(0.1, seed=8))
+    a = apply_readout_noise(counts, 0.1, seed=8)
+    b = apply_readout_noise(counts, 0.1, seed=8)
     assert a.entries == b.entries
 
 
@@ -388,13 +397,21 @@ def test_zero_amplitudes_reproduce_rhf():
         1.0, abs=1e-12)
 
 
-def test_ccsd_generators_are_antisymmetric():
-    gen = np.random.default_rng(20)
-    t2 = gen.normal(size=(2, 2, 2, 2)) * 0.05
-    t2 = 0.5 * (t2 + t2.transpose(1, 0, 3, 2))
-    params = lucj_params_from_ccsd(None, t2, 2)
-    for K, _ in params.layers:
-        assert np.max(np.abs(K + K.T)) < 1e-12
+def random_t2(nocc, nvirt, seed, scale=0.05):
+    t2 = np.random.default_rng(seed).normal(size=(nocc, nocc, nvirt, nvirt))
+    return 0.5 * scale * (t2 + t2.transpose(1, 0, 3, 2))
+
+
+def test_ccsd_rotations_are_orthogonal():
+    params = lucj_params_from_ccsd(None, random_t2(2, 2, seed=20), 2)
+    assert len(params.layers) == 4
+    for U, _ in params.layers:
+        assert np.max(np.abs(U @ U.T - np.eye(4))) < 1e-12
+    # Each mode rotates in by V^T, applies its phase, and rotates back by V.
+    for (into, coupling), (back, none) in zip(params.layers[::2],
+                                              params.layers[1::2]):
+        assert coupling is not None and none is None
+        assert np.array_equal(into, back.T)
 
 
 def test_excessive_layer_count_rejected():
@@ -404,15 +421,49 @@ def test_excessive_layer_count_rejected():
         lucj_params_from_ccsd(None, t2, 3)
 
 
-def test_single_double_amplitude_first_order_overlap():
-    # |<Psi | (1 + T2 - T2+) |RHF>| deviates from 1 by O(eps^2).
-    nocc = nvirt = 2
+@pytest.mark.parametrize("t2", [random_t2(2, 2, seed=21), np.zeros((2, 2, 2, 2))],
+                         ids=["random", "zero"])
+def test_negative_layer_count_rejected(t2):
+    # A negative count would slice the mode order from the end.
+    for n_layers in (-1, -3):
+        with pytest.raises(ConfigError, match="nonnegative"):
+            lucj_params_from_ccsd(None, t2, n_layers)
+    assert lucj_params_from_ccsd(None, t2, 0).layers == []
+
+
+@pytest.mark.parametrize("t1, t2", [
+    (None, np.zeros((2, 2))),
+    (None, np.zeros((2, 2, 2, 2, 1))),
+    (None, np.full((2, 2, 2, 2), np.nan)),
+    (np.array([[0.0, np.inf], [0.0, 0.0]]), random_t2(2, 2, seed=22)),
+    (np.full((2, 2), np.nan), np.zeros((2, 2, 2, 2))),
+], ids=["t2-2d", "t2-5d", "t2-nan", "t1-inf", "t1-nan-zero-t2"])
+def test_malformed_amplitudes_rejected(t1, t2):
+    with pytest.raises(ConfigError, match="t1|t2"):
+        lucj_params_from_ccsd(t1, t2, 1)
+
+
+def half_turn_t2(eps):
+    """t2[0, 0, 0, 0] alone at 2 occupied and 2 virtual orbitals: its mode's
+    eigenvector matrix holds a half turn, which has no real logarithm."""
+    t2 = np.zeros((2, 2, 2, 2))
+    t2[0, 0, 0, 0] = eps
+    return t2
+
+
+def test_half_turn_mode_matches_per_determinant_oracle():
+    params = lucj_params_from_ccsd(None, half_turn_t2(0.1), 1)
+    got = lucj_state(params, 4, 2, 2).amplitudes
+    expected = lucj_amplitudes_per_determinant(params, 4, 2, 2)
+    assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(got - expected)) < 1e-13
+
+
+def first_order_overlap_error(t2):
+    """| |<Psi | (1 + T2 - T2+) |RHF>| - 1 | for the one-layer LUCJ state of
+    a (2, 2, 2, 2) doubles tensor, 4 orbitals with 2 alpha and 2 beta."""
+    nocc = 2
     n, na, nb = 4, 2, 2
-    eps = 1e-3
-    i, j, a, b = 0, 1, 0, 1
-    t2 = np.zeros((nocc, nocc, nvirt, nvirt))
-    t2[i, j, a, b] = eps
-    t2[j, i, b, a] = eps
     params = lucj_params_from_ccsd(None, t2, n_layers=1)
     state = lucj_state(params, n, na, nb)
     dets = sector_basis(n, na, nb)
@@ -436,8 +487,22 @@ def test_single_double_amplitude_first_order_overlap():
             if res is not None:
                 out, sign = res
                 phi[index[out]] -= sign * amp
-    overlap = np.vdot(state.amplitudes, phi)
-    assert abs(abs(overlap) - 1.0) <= 10 * eps ** 2
+    return abs(abs(np.vdot(state.amplitudes, phi)) - 1.0)
+
+
+def test_single_double_amplitude_first_order_overlap():
+    # |<Psi | (1 + T2 - T2+) |RHF>| deviates from 1 by O(eps^2).
+    eps = 1e-3
+    i, j, a, b = 0, 1, 0, 1
+    t2 = np.zeros((2, 2, 2, 2))
+    t2[i, j, a, b] = eps
+    t2[j, i, b, a] = eps
+    assert first_order_overlap_error(t2) <= 10 * eps ** 2
+
+
+def test_half_turn_amplitude_first_order_overlap():
+    eps = 1e-3
+    assert first_order_overlap_error(half_turn_t2(eps)) <= 10 * eps ** 2
 
 
 # ----------------------------------------------------------------- counts files

@@ -12,9 +12,9 @@ from oracles import (bitstring_to_determinant, readout_noise_per_key,
                      recovery_per_shot)
 from sqdci import rng
 from sqdci.errors import CapacityError, ConfigError
-from sqdci.sampler import (BitstringCounts, NoiseModel, apply_readout_noise,
+from sqdci.sampler import (BitstringCounts, SectorState, apply_readout_noise,
                            merge_counts, pack_bits, read_counts, sample_counts,
-                           shot_rows, state_from_ci_vector, unpack_bits)
+                           shot_rows, unpack_bits)
 from sqdci.sqd import recover_configurations
 
 
@@ -63,7 +63,7 @@ def test_more_than_64_orbitals_per_spin_is_capacity_error(tmp_path):
         BitstringCounts(130, {})
     with pytest.raises(CapacityError):
         BitstringCounts(130, {"1" * 130: 1})
-    state = state_from_ci_vector(np.ones(65 * 65), 65, 1, 1)
+    state = SectorState(65, 1, 1, np.ones(65 * 65))
     with pytest.raises(CapacityError):
         sample_counts(state, 10, seed=0)
     path = tmp_path / "wide.txt"
@@ -80,10 +80,10 @@ def test_noise_matches_per_key_oracle(n_orb, p):
     # One key holds more shots than a noise block, so blocks split a key.
     for seed, big in ((0, 2**14 + 300), (1, 0)):
         entries = random_entries(2 * n_orb, 6, seed, big=big)
-        noise = NoiseModel(p, seed=seed + 10)
-        got = apply_readout_noise(BitstringCounts(2 * n_orb, entries), noise)
+        got = apply_readout_noise(BitstringCounts(2 * n_orb, entries), p,
+                                  seed=seed + 10)
         expected = readout_noise_per_key(
-            entries, 2 * n_orb, p, rng.stream(noise.seed, "readout-noise"))
+            entries, 2 * n_orb, p, rng.stream(seed + 10, "readout-noise"))
         assert got.entries == expected
 
 
@@ -93,8 +93,7 @@ def test_noise_keeps_no_row_without_shots(p):
     # shots, must not survive as zero counts.
     entries = random_entries(8, 12, seed=3)
     entries.update({"00000000": 0, "11110000": 1})
-    noisy = apply_readout_noise(BitstringCounts(8, entries),
-                                NoiseModel(p, seed=4))
+    noisy = apply_readout_noise(BitstringCounts(8, entries), p, seed=4)
     assert np.all(noisy.count > 0)
     assert len(noisy) == len(noisy.entries)
     assert noisy.total_shots == sum(entries.values())

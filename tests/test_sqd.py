@@ -11,8 +11,8 @@ from oracles import (brute_force_matrix, determinant_to_bitstring,
 from sqdci import sqd
 from sqdci.errors import CapacityError, ConfigError, EmptyValidSampleError
 from sqdci.hamiltonian import merge_bases, sector_basis
-from sqdci.sampler import (BitstringCounts, merge_counts, sample_counts,
-                           state_from_ci_vector)
+from sqdci.sampler import (BitstringCounts, SectorState, merge_counts,
+                           sample_counts)
 from sqdci.solver import fci_ground_state
 from sqdci.sqd import (ExtensionThresholds, RecoveryConfig,
                        _eigenvector_occupations, build_subspace, ext_sqd,
@@ -22,8 +22,7 @@ from sqdci.sqd import (ExtensionThresholds, RecoveryConfig,
 
 def fci_counts(ham, shots, seed=0):
     reference = fci_ground_state(ham)
-    state = state_from_ci_vector(reference.vector, ham.n_orb,
-                                 ham.n_alpha, ham.n_beta)
+    state = SectorState(ham.n_orb, ham.n_alpha, ham.n_beta, reference.vector)
     return sample_counts(state, shots, seed=seed), reference.energy
 
 

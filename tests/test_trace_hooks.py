@@ -16,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import random_hamiltonian
@@ -55,11 +56,21 @@ def test_every_traced_name_resolves():
     # later bases and the extension run Davidson on the product operator,
     # row-masked where they are not a full product.
     ("ext-hci", ["--epsilon1", "1e-3"], {"solver>build_sparse_matrix"}),
-], ids=["fci", "ext-hci"])
+    # LUCJ shots with readout noise: every sampler hook, and recovery in
+    # the second iteration. All four batch closures have over 200 rows and
+    # run Davidson.
+    ("sqd", ["--sampler", "lucj", "--amplitudes", "amps.npz",
+             "--flip-prob", "0.01", "--shots", "5000", "--iterations", "2",
+             "--batches", "2", "--samples-per-batch", "200"],
+     {"cli>lucj_params_from_ccsd", "cli>lucj_state", "cli>sample_counts",
+      "cli>apply_readout_noise", "sqd>recover_configurations"}),
+], ids=["fci", "ext-hci", "sqd-lucj"])
 def test_traced_run_ends_in_a_result(method, extra, reached, tmp_path):
     fcidump = tmp_path / "h7.fcidump"
     write_fcidump_path(random_hamiltonian(7, 3, 3, seed=24,
                                           diagonal_spread=1.0), fcidump)
+    x = np.random.default_rng(28).normal(size=(3, 3, 4, 4)) * 0.1
+    np.savez(tmp_path / "amps.npz", t2=x + x.transpose(1, 0, 3, 2))
     trace_path, record_path = tmp_path / "trace.json", tmp_path / "record.json"
     env = dict(os.environ, SQDCI_THREADS="1",
                PYTHONPATH=str(Path(importlib.import_module("sqdci").__file__)
@@ -68,7 +79,7 @@ def test_traced_run_ends_in_a_result(method, extra, reached, tmp_path):
         [sys.executable, str(TRACED_CLI), str(trace_path), "run",
          "--hamiltonian", str(fcidump), "--method", method,
          "--out", str(record_path), *extra],
-        env=env, capture_output=True, text=True, timeout=300)
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     record = json.loads(record_path.read_text(),
                         parse_constant=lambda c: pytest.fail(f"{c} in record"))
