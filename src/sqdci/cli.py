@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+import zipfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -89,6 +90,18 @@ class RunConfig:
                 raise ConfigError("sampler=lucj needs --amplitudes (npz with t2, optional t1)")
 
 
+def _read_amplitudes(path: str):
+    """(t1 or None, t2) of an npz amplitudes file."""
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile) or "t2" not in data:
+            raise ConfigError("amplitudes file must be an npz with 't2'")
+        with data:
+            return (data["t1"] if "t1" in data else None), data["t2"]
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"cannot read amplitudes file {path}: {exc}") from exc
+
+
 def _acquire_counts(config: RunConfig, ham):
     if config.sampler == "counts-file":
         counts = read_counts(config.counts_path)
@@ -98,11 +111,8 @@ def _acquire_counts(config: RunConfig, ham):
             state = SectorState(ham.n_orb, ham.n_alpha, ham.n_beta,
                                 reference.vector)
         else:
-            data = np.load(config.amplitudes_path)
-            if "t2" not in data:
-                raise ConfigError("amplitudes file must contain 't2'")
-            t1 = data["t1"] if "t1" in data else None
-            params = lucj_params_from_ccsd(t1, data["t2"], config.lucj_layers)
+            t1, t2 = _read_amplitudes(config.amplitudes_path)
+            params = lucj_params_from_ccsd(t1, t2, config.lucj_layers)
             state = lucj_state(params, ham.n_orb, ham.n_alpha, ham.n_beta)
         counts = sample_counts(state, config.shots,
                                seed=int(rng.stream(config.seed, "shots")

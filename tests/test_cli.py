@@ -120,6 +120,29 @@ def test_main_bad_lucj_input_is_config_error(tmp_path, capsys, layers, arrays,
     assert not (tmp_path / "record.json").exists()
 
 
+@pytest.mark.parametrize("kind", ["text", "empty", "broken-zip", "directory",
+                                  "npy", "no-t2"])
+def test_main_unreadable_amplitudes_is_config_error(tmp_path, capsys, kind):
+    argv = lucj_run(tmp_path, t1=np.zeros((2, 2)))
+    amplitudes = tmp_path / "amps.npz"
+    if kind != "no-t2":
+        amplitudes.unlink()
+    if kind == "text":
+        amplitudes.write_text("t2 = 0.1\n")
+    elif kind == "empty":
+        amplitudes.write_bytes(b"")
+    elif kind == "broken-zip":
+        amplitudes.write_bytes(b"PK\x03\x04 and no more")
+    elif kind == "directory":
+        amplitudes.mkdir()
+    elif kind == "npy":
+        with open(amplitudes, "wb") as fh:
+            np.save(fh, half_turn_t2(0.1))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "amplitudes file" in err
+
+
 def test_run_hci_and_ext_hci(fixture_2e2o):
     hci = execute_run(RunConfig(hamiltonian_path=str(fixture_2e2o),
                                 method="hci", epsilon1=1e-4))
