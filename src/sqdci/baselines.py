@@ -49,8 +49,7 @@ def hci_variational(ham: ActiveSpaceHamiltonian,
         live = amp >= 1e-14
         found = connected_determinants(ham, dets[live, 0], dets[live, 1],
                                        epsilon1 / amp[live])
-        merged = merge_bases(
-            dets, np.column_stack([found["alpha"], found["beta"]]))
+        merged = merge_bases(dets, found)
         if len(merged) == len(dets):
             break
         dets = merged

@@ -10,7 +10,9 @@ non-convergence, 4 capacity cap exceeded, 5 no valid samples.
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import math
 import os
 import sys
 import time
@@ -22,7 +24,7 @@ import numpy as np
 from . import rng, __version__
 from .baselines import ext_hci, hci_variational
 from .errors import (CapacityError, ConfigError, ConvergenceError,
-                     EmptyValidSampleError)
+                     EmptyValidSampleError, SqdciError)
 from .fcidump import read_fcidump
 from .sampler import (SectorState, apply_readout_noise, lucj_params_from_ccsd,
                       lucj_state, read_counts, sample_counts)
@@ -33,10 +35,9 @@ from .units import hartree_to_ev
 METHODS = ("fci", "hci", "ext-hci", "sqd", "ext-sqd")
 SAMPLERS = ("lucj", "ci-vector", "counts-file")
 
-EXIT_CONFIG = 2
-EXIT_NUMERICAL = 3
-EXIT_CAPACITY = 4
-EXIT_EMPTY_VALID = 5
+# The exit code of each error kind; ArithmeticError is a non-finite result.
+EXIT_CODES = ((ConfigError, 2), ((ConvergenceError, ArithmeticError), 3),
+              (CapacityError, 4), (EmptyValidSampleError, 5))
 
 # The multinomial draw takes the shot count as a C int64.
 MAX_SHOTS = np.iinfo(np.int64).max
@@ -176,24 +177,38 @@ def execute_run(config: RunConfig) -> dict:
     return record
 
 
-def _dump_record(record: dict, path: str | None):
-    text = json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+def _write_text(text: str, path: str | None):
+    """Write ``text`` to ``path``, or to stdout; an unwritable path is a
+    :class:`ConfigError`."""
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _dump_record(record: dict, path: str | None):
+    _write_text(json.dumps(record, sort_keys=True, indent=2, allow_nan=False)
+                + "\n", path)
 
 
 def reaction_report(product_record: dict, reactant_record: dict,
                     allow_mismatch: bool = False) -> dict:
     """Energy difference between product and reactant records.
 
-    Negative values are exothermic.
+    Negative values are exothermic. Each record needs a string ``method``
+    and a finite number ``energy``.
     """
     for record in (product_record, reactant_record):
-        if "energy" not in record or "method" not in record:
-            raise ConfigError("record lacks 'energy' or 'method' field")
+        energy = record.get("energy") if isinstance(record, dict) else None
+        if (isinstance(energy, bool) or not isinstance(energy, (int, float))
+                or not abs(energy) <= sys.float_info.max  # exact for ints
+                or not isinstance(record.get("method"), str)):
+            raise ConfigError("a record needs a string 'method' and a finite "
+                              "number 'energy'")
     if product_record["method"] != reactant_record["method"]:
         if not allow_mismatch:
             raise ConfigError(
@@ -201,7 +216,9 @@ def reaction_report(product_record: dict, reactant_record: dict,
                 f"({product_record['method']} vs {reactant_record['method']}); "
                 "pass --allow-method-mismatch to override")
         print("warning: comparing energies across methods", file=sys.stderr)
-    delta = product_record["energy"] - reactant_record["energy"]
+    delta = float(product_record["energy"]) - float(reactant_record["energy"])
+    if not math.isfinite(hartree_to_ev(delta)):
+        raise ConfigError("the energy difference overflows")
     return {
         "delta_e_hartree": delta,
         "delta_e_ev": hartree_to_ev(delta),
@@ -222,14 +239,22 @@ def _load_json(path):
 
 def scan_table(config: RunConfig, template: str, sizes: list[int],
                methods: list[str]) -> list[dict]:
-    """Run each (size, method) pair over a family of FCIDUMP files."""
+    """Run each (size, method) pair over a family of FCIDUMP files.
+
+    Every member file must exist before the first run starts.
+    """
     if "{size}" not in template:
         raise ConfigError("scan template must contain '{size}'")
-    rows = []
-    for size in sorted(sizes):
-        path = template.format(size=size)
+    try:
+        members = [(size, template.format(size=size))
+                   for size in sorted(sizes)]
+    except (LookupError, ValueError, AttributeError, TypeError) as exc:
+        raise ConfigError(f"bad scan template {template!r}: {exc!r}") from exc
+    for _, path in members:
         if not os.path.exists(path):
             raise ConfigError(f"missing scan member: {path}")
+    rows = []
+    for size, path in members:
         for method in methods:
             member = RunConfig(**{**asdict(config),
                                   "hamiltonian_path": path,
@@ -244,15 +269,21 @@ def scan_table(config: RunConfig, template: str, sizes: list[int],
 
 def _write_csv(rows, path: str | None):
     import csv
-    fieldnames = ["size", "method", "energy", "dimension", "dimension_extended"]
-    fh = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
-    try:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if path:
-            fh.close()
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=[
+        "size", "method", "energy", "dimension", "dimension_extended"])
+    writer.writeheader()
+    writer.writerows(rows)
+    _write_text(text.getvalue(), path)
+
+
+def _sizes(text: str) -> list[int]:
+    """``--sizes``: comma-separated integers, at least one (argparse exits
+    2 on the ``ValueError`` otherwise)."""
+    sizes = [int(s) for s in text.split(",") if s.strip()]
+    if not sizes:
+        raise ValueError("no size")
+    return sizes
 
 
 def _read_config_file(path) -> dict:
@@ -342,7 +373,7 @@ def build_parser():
     _add_run_arguments(scan)
     scan.add_argument("--template", required=True,
                       help="path template containing '{size}'")
-    scan.add_argument("--sizes", required=True,
+    scan.add_argument("--sizes", required=True, type=_sizes,
                       help="comma-separated active-space sizes")
     scan.add_argument("--methods", required=True,
                       help="comma-separated methods")
@@ -353,35 +384,29 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # The output file is checked before anything is computed.
+        config = None if args.command == "reaction" else _build_run_config(args)
+        out = config.output_path if config else args.output_path
+        if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+            raise ConfigError(f"no directory for output file {out}")
         if args.command == "run":
-            record = execute_run(_build_run_config(args))
-            _dump_record(record, args.output_path)
+            _dump_record(execute_run(config), out)
         elif args.command == "reaction":
             report = reaction_report(_load_json(args.product),
                                      _load_json(args.reactant),
                                      allow_mismatch=args.allow_method_mismatch)
-            _dump_record(report, args.output_path)
-        elif args.command == "scan":
-            config = _build_run_config(args)
-            sizes = [int(s) for s in args.sizes.split(",") if s]
+            _dump_record(report, out)
+        else:
             methods = [m.strip() for m in args.methods.split(",") if m.strip()]
             for method in methods:
                 if method not in METHODS:
                     raise ConfigError(f"unknown method {method!r}")
-            rows = scan_table(config, args.template, sizes, methods)
-            _write_csv(rows, args.output_path)
-    except ConfigError as exc:
+            rows = scan_table(config, args.template, args.sizes, methods)
+            _write_csv(rows, out)
+    except (SqdciError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ConvergenceError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except EmptyValidSampleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_VALID
+        return next(code for kinds, code in EXIT_CODES
+                    if isinstance(exc, kinds))
     return 0
 
 

@@ -1,7 +1,7 @@
 """Active-space Hamiltonians and Slater-Condon matrix elements.
 
-:func:`connected_determinants` lists the heat-bath screened, valued
-singles and doubles of a batch of determinants (the HCI selection
+:func:`connected_determinants` lists the heat-bath screened singles and
+doubles of a batch of determinants as packed rows (the HCI selection
 generator), :func:`build_sparse_matrix` assembles the projected
 Hamiltonian over an explicit basis, and :class:`ProductHamiltonian`
 applies it matrix free on the Cartesian product of two string sets, or,
@@ -131,10 +131,10 @@ def sector_dimension(n_orb: int, n_alpha: int, n_beta: int) -> int:
 
 
 class _HeatBath(NamedTuple):
-    """Integrals of :func:`connected_determinants` for one Hamiltonian.
+    """Tables of :func:`connected_determinants` for one Hamiltonian.
 
     The single h -> p of a string with occupation row o (o' for the other
-    spin) has element parity x column h * n + p of
+    spin) has, up to its parity, the element in column h * n + p of
     ``single_base + o @ single_same + o' @ single_other``. Doubles are
     listed per kind (0: <h1 h2||p1 p2> over h1 < h2, p1 < p2; 1: (h1 p1|h2
     p2) over alpha h1 and beta h2) and hole pair, nonzero and with
@@ -146,9 +146,8 @@ class _HeatBath(NamedTuple):
     single_same: np.ndarray
     single_other: np.ndarray
     start: np.ndarray
-    first: np.ndarray  # particles p1, p2 and integral of each entry
+    first: np.ndarray  # uint64 bits of particles p1 and p2 of each entry
     second: np.ndarray
-    value: np.ndarray
     levels: np.ndarray  # every magnitude, ascending
     # The list times (entries + 1) plus the count of levels at or above the
     # entry's own: it ascends, so one searchsorted ends each list at a cutoff.
@@ -213,19 +212,20 @@ class ActiveSpaceHamiltonian:
                      crossed - np.einsum("aqbp->abpq", eri), 0.0),
             np.where((p1 != h1) & (p2 != h2), crossed, 0.0)])
         kind, hole1, hole2, part1, part2 = entries = np.nonzero(values)
-        value = values[entries]
-        levels = np.sort(np.abs(value))
+        magnitude = np.abs(values[entries])
+        levels = np.sort(magnitude)
         size = len(levels)
         key = (((kind * n + hole1) * n + hole2) * (size + 1) + size
-               - np.searchsorted(levels, np.abs(value)))
+               - np.searchsorted(levels, magnitude))
         order = np.argsort(key)
         key = key[order]
+        bit = _bit_masks(n)[0]
         return _HeatBath(
             single_base=(self.one_body - np.einsum("hhp->hp", g)).ravel(),
             single_same=g.reshape(n, n * n), single_other=coulomb.reshape(n, n * n),
             start=np.searchsorted(key, np.arange(2 * n * n + 1) * (size + 1)),
-            first=part1[order], second=part2[order], value=value[order],
-            levels=levels, key=key)
+            first=bit[part1[order]], second=bit[part2[order]], levels=levels,
+            key=key)
 
 
 def occupation_rows(strings, n_orb: int) -> np.ndarray:
@@ -414,76 +414,61 @@ def _expand(start: np.ndarray, sources: np.ndarray, counts=None):
                                                       counts)
 
 
-# One row of :func:`connected_determinants`.
-CONNECTION = np.dtype([("source", np.int64), ("alpha", np.uint64),
-                       ("beta", np.uint64), ("value", float)])
-
-
 def connected_determinants(ham: ActiveSpaceHamiltonian, alphas, betas,
                            cutoffs) -> np.ndarray:
     """Heat-bath screened singles and doubles of a batch of determinants.
 
     Source k is (``alphas[k]``, ``betas[k]``) with cutoff ``cutoffs[k]``.
-    Returns one :data:`CONNECTION` row per source and target. A single is
-    kept when its exact element is nonzero and reaches the cutoff in
-    magnitude; a double when its integral does, before the parity sign
-    (Holmes, Tubman & Umrigar, JCTC 12, 3674 (2016)): each occupied pair
-    walks its list, sorted by magnitude once per Hamiltonian, down to the
-    cutoff, and moves onto occupied orbitals are dropped.
+    Returns the kept targets as packed ``(m, 2)`` ``uint64`` rows, repeats
+    included: per block of sources, alpha and beta singles, then
+    alpha-alpha, beta-beta and alpha-beta doubles. A single is kept when
+    its exact element is nonzero and reaches the cutoff in magnitude; a
+    double when its integral does (Holmes, Tubman & Umrigar, JCTC 12, 3674
+    (2016)): each occupied pair walks its list, sorted by magnitude once
+    per Hamiltonian, down to the cutoff, and moves onto occupied orbitals
+    are dropped.
     """
     cutoffs = np.asarray(cutoffs, dtype=float)
     if not np.all(cutoffs >= 0):  # false for nan too
         raise ConfigError("cutoffs must be nonnegative")
-    n = ham.n_orb
-    tables = ham._heat_bath
-    flip, between = _bit_masks(n)
+    n, tables = ham.n_orb, ham._heat_bath
+    size, flip = len(tables.levels), _bit_masks(n)[0]
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    strings = np.asarray(alphas, dtype=np.uint64), np.asarray(betas, dtype=np.uint64)
-
-    def move(new, spin, hole, part):
-        """Apply hole -> part to ``new[spin]``: (sign, whether part was free)."""
-        before = new[spin]
-        new[spin] = before ^ flip[hole] ^ flip[part]
-        return (1.0 - 2.0 * (np.bitwise_count(before & between[hole, part]) & 1),
-                (before & flip[part]) == 0)
-
-    def walk(kind, cut, source, h1, h2):
-        """The list entries of each (source, hole pair) that reach ``cut``."""
-        pair, size = (kind * n + h1) * n + h2, len(tables.levels)
-        rank = np.searchsorted(tables.levels, cut[source])
-        end = np.searchsorted(tables.key, pair * (size + 1) + size - rank,
-                              side="right")
-        owner, pos = _expand(tables.start, pair, end - tables.start[pair])
-        return (source[owner], h1[owner], h2[owner], tables.first[pos],
-                tables.second[pos], tables.value[pos])
-
-    rows = []
+    sources = np.column_stack([np.asarray(alphas, dtype=np.uint64),
+                               np.asarray(betas, dtype=np.uint64)])
+    rows = [np.zeros((0, 2), dtype=np.uint64)]
     step = max(1, _BLOCK_CANDIDATES // (n * n))
     for lo in range(0, len(cutoffs), step):
-        bits, cut = [s[lo:lo + step] for s in strings], cutoffs[lo:lo + step]
-        full = [occupation_rows(b, n) > 0 for b in bits]
+        block, cut = sources[lo:lo + step], cutoffs[lo:lo + step]
+        full = [occupation_rows(b, n) > 0 for b in block.T]
         for spin in (0, 1):
             src, h, p = np.nonzero(full[spin][:, :, None] > full[spin][:, None, :])
-            new = [bits[0][src], bits[1][src]]
             element = (tables.single_base + full[spin] @ tables.single_same
-                       + full[1 - spin] @ tables.single_other)
-            found = element[src, h * n + p] * move(new, spin, h, p)[0]
-            keep = (found != 0.0) & (np.abs(found) >= cut[src])
-            rows.append((src[keep] + lo, new[0][keep], new[1][keep], found[keep]))
+                       + full[1 - spin] @ tables.single_other)[src, h * n + p]
+            keep = (element != 0.0) & (np.abs(element) >= cut[src])
+            new = block[src[keep]]
+            new[:, spin] ^= flip[h[keep]] ^ flip[p[keep]]
+            rows.append(new)
         for s1, s2, kind, pairs in ((0, 0, 0, upper), (1, 1, 0, upper),
                                     (0, 1, 1, True)):
-            src, h1, h2, p1, p2, found = walk(kind, cut, *np.nonzero(
-                full[s1][:, :, None] & full[s2][:, None, :] & pairs))
-            new = [bits[0][src], bits[1][src]]
-            (sign1, free1), (sign2, free2) = (move(new, s1, h1, p1),
-                                              move(new, s2, h2, p2))
-            keep = free1 & free2
-            rows.append((src[keep] + lo, new[0][keep], new[1][keep],
-                         (found * sign1 * sign2)[keep]))
-    out = np.empty(sum(len(row[0]) for row in rows), dtype=CONNECTION)
-    for name, parts in zip(CONNECTION.names, zip(*rows)):
-        out[name] = np.concatenate(parts)
-    return out
+            src, h1, h2 = np.nonzero(
+                full[s1][:, :, None] & full[s2][:, None, :] & pairs)
+            # Each (source, hole pair) walks its list down to the cutoff.
+            pair = (kind * n + h1) * n + h2
+            rank = np.searchsorted(tables.levels, cut[src])
+            end = np.searchsorted(tables.key, pair * (size + 1) + size - rank,
+                                  side="right")
+            owner, pos = _expand(tables.start, pair, end - tables.start[pair])
+            src, p1, p2 = src[owner], tables.first[pos], tables.second[pos]
+            # A same-spin p2 is neither h1 nor p1, so both particles are
+            # checked on the source strings.
+            keep = (block[src, s1] & p1 | block[src, s2] & p2) == 0
+            owner = owner[keep]
+            new = block[src[keep]]
+            new[:, s1] ^= flip[h1[owner]] ^ p1[keep]
+            new[:, s2] ^= flip[h2[owner]] ^ p2[keep]
+            rows.append(new)
+    return np.concatenate(rows)
 
 
 def build_sparse_matrix(ham: ActiveSpaceHamiltonian, basis: np.ndarray,

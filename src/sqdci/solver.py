@@ -108,24 +108,14 @@ def dense_eigensolve(matrix: np.ndarray) -> SpectrumResult:
                           iterations_used=1, converged=True)
 
 
-def _orthonormal_rows(block: np.ndarray, against: np.ndarray) -> np.ndarray:
-    """Rows of ``block`` orthonormalised against the orthonormal rows of
-    ``against`` and each other by two block projections (CGS2).
-
-    A row whose remainder has norm at most 1e-10 is dropped.
-    """
-    out = np.empty_like(block)
-    size = 0
-    for v in block:
-        for _ in range(2):
-            v = v - (against @ v) @ against
-            if size:
-                v -= (out[:size] @ v) @ out[:size]
-        norm = np.sqrt(v @ v)
-        if norm > 1e-10:
-            out[size] = v / norm
-            size += 1
-    return out[:size]
+def _orthonormalised(vector: np.ndarray, against: np.ndarray):
+    """``vector`` orthonormalised against the orthonormal rows of
+    ``against`` by two projections (CGS2), or None when its remainder has
+    norm at most 1e-10."""
+    for _ in range(2):
+        vector = vector - (against @ vector) @ against
+    norm = np.sqrt(vector @ vector)
+    return vector / norm if norm > 1e-10 else None
 
 
 def davidson_lowest(matvec, diagonal) -> SpectrumResult:
@@ -155,25 +145,22 @@ def davidson_lowest(matvec, diagonal) -> SpectrumResult:
     sigma = np.empty((cap, dim))
     rayleigh = np.empty((cap, cap))
 
-    def append(block, size):
-        """Add orthonormal ``block`` rows after the first ``size``; new size."""
-        end = size + len(block)
-        basis[size:end] = block
-        for j in range(size, end):
-            sigma[j] = matvec(basis[j])
-        cross = 0.5 * (basis[:end] @ sigma[size:end].T
-                       + sigma[:end] @ basis[size:end].T)
-        rayleigh[:end, size:end] = cross
-        rayleigh[size:end, :end] = cross.T
+    def append(vector, size):
+        """Add the orthonormal ``vector`` as row ``size``; new size."""
+        end = size + 1
+        basis[size] = vector
+        sigma[size] = matvec(basis[size])
+        cross = 0.5 * (basis[:end] @ sigma[size] + sigma[:end] @ basis[size])
+        rayleigh[:end, size] = rayleigh[size, :end] = cross
         return end
 
-    # The Ritz vector, its residual and the correction are (1, dim) rows.
-    # The residual norm is a row sum (axis=1); the norm of a 1-D vector is
-    # a dot product, which rounds differently.
+    # The Ritz vector and its residual are (1, dim) rows. The residual norm
+    # is a row sum (axis=1); the norm of a 1-D vector is a dot product,
+    # which rounds differently.
     ritz = np.zeros((1, dim))
     ritz[0, np.argmin(diagonal)] = 1.0
-    size = append(ritz, 0)
-    previous = np.zeros((1, 0))  # last iteration's Ritz coefficients
+    size = append(ritz[0], 0)
+    previous = np.zeros(0)  # last iteration's Ritz coefficients
     converged = False
     iterations = 0
 
@@ -191,28 +178,31 @@ def davidson_lowest(matvec, diagonal) -> SpectrumResult:
         denom = diagonal - theta
         denom = np.where(np.abs(denom) < 1e-8,
                          np.copysign(1e-8, denom + 1e-300), denom)
-        block = _orthonormal_rows(residual / denom, basis[:size])
-        if len(block) == 0:
+        correction = _orthonormalised(residual[0] / denom, basis[:size])
+        if correction is None:
             # Correction space collapsed: expand with a seeded random vector.
-            block = _orthonormal_rows(gen.standard_normal((1, dim)),
-                                      basis[:size])
-            if len(block) == 0:
+            correction = _orthonormalised(gen.standard_normal(dim),
+                                          basis[:size])
+            if correction is None:
                 break
         if size == cap:
             # GD+k restart: the Ritz vector, the previous one if there is
             # room beside the new correction, then the correction.
-            padded = np.zeros((1, size))
-            padded[:, :previous.shape[1]] = previous
-            keep = np.vstack([coef, _orthonormal_rows(padded, coef)
-                              [:cap - 2]])
+            padded = np.zeros(size)
+            padded[:len(previous)] = previous
+            extra = _orthonormalised(padded, coef)
+            # vstack copies even a lone ``coef`` into a contiguous block;
+            # products with the strided view of ``evecs`` round differently.
+            keep = np.vstack([coef, extra] if extra is not None and cap > 2
+                             else [coef])
             basis[:len(keep)] = keep @ basis[:size]
             sigma[:len(keep)] = keep @ sigma[:size]
             small = keep @ rayleigh[:size, :size] @ keep.T
             coef = coef @ keep.T
             size = len(keep)
             rayleigh[:size, :size] = 0.5 * (small + small.T)
-        previous = coef
-        size = append(block, size)
+        previous = coef[0]
+        size = append(correction, size)
 
     # Post-hoc residual verification, independent of internal bookkeeping.
     vector = ritz[0] / np.linalg.norm(ritz[0])

@@ -489,3 +489,99 @@ def test_default_protocol_values():
     assert config.batches == 16
     assert config.discard_below == 1e-2
     assert config.doubles_above == 1e-1
+
+
+@pytest.mark.parametrize("sizes", ["4,x", ","])
+def test_scan_sizes_not_a_list_of_integers_exits_2(tmp_path, sizes, capsys):
+    # argparse rejects the flag: SystemExit 2, before any run.
+    out = tmp_path / "table.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["scan", "--template", str(tmp_path / "as{size}.fcidump"),
+              "--sizes", sizes, "--methods", "fci", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "--sizes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scan_template_with_another_field_exits_2(tmp_path, capsys):
+    write_fcidump_path(random_hamiltonian(2, 1, 1, seed=2),
+                       tmp_path / "as_2_0.fcidump")
+    assert main(["scan", "--template", str(tmp_path / "as_{size}_{0}.fcidump"),
+                 "--sizes", "2", "--methods", "fci"]) == 2
+    assert "template" in capsys.readouterr().err
+
+
+def _fail_if_run(*args, **kwargs):
+    raise AssertionError("computed before the output was checked")
+
+
+def test_unwritable_out_exits_2_before_computing(tmp_path, capsys,
+                                                 monkeypatch):
+    (tmp_path / "one1.fcidump").write_text(ONE_ORBITAL_FCIDUMP)
+    record = tmp_path / "record.json"
+    record.write_text(json.dumps({"method": "fci", "energy": -1.0}))
+    commands = [
+        ["run", "--hamiltonian", str(tmp_path / "one1.fcidump"),
+         "--method", "fci"],
+        ["scan", "--template", str(tmp_path / "one{size}.fcidump"),
+         "--sizes", "1", "--methods", "fci"],
+        ["reaction", "--product", str(record), "--reactant", str(record)],
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr("sqdci.cli.execute_run", _fail_if_run)
+        patch.setattr("sqdci.cli.reaction_report", _fail_if_run)
+        for argv in commands:
+            assert main([*argv, "--out", str(tmp_path / "no" / "out")]) == 2
+            assert "no directory" in capsys.readouterr().err
+    # The directory exists but the path is one: the write fails after the
+    # computation, still with exit 2.
+    for argv in commands:
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+
+def test_config_file_output_path_is_written_and_checked(one_orbital,
+                                                        tmp_path):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "record.json"
+    cfg.write_text(f"method = fci\noutput_path = {out}\n")
+    assert main(["run", "--hamiltonian", str(one_orbital),
+                 "--config", str(cfg)]) == 0
+    assert json.loads(out.read_text())["method"] == "fci"
+    cfg.write_text(f"method = fci\noutput_path = {tmp_path / 'no' / 'r.json'}\n")
+    assert main(["run", "--hamiltonian", str(one_orbital),
+                 "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("record", [
+    '{"method": "fci", "energy": "-1.0"}',
+    '{"method": "fci", "energy": null}',
+    '{"method": "fci", "energy": NaN}',
+    '{"method": "fci", "energy": Infinity}',
+    '{"method": "fci", "energy": true}',
+    '{"method": "fci", "energy": 1e400}',
+    '{"method": "fci", "energy": 1%s}' % ("0" * 400),
+    '{"method": 1, "energy": -1.0}',
+    '{"method": null, "energy": -1.0}',
+    '5',
+], ids=["string", "null", "nan", "inf", "bool", "overflow", "huge-int",
+        "method-number", "method-null", "not-an-object"])
+def test_reaction_rejects_record_values(tmp_path, record, capsys):
+    # --allow-method-mismatch: a bad method is refused, not just compared.
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(record)
+    good.write_text(json.dumps({"method": "fci", "energy": -1.0}))
+    out = tmp_path / "delta.json"
+    for pair in (["--product", str(bad), "--reactant", str(good)],
+                 ["--product", str(good), "--reactant", str(bad)]):
+        assert main(["reaction", *pair, "--allow-method-mismatch",
+                     "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reaction_difference_past_float_range_exits_2(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"method": "fci", "energy": 1e308}))
+    b.write_text(json.dumps({"method": "fci", "energy": -1e308}))
+    assert main(["reaction", "--product", str(a), "--reactant", str(b)]) == 2

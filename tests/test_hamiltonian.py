@@ -138,22 +138,45 @@ def _heat_bath_batch(draw):
     return ham, sources, cutoffs, draw(st.sampled_from([1, 1 << 16]))
 
 
+# Excitation kinds as (alpha, beta) moves, in the order both generators
+# list them: alpha and beta singles, alpha-alpha, beta-beta and alpha-beta
+# doubles.
+_KINDS = [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
+
+
+def _kind(det, target) -> int:
+    return _KINDS.index(tuple((int(s) ^ t).bit_count() // 2
+                              for s, t in zip(det, target)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(_heat_bath_batch())
 def test_batched_generator_matches_reference(batch):
+    """Called on one source, the generator returns its reference targets
+    as packed rows: kind by kind, the singles in the reference's order. A
+    batch returns the same rows, in source order when each source is its
+    own block."""
     ham, sources, cutoffs, block = batch
+    alone = []
+    for det, cutoff in zip(sources, cutoffs):
+        rows = connected_determinants(ham, [det.alpha], [det.beta], [cutoff])
+        assert rows.dtype == np.uint64 and rows.shape == (len(rows), 2)
+        got = as_pairs(rows)
+        expected = [target for target, _ in reference_connected(ham, det, cutoff)]
+        assert Counter(got) == Counter(expected)
+        kinds = [_kind(det, row) for row in got]
+        assert kinds == sorted(kinds)
+        assert got[:kinds.count(0) + kinds.count(1)] == [
+            row for row in expected if _kind(det, row) < 2]
+        alone += got
     with mock.patch.object(hamiltonian, "_BLOCK_CANDIDATES", block):
         rows = connected_determinants(ham, [d.alpha for d in sources],
                                       [d.beta for d in sources], cutoffs)
-    got = list(zip(rows["source"].tolist(), rows["alpha"].tolist(),
-                   rows["beta"].tolist()))
-    expected = [((k, *target), value)
-                for k, (det, cutoff) in enumerate(zip(sources, cutoffs))
-                for target, value in reference_connected(ham, det, cutoff)]
-    assert Counter(got) == Counter(row for row, _ in expected)
-    values = dict(expected)
-    for row, value in zip(got, rows["value"]):
-        assert abs(value - values[row]) <= 1e-12
+    assert rows.dtype == np.uint64 and rows.shape == (len(alone), 2)
+    if block == 1:
+        assert as_pairs(rows) == alone
+    else:
+        assert Counter(as_pairs(rows)) == Counter(alone)
 
 
 def test_sparse_matvec_matches_oracle():

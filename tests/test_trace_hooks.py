@@ -54,8 +54,10 @@ def test_every_traced_name_resolves():
     ("fci", [], set()),
     # HCI's first, one-row solve is dense and builds the CSR matrix; its
     # later bases and the extension run Davidson on the product operator,
-    # row-masked where they are not a full product.
-    ("ext-hci", ["--epsilon1", "1e-3"], {"solver>build_sparse_matrix"}),
+    # row-masked where they are not a full product. Every sweep screens
+    # its candidates, which the tracer counts by the rows it returns.
+    ("ext-hci", ["--epsilon1", "1e-3"],
+     {"solver>build_sparse_matrix", "baselines>connected_determinants"}),
     # LUCJ shots with readout noise: every sampler hook, and recovery in
     # the second iteration. All four batch closures have over 200 rows and
     # run Davidson.
@@ -91,6 +93,8 @@ def test_traced_run_ends_in_a_result(method, extra, reached, tmp_path):
     assert [note for note in trace["notes"]
             if not any(name in note for name in dead)] == []
     assert trace["counters"]["davidson_iters"] > 0
+    if method == "ext-hci":
+        assert trace["counters"]["candidates"] > 0
     spans = {span[0] for span in trace["spans"]}
     assert {"solver>davidson_lowest.matvec", *reached} <= spans
     metrics, _ = _load_tracer().layer_metrics(trace)
