@@ -165,11 +165,13 @@ def execute_run(config: RunConfig) -> dict:
         record.update(energy=sqd.energy, dimension=sqd.dimension,
                       dimension_raw=sqd.raw_dimension,
                       iterations=config.iterations,
-                      energy_history=list(sqd.energy_history))
+                      energy_history=list(sqd.energy_history),
+                      subspace_solves=sqd.solves)
         if config.method == "ext-sqd":
             extended = ext_sqd(ham, sqd, thresholds)
             record.update(energy=extended.energy,
-                          dimension_extended=extended.dimension)
+                          dimension_extended=extended.dimension,
+                          subspace_solves=sqd.solves + extended.solves)
             record["energy_history"] = list(sqd.energy_history) + [extended.energy]
 
     record["energy_ev"] = hartree_to_ev(record["energy"])

@@ -52,7 +52,9 @@ DENSE_THRESHOLD = 200
 # and the two broke even near ratio 9.7 at n_orb 12.
 MASKED_GRID_RATIO = 8
 # Davidson: residual norm at convergence, iteration limit, and the rows of
-# its preallocated basis and sigma blocks.
+# its preallocated basis and sigma blocks. A block holds at least 2 rows
+# (fewer only when the dimension is 1): a restart keeps the Ritz vector
+# and must then append the new correction beside it.
 RESIDUAL_TOL = 1e-8
 MAX_ITERATIONS = 300
 MAX_SUBSPACE = 20
@@ -139,8 +141,8 @@ def davidson_lowest(matvec, diagonal) -> SpectrumResult:
     """
     diagonal = np.asarray(diagonal, dtype=float)
     dim = len(diagonal)
-    gen = rng.stream(0, "davidson")
-    cap = min(MAX_SUBSPACE, dim)
+    gen = None  # the random stream, made when a correction first collapses
+    cap = min(max(MAX_SUBSPACE, 2), dim)
     basis = np.empty((cap, dim))
     sigma = np.empty((cap, dim))
     rayleigh = np.empty((cap, cap))
@@ -181,6 +183,8 @@ def davidson_lowest(matvec, diagonal) -> SpectrumResult:
         correction = _orthonormalised(residual[0] / denom, basis[:size])
         if correction is None:
             # Correction space collapsed: expand with a seeded random vector.
+            if gen is None:
+                gen = rng.stream(0, "davidson")
             correction = _orthonormalised(gen.standard_normal(dim),
                                           basis[:size])
             if correction is None:
@@ -268,7 +272,7 @@ def _davidson_floats(dim: int) -> int:
     the basis and sigma blocks (2 * ``MAX_SUBSPACE`` rows) and six work
     vectors (the diagonal, the Ritz vector, its residual, the correction
     and its denominators, and the grid keys of the basis)."""
-    return dim * (2 * MAX_SUBSPACE + 6)
+    return dim * (2 * max(MAX_SUBSPACE, 2) + 6)
 
 
 def product_solve_bytes(n_orb: int, n_alpha_strings: int,

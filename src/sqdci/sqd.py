@@ -7,7 +7,9 @@ batch eigenstates, then re-draw batches from the combined pool. Each
 batch is diagonalized in the alpha x beta product of its distinct
 strings. The excitation extension re-diagonalizes each final batch
 eigenstate over its singles/doubles-augmented basis. Subspaces are the
-packed ``uint64`` bases of :mod:`sqdci.hamiltonian`.
+packed ``uint64`` bases of :mod:`sqdci.hamiltonian`. A solve is a
+deterministic function of its basis, so a batch or extension whose basis
+equals one already solved reuses that solution (see :func:`_held`).
 
 Recovery works on blocks of packed shots: each spin half flips its
 Gumbel-top-|excess| bits, found in |excess| rounds of ``argmax``. The
@@ -82,6 +84,7 @@ class SQDResult:
     dimension: int
     raw_dimension: int
     batches: list[BatchSolution] = field(default_factory=list)
+    solves: int = 0  # solve_subspace calls made; the rest reused a solution
 
 
 def partition_by_hamming(counts: BitstringCounts, n_alpha: int,
@@ -180,6 +183,13 @@ def _draw_batch(counts: BitstringCounts, size: int,
     return counts.take(np.sort(picks))
 
 
+def _held(basis: np.ndarray, solutions) -> BatchSolution | None:
+    """The first of ``solutions`` (None entries skipped) whose basis equals
+    ``basis`` row for row, or None."""
+    return next((s for s in solutions
+                 if s is not None and np.array_equal(s.basis, basis)), None)
+
+
 def sqd_ground_state(ham: ActiveSpaceHamiltonian, counts: BitstringCounts,
                      cfg: RecoveryConfig) -> SQDResult:
     """Run the full recovery/batching/diagonalization loop."""
@@ -195,6 +205,7 @@ def sqd_ground_state(ham: ActiveSpaceHamiltonian, counts: BitstringCounts,
     history: list[float] = []
     batches: list[BatchSolution] = []
     best: BatchSolution | None = None
+    solves = 0
 
     for iteration in range(1, cfg.iterations + 1):
         if iteration == 1 or invalid.total_shots == 0:
@@ -218,7 +229,14 @@ def sqd_ground_state(ham: ActiveSpaceHamiltonian, counts: BitstringCounts,
             gen = rng.stream(cfg.seed, "batch", iteration, b)
             batch_counts = _draw_batch(pool, cfg.samples_per_batch, gen)
             basis = build_subspace(batch_counts)
-            solved = solve_subspace(ham, basis)
+            # Saturated samples close many batches to one space. Only this
+            # iteration's solutions and the running best are looked up:
+            # keeping the previous iteration's would hold one more basis and
+            # vector per batch (384 MB for 16 batches of 10^6 rows).
+            solved = _held(basis, (*batches, best))
+            if solved is None:
+                solved = solve_subspace(ham, basis)
+                solves += 1
             batches.append(BatchSolution(basis=solved.basis,
                                          vector=solved.vector,
                                          energy=solved.energy,
@@ -229,7 +247,8 @@ def sqd_ground_state(ham: ActiveSpaceHamiltonian, counts: BitstringCounts,
 
     return SQDResult(energy=best.energy, energy_history=history,
                      basis=best.basis, dimension=len(best.basis),
-                     raw_dimension=best.raw_dimension, batches=batches)
+                     raw_dimension=best.raw_dimension, batches=batches,
+                     solves=solves)
 
 
 def _fold(merged: np.ndarray, pending: list) -> np.ndarray:
@@ -313,16 +332,21 @@ def ext_sqd(ham: ActiveSpaceHamiltonian, prior: SQDResult,
     Each batch eigenstate is extended independently (single iteration,
     no recovery); every extension includes the batch's and the prior
     winning basis, so the best extended energy cannot exceed the prior
-    energy.
+    energy. An extension equal to one solved before in the pass reuses
+    its solution.
     """
     if not prior.batches:
         raise ConfigError("prior result carries no batch eigenstates")
     thresholds = thresholds or ExtensionThresholds()
     solutions = []
+    solves = 0
     for batch in prior.batches:
         extended = extend_subspace(batch.vector, batch.basis, thresholds,
                                    ham.n_orb, batch.basis, prior.basis)
-        solved = solve_subspace(ham, extended)
+        solved = _held(extended, solutions)
+        if solved is None:
+            solved = solve_subspace(ham, extended)
+            solves += 1
         solutions.append(BatchSolution(basis=solved.basis,
                                        vector=solved.vector,
                                        energy=solved.energy,
@@ -330,4 +354,5 @@ def ext_sqd(ham: ActiveSpaceHamiltonian, prior: SQDResult,
     best = min(solutions, key=lambda s: s.energy)
     return SQDResult(energy=best.energy, energy_history=[best.energy],
                      basis=best.basis, dimension=len(best.basis),
-                     raw_dimension=len(best.basis), batches=solutions)
+                     raw_dimension=len(best.basis), batches=solutions,
+                     solves=solves)

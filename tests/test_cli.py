@@ -440,6 +440,45 @@ def test_cli_runs_load_no_scipy(tmp_path):
     assert json.loads((tmp_path / "0.json").read_text())["dimension"] == 1225
 
 
+def test_fci_and_hci_runs_leave_numpy_random_unloaded(tmp_path):
+    # Davidson makes its random stream only when a correction collapses,
+    # and nothing else on these paths draws: numpy.random (about 2 MB of
+    # RSS) stays unimported. FCI at dimension 400 takes the Davidson path.
+    hamiltonian = tmp_path / "h6.fcidump"
+    write_fcidump_path(random_hamiltonian(6, 3, 3, seed=25), hamiltonian)
+    runs = [["run", "--hamiltonian", str(hamiltonian), "--method", method,
+             *argv, "--out", str(tmp_path / f"{method}.json")]
+            for method, argv in (("fci", []), ("hci", ["--epsilon1", "1e-3"]),
+                                 ("ext-hci", ["--epsilon1", "1e-2"]))]
+    probe = ("import json, sys\n"
+             "from sqdci.cli import main\n"
+             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+             "print(json.dumps([codes, 'numpy.random' in sys.modules]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(sqdci.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)],
+                         env=env, check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    assert json.loads(out) == [[0] * 3, False]
+    assert json.loads((tmp_path / "fci.json").read_text())["dimension"] == 400
+
+
+def test_sqd_records_count_subspace_solves(tmp_path):
+    # Both final batches extend to the whole 36-row sector, solved once.
+    hamiltonian = tmp_path / "h4.fcidump"
+    write_fcidump_path(random_hamiltonian(4, 2, 2, seed=26), hamiltonian)
+    solves = []
+    for method in ("sqd", "ext-sqd"):
+        record = execute_run(RunConfig(
+            hamiltonian_path=str(hamiltonian), method=method,
+            sampler="ci-vector", shots=2000, iterations=2, batches=2,
+            samples_per_batch=20))
+        solves.append(record["subspace_solves"])
+    assert solves == [2, 3]
+    record = execute_run(RunConfig(hamiltonian_path=str(hamiltonian),
+                                   method="fci"))
+    assert "subspace_solves" not in record
+
+
 def test_main_reaction_subcommand(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

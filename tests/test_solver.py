@@ -8,7 +8,7 @@ from conftest import packed, random_hamiltonian
 from oracles import brute_force_matrix, hartree_fock_determinant
 from sqdci.errors import CapacityError, ConfigError, ConvergenceError
 from sqdci.hamiltonian import build_sparse_matrix, sector_basis
-from sqdci import solver
+from sqdci import rng, solver
 from sqdci.solver import (DENSE_THRESHOLD, davidson_lowest, dense_eigensolve,
                           fci_ground_state, product_solve_bytes,
                           solve_subspace)
@@ -74,7 +74,7 @@ def test_davidson_deterministic():
     assert np.array_equal(runs[0].vector, runs[1].vector)
 
 
-@pytest.mark.parametrize("max_subspace", [2, 4])
+@pytest.mark.parametrize("max_subspace", [1, 2, 4])
 def test_davidson_forced_restarts_match_dense(max_subspace, monkeypatch):
     monkeypatch.setattr(solver, "MAX_SUBSPACE", max_subspace)
     mat = random_sparse_symmetric(200, seed=6)
@@ -82,6 +82,34 @@ def test_davidson_forced_restarts_match_dense(max_subspace, monkeypatch):
     assert spec.converged
     assert spec.iterations_used > max_subspace  # so the basis restarted
     assert abs(spec.energy - np.linalg.eigvalsh(mat)[0]) < 1e-10
+
+
+def test_davidson_collapsed_correction_takes_the_seeded_random_vector(
+        monkeypatch):
+    mat = random_sparse_symmetric(120, seed=9)
+    real = solver._orthonormalised
+    calls = []
+
+    def collapse_first(vector, against):
+        calls.append(len(against))
+        return None if len(calls) == 1 else real(vector, against)
+
+    monkeypatch.setattr(solver, "_orthonormalised", collapse_first)
+    inputs = []
+
+    def matvec(v):
+        inputs.append(v.copy())
+        return mat @ v
+
+    spec = davidson_lowest(matvec, np.diag(mat))
+    assert spec.converged
+    assert abs(spec.energy - np.linalg.eigvalsh(mat)[0]) < 1e-10
+    # The first correction collapsed; the second vector multiplied is the
+    # first draw of the "davidson" stream, orthonormalised to the start.
+    assert calls[:2] == [1, 1]
+    start = inputs[0][None, :]
+    expected = real(rng.stream(0, "davidson").standard_normal(120), start)
+    assert np.array_equal(inputs[1], expected)
 
 
 def test_davidson_restart_multiplies_nothing_again(monkeypatch):

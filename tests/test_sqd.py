@@ -5,15 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import as_pairs, packed
+from conftest import as_pairs, packed, random_hamiltonian
 from oracles import (brute_force_matrix, determinant_to_bitstring,
                      excitation_degree, excitations, hartree_fock_determinant)
-from sqdci import sqd
+from sqdci import rng, sqd
 from sqdci.errors import CapacityError, ConfigError, EmptyValidSampleError
 from sqdci.hamiltonian import merge_bases, sector_basis
 from sqdci.sampler import (BitstringCounts, SectorState, merge_counts,
                            sample_counts)
-from sqdci.solver import fci_ground_state
+from sqdci.solver import fci_ground_state, solve_subspace
 from sqdci.sqd import (ExtensionThresholds, RecoveryConfig,
                        _eigenvector_occupations, build_subspace, ext_sqd,
                        extend_subspace, partition_by_hamming,
@@ -24,6 +24,22 @@ def fci_counts(ham, shots, seed=0):
     reference = fci_ground_state(ham)
     state = SectorState(ham.n_orb, ham.n_alpha, ham.n_beta, reference.vector)
     return sample_counts(state, shots, seed=seed), reference.energy
+
+
+def counted_solves(monkeypatch):
+    """The bases :mod:`sqdci.sqd` passes to ``solve_subspace`` from now on."""
+    calls = []
+    monkeypatch.setattr(sqd, "solve_subspace",
+                        lambda ham, basis: calls.append(basis)
+                        or solve_subspace(ham, basis))
+    return calls
+
+
+def assert_fresh(ham, solution):
+    """``solution`` is bitwise what a new solve of its basis gives."""
+    fresh = solve_subspace(ham, solution.basis)
+    assert solution.energy == fresh.energy
+    assert np.array_equal(solution.vector, fresh.vector)
 
 
 # ------------------------------------------------------------------ filtering
@@ -205,6 +221,45 @@ def test_occupations_only_for_iterations_that_recover(ham_4e4o, monkeypatch):
     assert len(calls) == 4  # iterations 2 and 3, two batches each
 
 
+def test_batches_closing_to_one_space_solve_it_once(monkeypatch):
+    # Each batch draws all but one of the 400 sector determinants; every
+    # string is in 20 of them, so each batch closes to the whole sector.
+    ham = random_hamiltonian(6, 3, 3, seed=1)
+    sector = sector_basis(6, 3, 3)
+    counts = BitstringCounts.packed(12, sector[:, 0], sector[:, 1],
+                                    1000 + np.arange(len(sector)))
+    cfg = RecoveryConfig(iterations=2, batches=2,
+                         samples_per_batch=len(sector) - 1)
+    calls = counted_solves(monkeypatch)
+    result = sqd_ground_state(ham, counts, cfg)
+    assert len(calls) == result.solves == 1
+    # Reused solutions keep their own batch's shots.
+    drawn = [sqd._draw_batch(counts, cfg.samples_per_batch,
+                             rng.stream(cfg.seed, "batch", 2, b)).total_shots
+             for b in range(2)]
+    assert drawn[0] != drawn[1]
+    assert [b.shot_weight for b in result.batches] == drawn
+    for batch in result.batches:
+        assert np.array_equal(batch.basis, sector)
+        assert batch.raw_dimension == len(sector) - 1
+        assert_fresh(ham, batch)
+
+
+def test_closures_of_one_length_are_each_solved(ham_4e4o, monkeypatch):
+    # Batches of one shot close to one of two 1-row spaces.
+    counts = BitstringCounts(8, {"11001100": 1, "00110011": 1})
+    calls = counted_solves(monkeypatch)
+    result = sqd_ground_state(ham_4e4o, counts,
+                              RecoveryConfig(iterations=1, batches=4,
+                                             samples_per_batch=1))
+    spaces = {tuple(as_pairs(b.basis)) for b in result.batches}
+    assert len(spaces) == 2
+    assert len(calls) == result.solves == 2
+    assert {tuple(as_pairs(basis)) for basis in calls} == spaces
+    for batch in result.batches:
+        assert_fresh(ham_4e4o, batch)
+
+
 # ------------------------------------------------------------------ extension
 
 def test_extension_threshold_example():
@@ -369,3 +424,22 @@ def test_ext_sqd_capacity_cap(ham_4e4o, monkeypatch):
     monkeypatch.setattr(sqd, "EXTENSION_DIMENSION_CAP", 2)
     with pytest.raises(CapacityError):
         ext_sqd(ham_4e4o, prior, ExtensionThresholds(0.0, 0.0))
+
+
+def test_ext_sqd_solves_a_shared_extension_once(monkeypatch):
+    # Both final batches (25 and 30 rows) extend to the whole 36-row sector.
+    ham = random_hamiltonian(4, 2, 2, seed=26)
+    counts, _ = fci_counts(ham, 2000,
+                           seed=int(rng.stream(0, "shots").integers(2**63)))
+    prior = sqd_ground_state(ham, counts,
+                             RecoveryConfig(iterations=2, batches=2,
+                                            samples_per_batch=20))
+    assert [len(b.basis) for b in prior.batches] == [25, 30]
+    calls = counted_solves(monkeypatch)
+    result = ext_sqd(ham, prior)
+    assert [len(basis) for basis in calls] == [36]
+    assert result.solves == 1
+    for batch, solution in zip(prior.batches, result.batches, strict=True):
+        assert np.array_equal(solution.basis, calls[0])
+        assert solution.shot_weight == batch.shot_weight
+        assert_fresh(ham, solution)
