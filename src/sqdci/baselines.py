@@ -4,20 +4,21 @@ Only the variational stage is implemented (no perturbative correction);
 the extension step shares :func:`sqdci.sqd.extend_subspace` with the
 sampled-subspace pipeline so both methods densify identically. Both keep
 their bases packed (see :mod:`sqdci.hamiltonian`) and take unions with
-:func:`~sqdci.hamiltonian.merge_bases`. ``epsilon1`` is the one setting;
+:func:`~sqdci.hamiltonian.merge_blocks`. ``epsilon1`` is the one setting;
 the sweep limit ``MAX_SWEEPS`` and the energy tolerance ``ENERGY_TOL`` are
 module constants.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError
-from .hamiltonian import (ActiveSpaceHamiltonian, connected_determinants,
-                          merge_bases)
+from .errors import ConfigError
+from .hamiltonian import (_BLOCK_CANDIDATES, ActiveSpaceHamiltonian,
+                          connected_determinants, merge_blocks)
 from .solver import SubspaceResult, solve_subspace
 from .sqd import ExtensionThresholds, extend_subspace
 
@@ -34,27 +35,29 @@ def hci_variational(ham: ActiveSpaceHamiltonian,
     Each sweep adds every determinant coupled to the current wavefunction
     with |H_{d'd} c_d| >= epsilon1, then re-diagonalizes; stops when the
     space is stable, the energy change drops below ``ENERGY_TOL``, or
-    after ``MAX_SWEEPS`` sweeps. One batched :func:`connected_determinants`
-    call lists a sweep's candidates, and :func:`merge_bases` merges the
-    new ones in. ``epsilon1 = inf`` keeps only the HF determinant.
+    after ``MAX_SWEEPS`` sweeps. :func:`merge_blocks` folds the screen of
+    each block of sources into the space as it comes, so a sweep holds
+    about its result. ``epsilon1 = inf`` keeps only the HF determinant.
     """
     if not epsilon1 >= 0:  # written so that nan fails too
         raise ConfigError("epsilon1 must be nonnegative")
     dets = np.array([[(1 << ham.n_alpha) - 1, (1 << ham.n_beta) - 1]],
                     dtype=np.uint64)
     current = solve_subspace(ham, dets)
+    # Sources per screen: one block of connected_determinants.
+    step = max(1, _BLOCK_CANDIDATES // ham.n_orb**2)
     sweeps = 0
     for sweeps in range(1, MAX_SWEEPS + 1):
         amp = np.abs(current.vector)
-        live = amp >= 1e-14
-        found = connected_determinants(ham, dets[live, 0], dets[live, 1],
-                                       epsilon1 / amp[live])
-        merged = merge_bases(dets, found)
+        live = np.flatnonzero(amp >= 1e-14)
+        screens = (connected_determinants(ham, dets[k, 0], dets[k, 1],
+                                          epsilon1 / amp[k])
+                   for k in np.split(live, range(step, len(live), step)))
+        merged = merge_blocks(itertools.chain([dets], screens),
+                              HCI_DIMENSION_CAP, "HCI space")
         if len(merged) == len(dets):
             break
         dets = merged
-        if len(dets) > HCI_DIMENSION_CAP:
-            raise CapacityError(f"HCI space grew past {HCI_DIMENSION_CAP}")
         previous_energy = current.energy
         current = solve_subspace(ham, dets)
         if abs(previous_energy - current.energy) < ENERGY_TOL:

@@ -156,11 +156,12 @@ def execute_run(config: RunConfig) -> dict:
                           dimension_extended=extended.dimension,
                           energy_history=[hci.energy, extended.energy])
     else:
-        counts = _acquire_counts(config, ham)
+        # A bad loop shape is refused before the shots are drawn.
         recovery = RecoveryConfig(iterations=config.iterations,
                                   batches=config.batches,
                                   samples_per_batch=config.samples_per_batch,
                                   seed=config.seed)
+        counts = _acquire_counts(config, ham)
         sqd = sqd_ground_state(ham, counts, recovery)
         record.update(energy=sqd.energy, dimension=sqd.dimension,
                       dimension_raw=sqd.raw_dimension,

@@ -8,13 +8,14 @@ applies it matrix free on the Cartesian product of two string sets, or,
 row-masked, on any basis inside that product.
 
 Determinants are pairs of occupation bitmasks (alpha, beta) over spatial
-orbitals, bit p for orbital p. A basis is a ``(dim, 2)`` ``uint64`` array
-of (alpha, beta) rows, distinct and in lexicographic order; row i holds
-coefficient i of a state vector. :func:`product_basis` builds the
-Cartesian product of two string sets in that form (an SQD batch, the
-FCI sector), :func:`merge_bases` puts a union of bases in it, and
-:func:`basis_strings` splits one into its sorted distinct strings and
-rejects repeated or unsorted rows.
+orbitals, bit p for orbital p. A basis is a ``(dim, 2)`` ``uint64``
+array of (alpha, beta) rows, distinct and in lexicographic order; row i
+holds coefficient i of a state vector. :func:`product_basis` builds the
+Cartesian product of two string sets in that form (an SQD batch, the FCI
+sector), :func:`merge_bases` and :func:`merge_blocks` (a running merge
+under a row cap) put a union of bases in it, and :func:`basis_strings`
+splits one into its sorted distinct strings and rejects repeated or
+unsorted rows.
 
 The builder is string driven (Knowles & Handy, CPL 111, 315 (1984)).
 Each determinant becomes the index pair (ia, ib) of its strings. Per
@@ -22,17 +23,19 @@ spin, a table lists the single excitations (target string, hole,
 particle, parity, same-spin part of the element) and the same-spin
 doubles (target string, signed element) that stay inside that spin's
 distinct strings. The tables are built in numpy from the strings as
-``uint64`` bitmasks: every candidate move is listed per popcount group,
-its target found by ``searchsorted``, and its parity taken with
-``np.bitwise_count``. The matrix is then assembled in numpy, over
-fixed-size blocks of determinants: each block expands the tables of its
-determinants' strings into candidate pairs (singles of either spin with
-the other string fixed, same-spin doubles, and alpha-beta doubles as the
-product of the two singles tables), looks the targets up among the basis
-keys ``ia * n_beta_strings + ib`` (ascending, because the basis is
-sorted), and keeps the hits. Diagonals come from the occupation rows of
-the strings through the Coulomb and exchange matrices. Bases need not be
-Cartesian products of their strings, nor lie in one sector.
+``uint64`` bitmasks: two strings of one popcount are a single apart when
+their XOR holds 2 bits and a double apart when it holds 4, so one
+``np.bitwise_count`` scan over pairs of strings finds every entry, and
+the moved bits give its orbitals and parity. The matrix is then
+assembled in numpy, over fixed-size blocks of determinants: each block
+expands the tables of its determinants' strings into candidate pairs
+(singles of either spin with the other string fixed, same-spin doubles,
+and alpha-beta doubles as the product of the two singles tables), looks
+the targets up among the basis keys ``ia * n_beta_strings + ib``
+(ascending, because the basis is sorted), and keeps the hits. Diagonals
+come from the occupation rows of the strings through the Coulomb and
+exchange matrices. Bases need not be Cartesian products of their
+strings, nor lie in one sector.
 
 The result is a :class:`CSRMatrix`, a plain numpy CSR triple. Every row
 stores its diagonal, so the product with a vector is one gather and one
@@ -99,6 +102,33 @@ def merge_bases(*bases: np.ndarray) -> np.ndarray:
     head = np.ones(len(rows), dtype=bool)
     head[1:] = np.any(rows[1:] != rows[:-1], axis=1)
     return rows[head]
+
+
+def merge_blocks(blocks, cap: int, what: str) -> np.ndarray:
+    """The union of the bases that ``blocks`` yields, as one basis.
+
+    Blocks are folded into a running :func:`merge_bases` once the pending
+    rows outnumber both ``_BLOCK_CANDIDATES`` and the rows merged so far:
+    a small union merges once, a large one holds a multiple of its result
+    instead of every block, and the merges sort fewer than twice as many
+    rows as the blocks hold. Raises :class:`CapacityError`, naming
+    ``what``, once the union passes ``cap`` rows.
+    """
+    merged, pending, held = np.zeros((0, 2), dtype=np.uint64), [], 0
+
+    def fold():
+        union = merge_bases(merged, *pending)
+        if len(union) > cap:
+            raise CapacityError(f"{what} of {len(union)} rows exceeds the "
+                                f"cap of {cap}")
+        return union
+
+    for block in blocks:
+        pending.append(block)
+        held += len(block)
+        if held > max(_BLOCK_CANDIDATES, len(merged)):
+            merged, pending, held = fold(), [], 0
+    return fold()
 
 
 def distinct_strings(strings: np.ndarray) -> np.ndarray:
@@ -273,9 +303,9 @@ class CSRMatrix:
         return np.add.reduceat(self.data * x[self.indices], self.indptr[:-1])
 
 
-# Candidate (determinant, connected determinant) pairs expanded at once
-# by the builder, and candidate moves by the string tables; bounds their
-# temporaries independently of the basis size.
+# Candidate pairs expanded at once by the builder, (source, string) pairs
+# scanned by the string tables, and rows merge_blocks holds before it
+# folds: bounds their temporaries independently of the basis size.
 _BLOCK_CANDIDATES = 1 << 16
 
 
@@ -283,7 +313,7 @@ class _SpinTables(NamedTuple):
     """Excitations among one spin's distinct strings, grouped by source.
 
     The entries of source string k occupy ``[start[k], start[k + 1])``
-    of the arrays that follow their ``*_start``.
+    of the arrays that follow their ``*_start``, by ascending target.
     """
 
     occ: np.ndarray
@@ -307,88 +337,70 @@ def _bit_masks(n_orb: int):
             ((one << high) - one) & ~((one << low) - one) & ~(one << low))
 
 
-def _index_pairs(m: int):
-    """Index pairs i < j of range(m), in ``itertools.combinations`` order."""
-    i = np.arange(m)
-    return np.nonzero(i[:, None] < i)
-
-
 def _spin_tables(ham: ActiveSpaceHamiltonian, strings) -> _SpinTables:
     """Singles and same-spin doubles among ``strings`` (sorted, distinct).
 
-    Strings are taken per popcount group, in chunks of about
-    ``_BLOCK_CANDIDATES`` candidate moves. A chunk lists every move of
-    its strings (singles by hole then particle, doubles by occupied pair
-    then virtual pair, ascending), finds the targets with
-    ``searchsorted`` and keeps the hits; a stable sort by source then
-    merges the groups. A parity is that of the bits strictly between
-    hole and particle. The double h1 h2 -> p1 p2 is the ordered product
-    E_{p2 h2} E_{p1 h1}.
+    Two strings of one popcount are a single apart when their XOR holds
+    2 bits, and a double apart when it holds 4. Each chunk of about
+    ``_BLOCK_CANDIDATES`` (source, string) pairs is scanned for those
+    distances, so the entries come out by source, targets ascending. The
+    holes are the moved bits the source holds, the particles those the
+    target holds, each pair ascending. A parity is that of the bits
+    strictly between hole and particle. The double h1 h2 -> p1 p2 is the
+    ordered product E_{p2 h2} E_{p1 h1}.
     """
-    n = ham.n_orb
+    n, eri = ham.n_orb, ham.two_body
     bits = np.asarray(strings, dtype=np.uint64)
     occ = occupation_rows(bits, n)
-    flip, between = _bit_masks(n)
-
-    def land(sources, moves):
-        """(source, target, sign, orbitals...) of the ``moves`` that stay
-        among the strings; ``moves`` holds (hole, particle) arrays of shape
-        (len(sources), moves per string), applied in order."""
-        source = np.repeat(sources, moves[0][0].shape[1])
-        orbitals = [m.ravel() for move in moves for m in move]
-        target = bits[source]
-        for m in orbitals:
-            target = target ^ flip[m]
-        pos = np.minimum(np.searchsorted(bits, target), len(bits) - 1)
-        hit = bits[pos] == target
-        orbitals = [m[hit] for m in orbitals]
-        state, sign = bits[source[hit]], np.ones(np.count_nonzero(hit))
-        for hole, part in zip(orbitals[::2], orbitals[1::2]):
-            odd = np.bitwise_count(state & between[hole, part]) & 1
-            sign *= 1.0 - 2.0 * odd
-            state = state ^ flip[hole] ^ flip[part]
-        return source[hit], pos[hit], sign, *orbitals
-
-    # Empty seeds keep the merge defined for an empty string set.
-    none = np.zeros(0, dtype=np.int64)
-    singles = [(none, none, np.ones(0), none, none)]
-    doubles = [(none, none, np.ones(0), none, none, none, none)]
     popcount = np.bitwise_count(bits)
-    for k in np.flatnonzero(np.bincount(popcount)):
-        group = np.flatnonzero(popcount == k)
-        occupied = np.nonzero(occ[group])[1].reshape(len(group), k)
-        virtual = np.nonzero(occ[group] == 0)[1].reshape(len(group), n - k)
-        # Column picks into ``occupied`` and ``virtual``, in loop order.
-        at_hole, at_part = np.indices((k, n - k)).reshape(2, -1)
-        (o1, o2), (v1, v2) = _index_pairs(k), _index_pairs(n - k)
-        at_occ, at_vir = np.indices((len(o1), len(v1))).reshape(2, -1)
-        o1, o2, v1, v2 = o1[at_occ], o2[at_occ], v1[at_vir], v2[at_vir]
-        step = max(1, _BLOCK_CANDIDATES // max(1, len(at_hole) + len(o1)))
-        for lo in range(0, len(group), step):
-            src = group[lo:lo + step]
-            o, v = occupied[lo:lo + step], virtual[lo:lo + step]
-            singles.append(land(src, [(o[:, at_hole], v[:, at_part])]))
-            doubles.append(land(src, [(o[:, o1], v[:, v1]), (o[:, o2], v[:, v2])]))
-
-    def merge(entries):
-        fields = [np.concatenate(f) for f in zip(*entries)]
-        order = np.argsort(fields[0], kind="stable")
-        start = np.searchsorted(fields[0][order], np.arange(len(bits) + 1))
-        return start, *(f[order] for f in fields)
-
-    eri = ham.two_body
+    between = _bit_masks(n)[1]
+    one = np.uint64(1)
     # g[h, p, i] = (hp|ii) - (hi|ip): occupied i's share of a single h -> p.
     g = np.einsum("hpii->hpi", eri) - np.einsum("hiip->hpi", eri)
-    single_start, source, single_target, single_sign, hole, part = merge(singles)
-    double_start, _, double_target, double_sign, h1, p1, h2, p2 = merge(doubles)
-    same_spin = (ham.one_body[hole, part] - g[hole, part, hole]
-                 + np.einsum("ij,ij->i", g[hole, part], occ[source]))
-    return _SpinTables(
-        occ=occ, single_start=single_start, single_target=single_target,
-        single_hole=hole, single_particle=part, single_sign=single_sign,
-        single_value=single_sign * same_spin,
-        double_start=double_start, double_target=double_target,
-        double_value=double_sign * (eri[h1, p1, h2, p2] - eri[h1, p2, h2, p1]))
+
+    # A one-bit mask's orbital is the count of the bits below it.
+    def orbital(bit):
+        return np.bitwise_count(bit - one).astype(np.int64)
+
+    # +1 or -1 by the parity of the bits of state between hole and part.
+    def parity(state, hole, part):
+        return 1.0 - 2.0 * (np.bitwise_count(state & between[hole, part]) & 1)
+
+    singles, doubles = [], []
+    step = max(1, _BLOCK_CANDIDATES // max(1, len(bits)))
+    # One chunk even for no strings gives every field its dtype.
+    for lo in range(0, max(1, len(bits)), step):
+        apart = np.bitwise_count(bits[lo:lo + step, None] ^ bits)
+        source, target = np.nonzero((apart == 2) | (apart == 4))
+        keep = popcount[source + lo] == popcount[target]
+        source, target = source[keep] + lo, target[keep]
+        state = bits[source]
+        moved = state ^ bits[target]
+        holes, parts = state & moved, bits[target] & moved
+        single = np.bitwise_count(moved) == 2
+
+        src = source[single]
+        hole, part = orbital(holes[single]), orbital(parts[single])
+        sign = parity(state[single], hole, part)
+        same_spin = (ham.one_body[hole, part] - g[hole, part, hole]
+                     + np.einsum("ij,ij->i", g[hole, part], occ[src]))
+        singles.append((src, target[single], hole, part, sign, sign * same_spin))
+
+        double = ~single
+        state, holes, parts = state[double], holes[double], parts[double]
+        low_hole, low_part = holes & (~holes + one), parts & (~parts + one)
+        h1, h2, p1, p2 = map(orbital, (low_hole, holes ^ low_hole,
+                                       low_part, parts ^ low_part))
+        sign = parity(state, h1, p1) * parity(state ^ low_hole ^ low_part, h2, p2)
+        doubles.append((source[double], target[double],
+                        sign * (eri[h1, p1, h2, p2] - eri[h1, p2, h2, p1])))
+
+    def join(entries):
+        """The chunks' fields joined, with the source made into starts."""
+        source, *fields = (np.concatenate(f) for f in zip(*entries))
+        return np.searchsorted(source, np.arange(len(bits) + 1)), *fields
+
+    return _SpinTables(occ, *join(singles), *join(doubles))
 
 
 def _string_energies(ham: ActiveSpaceHamiltonian,

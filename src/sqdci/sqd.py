@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import CapacityError, ConfigError, EmptyValidSampleError
+from .errors import ConfigError, EmptyValidSampleError
 from .hamiltonian import (_BLOCK_CANDIDATES, ActiveSpaceHamiltonian,
-                          basis_strings, distinct_strings, merge_bases,
+                          basis_strings, distinct_strings, merge_blocks,
                           occupation_rows, product_basis)
 from .sampler import BitstringCounts, merge_counts, shot_rows, unpack_bits
 from .solver import solve_subspace
@@ -251,17 +251,6 @@ def sqd_ground_state(ham: ActiveSpaceHamiltonian, counts: BitstringCounts,
                      solves=solves)
 
 
-def _fold(merged: np.ndarray, pending: list) -> np.ndarray:
-    """``merged`` and the ``pending`` candidate rows as one basis; raises
-    :class:`CapacityError` when it holds more than
-    ``EXTENSION_DIMENSION_CAP`` rows."""
-    merged = merge_bases(merged, *pending)
-    if len(merged) > EXTENSION_DIMENSION_CAP:
-        raise CapacityError(f"extended dimension {len(merged)} exceeds cap "
-                            f"{EXTENSION_DIMENSION_CAP}")
-    return merged
-
-
 def extend_subspace(eigenvector: np.ndarray, basis: np.ndarray,
                     thresholds: ExtensionThresholds, n_orb: int,
                     *include: np.ndarray) -> np.ndarray:
@@ -275,13 +264,10 @@ def extend_subspace(eigenvector: np.ndarray, basis: np.ndarray,
     where the string holds one of its bits, a 4-bit mask a same-spin double
     where it holds two; alpha-beta doubles are the beta singles of the
     alpha singles. Rows are expanded in chunks of about
-    ``_BLOCK_CANDIDATES`` mask tests. Candidates are folded into a running
-    merge once they outnumber both ``_BLOCK_CANDIDATES`` and the rows
-    merged so far: a small extension merges once, a large one holds a
-    multiple of its result instead of every candidate, and the merges sort
-    fewer than twice as many rows as there are candidates. The ``include``
-    bases are candidates too. Raises :class:`CapacityError` once the
-    result passes ``EXTENSION_DIMENSION_CAP`` rows.
+    ``_BLOCK_CANDIDATES`` mask tests, and the candidates, the ``include``
+    bases among them, go through the running merge of :func:`merge_blocks`.
+    Raises :class:`CapacityError` once the result passes
+    ``EXTENSION_DIMENSION_CAP`` rows.
     """
     eigenvector = np.abs(np.asarray(eigenvector))
     if len(eigenvector) != len(basis):
@@ -316,13 +302,8 @@ def extend_subspace(eigenvector: np.ndarray, basis: np.ndarray,
 
     kept = basis[eigenvector >= thresholds.discard_below]
     doubles = basis[eigenvector > thresholds.doubles_above]
-    merged, pending, held = kept[:0], [], 0
-    for block in candidates():
-        pending.append(block)
-        held += len(block)
-        if held > max(_BLOCK_CANDIDATES, len(merged)):
-            merged, pending, held = _fold(merged, pending), [], 0
-    return _fold(merged, pending)
+    return merge_blocks(candidates(), EXTENSION_DIMENSION_CAP,
+                        "extended space")
 
 
 def ext_sqd(ham: ActiveSpaceHamiltonian, prior: SQDResult,

@@ -298,12 +298,11 @@ def spin_string_tables(ham, strings) -> dict:
     """Per-string loop over the singles and same-spin doubles of one
     spin's sorted distinct ``strings`` that land among them.
 
-    Each source lists its singles by (hole, particle) and its doubles by
-    (occupied pair, virtual pair), ascending; the double h1 h2 -> p1 p2
-    is the ordered product E_{p2 h2} E_{p1 h1}. A single's value is its
-    same-spin element, sign included, h[h,p] + sum over the other
-    occupied i of (hp|ii) - (hi|ip). Returns the fields of the package's
-    string tables.
+    Each source lists its singles and its doubles by ascending target;
+    the double h1 h2 -> p1 p2 (h1 < h2, p1 < p2) is the ordered product
+    E_{p2 h2} E_{p1 h1}. A single's value is its same-spin element, sign
+    included, h[h,p] + sum over the other occupied i of (hp|ii) - (hi|ip).
+    Returns the fields of the package's string tables.
     """
     n = ham.n_orb
     h, eri = ham.one_body, ham.two_body
@@ -311,6 +310,7 @@ def spin_string_tables(ham, strings) -> dict:
     singles, doubles = [], []
     single_start, double_start = [0], [0]
     for bits in strings:
+        first_single, first_double = len(singles), len(doubles)
         occ = [p for p in range(n) if bits >> p & 1]
         vir = [p for p in range(n) if not bits >> p & 1]
         for hole in occ:
@@ -336,6 +336,8 @@ def spin_string_tables(ham, strings) -> dict:
                                 * _between_sign(moved, h2, p2))
                         doubles.append((target, sign * (eri[h1, p1, h2, p2]
                                                          - eri[h1, p2, h2, p1])))
+        singles[first_single:] = sorted(singles[first_single:])
+        doubles[first_double:] = sorted(doubles[first_double:])
         single_start.append(len(singles))
         double_start.append(len(doubles))
     single = np.array(singles, dtype=float).reshape(-1, 5).T

@@ -5,8 +5,9 @@ from conftest import as_pairs, packed, random_hamiltonian
 from oracles import (Determinant, brute_force_matrix,
                      hartree_fock_determinant, reference_connected)
 from sqdci.baselines import ext_hci, hci_variational
-from sqdci import baselines, sqd
+from sqdci import baselines, hamiltonian, sqd
 from sqdci.errors import CapacityError, ConfigError
+from sqdci.hamiltonian import merge_bases
 from sqdci.solver import fci_ground_state, solve_subspace
 from sqdci.sqd import ExtensionThresholds, extend_subspace
 
@@ -89,6 +90,28 @@ def test_hci_basis_matches_reference_sweep(n_beta, epsilon1):
     assert np.array_equal(result.basis, expected.basis)
     assert result.diagnostics["hci_sweeps"] == sweeps
     assert abs(result.energy - expected.energy) <= 1e-12
+
+
+def test_hci_in_small_blocks_is_bitwise_the_same(monkeypatch):
+    # One source per screen, and a fold whenever the pending rows outnumber
+    # the merged ones: the running merge gives the same space, so the same
+    # solves.
+    ham = random_hamiltonian(6, 3, 3, seed=7, diagonal_spread=1.0)
+    expected = hci_variational(ham, 1e-2)
+    merges = []
+    monkeypatch.setattr(hamiltonian, "merge_bases",
+                        lambda *b: merges.append(b) or merge_bases(*b))
+    monkeypatch.setattr(baselines, "_BLOCK_CANDIDATES", 1)
+    monkeypatch.setattr(hamiltonian, "_BLOCK_CANDIDATES", 1)
+    got = hci_variational(ham, 1e-2)
+    assert len(merges) > 2 * got.diagnostics["hci_sweeps"]
+    assert np.array_equal(got.basis, expected.basis)
+    assert np.array_equal(got.vector, expected.vector)
+    assert got.energy == expected.energy
+    assert got.diagnostics == expected.diagnostics
+    monkeypatch.setattr(baselines, "HCI_DIMENSION_CAP", len(got.basis) - 1)
+    with pytest.raises(CapacityError):
+        hci_variational(ham, 1e-2)
 
 
 def test_ext_hci_reaches_fci_on_small_sector(ham_2e2o):

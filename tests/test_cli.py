@@ -279,6 +279,23 @@ def test_main_rejects_nan_epsilon1(fixture_2e2o, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--iterations", "--batches",
+                                  "--samples-per-batch"])
+def test_main_refuses_a_bad_loop_shape_before_sampling(fixture_2e2o, tmp_path,
+                                                       monkeypatch, capsys,
+                                                       flag):
+    def not_sampled(*args):
+        raise AssertionError("the loop shape must be checked first")
+
+    monkeypatch.setattr("sqdci.cli.fci_ground_state", not_sampled)
+    run = ["run", "--hamiltonian", str(fixture_2e2o), flag, "0"]
+    assert main([*run, "--method", "sqd"]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    # Methods without the recovery loop ignore its shape.
+    assert main([*run, "--method", "hci", "--out",
+                 str(tmp_path / "hci.json")]) == 0
+
+
 @pytest.mark.parametrize("name,value", [("closure", "0"), ("eta", "0.001")])
 def test_removed_options_are_config_errors(fixture_2e2o, tmp_path, capsys,
                                            name, value):

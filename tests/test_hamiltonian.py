@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -16,7 +17,8 @@ from sqdci.errors import ConfigError
 from sqdci.hamiltonian import (ActiveSpaceHamiltonian, ProductHamiltonian,
                                _spin_tables, build_sparse_matrix,
                                connected_determinants, merge_bases,
-                               occupation_rows, sector_basis)
+                               occupation_rows, sector_basis,
+                               sector_strings)
 
 
 def test_one_orbital_closed_shell_diagonal():
@@ -440,10 +442,16 @@ def _string_set(draw):
     return ham, sorted(strings)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_string_set())
-def test_spin_tables_match_loop_oracle(problem):
-    ham, strings = problem
+def _gumbel_strings(n_orb: int, draws: int, seed: int) -> list[int]:
+    """Distinct half-filled strings, each the top n_orb / 2 orbitals by
+    -p / 6 plus a Gumbel variate: the sampled sets of an SQD batch."""
+    gen = np.random.default_rng(seed)
+    score = -np.arange(n_orb) / 6.0 + gen.gumbel(size=(draws, n_orb))
+    top = np.argsort(-score, axis=1)[:, :n_orb // 2]
+    return sorted({sum(1 << int(p) for p in row) for row in top})
+
+
+def _assert_tables_match_oracle(ham, strings):
     tables = _spin_tables(ham, strings)._asdict()
     assert np.array_equal(tables.pop("occ"), occupation_rows(strings, ham.n_orb))
     for name, expected in spin_string_tables(ham, strings).items():
@@ -453,3 +461,34 @@ def test_spin_tables_match_loop_oracle(problem):
             assert np.max(np.abs(got - expected), initial=0.0) <= 1e-13, name
         else:
             assert np.array_equal(got, expected), name
+    return tables
+
+
+@settings(max_examples=60, deadline=None)
+@given(_string_set(), st.sampled_from([1, 7, hamiltonian._BLOCK_CANDIDATES]))
+def test_spin_tables_match_loop_oracle(problem, block):
+    # Chunks of 1 or 7 candidate pairs split the sources across chunks.
+    with mock.patch.object(hamiltonian, "_BLOCK_CANDIDATES", block):
+        _assert_tables_match_oracle(*problem)
+
+
+@pytest.mark.parametrize("n_orb", [20, 24])
+def test_spin_tables_on_sampled_strings_match_loop_oracle(n_orb):
+    strings = _gumbel_strings(n_orb, draws=50, seed=n_orb)
+    assert 40 <= len(strings) <= 60
+    tables = _assert_tables_match_oracle(
+        random_hamiltonian(n_orb, 1, 1, seed=n_orb), strings)
+    assert len(tables["double_target"]) > 0
+    assert tables["single_particle"].max() >= 16
+
+
+def test_spin_tables_peak_follows_their_size():
+    ham = random_hamiltonian(12, 6, 6, seed=0)
+    strings = sector_strings(12, 6)
+    tracemalloc.start()
+    try:
+        tables = _spin_tables(ham, strings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * sum(field.nbytes for field in tables) + 4 * 2**20

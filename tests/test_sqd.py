@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import as_pairs, packed, random_hamiltonian
 from oracles import (brute_force_matrix, determinant_to_bitstring,
                      excitation_degree, excitations, hartree_fock_determinant)
-from sqdci import rng, sqd
+from sqdci import hamiltonian, rng, sqd
 from sqdci.errors import CapacityError, ConfigError, EmptyValidSampleError
 from sqdci.hamiltonian import merge_bases, sector_basis
 from sqdci.sampler import (BitstringCounts, SectorState, merge_counts,
@@ -362,8 +362,8 @@ def test_extension_cap_holds_on_the_running_merge(monkeypatch):
     # merge, before the moves are expanded.
     merges = []
     monkeypatch.setattr(sqd, "EXTENSION_DIMENSION_CAP", len(basis) - 1)
-    monkeypatch.setattr(sqd, "_BLOCK_CANDIDATES", 1)
-    monkeypatch.setattr(sqd, "merge_bases",
+    monkeypatch.setattr(hamiltonian, "_BLOCK_CANDIDATES", 1)
+    monkeypatch.setattr(hamiltonian, "merge_bases",
                         lambda *b: merges.append(b) or merge_bases(*b))
     with pytest.raises(CapacityError):
         extend_subspace(vector, basis, ExtensionThresholds(), 6)
