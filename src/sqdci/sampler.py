@@ -13,11 +13,8 @@ at once. The density-density layer exp(iJ) is a phase grid, an outer sum
 of per-spin terms plus one alpha-beta matrix product. Both conserve
 particle number exactly, so the state never leaves the sector.
 :func:`sample_counts` draws the multinomial over the flattened grid and
-splits each hit into its (alpha, beta) string indices.
-
-Readout noise draws every shot's uniforms, but only the shots with a
-flipped bit get masks and a sort; the others return to their own row as
-counts.
+splits each hit into its (alpha, beta) string indices. Readout noise draws
+only the flipped bits, by geometric gaps, and sorts only the moved shots.
 
 Bitstring layout: bit 0 is leftmost; bits [0, n) hold the alpha orbital
 occupations and bits [n, 2n) the beta occupations. Shots are held packed
@@ -44,9 +41,8 @@ STATE_BYTES_PER_DETERMINANT = 64
 
 # Widest spin string a packed uint64 holds.
 MAX_ORBITALS_PER_SPIN = 64
-# Shots whose flip masks ``apply_readout_noise`` draws at once; bounds its
-# temporaries independently of the shot count.
-_NOISE_BLOCK_SHOTS = 1 << 14
+# Gaps ``_flips`` draws at once, so noise memory does not grow with shots.
+_NOISE_GAP_CHUNK = 1 << 13
 
 
 def _half_widths(n_qubits: int) -> tuple[int, int]:
@@ -183,18 +179,6 @@ def merge_counts(n_qubits: int, parts) -> BitstringCounts:
                                   np.concatenate([p.alpha for p in parts]),
                                   np.concatenate([p.beta for p in parts]),
                                   np.concatenate([p.count for p in parts]))
-
-
-def shot_rows(count: np.ndarray, block: int):
-    """Row index of every shot of ``count``, ``block`` shots at a time.
-
-    Shots come in row order, the shots of one row consecutively.
-    """
-    ends = np.cumsum(count)
-    total = int(ends[-1]) if len(ends) else 0
-    for start in range(0, total, block):
-        yield np.searchsorted(ends, np.arange(start, min(start + block, total)),
-                              side="right")
 
 
 def _orthogonal(rotation, what: str) -> np.ndarray:
@@ -402,47 +386,64 @@ def apply_readout_noise(counts: BitstringCounts, flip_probability: float,
                         seed: int) -> BitstringCounts:
     """Flip each bit of each shot independently with ``flip_probability``.
 
-    Shots are visited in row order and each draws ``n_qubits`` uniforms
-    from one stream, so the result does not depend on the block size. A
-    shot with no flip stays in its row's count. Only the flipped bits are
-    listed, by ``flatnonzero``; each shot with one gets a flip mask per
-    spin, the exact ``uint64`` sum of its distinct bit weights, and is
-    sorted into the result. Rows left with no shots are dropped.
+    Only the flipped bits are drawn, by :func:`_flips`. A shot with a flip
+    gets a mask per spin, the ``uint64`` sum of its distinct bit weights,
+    and is sorted into the result; the others stay in their row's count.
+    Rows left with no shots are dropped.
     """
     p = flip_probability
     if not 0.0 <= p <= 1.0:
         raise ConfigError("flip probability must be in [0, 1]")
-    if p == 0.0:
-        return counts
-    gen = rng.stream(seed, "readout-noise")
     nq = counts.n_qubits
+    if p == 0.0 or nq == 0:  # no bit can flip
+        return counts
     width, _ = _half_widths(nq)
-    column = np.arange(nq)
-    in_alpha = column < width
-    weight = np.uint64(1) << np.where(in_alpha, column,
-                                      column - width).astype(np.uint64)
-    alpha_weight = np.where(in_alpha, weight, np.uint64(0))
-    beta_weight = np.where(in_alpha, np.uint64(0), weight)
+    column = np.arange(nq, dtype=np.uint64)
+    alpha_weight = np.where(column < width, np.uint64(1) << column, 0)
+    beta_weight = np.where(column < width, 0, np.uint64(1) << column - width)
     stayed = counts.count.copy()
     alphas, betas = [counts.alpha], [counts.beta]
-    for rows in shot_rows(counts.count, _NOISE_BLOCK_SHOTS):
-        shot, bit = np.divmod(
-            np.flatnonzero(gen.random((len(rows), nq)) < p), nq)
-        if not len(shot):
-            continue
-        first = np.flatnonzero(np.diff(shot, prepend=-1))
-        moved = rows[shot[first]]
+    for moved, first, bits in _flips(counts.count, nq, p,
+                                     rng.stream(seed, "readout-noise")):
         stayed -= np.bincount(moved, minlength=len(counts))
         alphas.append(counts.alpha[moved]
-                      ^ np.add.reduceat(alpha_weight[bit], first))
+                      ^ np.add.reduceat(alpha_weight[bits], first))
         betas.append(counts.beta[moved]
-                     ^ np.add.reduceat(beta_weight[bit], first))
+                     ^ np.add.reduceat(beta_weight[bits], first))
     alpha = np.concatenate(alphas)
     noisy = BitstringCounts.packed(
         nq, alpha, np.concatenate(betas),
         np.concatenate([stayed, np.ones(len(alpha) - len(counts),
                                         dtype=np.int64)]))
     return noisy.take(noisy.count > 0)
+
+
+def _flips(count: np.ndarray, n_qubits: int, p: float, gen):
+    """Walk the (shot, bit) cells of ``count`` in row, shot and bit order,
+    each flip ``gen.geometric(p)`` cells after the last, and yield (row of
+    each flipped shot, index of its first flip, flipped bits) per chunk of
+    gaps, whole shots only; shots x ``n_qubits`` may pass 2^63."""
+    total, ends = int(count.sum()), np.cumsum(count)
+    shot, bit = 0, -1  # the last flip
+    held = np.zeros((2, 0), np.int64)  # the flips of a shot left open
+    walking = True
+    while walking:
+        whole, part = np.divmod(gen.geometric(p, _NOISE_GAP_CHUNK), n_qubits)
+        carry, bits = np.divmod(bit + np.cumsum(part), n_qubits)
+        # Exact in uint64 up to the first shot past the end: the shot
+        # before it is below 2^63 and no gap adds 2^63 shots.
+        shots = (shot + np.cumsum(whole.astype(np.uint64))
+                 + carry.astype(np.uint64))
+        inside = ~np.logical_or.accumulate(shots >= total)
+        cells = np.concatenate(
+            [held, [shots[inside].astype(np.int64), bits[inside]]], axis=1)
+        walking, keep = inside[-1], cells.shape[1]
+        if walking:
+            shot, bit = cells[:, -1].tolist()
+            keep = np.searchsorted(cells[0], shot)
+        held, (shots, bits) = cells[:, keep:], cells[:, :keep]
+        first = np.flatnonzero(np.diff(shots, prepend=-1))
+        yield np.searchsorted(ends, shots[first], side="right"), first, bits
 
 
 def lucj_params_from_ccsd(t1: np.ndarray | None, t2: np.ndarray,

@@ -11,12 +11,13 @@ packed ``uint64`` bases of :mod:`sqdci.hamiltonian`. A solve is a
 deterministic function of its basis, so a batch or extension whose basis
 equals one already solved reuses that solution (see :func:`_held`).
 
-Recovery works on blocks of packed shots: each spin half flips its
-Gumbel-top-|excess| bits, found in |excess| rounds of ``argmax``. The
-extension folds its candidate rows, and the bases the caller includes,
-into a running merge, so its memory follows the result, not the candidate
-count, and the one ``EXTENSION_DIMENSION_CAP`` check covers the whole
-union before every candidate is expanded. The loop's shape comes from
+Recovery works on the distinct packed rows: in each round, every row
+still off target draws one multinomial over its candidate bits and
+splits into one child per chosen bit. The extension folds its candidate
+rows, and the bases the caller includes, into a running merge, so its
+memory follows the result, not the candidate count, and the one
+``EXTENSION_DIMENSION_CAP`` check covers the whole union before every
+candidate is expanded. The loop's shape comes from
 :class:`RecoveryConfig`; the solver settings are constants of
 :mod:`sqdci.solver`.
 """
@@ -32,13 +33,12 @@ from .errors import ConfigError, EmptyValidSampleError
 from .hamiltonian import (_BLOCK_CANDIDATES, ActiveSpaceHamiltonian,
                           basis_strings, distinct_strings, merge_blocks,
                           occupation_rows, product_basis)
-from .sampler import BitstringCounts, merge_counts, shot_rows, unpack_bits
+from .sampler import BitstringCounts, merge_counts
 from .solver import solve_subspace
 
 EXTENSION_DIMENSION_CAP = 50_000_000
-# Invalid shots ``recover_configurations`` repairs at once; bounds its
-# temporaries independently of the shot count.
-_RECOVERY_BLOCK_SHOTS = 1 << 13
+# Rows ``recover_configurations`` draws for at once; bounds its temporaries.
+_RECOVERY_BLOCK_ROWS = 1 << 13
 
 
 @dataclass
@@ -102,16 +102,13 @@ def recover_configurations(invalid: BitstringCounts, occupations: np.ndarray,
                            seed: int) -> BitstringCounts:
     """Repair forbidden shots toward the reference orbital occupations.
 
-    Per spin half: excess set bits are cleared with probability
-    proportional to (1 - <n_p> + eps), missing ones are set with
-    probability proportional to (<n_p> + eps), one bit after another
-    without replacement. Each shot draws that choice at once by
-    Gumbel-top-k (Kool et al., arXiv:1903.06059): it flips the |excess|
-    candidate bits of largest log-weight plus a Gumbel draw, one draw per
-    bit. The top k are taken in |excess| rounds of ``argmax`` over the
-    shots that still need a flip, each round setting the chosen score to
-    -inf; the first maximum is the first bit in a stable descending sort.
-    Every output shot is sector-valid by construction.
+    Per spin half, alpha then beta: excess set bits are cleared with
+    probability proportional to (1 - <n_p> + eps), missing ones are set
+    with probability proportional to (<n_p> + eps), one bit after another
+    without replacement. The shots of a distinct row draw together: in
+    each round, each row off target draws ``Generator.multinomial(count,
+    w / w.sum())`` over its candidate bits and splits into one child per
+    chosen bit, after the rows on target. Output shots are sector-valid.
     """
     occupations = np.asarray(occupations, dtype=float)
     nq = invalid.n_qubits
@@ -122,35 +119,33 @@ def recover_configurations(invalid: BitstringCounts, occupations: np.ndarray,
     if not (0 <= n_alpha <= n and 0 <= n_beta <= nq - n):
         raise ConfigError("electron numbers do not fit the orbitals")
     eps = 1e-6
-    clear_weight = np.log(1.0 - occupations + eps)
-    set_weight = np.log(occupations + eps)
     gen = rng.stream(seed, "recovery")
-    halves = ((invalid.alpha, slice(0, n), n_alpha),
-              (invalid.beta, slice(n, nq), n_beta))
-    repaired = ([invalid.alpha[:0]], [invalid.beta[:0]])
-    for rows in shot_rows(invalid.count, _RECOVERY_BLOCK_SHOTS):
-        bits = unpack_bits(invalid.alpha[rows], invalid.beta[rows], nq)
-        gumbel = gen.gumbel(size=bits.shape)
-        for (strings, half, target), out in zip(halves, repaired):
-            occupied = bits[:, half].astype(bool)
-            excess = occupied.sum(axis=1) - target
-            candidate = occupied == (excess > 0)[:, None]
-            score = np.where(candidate,
-                             np.where(occupied, clear_weight[half],
-                                      set_weight[half]) + gumbel[:, half],
-                             -np.inf)
-            weight = np.uint64(1) << np.arange(score.shape[1], dtype=np.uint64)
-            flip = np.zeros(len(rows), dtype=np.uint64)
-            todo = np.abs(excess)
-            for done in range(todo.max(initial=0)):
-                need = np.flatnonzero(todo > done)
-                best = np.argmax(score[need], axis=1)
-                flip[need] |= weight[best]
-                score[need, best] = -np.inf
-            out.append(strings[rows] ^ flip)
-    alpha, beta = map(np.concatenate, repaired)
-    return BitstringCounts.packed(nq, alpha, beta,
-                                  np.ones(len(alpha), dtype=np.int64))
+    rows = [invalid.alpha, invalid.beta, invalid.count]
+    for spin, (occ, target) in enumerate(zip(np.split(occupations, [n]),
+                                             (n_alpha, n_beta))):
+        bit = np.arange(len(occ), dtype=np.uint64)
+        while (off := np.bitwise_count(rows[spin]) != target).any():
+            todo = [x[off] for x in rows]
+            over = (np.bitwise_count(todo[spin]) > target)[:, None]
+            children = []
+            for lo in range(0, len(over), _RECOVERY_BLOCK_ROWS):
+                block = slice(lo, lo + _RECOVERY_BLOCK_ROWS)
+                candidate = (todo[spin][block, None] >> bit & 1) == over[block]
+                # Candidates last, in bit order: the last column takes the
+                # multinomial's rounding remainder, so it must be one.
+                order = np.argsort(candidate, axis=1, kind="stable")
+                w = np.take_along_axis(np.where(candidate, np.where(
+                    over[block], 1.0 - occ, occ) + eps, 0.0), order, axis=1)
+                drawn = gen.multinomial(todo[2][block],
+                                        w / np.cumsum(w, axis=1)[:, -1:])
+                row, col = np.nonzero(drawn)
+                child = [x[block][row] for x in todo]
+                child[spin] ^= np.uint64(1) << bit[order[row, col]]
+                child[2] = drawn[row, col]
+                children.append(child)
+            rows = [np.concatenate([x[~off], *kids])
+                    for x, kids in zip(rows, zip(*children))]
+    return BitstringCounts.packed(nq, *rows)
 
 
 def build_subspace(samples: BitstringCounts) -> np.ndarray:
@@ -197,6 +192,7 @@ def sqd_ground_state(ham: ActiveSpaceHamiltonian, counts: BitstringCounts,
         raise ConfigError("counts are empty")
     if counts.n_qubits != 2 * ham.n_orb:
         raise ConfigError("counts qubit number does not match Hamiltonian")
+    counts = counts.take(counts.count > 0)  # a row without shots is no sample
     valid, invalid = partition_by_hamming(counts, ham.n_alpha, ham.n_beta)
     if valid.total_shots == 0:
         raise EmptyValidSampleError(

@@ -431,6 +431,33 @@ def readout_noise_per_key(entries: dict, n_qubits: int, p: float,
     return out
 
 
+def readout_noise_gap_walk(entries: dict, n_qubits: int, p: float,
+                           gen: np.random.Generator) -> dict:
+    """Readout noise as a walk over the (key, shot, bit) cells, keys in
+    sorted order: the first flipped cell is cell ``gen.geometric(p)`` - 1
+    and each next one lies ``gen.geometric(p)`` cells further, drawn one at
+    a time. Positions are Python ints, so no sum wraps."""
+    out: dict[str, int] = {}
+    flip = int(gen.geometric(p)) - 1  # from the first cell of the key
+    for key in sorted(entries):
+        cells = entries[key] * n_qubits
+        flipped: dict[int, list[int]] = {}
+        while flip < cells:
+            shot, bit = divmod(flip, n_qubits)
+            flipped.setdefault(shot, []).append(bit)
+            flip += int(gen.geometric(p))
+        flip -= cells
+        if entries[key] > len(flipped):
+            out[key] = out.get(key, 0) + entries[key] - len(flipped)
+        for bits in flipped.values():
+            row = list(key)
+            for bit in bits:
+                row[bit] = "1" if row[bit] == "0" else "0"
+            moved = "".join(row)
+            out[moved] = out.get(moved, 0) + 1
+    return out
+
+
 def _repair_half(bits: list[int], target: int, occ: np.ndarray,
                  gen: np.random.Generator, eps: float = 1e-6) -> None:
     weight = sum(bits)
@@ -463,6 +490,48 @@ def recovery_per_shot(entries: dict, occupations: np.ndarray, n_alpha: int,
             _repair_half(beta, n_beta, occupations[n:], gen)
             repaired = "".join(map(str, alpha + beta))
             out[repaired] = out.get(repaired, 0) + 1
+    return out
+
+
+def recovery_per_row(entries: dict, occupations: np.ndarray, n_alpha: int,
+                     n_beta: int, gen: np.random.Generator) -> dict:
+    """Per-row configuration recovery in rounds, from the keys in sorted
+    order, the alpha half first, then the beta half. In a round, the rows
+    whose half is on target stay, in order; after them, each other row in
+    turn draws ``gen.multinomial(count, w / sum(w))`` over its candidate
+    bits, ascending (set bits with w = 1 - <n_p> + eps when it has too
+    many, clear ones with w = <n_p> + eps when too few; the sum runs left
+    to right), and each chosen bit, flipped, makes a row with its drawn
+    count."""
+    eps = 1e-6
+    n = len(occupations) // 2
+    rows = [(list(key), count) for key, count in sorted(entries.items())]
+    for half, target in ((range(n), n_alpha), (range(n, 2 * n), n_beta)):
+        def excess(bits):
+            return sum(bits[p] == "1" for p in half) - target
+        while any(excess(bits) for bits, _ in rows):
+            children = []
+            for bits, count in rows:
+                if not excess(bits):
+                    continue
+                candidates = [p for p in half
+                              if (bits[p] == "1") == (excess(bits) > 0)]
+                w = [1.0 - occupations[p] + eps if excess(bits) > 0
+                     else occupations[p] + eps for p in candidates]
+                total = 0.0
+                for x in w:
+                    total += x
+                drawn = gen.multinomial(count, [x / total for x in w])
+                for p, m in zip(candidates, drawn.tolist()):
+                    if m:
+                        child = bits.copy()
+                        child[p] = "0" if bits[p] == "1" else "1"
+                        children.append((child, m))
+            rows = [row for row in rows if not excess(row[0])] + children
+    out: dict[str, int] = {}
+    for bits, count in rows:
+        key = "".join(bits)
+        out[key] = out.get(key, 0) + count
     return out
 
 

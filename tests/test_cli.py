@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sqdci
+import sqdci.sqd
 from conftest import ONE_ORBITAL_FCIDUMP, random_hamiltonian
 from sqdci.cli import (RunConfig, build_parser, execute_run, main,
                        reaction_report, scan_table)
@@ -58,6 +59,50 @@ def test_records_byte_identical_modulo_wall_time(fixture_2e2o):
         record = execute_run(RunConfig(**config))
         record.pop("wall_time")
         records.append(json.dumps(record, sort_keys=True))
+    assert records[0] == records[1]
+
+
+def test_noisy_records_byte_identical_modulo_wall_time(fixture_2e2o,
+                                                       monkeypatch):
+    recover = sqdci.sqd.recover_configurations
+    recovered = []
+    monkeypatch.setattr(sqdci.sqd, "recover_configurations",
+                        lambda *args, **kw: recovered.append(
+                            recover(*args, **kw)) or recovered[-1])
+    config = dict(hamiltonian_path=str(fixture_2e2o), method="sqd",
+                  sampler="ci-vector", shots=5000, flip_probability=0.05,
+                  iterations=2, batches=3, samples_per_batch=8, seed=1)
+    records = []
+    for _ in range(2):
+        record = execute_run(RunConfig(**config))
+        record.pop("wall_time")
+        records.append(json.dumps(record, sort_keys=True))
+    assert records[0] == records[1]
+    # The second iteration of each run repaired shots.
+    assert len(recovered) == 2 and recovered[0].total_shots > 0
+    assert recovered[0].entries == recovered[1].entries
+
+
+def test_zero_count_lines_change_no_record(tmp_path):
+    # More lines than a batch holds, but fewer with shots: the zero-count
+    # rows are no sample, so they neither close into the subspace nor fail
+    # the weighted batch draw.
+    ham_path = tmp_path / "h4.fcidump"
+    write_fcidump_path(random_hamiltonian(4, 2, 2, seed=7), ham_path)
+    keys = [k for k in (format(i, "08b") for i in range(256))
+            if k[:4].count("1") == 2 and k[4:].count("1") == 2]
+    counts_path = tmp_path / "counts.txt"
+    config = RunConfig(hamiltonian_path=str(ham_path), method="sqd",
+                       sampler="counts-file", counts_path=str(counts_path),
+                       samples_per_batch=10)
+    records = []
+    for zeros in (keys[3:], []):
+        lines = [f"{k} 5" for k in keys[:3]] + [f"{k} 0" for k in zeros]
+        counts_path.write_text("n_qubits=8\n" + "\n".join(lines) + "\n")
+        record = execute_run(config)
+        record.pop("wall_time")
+        records.append(json.dumps(record, sort_keys=True))
+    assert len(keys[3:]) == 33
     assert records[0] == records[1]
 
 

@@ -7,23 +7,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+import sqdci.sampler
 import sqdci.sqd
-from oracles import (bitstring_to_determinant, readout_noise_per_key,
+from oracles import (bitstring_to_determinant, readout_noise_gap_walk,
+                     readout_noise_per_key, recovery_per_row,
                      recovery_per_shot)
 from sqdci import rng
 from sqdci.errors import CapacityError, ConfigError
 from sqdci.sampler import (BitstringCounts, SectorState, apply_readout_noise,
-                           merge_counts, pack_bits, read_counts, sample_counts,
-                           shot_rows, unpack_bits)
+                           read_counts, sample_counts)
 from sqdci.sqd import recover_configurations
 
 
-def random_entries(n_qubits, n_keys, seed, big=0):
+def random_entries(n_qubits, n_keys, seed, big=0, most=400):
     gen = np.random.default_rng(seed)
     entries = {}
     for _ in range(n_keys):
         key = "".join(gen.choice(["0", "1"], size=n_qubits))
-        entries[key] = int(gen.integers(0, 400))
+        entries[key] = int(gen.integers(0, most))
     if big:
         entries[next(iter(entries))] = big
     return entries
@@ -74,17 +75,69 @@ def test_more_than_64_orbitals_per_spin_is_capacity_error(tmp_path):
 
 # ------------------------------------------------------------- readout noise
 
+def two_sample_chi2_passes(got: dict, expected: dict, min_dof: int) -> bool:
+    """Two-sample chi-squared over the output configurations at the 0.1%
+    level; the sparse ones are pooled into one bin so every bin holds at
+    least 10 shots."""
+    keys = sorted(set(got) | set(expected))
+    a = np.array([got.get(k, 0) for k in keys], dtype=float)
+    b = np.array([expected.get(k, 0) for k in keys], dtype=float)
+    sparse = a + b < 10
+    a = np.append(a[~sparse], a[sparse].sum())
+    b = np.append(b[~sparse], b[sparse].sum())
+    a, b = a[a + b > 0], b[a + b > 0]
+    dof = len(a) - 1
+    assert dof >= min_dof
+    return np.sum((a - b) ** 2 / (a + b)) < chi2.ppf(0.999, dof)
+
+
 @pytest.mark.parametrize("n_orb", [6, 64])
 @pytest.mark.parametrize("p", [0.01, 0.3, 1.0])
-def test_noise_matches_per_key_oracle(n_orb, p):
-    # One key holds more shots than a noise block, so blocks split a key.
-    for seed, big in ((0, 2**14 + 300), (1, 0)):
-        entries = random_entries(2 * n_orb, 6, seed, big=big)
-        got = apply_readout_noise(BitstringCounts(2 * n_orb, entries), p,
-                                  seed=seed + 10)
-        expected = readout_noise_per_key(
-            entries, 2 * n_orb, p, rng.stream(seed + 10, "readout-noise"))
-        assert got.entries == expected
+def test_noise_matches_per_key_oracle(n_orb, p, monkeypatch):
+    # Seed 0 has one key with about three default chunks of flips. Seed 1
+    # has about 1 500 flips, also walked in chunks of 1 and 7 gaps, which
+    # split keys and shots.
+    nq = 2 * n_orb
+    default = sqdci.sampler._NOISE_GAP_CHUNK
+    for seed, big, chunks in ((0, int(3 * default / (nq * p)), (default,)),
+                              (1, 0, (1, 7, default))):
+        entries = random_entries(nq, 6, seed, big=big,
+                                 most=int(500 / (nq * p)) + 1)
+        expected = readout_noise_gap_walk(
+            entries, nq, p, rng.stream(seed + 10, "readout-noise"))
+        for chunk in chunks:
+            monkeypatch.setattr(sqdci.sampler, "_NOISE_GAP_CHUNK", chunk)
+            got = apply_readout_noise(BitstringCounts(nq, entries), p,
+                                      seed=seed + 10)
+            assert got.entries == expected
+
+
+def test_noise_matches_bitwise_oracle_in_distribution():
+    # The gap walk against one uniform per bit of every shot.
+    entries = {"00001111": 3000, "10100101": 2000, "11111111": 1000}
+    got = apply_readout_noise(BitstringCounts(8, entries), 0.1, seed=6)
+    expected = readout_noise_per_key(entries, 8, 0.1, rng.stream(6, "oracle"))
+    assert got.total_shots == sum(expected.values())
+    assert two_sample_chi2_passes(got.entries, expected, min_dof=40)
+
+
+def test_noise_on_no_qubits_flips_nothing():
+    # An empty bitstring has no cell for the walk to reach.
+    noisy = apply_readout_noise(BitstringCounts(0, {"": 5}), 0.5, seed=0)
+    assert noisy.entries == {"": 5}
+
+
+@pytest.mark.parametrize("shots", [2**62, 2**63 - 1])
+@pytest.mark.parametrize("n_qubits", [2, 8, 128])
+@pytest.mark.parametrize("p", [1e-300, 1e-18])
+def test_noise_walk_does_not_wrap(shots, n_qubits, p):
+    # Up to 2^70 cells; gaps saturate at 2^63 - 1 cells for tiny p, and on
+    # 2 qubits the first gap past the end lands beyond shot 2^63.
+    entries = {"01" * (n_qubits // 2): shots}
+    noisy = apply_readout_noise(BitstringCounts(n_qubits, entries), p, seed=2)
+    assert noisy.total_shots == shots
+    assert noisy.entries == readout_noise_gap_walk(
+        entries, n_qubits, p, rng.stream(2, "readout-noise"))
 
 
 @pytest.mark.parametrize("p", [0.01, 0.5, 1.0])
@@ -120,76 +173,39 @@ def test_recovery_matches_per_shot_oracle_in_distribution():
     assert sum(got.values()) == sum(expected.values())
     for key in got:
         assert key[:n].count("1") == n_alpha and key[n:].count("1") == n_beta
-    # Two-sample chi-squared over the output configurations; the sparse
-    # ones are pooled into one bin so every bin holds at least 10 shots.
-    keys = sorted(set(got) | set(expected))
-    a = np.array([got.get(k, 0) for k in keys], dtype=float)
-    b = np.array([expected.get(k, 0) for k in keys], dtype=float)
-    sparse = a + b < 10
-    a = np.append(a[~sparse], a[sparse].sum())
-    b = np.append(b[~sparse], b[sparse].sum())
-    a, b = a[a + b > 0], b[a + b > 0]
-    dof = len(a) - 1
-    assert dof >= 20
-    assert np.sum((a - b) ** 2 / (a + b)) < chi2.ppf(0.999, dof)
+    assert two_sample_chi2_passes(got, expected, min_dof=20)
 
 
-def recovery_by_sort(invalid, occupations, n_alpha, n_beta, seed):
-    """Gumbel-top-k recovery that ranks every shot's bits by a stable
-    descending argsort, from the same Gumbel draws."""
-    nq = invalid.n_qubits
-    n = nq // 2
-    clear_weight = np.log(1.0 - occupations + 1e-6)
-    set_weight = np.log(occupations + 1e-6)
-    gen = rng.stream(seed, "recovery")
-    blocks = []
-    for rows in shot_rows(invalid.count, sqdci.sqd._RECOVERY_BLOCK_SHOTS):
-        bits = unpack_bits(invalid.alpha[rows], invalid.beta[rows], nq)
-        gumbel = gen.gumbel(size=bits.shape)
-        flips = np.zeros(bits.shape, dtype=bool)
-        for half, target in ((slice(0, n), n_alpha), (slice(n, nq), n_beta)):
-            occupied = bits[:, half].astype(bool)
-            excess = occupied.sum(axis=1) - target
-            candidate = occupied == (excess > 0)[:, None]
-            score = np.where(candidate,
-                             np.where(occupied, clear_weight[half],
-                                      set_weight[half]) + gumbel[:, half],
-                             -np.inf)
-            ranked = np.argsort(-score, axis=1, kind="stable")
-            chosen = np.arange(score.shape[1]) < np.abs(excess)[:, None]
-            np.put_along_axis(flips[:, half], ranked, chosen, axis=1)
-        flip_alpha, flip_beta = pack_bits(flips, nq)
-        blocks.append(BitstringCounts.packed(
-            nq, invalid.alpha[rows] ^ flip_alpha, invalid.beta[rows] ^ flip_beta,
-            np.ones(len(rows), dtype=np.int64)))
-    return merge_counts(nq, blocks)
+def every_invalid_key():
+    """Every invalid key of the open-shell sector, with counts from 1 to 60:
+    |excess| takes each value from 1 to the largest a half allows (3 for
+    alpha, 4 for beta)."""
+    n, n_alpha, n_beta = RECOVERY_SECTOR
+    keys = (format(k, f"0{2 * n}b") for k in range(2 ** (2 * n)))
+    return {key: 1 + i % 60 for i, key in enumerate(
+        key for key in keys if key[:n].count("1") != n_alpha
+        or key[n:].count("1") != n_beta)}
 
 
 @pytest.mark.parametrize("seed", [0, 5])
-def test_recovery_matches_sorted_ranking_exactly(seed):
-    # Every invalid key of the open-shell sector: |excess| takes each value
-    # from 1 to the largest a half allows (3 for alpha, 4 for beta).
+def test_recovery_matches_per_row_oracle_exactly(seed):
     n, n_alpha, n_beta = RECOVERY_SECTOR
-    keys = (format(k, f"0{2 * n}b") for k in range(2 ** (2 * n)))
-    invalid = BitstringCounts(2 * n, {key: 3 for key in keys
-                                      if key[:n].count("1") != n_alpha
-                                      or key[n:].count("1") != n_beta})
-    got = recover_configurations(invalid, RECOVERY_OCCUPATIONS, n_alpha,
-                                 n_beta, seed)
-    expected = recovery_by_sort(invalid, RECOVERY_OCCUPATIONS, n_alpha,
-                                n_beta, seed)
-    assert got.entries == expected.entries
-    assert np.array_equal(got.count, expected.count)
+    entries = every_invalid_key()
+    got = recover_configurations(BitstringCounts(2 * n, entries),
+                                 RECOVERY_OCCUPATIONS, n_alpha, n_beta, seed)
+    expected = recovery_per_row(entries, RECOVERY_OCCUPATIONS, n_alpha,
+                                n_beta, rng.stream(seed, "recovery"))
+    assert got.entries == expected
+    assert got.total_shots == sum(entries.values())
 
 
 @pytest.mark.parametrize("block", [1, 7, 2**20])
 def test_recovery_independent_of_block_size(block, monkeypatch):
     n, n_alpha, n_beta = RECOVERY_SECTOR
-    entries = {key: 40 for key in RECOVERY_ENTRIES}
-    invalid = BitstringCounts(2 * n, entries)
+    invalid = BitstringCounts(2 * n, every_invalid_key())
     reference = recover_configurations(invalid, RECOVERY_OCCUPATIONS,
                                        n_alpha, n_beta, seed=9)
-    monkeypatch.setattr(sqdci.sqd, "_RECOVERY_BLOCK_SHOTS", block)
+    monkeypatch.setattr(sqdci.sqd, "_RECOVERY_BLOCK_ROWS", block)
     got = recover_configurations(invalid, RECOVERY_OCCUPATIONS,
                                  n_alpha, n_beta, seed=9)
     assert got.entries == reference.entries
