@@ -50,8 +50,7 @@ def hci_variational(ham: ActiveSpaceHamiltonian,
     for sweeps in range(1, MAX_SWEEPS + 1):
         amp = np.abs(current.vector)
         live = np.flatnonzero(amp >= 1e-14)
-        screens = (connected_determinants(ham, dets[k, 0], dets[k, 1],
-                                          epsilon1 / amp[k])
+        screens = (connected_determinants(ham, dets[k], epsilon1 / amp[k])
                    for k in np.split(live, range(step, len(live), step)))
         merged = merge_blocks(itertools.chain([dets], screens),
                               HCI_DIMENSION_CAP, "HCI space")

@@ -401,6 +401,8 @@ def main(argv=None) -> int:
             _dump_record(report, out)
         else:
             methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+            if not methods:
+                raise ConfigError("--methods names no method")
             for method in methods:
                 if method not in METHODS:
                     raise ConfigError(f"unknown method {method!r}")

@@ -426,11 +426,11 @@ def _expand(start: np.ndarray, sources: np.ndarray, counts=None):
                                                       counts)
 
 
-def connected_determinants(ham: ActiveSpaceHamiltonian, alphas, betas,
+def connected_determinants(ham: ActiveSpaceHamiltonian, sources,
                            cutoffs) -> np.ndarray:
     """Heat-bath screened singles and doubles of a batch of determinants.
 
-    Source k is (``alphas[k]``, ``betas[k]``) with cutoff ``cutoffs[k]``.
+    Source k is the packed row ``sources[k]`` with cutoff ``cutoffs[k]``.
     Returns the kept targets as packed ``(m, 2)`` ``uint64`` rows, repeats
     included: per block of sources, alpha and beta singles, then
     alpha-alpha, beta-beta and alpha-beta doubles. A single is kept when
@@ -446,8 +446,7 @@ def connected_determinants(ham: ActiveSpaceHamiltonian, alphas, betas,
     n, tables = ham.n_orb, ham._heat_bath
     size, flip = len(tables.levels), _bit_masks(n)[0]
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    sources = np.column_stack([np.asarray(alphas, dtype=np.uint64),
-                               np.asarray(betas, dtype=np.uint64)])
+    sources = np.asarray(sources, dtype=np.uint64)
     rows = [np.zeros((0, 2), dtype=np.uint64)]
     step = max(1, _BLOCK_CANDIDATES // (n * n))
     for lo in range(0, len(cutoffs), step):

@@ -18,8 +18,11 @@ only the flipped bits, by geometric gaps, and sorts only the moved shots.
 
 Bitstring layout: bit 0 is leftmost; bits [0, n) hold the alpha orbital
 occupations and bits [n, 2n) the beta occupations. Shots are held packed
-as uint64 alpha and beta strings with int64 counts (``BitstringCounts``);
-bitstrings as text appear only at the counts-file boundary.
+as uint64 alpha and beta strings with int64 counts (``BitstringCounts``),
+whose one constructor takes those arrays and merges repeated rows.
+Bitstrings as text appear only at the counts-file boundary:
+:func:`read_counts` is the one place that checks them, line by line, and
+packs them all at once.
 """
 
 from __future__ import annotations
@@ -100,37 +103,16 @@ class BitstringCounts:
 
     Row r is one distinct configuration: spin strings ``alpha[r]`` and
     ``beta[r]`` (uint64, laid out as by :func:`pack_bits`), seen
-    ``count[r]`` times. Rows are in sorted-bitstring order, the order in
-    which the readout noise and the batch draws visit them. ``entries``
-    is the same multiset as a ``{bitstring: count}`` dict.
+    ``count[r]`` times. The constructor sorts the rows into
+    sorted-bitstring order, the order in which the readout noise and the
+    batch draws visit them, and merges repeated rows by adding their
+    counts. It checks no count: :func:`read_counts` does, and the shot
+    layers make none below zero. ``entries`` is the same multiset as a
+    ``{bitstring: count}`` dict.
     """
 
-    def __init__(self, n_qubits: int, entries: dict[str, int] | None = None):
-        _half_widths(n_qubits)
-        entries = entries or {}
-        for key, count in entries.items():
-            if (not isinstance(key, str) or len(key) != n_qubits
-                    or set(key) - {"0", "1"}):
-                raise ConfigError(f"bad bitstring {key!r} for n_qubits={n_qubits}")
-            if count < 0:
-                raise ConfigError(f"negative count for {key!r}")
-        if sum(entries.values()) >= 2**63:
-            raise ConfigError("total shot count does not fit in 64 bits")
-        rows = np.frombuffer("".join(entries).encode("ascii"), dtype=np.uint8)
-        alpha, beta = pack_bits(
-            (rows - ord("0")).reshape(len(entries), n_qubits), n_qubits)
-        self._store(n_qubits, alpha, beta,
-                    np.fromiter(entries.values(), np.int64, count=len(entries)))
-
-    @classmethod
-    def packed(cls, n_qubits: int, alpha: np.ndarray, beta: np.ndarray,
-               count: np.ndarray) -> "BitstringCounts":
-        """Counts from packed rows; repeated rows are merged."""
-        counts = cls.__new__(cls)
-        counts._store(n_qubits, alpha, beta, count)
-        return counts
-
-    def _store(self, n_qubits, alpha, beta, count):
+    def __init__(self, n_qubits: int, alpha: np.ndarray, beta: np.ndarray,
+                 count: np.ndarray):
         _half_widths(n_qubits)
         alpha = np.asarray(alpha, dtype=np.uint64)
         beta = np.asarray(beta, dtype=np.uint64)
@@ -161,24 +143,13 @@ class BitstringCounts:
         return int(self.count.sum())
 
     def take(self, rows) -> "BitstringCounts":
-        """The counts of the selected rows (a mask or ascending row indices)."""
+        """The counts of the selected rows (a mask or ascending row indices),
+        which are still sorted and distinct, so they skip the constructor."""
         counts = BitstringCounts.__new__(BitstringCounts)
         counts.n_qubits = self.n_qubits
         counts.alpha, counts.beta = self.alpha[rows], self.beta[rows]
         counts.count = self.count[rows]
         return counts
-
-
-def merge_counts(n_qubits: int, parts) -> BitstringCounts:
-    """Shot-count sum of several multisets of ``n_qubits``-bit strings."""
-    if any(part.n_qubits != n_qubits for part in parts):
-        raise ConfigError("n_qubits mismatch")
-    if not parts:
-        return BitstringCounts(n_qubits)
-    return BitstringCounts.packed(n_qubits,
-                                  np.concatenate([p.alpha for p in parts]),
-                                  np.concatenate([p.beta for p in parts]),
-                                  np.concatenate([p.count for p in parts]))
 
 
 def _orthogonal(rotation, what: str) -> np.ndarray:
@@ -377,7 +348,7 @@ def sample_counts(state: SectorState, shots: int, seed: int) -> BitstringCounts:
     hit = np.flatnonzero(draws)
     betas = sector_strings(state.n_orb, state.n_beta)
     ia, ib = np.divmod(hit, len(betas))
-    return BitstringCounts.packed(
+    return BitstringCounts(
         2 * state.n_orb, sector_strings(state.n_orb, state.n_alpha)[ia],
         betas[ib], draws[hit])
 
@@ -411,7 +382,7 @@ def apply_readout_noise(counts: BitstringCounts, flip_probability: float,
         betas.append(counts.beta[moved]
                      ^ np.add.reduceat(beta_weight[bits], first))
     alpha = np.concatenate(alphas)
-    noisy = BitstringCounts.packed(
+    noisy = BitstringCounts(
         nq, alpha, np.concatenate(betas),
         np.concatenate([stayed, np.ones(len(alpha) - len(counts),
                                         dtype=np.int64)]))
@@ -538,37 +509,47 @@ def write_counts(counts: BitstringCounts, path) -> None:
 
 
 def read_counts(path) -> BitstringCounts:
+    """Counts of a counts file (the format is in the README).
+
+    Each line is checked once and its bitstring and count collected; then
+    come the width and total checks and one :func:`pack_bits` call, and
+    the constructor adds up repeated bitstrings.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return _parse_counts(fh)
+            header = next(fh, "").strip()
+            if not header.startswith("n_qubits="):
+                raise ConfigError("counts file must start with 'n_qubits=<int>'")
+            try:
+                nq = int(header.split("=", 1)[1])
+            except ValueError as exc:
+                raise ConfigError("bad n_qubits header") from exc
+            keys, counts = [], []
+            for raw in fh:
+                parts = raw.split()
+                if not parts:
+                    continue
+                if len(parts) != 2:
+                    raise ConfigError(f"malformed counts line: {raw!r}")
+                bits, count_str = parts
+                if len(bits) != nq:
+                    raise ConfigError(f"bitstring length mismatch: {raw!r}")
+                if bits.strip("01"):
+                    raise ConfigError("bitstring has a character other than "
+                                      f"0 or 1: {raw!r}")
+                try:
+                    count = int(count_str)
+                except ValueError as exc:
+                    raise ConfigError(f"malformed count: {raw!r}") from exc
+                if count < 0:
+                    raise ConfigError(f"negative count: {raw!r}")
+                keys.append(bits)
+                counts.append(count)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read counts file {path}: {exc}") from exc
-
-
-def _parse_counts(lines) -> BitstringCounts:
-    header = next(lines, "").strip()
-    if not header.startswith("n_qubits="):
-        raise ConfigError("counts file must start with 'n_qubits=<int>'")
-    try:
-        nq = int(header.split("=", 1)[1])
-    except ValueError as exc:
-        raise ConfigError("bad n_qubits header") from exc
-    entries = {}
-    for raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ConfigError(f"malformed counts line: {raw!r}")
-        bits, count_str = parts
-        if len(bits) != nq or set(bits) - {"0", "1"}:
-            raise ConfigError(f"bitstring length mismatch: {raw!r}")
-        try:
-            count = int(count_str)
-        except ValueError as exc:
-            raise ConfigError(f"malformed count: {raw!r}") from exc
-        if count < 0:
-            raise ConfigError(f"negative count: {raw!r}")
-        entries[bits] = entries.get(bits, 0) + count
-    return BitstringCounts(nq, entries)
+    _half_widths(nq)
+    if sum(counts) >= 2**63:
+        raise ConfigError("total shot count does not fit in 64 bits")
+    text = np.frombuffer("".join(keys).encode("ascii"), dtype=np.uint8)
+    alpha, beta = pack_bits(text.reshape(len(keys), nq) == ord("1"), nq)
+    return BitstringCounts(nq, alpha, beta, counts)

@@ -33,7 +33,7 @@ from .errors import ConfigError, EmptyValidSampleError
 from .hamiltonian import (_BLOCK_CANDIDATES, ActiveSpaceHamiltonian,
                           basis_strings, distinct_strings, merge_blocks,
                           occupation_rows, product_basis)
-from .sampler import BitstringCounts, merge_counts
+from .sampler import BitstringCounts
 from .solver import solve_subspace
 
 EXTENSION_DIMENSION_CAP = 50_000_000
@@ -145,7 +145,7 @@ def recover_configurations(invalid: BitstringCounts, occupations: np.ndarray,
                 children.append(child)
             rows = [np.concatenate([x[~off], *kids])
                     for x, kids in zip(rows, zip(*children))]
-    return BitstringCounts.packed(nq, *rows)
+    return BitstringCounts(nq, *rows)
 
 
 def build_subspace(samples: BitstringCounts) -> np.ndarray:
@@ -218,7 +218,11 @@ def sqd_ground_state(ham: ActiveSpaceHamiltonian, counts: BitstringCounts,
                 invalid, occupations, ham.n_alpha, ham.n_beta,
                 seed=rng.stream(cfg.seed, "recover-seed", iteration)
                 .integers(2**63))
-            pool = merge_counts(counts.n_qubits, [valid, recovered])
+            pool = BitstringCounts(
+                counts.n_qubits,
+                np.concatenate([valid.alpha, recovered.alpha]),
+                np.concatenate([valid.beta, recovered.beta]),
+                np.concatenate([valid.count, recovered.count]))
 
         batches = []
         for b in range(cfg.batches):

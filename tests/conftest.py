@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sqdci.hamiltonian import ActiveSpaceHamiltonian
+from sqdci.sampler import BitstringCounts, pack_bits
 
 ONE_ORBITAL_FCIDUMP = (
     "&FCI NORB=1,NELEC=2,MS2=0,\n"
@@ -15,6 +16,14 @@ ONE_ORBITAL_FCIDUMP = (
 def packed(dets) -> np.ndarray:
     """A basis array of (alpha, beta) pairs, rows in the given order."""
     return np.array(dets, dtype=np.uint64).reshape(-1, 2)
+
+
+def counts_of(n_qubits: int, mapping: dict) -> BitstringCounts:
+    """Counts of a ``{bitstring: count}`` dict of well-formed keys."""
+    rows = [[c == "1" for c in key] for key in mapping]
+    alpha, beta = pack_bits(
+        np.array(rows, dtype=bool).reshape(len(mapping), n_qubits), n_qubits)
+    return BitstringCounts(n_qubits, alpha, beta, list(mapping.values()))
 
 
 def as_pairs(basis) -> list[tuple[int, int]]:

@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.stats import binom
 
+from sqdci.errors import CapacityError, ConfigError
 from sqdci.sampler import _givens_decompose
 
 
@@ -413,6 +414,55 @@ def density_density_phases(J: np.ndarray, dets, n_orb: int) -> np.ndarray:
                 occ[n_orb + p] = 1.0
         phases[i] = occ @ J @ occ
     return phases
+
+
+def read_counts_dict_merge(path):
+    """Counts file as (n_qubits, alpha, beta, count) lists of Python ints,
+    rows in sorted-bitstring order, read line by line into a
+    ``{bitstring: count}`` dict: repeated lines add up and zero-count lines
+    are kept. Refused files raise the error class ``read_counts`` does."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError("not UTF-8") from exc
+    header = lines[0].strip() if lines else ""
+    if not header.startswith("n_qubits="):
+        raise ConfigError("no header")
+    try:
+        n_qubits = int(header[len("n_qubits="):])
+    except ValueError as exc:
+        raise ConfigError("bad header") from exc
+    merged: dict[str, int] = {}
+    for line in lines[1:]:
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != 2 or len(fields[0]) != n_qubits:
+            raise ConfigError("bad line")
+        bits, text = fields
+        if any(c not in "01" for c in bits):
+            raise ConfigError("bad bitstring")
+        try:
+            count = int(text)
+        except ValueError as exc:
+            raise ConfigError("bad count") from exc
+        if count < 0:
+            raise ConfigError("negative count")
+        merged[bits] = merged.get(bits, 0) + count
+    width = n_qubits // 2
+    if n_qubits < 0:
+        raise ConfigError("negative n_qubits")
+    if n_qubits - width > 64:
+        raise CapacityError("over 64 orbitals per spin")
+    if sum(merged.values()) >= 2**63:
+        raise ConfigError("total over 64 bits")
+    keys = sorted(merged)
+    alpha = [sum(1 << i for i, c in enumerate(k[:width]) if c == "1")
+             for k in keys]
+    beta = [sum(1 << i for i, c in enumerate(k[width:]) if c == "1")
+            for k in keys]
+    return n_qubits, alpha, beta, [merged[k] for k in keys]
 
 
 def readout_noise_per_key(entries: dict, n_qubits: int, p: float,

@@ -9,12 +9,12 @@ import pytest
 
 import sqdci
 import sqdci.sqd
-from conftest import ONE_ORBITAL_FCIDUMP, random_hamiltonian
+from conftest import ONE_ORBITAL_FCIDUMP, counts_of, random_hamiltonian
 from sqdci.cli import (RunConfig, build_parser, execute_run, main,
                        reaction_report, scan_table)
 from sqdci.errors import ConfigError
 from sqdci.fcidump import write_fcidump_path
-from sqdci.sampler import BitstringCounts, write_counts
+from sqdci.sampler import write_counts
 from sqdci.solver import fci_ground_state
 from sqdci.units import EV_PER_HARTREE
 from test_sampler import half_turn_t2
@@ -108,7 +108,7 @@ def test_zero_count_lines_change_no_record(tmp_path):
 
 def test_run_counts_file_sampler(fixture_2e2o, tmp_path):
     counts_path = tmp_path / "counts.txt"
-    write_counts(BitstringCounts(4, {"1010": 50, "0101": 50, "1001": 10}),
+    write_counts(counts_of(4, {"1010": 50, "0101": 50, "1001": 10}),
                  counts_path)
     record = execute_run(RunConfig(hamiltonian_path=str(fixture_2e2o),
                                    method="ext-sqd", sampler="counts-file",
@@ -614,6 +614,17 @@ def test_scan_template_with_another_field_exits_2(tmp_path, capsys):
 
 def _fail_if_run(*args, **kwargs):
     raise AssertionError("computed before the output was checked")
+
+
+def test_scan_with_no_method_exits_2(tmp_path, capsys, monkeypatch):
+    # Like an empty --sizes: no table with only a header.
+    monkeypatch.setattr("sqdci.cli.execute_run", _fail_if_run)
+    out = tmp_path / "table.csv"
+    (tmp_path / "one1.fcidump").write_text(ONE_ORBITAL_FCIDUMP)
+    assert main(["scan", "--template", str(tmp_path / "one{size}.fcidump"),
+                 "--sizes", "1", "--methods", " , ", "--out", str(out)]) == 2
+    assert "--methods" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unwritable_out_exits_2_before_computing(tmp_path, capsys,

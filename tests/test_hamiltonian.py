@@ -107,7 +107,7 @@ def test_negative_cutoff_rejected():
     ham = random_hamiltonian(2, 1, 1, seed=1)
     for cutoff in (-1.0, float("nan")):
         with pytest.raises(ConfigError):
-            connected_determinants(ham, [1, 1], [1, 1], [0.0, cutoff])
+            connected_determinants(ham, packed([1, 1, 1, 1]), [0.0, cutoff])
 
 
 @st.composite
@@ -161,7 +161,7 @@ def test_batched_generator_matches_reference(batch):
     ham, sources, cutoffs, block = batch
     alone = []
     for det, cutoff in zip(sources, cutoffs):
-        rows = connected_determinants(ham, [det.alpha], [det.beta], [cutoff])
+        rows = connected_determinants(ham, packed([det]), [cutoff])
         assert rows.dtype == np.uint64 and rows.shape == (len(rows), 2)
         got = as_pairs(rows)
         expected = [target for target, _ in reference_connected(ham, det, cutoff)]
@@ -172,8 +172,7 @@ def test_batched_generator_matches_reference(batch):
             row for row in expected if _kind(det, row) < 2]
         alone += got
     with mock.patch.object(hamiltonian, "_BLOCK_CANDIDATES", block):
-        rows = connected_determinants(ham, [d.alpha for d in sources],
-                                      [d.beta for d in sources], cutoffs)
+        rows = connected_determinants(ham, packed(sources), cutoffs)
     assert rows.dtype == np.uint64 and rows.shape == (len(alone), 2)
     if block == 1:
         assert as_pairs(rows) == alone

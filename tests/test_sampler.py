@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import as_pairs
+from conftest import as_pairs, counts_of
 from oracles import (apply_operator_string, bitstring_to_determinant,
                      density_density_phases, det_to_state,
                      determinant_to_bitstring, hartree_fock_determinant,
@@ -17,7 +17,7 @@ from oracles import (apply_operator_string, bitstring_to_determinant,
 from sqdci import rng
 from sqdci.errors import CapacityError, ConfigError
 from sqdci.hamiltonian import sector_basis, sector_strings
-from sqdci.sampler import (BitstringCounts, LUCJParams, SectorState,
+from sqdci.sampler import (LUCJParams, SectorState,
                            apply_orbital_rotation, apply_readout_noise,
                            lucj_params_from_ccsd, lucj_state, read_counts,
                            sample_counts, state_preparation_bytes,
@@ -349,7 +349,7 @@ def test_sampled_distribution_total_variation():
 # ---------------------------------------------------------------- readout noise
 
 def test_noise_p0_identity_p1_complement():
-    counts = BitstringCounts(4, {"0011": 7, "1100": 2})
+    counts = counts_of(4, {"0011": 7, "1100": 2})
     same = apply_readout_noise(counts, 0.0, seed=0)
     assert same.entries == counts.entries
     flipped = apply_readout_noise(counts, 1.0, seed=0)
@@ -359,7 +359,7 @@ def test_noise_p0_identity_p1_complement():
 @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
 def test_noise_rejects_probability_outside_unit_interval(p):
     with pytest.raises(ConfigError, match="flip probability"):
-        apply_readout_noise(BitstringCounts(4, {"0011": 7}), p, seed=0)
+        apply_readout_noise(counts_of(4, {"0011": 7}), p, seed=0)
 
 
 def test_noise_forbidden_fraction_matches_convolution_oracle():
@@ -379,7 +379,7 @@ def test_noise_forbidden_fraction_matches_convolution_oracle():
 
 
 def test_noise_deterministic_per_seed():
-    counts = BitstringCounts(4, {"0110": 500})
+    counts = counts_of(4, {"0110": 500})
     a = apply_readout_noise(counts, 0.1, seed=8)
     b = apply_readout_noise(counts, 0.1, seed=8)
     assert a.entries == b.entries
@@ -518,8 +518,18 @@ def test_counts_file_example(tmp_path):
 def test_counts_length_mismatch_rejected(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("n_qubits=4\n01 3\n")
-    with pytest.raises(ConfigError, match="length"):
+    with pytest.raises(ConfigError, match="length") as info:
         read_counts(path)
+    assert "other than 0 or 1" not in str(info.value)
+
+
+def test_counts_character_other_than_0_or_1_rejected(tmp_path):
+    # The right length: the message names the character, not the length.
+    path = tmp_path / "bad.txt"
+    path.write_text("n_qubits=4\n0120 5\n")
+    with pytest.raises(ConfigError, match="other than 0 or 1") as info:
+        read_counts(path)
+    assert "length" not in str(info.value)
 
 
 def test_counts_negative_and_malformed_rejected(tmp_path):
@@ -540,7 +550,7 @@ def test_counts_negative_and_malformed_rejected(tmp_path):
     st.text(alphabet="01", min_size=4, max_size=4), st.integers(0, 999),
     max_size=8))
 def test_counts_round_trip(tmp_path_factory, entries):
-    counts = BitstringCounts(4, entries)
+    counts = counts_of(4, entries)
     path = tmp_path_factory.mktemp("counts") / "c.txt"
     write_counts(counts, path)
     assert read_counts(path).entries == {k: v for k, v in entries.items()}

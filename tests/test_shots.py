@@ -9,9 +9,10 @@ from scipy.stats import chi2
 
 import sqdci.sampler
 import sqdci.sqd
-from oracles import (bitstring_to_determinant, readout_noise_gap_walk,
-                     readout_noise_per_key, recovery_per_row,
-                     recovery_per_shot)
+from conftest import counts_of
+from oracles import (bitstring_to_determinant, read_counts_dict_merge,
+                     readout_noise_gap_walk, readout_noise_per_key,
+                     recovery_per_row, recovery_per_shot)
 from sqdci import rng
 from sqdci.errors import CapacityError, ConfigError
 from sqdci.sampler import (BitstringCounts, SectorState, apply_readout_noise,
@@ -45,7 +46,7 @@ def bitstring_dicts(n_orb):
 @example((3, {"000000": 2}))
 def test_pack_unpack_round_trip(case):
     n_orb, entries = case
-    counts = BitstringCounts(2 * n_orb, entries)
+    counts = counts_of(2 * n_orb, entries)
     assert counts.entries == entries
     assert list(counts.entries) == sorted(entries)
     assert counts.total_shots == sum(entries.values())
@@ -55,15 +56,15 @@ def test_pack_unpack_round_trip(case):
 
 
 def test_packed_rows_merge_duplicates():
-    counts = BitstringCounts.packed(4, [1, 2, 1], [2, 0, 2], [3, 4, 5])
+    counts = BitstringCounts(4, [1, 2, 1], [2, 0, 2], [3, 4, 5])
     assert counts.entries == {"1001": 8, "0100": 4}
 
 
 def test_more_than_64_orbitals_per_spin_is_capacity_error(tmp_path):
     with pytest.raises(CapacityError):
-        BitstringCounts(130, {})
+        BitstringCounts(130, [], [], [])
     with pytest.raises(CapacityError):
-        BitstringCounts(130, {"1" * 130: 1})
+        counts_of(130, {"1" * 130: 1})
     state = SectorState(65, 1, 1, np.ones(65 * 65))
     with pytest.raises(CapacityError):
         sample_counts(state, 10, seed=0)
@@ -107,7 +108,7 @@ def test_noise_matches_per_key_oracle(n_orb, p, monkeypatch):
             entries, nq, p, rng.stream(seed + 10, "readout-noise"))
         for chunk in chunks:
             monkeypatch.setattr(sqdci.sampler, "_NOISE_GAP_CHUNK", chunk)
-            got = apply_readout_noise(BitstringCounts(nq, entries), p,
+            got = apply_readout_noise(counts_of(nq, entries), p,
                                       seed=seed + 10)
             assert got.entries == expected
 
@@ -115,7 +116,7 @@ def test_noise_matches_per_key_oracle(n_orb, p, monkeypatch):
 def test_noise_matches_bitwise_oracle_in_distribution():
     # The gap walk against one uniform per bit of every shot.
     entries = {"00001111": 3000, "10100101": 2000, "11111111": 1000}
-    got = apply_readout_noise(BitstringCounts(8, entries), 0.1, seed=6)
+    got = apply_readout_noise(counts_of(8, entries), 0.1, seed=6)
     expected = readout_noise_per_key(entries, 8, 0.1, rng.stream(6, "oracle"))
     assert got.total_shots == sum(expected.values())
     assert two_sample_chi2_passes(got.entries, expected, min_dof=40)
@@ -123,7 +124,7 @@ def test_noise_matches_bitwise_oracle_in_distribution():
 
 def test_noise_on_no_qubits_flips_nothing():
     # An empty bitstring has no cell for the walk to reach.
-    noisy = apply_readout_noise(BitstringCounts(0, {"": 5}), 0.5, seed=0)
+    noisy = apply_readout_noise(counts_of(0, {"": 5}), 0.5, seed=0)
     assert noisy.entries == {"": 5}
 
 
@@ -134,7 +135,7 @@ def test_noise_walk_does_not_wrap(shots, n_qubits, p):
     # Up to 2^70 cells; gaps saturate at 2^63 - 1 cells for tiny p, and on
     # 2 qubits the first gap past the end lands beyond shot 2^63.
     entries = {"01" * (n_qubits // 2): shots}
-    noisy = apply_readout_noise(BitstringCounts(n_qubits, entries), p, seed=2)
+    noisy = apply_readout_noise(counts_of(n_qubits, entries), p, seed=2)
     assert noisy.total_shots == shots
     assert noisy.entries == readout_noise_gap_walk(
         entries, n_qubits, p, rng.stream(2, "readout-noise"))
@@ -146,7 +147,7 @@ def test_noise_keeps_no_row_without_shots(p):
     # shots, must not survive as zero counts.
     entries = random_entries(8, 12, seed=3)
     entries.update({"00000000": 0, "11110000": 1})
-    noisy = apply_readout_noise(BitstringCounts(8, entries), p, seed=4)
+    noisy = apply_readout_noise(counts_of(8, entries), p, seed=4)
     assert np.all(noisy.count > 0)
     assert len(noisy) == len(noisy.entries)
     assert noisy.total_shots == sum(entries.values())
@@ -165,7 +166,7 @@ RECOVERY_ENTRIES = {"11111" "00000": 3000, "10000" "11100": 3000,
 
 def test_recovery_matches_per_shot_oracle_in_distribution():
     n, n_alpha, n_beta = RECOVERY_SECTOR
-    got = recover_configurations(BitstringCounts(2 * n, RECOVERY_ENTRIES),
+    got = recover_configurations(counts_of(2 * n, RECOVERY_ENTRIES),
                                  RECOVERY_OCCUPATIONS, n_alpha, n_beta,
                                  seed=5).entries
     expected = recovery_per_shot(RECOVERY_ENTRIES, RECOVERY_OCCUPATIONS,
@@ -191,7 +192,7 @@ def every_invalid_key():
 def test_recovery_matches_per_row_oracle_exactly(seed):
     n, n_alpha, n_beta = RECOVERY_SECTOR
     entries = every_invalid_key()
-    got = recover_configurations(BitstringCounts(2 * n, entries),
+    got = recover_configurations(counts_of(2 * n, entries),
                                  RECOVERY_OCCUPATIONS, n_alpha, n_beta, seed)
     expected = recovery_per_row(entries, RECOVERY_OCCUPATIONS, n_alpha,
                                 n_beta, rng.stream(seed, "recovery"))
@@ -202,7 +203,7 @@ def test_recovery_matches_per_row_oracle_exactly(seed):
 @pytest.mark.parametrize("block", [1, 7, 2**20])
 def test_recovery_independent_of_block_size(block, monkeypatch):
     n, n_alpha, n_beta = RECOVERY_SECTOR
-    invalid = BitstringCounts(2 * n, every_invalid_key())
+    invalid = counts_of(2 * n, every_invalid_key())
     reference = recover_configurations(invalid, RECOVERY_OCCUPATIONS,
                                        n_alpha, n_beta, seed=9)
     monkeypatch.setattr(sqdci.sqd, "_RECOVERY_BLOCK_ROWS", block)
@@ -248,3 +249,52 @@ def test_read_counts_fuzz_lines(tmp_path_factory, header, lines):
     counts = _parse_or_config_error(path)
     if counts is not None:
         assert counts.total_shots >= 0
+
+
+@st.composite
+def counts_files(draw):
+    """Counts-file text whose lines come from a few bitstrings, so they
+    repeat, with zero counts, blank lines, counts near 2^63, and now and
+    then a refused line or header."""
+    n_qubits = draw(st.sampled_from([0, 1, 4, 7, 128]) | st.integers(-1, 131))
+    width = max(n_qubits, 0)
+    keys = draw(st.lists(st.text("01", min_size=width, max_size=width),
+                         min_size=1, max_size=3))
+    count = st.sampled_from([0] * 4 + [1, 2, 3] * 6
+                            + [2**62, 2**63 - 1, 2**64])
+    pad = st.sampled_from(["", " ", "\t"])
+    pair = st.builds("{}{} {}{}".format, pad, st.sampled_from(keys), count,
+                     pad)
+    refused = st.sampled_from([
+        "0" * (width + 1) + " 1", "2" + "0" * (width - 1) + " 1",
+        keys[0] + " -1", keys[0] + " x", keys[0] + " 1 1"])
+    kind = st.sampled_from([pair] * 12 + [st.sampled_from(["", "  "])] * 3
+                           + [refused])
+    header = st.sampled_from([f"n_qubits={n_qubits}"] * 12
+                             + ["n_qubits=x", "qubits=4", ""])
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = draw(st.lists(kind.flatmap(lambda x: x), max_size=8))
+    return end.join([draw(header), *lines]) + end
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts_files())
+@example("n_qubits=4\n0110 0\n\n1001 2\n 1001 3\n  \n0110 0\n")
+@example("n_qubits=130\n" + ("0" * 130 + f" {2**62}\n") * 2)
+def test_read_counts_matches_dict_merge_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("counts") / "counts.txt"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = read_counts_dict_merge(path)
+    except (ConfigError, CapacityError) as exc:
+        with pytest.raises(type(exc)):
+            read_counts(path)
+        return
+    n_qubits, alpha, beta, count = expected
+    counts = read_counts(path)
+    assert counts.n_qubits == n_qubits
+    assert (counts.alpha.dtype, counts.beta.dtype, counts.count.dtype) == (
+        np.uint64, np.uint64, np.int64)
+    assert counts.alpha.tolist() == alpha
+    assert counts.beta.tolist() == beta
+    assert counts.count.tolist() == count

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import as_pairs, packed, random_hamiltonian
+from conftest import as_pairs, counts_of, packed, random_hamiltonian
 from oracles import (brute_force_matrix, determinant_to_bitstring,
                      excitation_degree, excitations, hartree_fock_determinant)
 from sqdci import hamiltonian, rng, sqd
 from sqdci.errors import CapacityError, ConfigError, EmptyValidSampleError
 from sqdci.hamiltonian import merge_bases, sector_basis
-from sqdci.sampler import (BitstringCounts, SectorState, merge_counts,
-                           sample_counts)
+from sqdci.sampler import BitstringCounts, SectorState, sample_counts
 from sqdci.solver import fci_ground_state, solve_subspace
 from sqdci.sqd import (ExtensionThresholds, RecoveryConfig,
                        _eigenvector_occupations, build_subspace, ext_sqd,
@@ -45,7 +44,7 @@ def assert_fresh(ham, solution):
 # ------------------------------------------------------------------ filtering
 
 def test_partition_examples():
-    counts = BitstringCounts(4, {"0110": 3, "1110": 2, "0101": 1})
+    counts = counts_of(4, {"0110": 3, "1110": 2, "0101": 1})
     valid, invalid = partition_by_hamming(counts, 1, 1)
     assert set(valid.entries) == {"0110", "0101"}
     assert set(invalid.entries) == {"1110"}
@@ -61,7 +60,7 @@ def test_partition_uniform_fraction():
     for d in draws:
         key = format(d, "04b")
         entries[key] = entries.get(key, 0) + 1
-    valid, _ = partition_by_hamming(BitstringCounts(4, entries), 1, 1)
+    valid, _ = partition_by_hamming(counts_of(4, entries), 1, 1)
     frac = valid.total_shots / shots
     sigma = np.sqrt(0.25 * 0.75 / shots)
     assert abs(frac - 0.25) < 5 * sigma
@@ -77,7 +76,7 @@ def test_recovery_output_always_sector_valid():
         if key[:4].count("1") == 2 and key[4:].count("1") == 2:
             continue
         entries[key] = entries.get(key, 0) + 1
-    invalid = BitstringCounts(8, entries)
+    invalid = counts_of(8, entries)
     occ = gen.random(8)
     repaired = recover_configurations(invalid, occ, 2, 2, seed=3)
     assert repaired.total_shots == invalid.total_shots
@@ -87,7 +86,7 @@ def test_recovery_output_always_sector_valid():
 
 def test_recovery_forced_single_flip():
     # alpha half "11" must drop exactly one bit; occupations pin bit 0.
-    invalid = BitstringCounts(4, {"1110": 1})
+    invalid = counts_of(4, {"1110": 1})
     occ = np.array([1.0, 0.0, 1.0, 0.0])
     repaired = recover_configurations(invalid, occ, 1, 1, seed=0)
     assert repaired.entries == {"1010": 1}
@@ -97,13 +96,13 @@ def test_recovery_toward_hf_with_one_hot_occupations():
     hf = hartree_fock_determinant(2, 2)
     target = determinant_to_bitstring(hf, 4)
     occ = np.array([1.0 if c == "1" else 0.0 for c in target])
-    invalid = BitstringCounts(8, {"11100000": 5, "00001110": 5})
+    invalid = counts_of(8, {"11100000": 5, "00001110": 5})
     repaired = recover_configurations(invalid, occ, 2, 2, seed=1)
     assert repaired.entries == {target: 10}
 
 
 def test_recovery_deterministic_per_seed():
-    invalid = BitstringCounts(4, {"1111": 20, "0000": 20})
+    invalid = counts_of(4, {"1111": 20, "0000": 20})
     occ = np.full(4, 0.5)
     a = recover_configurations(invalid, occ, 1, 1, seed=7)
     b = recover_configurations(invalid, occ, 1, 1, seed=7)
@@ -112,7 +111,7 @@ def test_recovery_deterministic_per_seed():
 
 def test_recovery_rejects_bad_occupations():
     with pytest.raises(ConfigError):
-        recover_configurations(BitstringCounts(4, {"1111": 1}),
+        recover_configurations(counts_of(4, {"1111": 1}),
                                np.array([0.0, 0.5, 1.2, 0.0]), 1, 1, seed=0)
 
 
@@ -132,7 +131,7 @@ def test_eigenvector_occupations_match_per_determinant_loop():
 
 
 def test_build_subspace_closure_product():
-    counts = BitstringCounts(4, {"1001": 2, "0110": 1})
+    counts = counts_of(4, {"1001": 2, "0110": 1})
     basis = build_subspace(counts)
     # 2 alpha strings x 2 beta strings, in (alpha, beta) order.
     assert basis.dtype == np.uint64
@@ -140,20 +139,20 @@ def test_build_subspace_closure_product():
 
 
 def test_build_subspace_duplicates_collapse():
-    counts = BitstringCounts(4, {"1010": 5})
+    counts = counts_of(4, {"1010": 5})
     assert as_pairs(build_subspace(counts)) == [(1, 1)]
 
 
 def test_build_subspace_empty_rejected():
     with pytest.raises(ConfigError):
-        build_subspace(BitstringCounts(4, {}))
+        build_subspace(counts_of(4, {}))
 
 
 # ------------------------------------------------------------------- the loop
 
 def test_single_hf_bitstring_gives_hf_energy(ham_4e4o):
     hf = hartree_fock_determinant(2, 2)
-    counts = BitstringCounts(8, {determinant_to_bitstring(hf, 4): 100})
+    counts = counts_of(8, {determinant_to_bitstring(hf, 4): 100})
     result = sqd_ground_state(ham_4e4o, counts,
                               RecoveryConfig(iterations=1, batches=1))
     assert result.energy == pytest.approx(
@@ -178,7 +177,7 @@ def test_energy_variational_against_fci(ham_4e4o):
 
 
 def test_no_valid_shots_distinct_error(ham_2e2o):
-    counts = BitstringCounts(4, {"1111": 10, "0000": 3})
+    counts = counts_of(4, {"1111": 10, "0000": 3})
     with pytest.raises(EmptyValidSampleError):
         sqd_ground_state(ham_2e2o, counts, RecoveryConfig())
 
@@ -216,7 +215,7 @@ def test_occupations_only_for_iterations_that_recover(ham_4e4o, monkeypatch):
     counts, _ = fci_counts(ham_4e4o, shots=400, seed=11)
     sqd_ground_state(ham_4e4o, counts, cfg)
     assert calls == []
-    noisy = merge_counts(8, [counts, BitstringCounts(8, {"11100000": 7})])
+    noisy = counts_of(8, {**counts.entries, "11100000": 7})
     sqd_ground_state(ham_4e4o, noisy, cfg)
     assert len(calls) == 4  # iterations 2 and 3, two batches each
 
@@ -226,8 +225,8 @@ def test_batches_closing_to_one_space_solve_it_once(monkeypatch):
     # string is in 20 of them, so each batch closes to the whole sector.
     ham = random_hamiltonian(6, 3, 3, seed=1)
     sector = sector_basis(6, 3, 3)
-    counts = BitstringCounts.packed(12, sector[:, 0], sector[:, 1],
-                                    1000 + np.arange(len(sector)))
+    counts = BitstringCounts(12, sector[:, 0], sector[:, 1],
+                             1000 + np.arange(len(sector)))
     cfg = RecoveryConfig(iterations=2, batches=2,
                          samples_per_batch=len(sector) - 1)
     calls = counted_solves(monkeypatch)
@@ -247,7 +246,7 @@ def test_batches_closing_to_one_space_solve_it_once(monkeypatch):
 
 def test_closures_of_one_length_are_each_solved(ham_4e4o, monkeypatch):
     # Batches of one shot close to one of two 1-row spaces.
-    counts = BitstringCounts(8, {"11001100": 1, "00110011": 1})
+    counts = counts_of(8, {"11001100": 1, "00110011": 1})
     calls = counted_solves(monkeypatch)
     result = sqd_ground_state(ham_4e4o, counts,
                               RecoveryConfig(iterations=1, batches=4,

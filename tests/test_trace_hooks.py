@@ -21,6 +21,8 @@ import pytest
 
 from conftest import random_hamiltonian
 from sqdci.fcidump import write_fcidump_path
+from sqdci.hamiltonian import sector_basis
+from sqdci.sampler import BitstringCounts, write_counts
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
@@ -66,13 +68,23 @@ def test_every_traced_name_resolves():
              "--batches", "2", "--samples-per-batch", "200"],
      {"cli>lucj_params_from_ccsd", "cli>lucj_state", "cli>sample_counts",
       "cli>apply_readout_noise", "sqd>recover_configurations"}),
-], ids=["fci", "ext-hci", "sqd-lucj"])
+    # Shots from a counts file over the whole (7,3,3) sector: the parser
+    # and the shot counter of its hook.
+    ("sqd", ["--sampler", "counts-file", "--counts", "counts.txt",
+             "--iterations", "1", "--batches", "2",
+             "--samples-per-batch", "200"],
+     {"cli>read_counts"}),
+], ids=["fci", "ext-hci", "sqd-lucj", "sqd-counts-file"])
 def test_traced_run_ends_in_a_result(method, extra, reached, tmp_path):
     fcidump = tmp_path / "h7.fcidump"
     write_fcidump_path(random_hamiltonian(7, 3, 3, seed=24,
                                           diagonal_spread=1.0), fcidump)
     x = np.random.default_rng(28).normal(size=(3, 3, 4, 4)) * 0.1
     np.savez(tmp_path / "amps.npz", t2=x + x.transpose(1, 0, 3, 2))
+    sector = sector_basis(7, 3, 3)
+    write_counts(BitstringCounts(14, sector[:, 0], sector[:, 1],
+                                 1 + np.arange(len(sector)) % 5),
+                 tmp_path / "counts.txt")
     trace_path, record_path = tmp_path / "trace.json", tmp_path / "record.json"
     env = dict(os.environ, SQDCI_THREADS="1",
                PYTHONPATH=str(Path(importlib.import_module("sqdci").__file__)
@@ -95,6 +107,8 @@ def test_traced_run_ends_in_a_result(method, extra, reached, tmp_path):
     assert trace["counters"]["davidson_iters"] > 0
     if method == "ext-hci":
         assert trace["counters"]["candidates"] > 0
+    if method == "sqd":
+        assert trace["counters"]["shots"] > 0
     spans = {span[0] for span in trace["spans"]}
     assert {"solver>davidson_lowest.matvec", *reached} <= spans
     metrics, _ = _load_tracer().layer_metrics(trace)
