@@ -20,5 +20,12 @@ class CapacityError(SqdciError):
     """A basis or subspace exceeds a configured size cap."""
 
 
+def check_budget(what: str, need: float, budget: float) -> None:
+    """Raise :class:`CapacityError` when ``need`` bytes pass ``budget``."""
+    if need > budget:
+        raise CapacityError(f"{what} needs about {need / 2**30:.1f} GiB, over "
+                            f"the {budget / 2**30:.1f} GiB budget")
+
+
 class EmptyValidSampleError(SqdciError):
     """No sampled configuration has the correct Hamming weights."""

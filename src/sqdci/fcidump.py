@@ -23,6 +23,8 @@ from .sampler import MAX_ORBITALS_PER_SPIN
 
 _HEADER_KV = re.compile(r"([A-Za-z][A-Za-z0-9]*)\s*=\s*([^,=]+?)(?=\s*(?:,|$))")
 _HEADER_END = re.compile(r"&END|/$", re.IGNORECASE)
+# The writer leaves out integrals of this magnitude or less.
+WRITE_THRESHOLD = 1e-12
 
 
 def _canonical_key(p, q, r, s):
@@ -130,10 +132,9 @@ def read_fcidump(path) -> ActiveSpaceHamiltonian:
     return parse_fcidump(text)
 
 
-def write_fcidump(ham: ActiveSpaceHamiltonian, fh: TextIO,
-                  threshold: float = 1e-12) -> None:
+def write_fcidump(ham: ActiveSpaceHamiltonian, fh: TextIO) -> None:
     """Write canonical entries only: one representative per 8-fold orbit,
-    magnitudes above ``threshold``."""
+    magnitudes above ``WRITE_THRESHOLD``."""
     n = ham.n_orb
     ms2 = ham.n_alpha - ham.n_beta
     fh.write(f"&FCI NORB={n},NELEC={ham.n_alpha + ham.n_beta},MS2={ms2},\n")
@@ -148,18 +149,17 @@ def write_fcidump(ham: ActiveSpaceHamiltonian, fh: TextIO,
                         continue
                     emitted.add(key)
                     val = float(ham.two_body[p, q, r, s])
-                    if abs(val) > threshold:
+                    if abs(val) > WRITE_THRESHOLD:
                         fh.write(f"{val!r} {p + 1} {q + 1} {r + 1} {s + 1}\n")
     for p in range(n):
         for q in range(p + 1):
             val = float(ham.one_body[p, q])
-            if abs(val) > threshold:
+            if abs(val) > WRITE_THRESHOLD:
                 fh.write(f"{val!r} {p + 1} {q + 1} 0 0\n")
-    if abs(ham.core_energy) > threshold:
+    if abs(ham.core_energy) > WRITE_THRESHOLD:
         fh.write(f"{float(ham.core_energy)!r} 0 0 0 0\n")
 
 
-def write_fcidump_path(ham: ActiveSpaceHamiltonian, path,
-                       threshold: float = 1e-12) -> None:
+def write_fcidump_path(ham: ActiveSpaceHamiltonian, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        write_fcidump(ham, fh, threshold=threshold)
+        write_fcidump(ham, fh)

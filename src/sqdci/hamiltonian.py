@@ -41,9 +41,9 @@ The result is a :class:`CSRMatrix`, a plain numpy CSR triple. Every row
 stores its diagonal, so the product with a vector is one gather and one
 ``np.add.reduceat`` over the row starts, with no empty-row special case.
 
-Before assembly the builder bounds the entries it may store from the
-string tables and raises :class:`CapacityError` when the bytes exceed
-the caller's ``max_bytes``.
+Each operator refuses, before it is built, an estimate above the
+caller's ``max_bytes``: the builder from its string tables, and
+:class:`ProductHamiltonian` from the string counts alone.
 
 On a product basis the same string tables give the factorised operator
 of :class:`ProductHamiltonian`: dense same-spin string matrices, plus
@@ -71,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, check_budget
 
 
 def sector_strings(n_orb: int, n_electrons: int) -> np.ndarray:
@@ -514,12 +514,9 @@ def build_sparse_matrix(ham: ActiveSpaceHamiltonian, basis: np.ndarray,
     # plus two n_orb-wide rows of a single's element.
     candidates = int(work.sum())
     block = min(candidates, max(_BLOCK_CANDIDATES, int(work.max(initial=0))))
-    need = 32 * candidates + (160 + 16 * ham.n_orb) * block + 16 * dim
-    if need > max_bytes:
-        raise CapacityError(
-            f"sparse matrix over {dim} determinants needs up to "
-            f"{need / 2**30:.1f} GiB, over the {max_bytes / 2**30:.1f} GiB "
-            f"left in the budget")
+    check_budget(f"sparse matrix over {dim} determinants",
+                 32 * candidates + (160 + 16 * ham.n_orb) * block + 16 * dim,
+                 max_bytes)
 
     # In a full product of its strings, a key is its own row.
     product = dim == len(alphas) * stride
@@ -647,13 +644,31 @@ def _string_matrix(ham: ActiveSpaceHamiltonian,
     return mat
 
 
-def sigma_block_rows(n_orb: int, n_alpha_strings: int,
-                     n_beta_strings: int) -> int:
+def _sigma_block_rows(n_orb: int, n_alpha_strings: int,
+                      n_beta_strings: int) -> int:
     """Alpha rows per block of the product sigma's pair buffers."""
     n_pairs = n_orb * (n_orb + 1) // 2
     max_rows = max(1, _SIGMA_BLOCK_FLOATS // (n_pairs * n_beta_strings))
     blocks = -(-n_alpha_strings // max_rows)
     return -(-n_alpha_strings // blocks)
+
+
+def product_operator_bytes(n_orb: int, n_alpha_strings: int,
+                           n_beta_strings: int, dim: int | None = None) -> int:
+    """Bytes a :class:`ProductHamiltonian` over ``dim`` basis rows (by
+    default the whole grid) holds through a solve (estimate). Per grid
+    row: the sigma output and its product temporary, and when masked
+    (``dim`` below the grid) the scatter grid, with the gathered output
+    and the row index per basis row. Per space: the string matrices, the
+    pair-integral block, and the D, F and gather buffers of one block."""
+    grid = n_alpha_strings * n_beta_strings
+    dim = grid if dim is None else dim
+    masked = dim < grid
+    n_pairs = n_orb * (n_orb + 1) // 2
+    block = n_pairs * n_beta_strings * _sigma_block_rows(
+        n_orb, n_alpha_strings, n_beta_strings)
+    return 8 * (grid * (2 + masked) + 2 * dim * masked + n_alpha_strings ** 2
+                + n_beta_strings ** 2 + n_pairs ** 2 + 3 * block)
 
 
 class ProductHamiltonian:
@@ -684,13 +699,17 @@ class ProductHamiltonian:
     a basis that is only part of the product, the operator is P H P on
     that basis: ``op @ v`` writes v into a preallocated grid that is zero
     off ``rows``, applies sigma and returns the basis rows. ``shape`` and
-    :meth:`diagonal` are then in basis space.
+    :meth:`diagonal` are then in basis space. Raises :class:`CapacityError`,
+    before any table is built, when its estimate passes ``max_bytes``.
     """
 
     def __init__(self, ham: ActiveSpaceHamiltonian, alphas: np.ndarray,
-                 betas: np.ndarray, rows: np.ndarray | None = None):
-        ta, tb = _spin_tables(ham, alphas), _spin_tables(ham, betas)
+                 betas: np.ndarray, rows: np.ndarray | None = None,
+                 max_bytes: float = float("inf")):
         n_a, n_b = len(alphas), len(betas)
+        check_budget(f"product space {n_a} x {n_b}", product_operator_bytes(
+            ham.n_orb, n_a, n_b, None if rows is None else len(rows)), max_bytes)
+        ta, tb = _spin_tables(ham, alphas), _spin_tables(ham, betas)
         self._grid = (n_a, n_b)
         self._rows = rows
         self._h_alpha = _string_matrix(ham, ta)
@@ -710,7 +729,7 @@ class ProductHamiltonian:
         self._v = ham.two_body[first[:, None], second[:, None],
                                first[None, :], second[None, :]]
         self._beta = _pair_entries(tb)
-        block_rows = sigma_block_rows(ham.n_orb, n_a, n_b)
+        block_rows = _sigma_block_rows(ham.n_orb, n_a, n_b)
         self._d = np.zeros((n_pairs, block_rows, n_b))
         self._f = np.empty((n_pairs, block_rows * n_b))
         # Per block of source alpha rows: flat row of F, sign, run starts

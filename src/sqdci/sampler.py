@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng, solver
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, check_budget
 from .hamiltonian import occupation_rows, sector_dimension, sector_strings
 
 # Bytes per sector determinant that lucj_state and sample_counts hold at
@@ -307,12 +307,9 @@ def lucj_state(params: LUCJParams, n_orb: int, n_alpha: int,
         steps.append((params.final_rotation, None))
     if any(U.shape != (n_orb, n_orb) for U, _ in steps):
         raise ConfigError("orbital rotation has wrong shape")
-    need = state_preparation_bytes(n_orb, n_alpha, n_beta)
-    if need > solver.MEMORY_BUDGET_BYTES:
-        raise CapacityError(
-            f"sector ({n_orb}, {n_alpha}, {n_beta}) state preparation needs "
-            f"about {need / 2**30:.1f} GiB, over the "
-            f"{solver.MEMORY_BUDGET_BYTES / 2**30:.1f} GiB budget")
+    check_budget(f"sector ({n_orb}, {n_alpha}, {n_beta}) state preparation",
+                 state_preparation_bytes(n_orb, n_alpha, n_beta),
+                 solver.MEMORY_BUDGET_BYTES)
     alphas, betas = sector_strings(n_orb, n_alpha), sector_strings(n_orb, n_beta)
     grid = np.zeros((len(alphas), len(betas)), dtype=complex)
     # The lowest filling is the smallest string of each spin.
@@ -441,6 +438,8 @@ def lucj_params_from_ccsd(t1: np.ndarray | None, t2: np.ndarray,
     nocc, nocc2, nvirt, nvirt2 = t2.shape
     if nocc != nocc2 or nvirt != nvirt2:
         raise ConfigError("t2 must have shape (occ, occ, virt, virt)")
+    if not (nocc and nvirt):
+        raise ConfigError("t2 needs at least one occupied and one virtual orbital")
     if not np.all(np.isfinite(t2)):
         raise ConfigError("t2 holds a non-finite amplitude")
     if np.max(np.abs(t2 - t2.transpose(1, 0, 3, 2))) > 1e-10:

@@ -13,10 +13,10 @@ beta strings: unmasked when the basis is their full product (SQD
 closures, the FCI sector), and row-masked when their grid holds at most
 ``MASKED_GRID_RATIO`` times the basis rows (most extensions and HCI
 bases). On sparser grids it multiplies by the builder's numpy CSR matrix.
-Either operator's memory is estimated before it is built, by
-:func:`product_solve_bytes` or inside
-:func:`~sqdci.hamiltonian.build_sparse_matrix`, and capped at
-``MEMORY_BUDGET_BYTES``.
+Davidson keeps :func:`solver_bytes` of ``MEMORY_BUDGET_BYTES`` and the
+operator gets the rest, which it refuses before it is built when its own
+estimate is larger. :func:`check_product_space` refuses a product space
+on its string counts, before its basis exists.
 
 The Davidson settings are the module constants ``RESIDUAL_TOL``,
 ``MAX_ITERATIONS`` and ``MAX_SUBSPACE``; the functions read them at call
@@ -31,10 +31,10 @@ from math import comb
 import numpy as np
 
 from . import rng
-from .errors import CapacityError, ConfigError, ConvergenceError
+from .errors import CapacityError, ConfigError, ConvergenceError, check_budget
 from .hamiltonian import (ActiveSpaceHamiltonian, ProductHamiltonian,
-                          basis_strings, build_sparse_matrix, sector_basis,
-                          sigma_block_rows)
+                          basis_strings, build_sparse_matrix,
+                          product_operator_bytes, sector_basis)
 
 # Below this many rows a full eigh of the densified CSR matrix beats
 # Davidson on the product sigma. Dense/Davidson per solve, one pinned
@@ -58,12 +58,8 @@ MASKED_GRID_RATIO = 8
 RESIDUAL_TOL = 1e-8
 MAX_ITERATIONS = 300
 MAX_SUBSPACE = 20
-# Memory a solve may plan for; see product_solve_bytes and
-# build_sparse_matrix.
+# Memory a solve may plan for: solver_bytes plus its operator's estimate.
 MEMORY_BUDGET_BYTES = 4 << 30
-# The packed basis rows and the index arrays of the product check: 41 B
-# at their tracemalloc peak on (10,5,5) and (12,6,6) sectors; rounded up.
-BASIS_BYTES_PER_DETERMINANT = 48
 
 
 @dataclass
@@ -230,8 +226,8 @@ def solve_subspace(ham: ActiveSpaceHamiltonian,
     times the basis rows. On a larger grid it runs on the CSR matrix.
     Raises :class:`ConfigError` for an empty, unsorted or repeated basis,
     :class:`CapacityError` when the chosen operator's estimate exceeds
-    ``MEMORY_BUDGET_BYTES``, and :class:`ConvergenceError` when Davidson
-    does not reach ``RESIDUAL_TOL``.
+    what :func:`solver_bytes` leaves of ``MEMORY_BUDGET_BYTES``, and
+    :class:`ConvergenceError` when Davidson does not reach ``RESIDUAL_TOL``.
     """
     if not len(basis):
         raise ConfigError("empty determinant basis")
@@ -245,13 +241,12 @@ def solve_subspace(ham: ActiveSpaceHamiltonian,
 
     alphas, ia, betas, ib = basis_strings(basis)
     grid = len(alphas) * len(betas)
+    left = MEMORY_BUDGET_BYTES - solver_bytes(dim)
     if grid > MASKED_GRID_RATIO * dim:
-        op, operator = build_sparse_matrix(
-            ham, basis, MEMORY_BUDGET_BYTES - 8 * _davidson_floats(dim)), "csr"
+        op, operator = build_sparse_matrix(ham, basis, left), "csr"
     else:
-        _check_product_memory(ham.n_orb, len(alphas), len(betas), dim)
         rows = None if grid == dim else ia * len(betas) + ib
-        op = ProductHamiltonian(ham, alphas, betas, rows)
+        op = ProductHamiltonian(ham, alphas, betas, rows, left)
         operator = "product" if rows is None else "masked"
     del ia, ib  # not held through the solve
     spec = davidson_lowest(op.__matmul__, op.diagonal())
@@ -267,59 +262,36 @@ def solve_subspace(ham: ActiveSpaceHamiltonian,
                                        "operator": operator})
 
 
-def _davidson_floats(dim: int) -> int:
-    """Floats of a Davidson solve over ``dim`` rows, apart from its operator:
-    the basis and sigma blocks (2 * ``MAX_SUBSPACE`` rows) and six work
-    vectors (the diagonal, the Ritz vector, its residual, the correction
-    and its denominators, and the grid keys of the basis)."""
-    return dim * (2 * max(MAX_SUBSPACE, 2) + 6)
+def solver_bytes(dim: int) -> int:
+    """Bytes a Davidson solve over ``dim`` rows holds apart from its
+    operator (estimate): the basis and sigma blocks (2 * ``MAX_SUBSPACE``
+    rows), six work vectors (the diagonal, the Ritz vector, its residual,
+    the correction and its denominators, and the grid keys of the basis),
+    and 48 B for the packed basis and its string indices (41 B at their
+    tracemalloc peak on (10,5,5) and (12,6,6) sectors; rounded up)."""
+    return dim * (8 * (2 * max(MAX_SUBSPACE, 2) + 6) + 48)
 
 
-def product_solve_bytes(n_orb: int, n_alpha_strings: int,
-                        n_beta_strings: int, dim: int | None = None) -> int:
-    """Bytes a Davidson solve on ``ProductHamiltonian`` holds at its peak
-    (estimate).
-
-    ``dim`` is the number of basis rows; it defaults to the whole grid of
-    ``n_alpha_strings * n_beta_strings`` determinants. Per basis row: the
-    Davidson floats of :func:`_davidson_floats` and the packed basis. Per
-    grid row: the sigma output and its product temporary, and for a
-    masked solve (``dim`` below the grid) the scatter grid, with the
-    gathered output and the row index per basis row. Per space: the dense
-    string matrices, the pair-integral block, and the D, F and gather
-    buffers of one block.
-    """
+def check_product_space(n_orb: int, n_alpha_strings: int,
+                        n_beta_strings: int) -> None:
+    """Raise :class:`CapacityError` when a solve over the full product of
+    the string sets would pass ``MEMORY_BUDGET_BYTES``; call it before the
+    basis is built."""
     grid = n_alpha_strings * n_beta_strings
-    dim = grid if dim is None else dim
-    masked = dim < grid
-    n_pairs = n_orb * (n_orb + 1) // 2
-    block = n_pairs * n_beta_strings * sigma_block_rows(
-        n_orb, n_alpha_strings, n_beta_strings)
-    floats = (_davidson_floats(dim) + grid * (2 + masked) + 2 * dim * masked
-              + n_alpha_strings ** 2 + n_beta_strings ** 2 + n_pairs ** 2
-              + 3 * block)
-    return 8 * floats + BASIS_BYTES_PER_DETERMINANT * dim
-
-
-def _check_product_memory(n_orb: int, n_alpha_strings: int,
-                          n_beta_strings: int, dim: int | None = None) -> None:
-    """Raise :class:`CapacityError` when a product solve would not fit."""
-    need = product_solve_bytes(n_orb, n_alpha_strings, n_beta_strings, dim)
-    if need > MEMORY_BUDGET_BYTES:
-        raise CapacityError(
-            f"product space {n_alpha_strings} x {n_beta_strings} needs about "
-            f"{need / 2**30:.1f} GiB, over the {MEMORY_BUDGET_BYTES / 2**30:.1f} "
-            f"GiB budget")
+    check_budget(f"product space {n_alpha_strings} x {n_beta_strings}",
+                 solver_bytes(grid) + product_operator_bytes(
+                     n_orb, n_alpha_strings, n_beta_strings),
+                 MEMORY_BUDGET_BYTES)
 
 
 def fci_ground_state(ham: ActiveSpaceHamiltonian) -> SubspaceResult:
     """Exact ground state over the complete (n_alpha, n_beta) sector.
 
-    Raises :class:`CapacityError`, before building the basis, when the
-    product solve would exceed ``MEMORY_BUDGET_BYTES``.
+    Raises :class:`CapacityError`, by :func:`check_product_space` and so
+    before the basis is built, when the solve would not fit the budget.
     """
-    _check_product_memory(ham.n_orb, comb(ham.n_orb, ham.n_alpha),
-                          comb(ham.n_orb, ham.n_beta))
+    check_product_space(ham.n_orb, comb(ham.n_orb, ham.n_alpha),
+                        comb(ham.n_orb, ham.n_beta))
     basis = sector_basis(ham.n_orb, ham.n_alpha, ham.n_beta)
     result = solve_subspace(ham, basis)
     result.diagnostics["fci"] = True

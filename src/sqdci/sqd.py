@@ -34,7 +34,7 @@ from .hamiltonian import (_BLOCK_CANDIDATES, ActiveSpaceHamiltonian,
                           basis_strings, distinct_strings, merge_blocks,
                           occupation_rows, product_basis)
 from .sampler import BitstringCounts
-from .solver import solve_subspace
+from .solver import check_product_space, solve_subspace
 
 EXTENSION_DIMENSION_CAP = 50_000_000
 # Rows ``recover_configurations`` draws for at once; bounds its temporaries.
@@ -148,13 +148,15 @@ def recover_configurations(invalid: BitstringCounts, occupations: np.ndarray,
     return BitstringCounts(nq, *rows)
 
 
-def build_subspace(samples: BitstringCounts) -> np.ndarray:
+def build_subspace(samples: BitstringCounts, n_orb: int) -> np.ndarray:
     """Determinant basis of sector-valid samples: the Cartesian product of
-    their distinct alpha and beta strings."""
+    their distinct alpha and beta strings, checked by
+    :func:`~sqdci.solver.check_product_space` before it is built."""
     if not len(samples):
         raise ConfigError("empty sample set")
-    return product_basis(distinct_strings(samples.alpha),
-                         distinct_strings(samples.beta))
+    alphas, betas = distinct_strings(samples.alpha), distinct_strings(samples.beta)
+    check_product_space(n_orb, len(alphas), len(betas))
+    return product_basis(alphas, betas)
 
 
 def _eigenvector_occupations(basis, vector, n_orb):
@@ -228,7 +230,7 @@ def sqd_ground_state(ham: ActiveSpaceHamiltonian, counts: BitstringCounts,
         for b in range(cfg.batches):
             gen = rng.stream(cfg.seed, "batch", iteration, b)
             batch_counts = _draw_batch(pool, cfg.samples_per_batch, gen)
-            basis = build_subspace(batch_counts)
+            basis = build_subspace(batch_counts, ham.n_orb)
             # Saturated samples close many batches to one space. Only this
             # iteration's solutions and the running best are looked up:
             # keeping the previous iteration's would hold one more basis and

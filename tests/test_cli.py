@@ -14,8 +14,9 @@ from sqdci.cli import (RunConfig, build_parser, execute_run, main,
                        reaction_report, scan_table)
 from sqdci.errors import ConfigError
 from sqdci.fcidump import write_fcidump_path
-from sqdci.sampler import write_counts
-from sqdci.solver import fci_ground_state
+from sqdci.hamiltonian import product_operator_bytes, sector_basis
+from sqdci.sampler import BitstringCounts, write_counts
+from sqdci.solver import fci_ground_state, solver_bytes
 from sqdci.units import EV_PER_HARTREE
 from test_sampler import half_turn_t2
 
@@ -156,7 +157,10 @@ def test_main_lucj_half_turn_mode(tmp_path):
     ("1", {"t2": np.full((2, 2, 2, 2), np.nan)}, "t2 holds a non-finite"),
     ("1", {"t1": np.full((2, 2), np.inf), "t2": half_turn_t2(0.1)},
      "t1 holds a non-finite"),
-], ids=["layers-1", "layers-3", "t2-2d", "t2-nan", "t1-inf"])
+    ("1", {"t2": np.zeros((1, 1, 0, 0))}, "at least one occupied and one virtual"),
+    ("1", {"t2": np.zeros((0, 0, 2, 2))}, "at least one occupied and one virtual"),
+], ids=["layers-1", "layers-3", "t2-2d", "t2-nan", "t1-inf", "t2-no-virtual",
+        "t2-no-occupied"])
 def test_main_bad_lucj_input_is_config_error(tmp_path, capsys, layers, arrays,
                                              message):
     assert main(lucj_run(tmp_path, layers, **arrays)) == 2
@@ -441,11 +445,34 @@ def test_main_over_memory_budget_exit_code(tmp_path, monkeypatch, capsys):
     assert main(argv) == 4
     assert "sparse matrix over 1 determinants" in capsys.readouterr().err
     monkeypatch.undo()
-    monkeypatch.setattr("sqdci.solver.product_solve_bytes",
+    monkeypatch.setattr("sqdci.hamiltonian.product_operator_bytes",
                         lambda *args: (4 << 30) + 1)
-    monkeypatch.setattr("sqdci.solver.ProductHamiltonian", not_built)
+    # The product operator's first step of its own after its check; CSR
+    # builds string tables too.
+    monkeypatch.setattr("sqdci.hamiltonian._string_matrix", not_built)
     assert main(argv) == 4
     assert "product space 31 x 31" in capsys.readouterr().err
+
+
+def test_main_oversized_sqd_closure_exit_code(tmp_path, monkeypatch, capsys):
+    # Shots on every determinant of (4,2,2): the batch closes to 6 x 6
+    # strings, refused on its string counts before the product is built.
+    hamiltonian, counts = tmp_path / "h4.fcidump", tmp_path / "counts.txt"
+    write_fcidump_path(random_hamiltonian(4, 2, 2, seed=3), hamiltonian)
+    sector = sector_basis(4, 2, 2)
+    write_counts(BitstringCounts(8, sector[:, 0], sector[:, 1],
+                                 np.ones(len(sector), dtype=np.int64)), counts)
+
+    def not_built(*args):
+        raise AssertionError("the cap must hold before the closure is built")
+
+    need = solver_bytes(36) + product_operator_bytes(4, 6, 6)
+    monkeypatch.setattr("sqdci.solver.MEMORY_BUDGET_BYTES", need - 1)
+    monkeypatch.setattr("sqdci.sqd.product_basis", not_built)
+    assert main(["run", "--hamiltonian", str(hamiltonian), "--method", "sqd",
+                 "--sampler", "counts-file", "--counts", str(counts),
+                 "--iterations", "1", "--batches", "1"]) == 4
+    assert "product space 6 x 6" in capsys.readouterr().err
 
 
 def test_sqdci_threads_applied_before_numpy_loads():

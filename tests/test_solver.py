@@ -7,11 +7,11 @@ import scipy.sparse
 from conftest import packed, random_hamiltonian
 from oracles import brute_force_matrix, hartree_fock_determinant
 from sqdci.errors import CapacityError, ConfigError, ConvergenceError
-from sqdci.hamiltonian import build_sparse_matrix, sector_basis
+from sqdci.hamiltonian import (build_sparse_matrix, product_operator_bytes,
+                               sector_basis)
 from sqdci import rng, solver
 from sqdci.solver import (DENSE_THRESHOLD, davidson_lowest, dense_eigensolve,
-                          fci_ground_state, product_solve_bytes,
-                          solve_subspace)
+                          fci_ground_state, solve_subspace, solver_bytes)
 
 
 def random_sparse_symmetric(dim, seed, density=0.05, spread=2.0):
@@ -304,6 +304,13 @@ def test_duplicate_basis_of_product_size_rejected():
         solve_subspace(ham, basis)
 
 
+def product_solve_bytes(n_orb, n_alpha_strings, n_beta_strings, dim=None):
+    """A product solve's estimate: the solver's share plus the operator's."""
+    grid = n_alpha_strings * n_beta_strings
+    return (solver_bytes(grid if dim is None else dim)
+            + product_operator_bytes(n_orb, n_alpha_strings, n_beta_strings, dim))
+
+
 def test_product_solve_bytes_bounds_traced_peak():
     # The estimate must cover what the solve allocates, without being so
     # loose that the budget turns away spaces that fit.
@@ -373,7 +380,8 @@ def test_masked_basis_over_memory_budget_is_capacity_error(monkeypatch):
     assert solve_subspace(ham, basis).diagnostics["operator"] == "masked"
     monkeypatch.setattr("sqdci.solver.MEMORY_BUDGET_BYTES", need - 1)
     monkeypatch.setattr("sqdci.solver.build_sparse_matrix", _no_csr)
-    monkeypatch.setattr("sqdci.solver.ProductHamiltonian", _not_built)
+    # The operator's first step after its own check.
+    monkeypatch.setattr("sqdci.hamiltonian._spin_tables", _not_built)
     with pytest.raises(CapacityError, match="budget"):
         solve_subspace(ham, basis)
 

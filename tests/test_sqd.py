@@ -132,7 +132,7 @@ def test_eigenvector_occupations_match_per_determinant_loop():
 
 def test_build_subspace_closure_product():
     counts = counts_of(4, {"1001": 2, "0110": 1})
-    basis = build_subspace(counts)
+    basis = build_subspace(counts, 2)
     # 2 alpha strings x 2 beta strings, in (alpha, beta) order.
     assert basis.dtype == np.uint64
     assert as_pairs(basis) == [(1, 1), (1, 2), (2, 1), (2, 2)]
@@ -140,12 +140,12 @@ def test_build_subspace_closure_product():
 
 def test_build_subspace_duplicates_collapse():
     counts = counts_of(4, {"1010": 5})
-    assert as_pairs(build_subspace(counts)) == [(1, 1)]
+    assert as_pairs(build_subspace(counts, 2)) == [(1, 1)]
 
 
 def test_build_subspace_empty_rejected():
     with pytest.raises(ConfigError):
-        build_subspace(counts_of(4, {}))
+        build_subspace(counts_of(4, {}), 2)
 
 
 # ------------------------------------------------------------------- the loop
