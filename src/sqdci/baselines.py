@@ -4,8 +4,9 @@ Only the variational stage is implemented (no perturbative correction);
 the extension step shares :func:`sqdci.sqd.extend_subspace` with the
 sampled-subspace pipeline so both methods densify identically. Both keep
 their bases packed (see :mod:`sqdci.hamiltonian`) and take unions with
-:func:`~sqdci.hamiltonian.merge_blocks`. ``epsilon1`` is the one setting;
-the sweep limit ``MAX_SWEEPS`` and the energy tolerance ``ENERGY_TOL`` are
+:func:`~sqdci.hamiltonian.merge_blocks`, refused by the solver's per-row
+:func:`~sqdci.solver.check_rows`. ``epsilon1`` is the one setting; the
+sweep limit ``MAX_SWEEPS`` and the energy tolerance ``ENERGY_TOL`` are
 module constants.
 """
 
@@ -19,10 +20,9 @@ import numpy as np
 from .errors import ConfigError
 from .hamiltonian import (_BLOCK_CANDIDATES, ActiveSpaceHamiltonian,
                           connected_determinants, merge_blocks)
-from .solver import SubspaceResult, solve_subspace
+from .solver import SubspaceResult, check_rows, solve_subspace
 from .sqd import ExtensionThresholds, extend_subspace
 
-HCI_DIMENSION_CAP = 2_000_000
 MAX_SWEEPS = 50
 ENERGY_TOL = 1e-9
 
@@ -52,8 +52,8 @@ def hci_variational(ham: ActiveSpaceHamiltonian,
         live = np.flatnonzero(amp >= 1e-14)
         screens = (connected_determinants(ham, dets[k], epsilon1 / amp[k])
                    for k in np.split(live, range(step, len(live), step)))
-        merged = merge_blocks(itertools.chain([dets], screens),
-                              HCI_DIMENSION_CAP, "HCI space")
+        merged = merge_blocks(itertools.chain([dets], screens), "HCI space",
+                              check_rows)
         if len(merged) == len(dets):
             break
         dets = merged

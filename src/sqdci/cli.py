@@ -242,15 +242,15 @@ def _load_json(path):
 
 def scan_table(config: RunConfig, template: str, sizes: list[int],
                methods: list[str]) -> list[dict]:
-    """Run each (size, method) pair over a family of FCIDUMP files.
-
-    Every member file must exist before the first run starts.
+    """Run each distinct (size, method) pair over a family of FCIDUMP
+    files, sizes ascending and methods in first-seen order. Every member
+    file must exist before the first run starts.
     """
     if "{size}" not in template:
         raise ConfigError("scan template must contain '{size}'")
     try:
         members = [(size, template.format(size=size))
-                   for size in sorted(sizes)]
+                   for size in sorted(set(sizes))]
     except (LookupError, ValueError, AttributeError, TypeError) as exc:
         raise ConfigError(f"bad scan template {template!r}: {exc!r}") from exc
     for _, path in members:
@@ -258,7 +258,7 @@ def scan_table(config: RunConfig, template: str, sizes: list[int],
             raise ConfigError(f"missing scan member: {path}")
     rows = []
     for size, path in members:
-        for method in methods:
+        for method in dict.fromkeys(methods):
             member = RunConfig(**{**asdict(config),
                                   "hamiltonian_path": path,
                                   "method": method})

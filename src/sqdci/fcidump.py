@@ -2,7 +2,7 @@
 
 Header: ``&FCI NORB=..,NELEC=..,MS2=..,`` (possibly spanning lines) up to
 ``&END`` or ``/``; the comma after the last field is optional. NORB above
-the shot layer's 64 orbitals per spin is a :class:`CapacityError`, raised
+the 64 orbitals a packed string holds is a :class:`CapacityError`, raised
 before the n^4 two-body array is allocated. Body lines are
 ``value p q r s`` with 1-based indices;
 ``p q 0 0`` is a one-body entry, ``0 0 0 0`` the core energy, otherwise a
@@ -18,8 +18,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import CapacityError, ConfigError
-from .hamiltonian import ActiveSpaceHamiltonian
-from .sampler import MAX_ORBITALS_PER_SPIN
+from .hamiltonian import MAX_ORBITALS_PER_SPIN, ActiveSpaceHamiltonian
 
 _HEADER_KV = re.compile(r"([A-Za-z][A-Za-z0-9]*)\s*=\s*([^,=]+?)(?=\s*(?:,|$))")
 _HEADER_END = re.compile(r"&END|/$", re.IGNORECASE)

@@ -13,7 +13,7 @@ array of (alpha, beta) rows, distinct and in lexicographic order; row i
 holds coefficient i of a state vector. :func:`product_basis` builds the
 Cartesian product of two string sets in that form (an SQD batch, the FCI
 sector), :func:`merge_bases` and :func:`merge_blocks` (a running merge
-under a row cap) put a union of bases in it, and :func:`basis_strings`
+checked by its caller) put a union of bases in it, and :func:`basis_strings`
 splits one into its sorted distinct strings and rejects repeated or
 unsorted rows.
 
@@ -71,7 +71,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, check_budget
+from .errors import ConfigError, check_budget
+
+# Widest spin string a packed uint64 holds.
+MAX_ORBITALS_PER_SPIN = 64
 
 
 def sector_strings(n_orb: int, n_electrons: int) -> np.ndarray:
@@ -104,23 +107,21 @@ def merge_bases(*bases: np.ndarray) -> np.ndarray:
     return rows[head]
 
 
-def merge_blocks(blocks, cap: int, what: str) -> np.ndarray:
+def merge_blocks(blocks, what: str, check) -> np.ndarray:
     """The union of the bases that ``blocks`` yields, as one basis.
 
     Blocks are folded into a running :func:`merge_bases` once the pending
     rows outnumber both ``_BLOCK_CANDIDATES`` and the rows merged so far:
     a small union merges once, a large one holds a multiple of its result
     instead of every block, and the merges sort fewer than twice as many
-    rows as the blocks hold. Raises :class:`CapacityError`, naming
-    ``what``, once the union passes ``cap`` rows.
+    rows as the blocks hold. Every fold calls ``check(what, rows)`` with
+    the union's row count; the caller's check may refuse it.
     """
     merged, pending, held = np.zeros((0, 2), dtype=np.uint64), [], 0
 
     def fold():
         union = merge_bases(merged, *pending)
-        if len(union) > cap:
-            raise CapacityError(f"{what} of {len(union)} rows exceeds the "
-                                f"cap of {cap}")
+        check(what, len(union))
         return union
 
     for block in blocks:
@@ -698,8 +699,8 @@ class ProductHamiltonian:
     With ``rows``, the grid index ``ia * len(betas) + ib`` of each row of
     a basis that is only part of the product, the operator is P H P on
     that basis: ``op @ v`` writes v into a preallocated grid that is zero
-    off ``rows``, applies sigma and returns the basis rows. ``shape`` and
-    :meth:`diagonal` are then in basis space. Raises :class:`CapacityError`,
+    off ``rows``, applies sigma and returns the basis rows, and
+    :meth:`diagonal` is in basis space. Raises :class:`CapacityError`,
     before any table is built, when its estimate passes ``max_bytes``.
     """
 
@@ -722,7 +723,6 @@ class ProductHamiltonian:
         if rows is not None:
             self._diagonal = self._diagonal[rows]
             self._scatter = np.zeros(n_a * n_b)
-        self.shape = (len(self._diagonal),) * 2
 
         first, second = np.tril_indices(ham.n_orb)
         n_pairs = len(first)

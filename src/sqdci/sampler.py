@@ -33,7 +33,8 @@ import numpy as np
 
 from . import rng, solver
 from .errors import CapacityError, ConfigError, check_budget
-from .hamiltonian import occupation_rows, sector_dimension, sector_strings
+from .hamiltonian import (MAX_ORBITALS_PER_SPIN, occupation_rows,
+                          sector_dimension, sector_strings)
 
 # Bytes per sector determinant that lucj_state and sample_counts hold at
 # their peak: the grid, the two spin-pass copies of apply_orbital_rotation
@@ -42,8 +43,6 @@ from .hamiltonian import occupation_rows, sector_dimension, sector_strings
 # (10,5,4) and (12,6,6) sectors with one CCSD mode; rounded up.
 STATE_BYTES_PER_DETERMINANT = 64
 
-# Widest spin string a packed uint64 holds.
-MAX_ORBITALS_PER_SPIN = 64
 # Gaps ``_flips`` draws at once, so noise memory does not grow with shots.
 _NOISE_GAP_CHUNK = 1 << 13
 

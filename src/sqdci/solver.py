@@ -13,10 +13,11 @@ beta strings: unmasked when the basis is their full product (SQD
 closures, the FCI sector), and row-masked when their grid holds at most
 ``MASKED_GRID_RATIO`` times the basis rows (most extensions and HCI
 bases). On sparser grids it multiplies by the builder's numpy CSR matrix.
-Davidson keeps :func:`solver_bytes` of ``MEMORY_BUDGET_BYTES`` and the
-operator gets the rest, which it refuses before it is built when its own
-estimate is larger. :func:`check_product_space` refuses a product space
-on its string counts, before its basis exists.
+Davidson keeps :func:`solver_bytes` of ``MEMORY_BUDGET_BYTES`` (checked
+by :func:`check_rows`, as HCI and extension unions are) and the operator
+gets the rest, which it refuses before it is built when its own estimate
+is larger. :func:`check_product_space` refuses a product space on its
+string counts, before its basis exists.
 
 The Davidson settings are the module constants ``RESIDUAL_TOL``,
 ``MAX_ITERATIONS`` and ``MAX_SUBSPACE``; the functions read them at call
@@ -225,8 +226,8 @@ def solve_subspace(ham: ActiveSpaceHamiltonian,
     product, row-masked when that grid holds at most ``MASKED_GRID_RATIO``
     times the basis rows. On a larger grid it runs on the CSR matrix.
     Raises :class:`ConfigError` for an empty, unsorted or repeated basis,
-    :class:`CapacityError` when the chosen operator's estimate exceeds
-    what :func:`solver_bytes` leaves of ``MEMORY_BUDGET_BYTES``, and
+    :class:`CapacityError` by :func:`check_rows` or when the chosen
+    operator's estimate exceeds what the solve leaves of the budget, and
     :class:`ConvergenceError` when Davidson does not reach ``RESIDUAL_TOL``.
     """
     if not len(basis):
@@ -239,6 +240,7 @@ def solve_subspace(ham: ActiveSpaceHamiltonian,
                               basis=basis, dimension=dim,
                               diagnostics={"method": "dense", "operator": "csr"})
 
+    check_rows("subspace", dim)
     alphas, ia, betas, ib = basis_strings(basis)
     grid = len(alphas) * len(betas)
     left = MEMORY_BUDGET_BYTES - solver_bytes(dim)
@@ -255,11 +257,9 @@ def solve_subspace(ham: ActiveSpaceHamiltonian,
             f"Davidson did not converge in {spec.iterations_used} "
             f"iterations (dimension {dim})")
     return SubspaceResult(energy=spec.energy, vector=spec.vector,
-                          basis=basis, dimension=dim,
-                          diagnostics={"method": "davidson",
-                                       "iterations": spec.iterations_used,
-                                       "converged": spec.converged,
-                                       "operator": operator})
+                          basis=basis, dimension=dim, diagnostics={
+                              "method": "davidson", "operator": operator,
+                              "iterations": spec.iterations_used})
 
 
 def solver_bytes(dim: int) -> int:
@@ -270,6 +270,12 @@ def solver_bytes(dim: int) -> int:
     and 48 B for the packed basis and its string indices (41 B at their
     tracemalloc peak on (10,5,5) and (12,6,6) sectors; rounded up)."""
     return dim * (8 * (2 * max(MAX_SUBSPACE, 2) + 6) + 48)
+
+
+def check_rows(what: str, rows: int) -> None:
+    """Refuse ``what`` when no Davidson solve could hold its ``rows``."""
+    check_budget(f"{what} of {rows} rows", solver_bytes(rows),
+                 MEMORY_BUDGET_BYTES)
 
 
 def check_product_space(n_orb: int, n_alpha_strings: int,
@@ -292,7 +298,5 @@ def fci_ground_state(ham: ActiveSpaceHamiltonian) -> SubspaceResult:
     """
     check_product_space(ham.n_orb, comb(ham.n_orb, ham.n_alpha),
                         comb(ham.n_orb, ham.n_beta))
-    basis = sector_basis(ham.n_orb, ham.n_alpha, ham.n_beta)
-    result = solve_subspace(ham, basis)
-    result.diagnostics["fci"] = True
-    return result
+    return solve_subspace(ham, sector_basis(ham.n_orb, ham.n_alpha,
+                                            ham.n_beta))

@@ -15,9 +15,9 @@ Recovery works on the distinct packed rows: in each round, every row
 still off target draws one multinomial over its candidate bits and
 splits into one child per chosen bit. The extension folds its candidate
 rows, and the bases the caller includes, into a running merge, so its
-memory follows the result, not the candidate count, and the one
-``EXTENSION_DIMENSION_CAP`` check covers the whole union before every
-candidate is expanded. The loop's shape comes from
+memory follows the result, not the candidate count, and the solver's
+per-row check refuses the whole union, before every candidate is
+expanded, once no solve could hold it. The loop's shape comes from
 :class:`RecoveryConfig`; the solver settings are constants of
 :mod:`sqdci.solver`.
 """
@@ -34,9 +34,8 @@ from .hamiltonian import (_BLOCK_CANDIDATES, ActiveSpaceHamiltonian,
                           basis_strings, distinct_strings, merge_blocks,
                           occupation_rows, product_basis)
 from .sampler import BitstringCounts
-from .solver import check_product_space, solve_subspace
+from .solver import check_product_space, check_rows, solve_subspace
 
-EXTENSION_DIMENSION_CAP = 50_000_000
 # Rows ``recover_configurations`` draws for at once; bounds its temporaries.
 _RECOVERY_BLOCK_ROWS = 1 << 13
 
@@ -268,8 +267,8 @@ def extend_subspace(eigenvector: np.ndarray, basis: np.ndarray,
     alpha singles. Rows are expanded in chunks of about
     ``_BLOCK_CANDIDATES`` mask tests, and the candidates, the ``include``
     bases among them, go through the running merge of :func:`merge_blocks`.
-    Raises :class:`CapacityError` once the result passes
-    ``EXTENSION_DIMENSION_CAP`` rows.
+    Raises :class:`CapacityError`, by :func:`check_rows`, once the union
+    passes the rows that any solve could hold.
     """
     eigenvector = np.abs(np.asarray(eigenvector))
     if len(eigenvector) != len(basis):
@@ -304,8 +303,7 @@ def extend_subspace(eigenvector: np.ndarray, basis: np.ndarray,
 
     kept = basis[eigenvector >= thresholds.discard_below]
     doubles = basis[eigenvector > thresholds.doubles_above]
-    return merge_blocks(candidates(), EXTENSION_DIMENSION_CAP,
-                        "extended space")
+    return merge_blocks(candidates(), "extended space", check_rows)
 
 
 def ext_sqd(ham: ActiveSpaceHamiltonian, prior: SQDResult,

@@ -5,10 +5,10 @@ from conftest import as_pairs, packed, random_hamiltonian
 from oracles import (Determinant, brute_force_matrix,
                      hartree_fock_determinant, reference_connected)
 from sqdci.baselines import ext_hci, hci_variational
-from sqdci import baselines, hamiltonian, sqd
+from sqdci import baselines, hamiltonian, solver
 from sqdci.errors import CapacityError, ConfigError
 from sqdci.hamiltonian import merge_bases
-from sqdci.solver import fci_ground_state, solve_subspace
+from sqdci.solver import fci_ground_state, solve_subspace, solver_bytes
 from sqdci.sqd import ExtensionThresholds, extend_subspace
 
 
@@ -109,9 +109,35 @@ def test_hci_in_small_blocks_is_bitwise_the_same(monkeypatch):
     assert np.array_equal(got.vector, expected.vector)
     assert got.energy == expected.energy
     assert got.diagnostics == expected.diagnostics
-    monkeypatch.setattr(baselines, "HCI_DIMENSION_CAP", len(got.basis) - 1)
-    with pytest.raises(CapacityError):
+    # The folds of the first sweep reach 109 rows: a budget one byte below
+    # a solve over them refuses that union, and at the budget the merge
+    # passes and the 109-row dense solve's CSR estimate refuses next.
+    monkeypatch.setattr(solver, "MEMORY_BUDGET_BYTES", solver_bytes(109) - 1)
+    with pytest.raises(CapacityError, match="HCI space of 109 rows"):
         hci_variational(ham, 1e-2)
+    monkeypatch.setattr(solver, "MEMORY_BUDGET_BYTES", solver_bytes(109))
+    with pytest.raises(CapacityError, match="sparse matrix over 109 "):
+        hci_variational(ham, 1e-2)
+
+
+def test_hci_union_refused_at_the_rows_a_solve_could_hold(monkeypatch):
+    # The first sweep merges 109 rows from the one-row HF solve.
+    ham = random_hamiltonian(6, 3, 3, seed=7, diagonal_spread=1.0)
+    merges = []
+
+    def recorded(*args):
+        merges.append(hamiltonian.merge_blocks(*args))
+        return merges[-1]
+
+    monkeypatch.setattr(baselines, "merge_blocks", recorded)
+    monkeypatch.setattr(solver, "MEMORY_BUDGET_BYTES", solver_bytes(109) - 1)
+    with pytest.raises(CapacityError, match="HCI space of 109 rows") as refused:
+        hci_variational(ham, 1e-2)
+    assert merges == [] and "the -" not in str(refused.value)
+    monkeypatch.setattr(solver, "MEMORY_BUDGET_BYTES", solver_bytes(109))
+    with pytest.raises(CapacityError, match="sparse matrix over 109 "):
+        hci_variational(ham, 1e-2)
+    assert [len(m) for m in merges] == [109]
 
 
 def test_ext_hci_reaches_fci_on_small_sector(ham_2e2o):
@@ -170,9 +196,30 @@ def test_extension_code_path_shared(ham_4e4o):
 def test_ext_hci_cap_counts_the_hci_basis(ham_4e4o, monkeypatch):
     # No-op thresholds: the extended space is the HCI basis alone.
     prior = hci_variational(ham_4e4o, 1e-2)
-    monkeypatch.setattr(sqd, "EXTENSION_DIMENSION_CAP", len(prior.basis))
+    n = len(prior.basis)
+    monkeypatch.setattr(solver, "MEMORY_BUDGET_BYTES", solver_bytes(n))
     extended = ext_hci(ham_4e4o, prior, ExtensionThresholds(1.0, 1.0))
-    assert extended.dimension == len(prior.basis)
-    monkeypatch.setattr(sqd, "EXTENSION_DIMENSION_CAP", len(prior.basis) - 1)
-    with pytest.raises(CapacityError):
+    assert extended.dimension == n
+    monkeypatch.setattr(solver, "MEMORY_BUDGET_BYTES", solver_bytes(n) - 1)
+    with pytest.raises(CapacityError, match=f"extended space of {n} rows"):
         ext_hci(ham_4e4o, prior, ExtensionThresholds(1.0, 1.0))
+
+
+def test_extension_refused_in_the_merge_not_the_solve(monkeypatch):
+    # 69 HCI rows extend to 727; a budget one byte below a solve over them
+    # refuses the union before any solve is called.
+    ham = random_hamiltonian(7, 3, 3, seed=24, diagonal_spread=1.0)
+    prior = hci_variational(ham, 0.3)
+    n = len(extend_subspace(prior.vector, prior.basis, ExtensionThresholds(),
+                            ham.n_orb, prior.basis))
+    assert (len(prior.basis), n) == (69, 727)
+
+    def not_solved(*args):
+        raise AssertionError("the union must be refused before its solve")
+
+    monkeypatch.setattr(baselines, "solve_subspace", not_solved)
+    monkeypatch.setattr(solver, "MEMORY_BUDGET_BYTES", solver_bytes(n) - 1)
+    with pytest.raises(CapacityError,
+                       match=f"extended space of {n} rows") as refused:
+        ext_hci(ham, prior)
+    assert "the -" not in str(refused.value)

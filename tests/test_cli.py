@@ -592,6 +592,24 @@ def test_main_scan_subcommand(tmp_path):
     assert len(lines) == 3
 
 
+def test_scan_runs_each_size_and_method_once(tmp_path, monkeypatch):
+    # Tables are joined on (size, method), so a repeated key would be
+    # ambiguous: sizes ascending, methods in first-seen order, once each.
+    for size in (2, 3):
+        write_fcidump_path(random_hamiltonian(size, 1, 1, seed=size),
+                           tmp_path / f"as{size}.fcidump")
+    runs = []
+    monkeypatch.setattr("sqdci.cli.execute_run",
+                        lambda config: runs.append(config) or execute_run(config))
+    out = tmp_path / "table.csv"
+    assert main(["scan", "--template", str(tmp_path / "as{size}.fcidump"),
+                 "--sizes", "3,2,3,2", "--methods", "hci,fci,hci",
+                 "--out", str(out)]) == 0
+    keys = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
+    assert keys == [["2", "hci"], ["2", "fci"], ["3", "hci"], ["3", "fci"]]
+    assert len(runs) == 4
+
+
 def test_config_file_and_flag_override(one_orbital, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("method = fci\nseed = 9\n")

@@ -386,6 +386,26 @@ def test_masked_basis_over_memory_budget_is_capacity_error(monkeypatch):
         solve_subspace(ham, basis)
 
 
+@pytest.mark.parametrize("step", [1, 3, None], ids=["product", "masked", "csr"])
+def test_solve_refuses_its_own_share_first(step, monkeypatch):
+    # A budget the solve's share alone passes is refused on the row count,
+    # before the strings are split out; at the share, the operator gets a
+    # remainder of 0, not less.
+    ham = random_hamiltonian(8, 4, 4, seed=37, diagonal_spread=1.0)
+    basis = _high_ratio_basis() if step is None else sector_basis(8, 4, 4)[::step]
+    dim = len(basis)
+    monkeypatch.setattr("sqdci.solver.MEMORY_BUDGET_BYTES", solver_bytes(dim))
+    with pytest.raises(CapacityError, match="over the 0.0 GiB budget"):
+        solve_subspace(ham, basis)
+    monkeypatch.setattr("sqdci.solver.MEMORY_BUDGET_BYTES",
+                        solver_bytes(dim) - 1)
+    monkeypatch.setattr("sqdci.solver.basis_strings", _not_built)
+    monkeypatch.setattr("sqdci.hamiltonian._spin_tables", _not_built)
+    with pytest.raises(CapacityError, match=f"subspace of {dim} rows") as refused:
+        solve_subspace(ham, basis)
+    assert "the -" not in str(refused.value)
+
+
 def test_csr_over_memory_budget_is_capacity_error(monkeypatch):
     ham = random_hamiltonian(8, 4, 4, seed=39)
     monkeypatch.setattr("sqdci.solver.MEMORY_BUDGET_BYTES", 1 << 20)

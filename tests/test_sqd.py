@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from conftest import as_pairs, counts_of, packed, random_hamiltonian
 from oracles import (brute_force_matrix, determinant_to_bitstring,
                      excitation_degree, excitations, hartree_fock_determinant)
-from sqdci import hamiltonian, rng, sqd
+from sqdci import hamiltonian, rng, solver, sqd
 from sqdci.errors import CapacityError, ConfigError, EmptyValidSampleError
 from sqdci.hamiltonian import merge_bases, sector_basis
 from sqdci.sampler import BitstringCounts, SectorState, sample_counts
-from sqdci.solver import fci_ground_state, solve_subspace
+from sqdci.solver import fci_ground_state, solve_subspace, solver_bytes
 from sqdci.sqd import (ExtensionThresholds, RecoveryConfig,
                        _eigenvector_occupations, build_subspace, ext_sqd,
                        extend_subspace, partition_by_hamming,
@@ -351,37 +351,43 @@ def test_extension_cap_holds_on_the_running_merge(monkeypatch):
     basis = sector_basis(6, 3, 3)[::7]
     vector = np.full(len(basis), 0.05)  # every row kept, no doubles
     full = extend_subspace(vector, basis, ExtensionThresholds(), 6)
-    monkeypatch.setattr(sqd, "EXTENSION_DIMENSION_CAP", len(full))
+    monkeypatch.setattr(solver, "MEMORY_BUDGET_BYTES", solver_bytes(len(full)))
     assert np.array_equal(extend_subspace(vector, basis, ExtensionThresholds(),
                                           6), full)
-    monkeypatch.setattr(sqd, "EXTENSION_DIMENSION_CAP", len(full) - 1)
-    with pytest.raises(CapacityError):
+    monkeypatch.setattr(solver, "MEMORY_BUDGET_BYTES",
+                        solver_bytes(len(full)) - 1)
+    with pytest.raises(CapacityError,
+                       match=f"extended space of {len(full)} rows"):
         extend_subspace(vector, basis, ExtensionThresholds(), 6)
-    # With one-row folds, a cap below the kept rows fires at the first
+    # With one-row folds, a budget below the kept rows fires at the first
     # merge, before the moves are expanded.
     merges = []
-    monkeypatch.setattr(sqd, "EXTENSION_DIMENSION_CAP", len(basis) - 1)
+    monkeypatch.setattr(solver, "MEMORY_BUDGET_BYTES",
+                        solver_bytes(len(basis)) - 1)
     monkeypatch.setattr(hamiltonian, "_BLOCK_CANDIDATES", 1)
     monkeypatch.setattr(hamiltonian, "merge_bases",
                         lambda *b: merges.append(b) or merge_bases(*b))
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError,
+                       match=f"extended space of {len(basis)} rows"):
         extend_subspace(vector, basis, ExtensionThresholds(), 6)
     assert len(merges) == 1
 
 
 def test_extension_includes_bases_under_one_cap(monkeypatch):
-    # The included rows join the union, and the cap counts them too.
+    # The included rows join the union, and the budget counts them too.
     basis = sector_basis(6, 3, 3)[::7]
     vector = np.full(len(basis), 0.05)
     thresholds = ExtensionThresholds(0.1, 0.1)  # only the included rows
     other = sector_basis(6, 3, 3)[1::5]
     got = extend_subspace(vector, basis, thresholds, 6, basis, other)
     assert np.array_equal(got, merge_bases(basis, other))
-    monkeypatch.setattr(sqd, "EXTENSION_DIMENSION_CAP", len(got))
+    monkeypatch.setattr(solver, "MEMORY_BUDGET_BYTES", solver_bytes(len(got)))
     assert np.array_equal(
         extend_subspace(vector, basis, thresholds, 6, basis, other), got)
-    monkeypatch.setattr(sqd, "EXTENSION_DIMENSION_CAP", len(got) - 1)
-    with pytest.raises(CapacityError):
+    monkeypatch.setattr(solver, "MEMORY_BUDGET_BYTES",
+                        solver_bytes(len(got)) - 1)
+    with pytest.raises(CapacityError,
+                       match=f"extended space of {len(got)} rows"):
         extend_subspace(vector, basis, thresholds, 6, basis, other)
 
 
@@ -420,8 +426,8 @@ def test_ext_sqd_noop_thresholds_keep_energy(ham_4e4o):
 def test_ext_sqd_capacity_cap(ham_4e4o, monkeypatch):
     counts, _ = fci_counts(ham_4e4o, shots=500, seed=8)
     prior = sqd_ground_state(ham_4e4o, counts, RecoveryConfig(iterations=1))
-    monkeypatch.setattr(sqd, "EXTENSION_DIMENSION_CAP", 2)
-    with pytest.raises(CapacityError):
+    monkeypatch.setattr(solver, "MEMORY_BUDGET_BYTES", solver_bytes(3) - 1)
+    with pytest.raises(CapacityError, match="extended space of "):
         ext_sqd(ham_4e4o, prior, ExtensionThresholds(0.0, 0.0))
 
 
