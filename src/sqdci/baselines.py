@@ -13,7 +13,6 @@ module constants.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .errors import ConfigError
 from .hamiltonian import (_BLOCK_CANDIDATES, ActiveSpaceHamiltonian,
                           connected_determinants, merge_blocks)
 from .solver import SubspaceResult, check_rows, solve_subspace
-from .sqd import ExtensionThresholds, extend_subspace
+from .sqd import ExtensionThresholds, _held, extend_subspace
 
 MAX_SWEEPS = 50
 ENERGY_TOL = 1e-9
@@ -62,7 +61,6 @@ def hci_variational(ham: ActiveSpaceHamiltonian,
         if abs(previous_energy - current.energy) < ENERGY_TOL:
             break
     current.diagnostics["hci_sweeps"] = sweeps
-    current.diagnostics["epsilon1"] = epsilon1
     return current
 
 
@@ -72,14 +70,9 @@ def ext_hci(ham: ActiveSpaceHamiltonian, prior: SubspaceResult,
     itself (single re-diagonalization).
 
     When the extension adds nothing it is the HCI basis, whose solve is
-    ``prior``: a copy of it is returned instead of solving again.
+    ``prior``, which is returned instead of solving again.
     """
     thresholds = thresholds or ExtensionThresholds()
     extended = extend_subspace(prior.vector, prior.basis, thresholds,
                                ham.n_orb, prior.basis)
-    if len(extended) == len(prior.basis):
-        result = replace(prior, diagnostics=dict(prior.diagnostics))
-    else:
-        result = solve_subspace(ham, extended)
-    result.diagnostics["extended_from"] = len(prior.basis)
-    return result
+    return _held(extended, [prior]) or solve_subspace(ham, extended)

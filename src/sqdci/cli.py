@@ -114,6 +114,12 @@ def _acquire_counts(config: RunConfig, ham):
         else:
             t1, t2 = _read_amplitudes(config.amplitudes_path)
             params = lucj_params_from_ccsd(t1, t2, config.lucj_layers)
+            nocc, _, nvirt, _ = t2.shape  # checked by lucj_params_from_ccsd
+            sector = ham.n_alpha, ham.n_beta, ham.n_orb
+            if (nocc, nocc, nocc + nvirt) != sector:
+                raise ConfigError(f"t2 has {nocc} occupied of {nocc + nvirt} "
+                                  "orbitals per spin; the sector has (alpha, "
+                                  f"beta, orbitals) = {sector}")
             state = lucj_state(params, ham.n_orb, ham.n_alpha, ham.n_beta)
         counts = sample_counts(state, config.shots,
                                seed=int(rng.stream(config.seed, "shots")

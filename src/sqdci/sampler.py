@@ -153,10 +153,10 @@ class BitstringCounts:
 
 def _orthogonal(rotation, what: str) -> np.ndarray:
     """``rotation`` as a float array; :class:`ConfigError` unless it is a
-    square matrix U with max |U U^T - 1| <= 1e-10."""
+    square matrix U with max |U U^T - 1| <= 1e-10, which a nan fails."""
     U = np.asarray(rotation, dtype=float)
     if (U.ndim != 2 or U.shape[0] != U.shape[1]
-            or np.max(np.abs(U @ U.T - np.eye(len(U))), initial=0.0) > 1e-10):
+            or not abs(U @ U.T - np.eye(len(U))).max(initial=0) <= 1e-10):
         raise ConfigError(f"{what} is not an orthogonal matrix")
     return U
 
@@ -168,13 +168,12 @@ class LUCJParams:
     Each layer is a pair (U, J): U is a real orthogonal n x n orbital
     rotation applied identically to both spins, J is a real symmetric
     2n x 2n density-density coupling over spin-orbitals (None means no
-    phase layer). ``final_rotation`` is an optional trailing U. Rotations
-    are held as matrices, not generators, as in ffsim's UCJ operators, so
-    any orthogonal U is valid, half turns and reflections included.
+    phase layer, as in a trailing rotation alone). Rotations are held as
+    matrices, not generators, as in ffsim's UCJ operators, so any
+    orthogonal U is valid, half turns and reflections included.
     """
 
     layers: list
-    final_rotation: np.ndarray | None = None
 
     def __post_init__(self):
         checked = []
@@ -184,13 +183,10 @@ class LUCJParams:
                 J = np.asarray(J, dtype=float)
                 if J.shape != (2 * len(U),) * 2:
                     raise ConfigError("J must be 2n x 2n over spin-orbitals")
-                if np.max(np.abs(J - J.T)) > 1e-12:
+                if not abs(J - J.T).max(initial=0) <= 1e-12:  # so nan fails
                     raise ConfigError("J coupling is not symmetric")
             checked.append((U, J))
         self.layers = checked
-        if self.final_rotation is not None:
-            self.final_rotation = _orthogonal(self.final_rotation,
-                                              "final rotation")
 
 
 @dataclass
@@ -294,17 +290,14 @@ def lucj_state(params: LUCJParams, n_orb: int, n_alpha: int,
                n_beta: int) -> SectorState:
     """Exact sector statevector of the layered cluster-Jastrow circuit.
 
-    Starting from the RHF determinant, each layer applies its orbital
-    rotation U then the diagonal phase exp(i sum_{p sigma, r tau} J n n);
-    the final rotation, if present, is applied last. The result has unit
-    norm.
+    Starting from the RHF determinant, each layer in turn applies its
+    orbital rotation U then, unless J is None, the diagonal phase
+    exp(i sum_{p sigma, r tau} J n n). The result has unit norm; a norm
+    that drifted, or is nan, raises ``ArithmeticError``.
     Raises :class:`CapacityError`, before allocating, when
     :func:`state_preparation_bytes` exceeds ``solver.MEMORY_BUDGET_BYTES``.
     """
-    steps = list(params.layers)
-    if params.final_rotation is not None:
-        steps.append((params.final_rotation, None))
-    if any(U.shape != (n_orb, n_orb) for U, _ in steps):
+    if any(U.shape != (n_orb, n_orb) for U, _ in params.layers):
         raise ConfigError("orbital rotation has wrong shape")
     check_budget(f"sector ({n_orb}, {n_alpha}, {n_beta}) state preparation",
                  state_preparation_bytes(n_orb, n_alpha, n_beta),
@@ -313,13 +306,13 @@ def lucj_state(params: LUCJParams, n_orb: int, n_alpha: int,
     grid = np.zeros((len(alphas), len(betas)), dtype=complex)
     # The lowest filling is the smallest string of each spin.
     grid[0, 0] = 1.0
-    for U, J in steps:
+    for U, J in params.layers:
         grid = apply_orbital_rotation(grid, alphas, betas, U)
         if J is not None and np.any(J):
             grid *= np.exp(1j * _density_phases(J, alphas, betas, n_orb))
     amps = grid.ravel()
     norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:
         raise ArithmeticError(f"state norm drifted to {norm}")
     return SectorState(n_orb=n_orb, n_alpha=n_alpha, n_beta=n_beta,
                        amplitudes=amps)
@@ -422,16 +415,18 @@ def lucj_params_from_ccsd(t1: np.ndarray | None, t2: np.ndarray,
     has its reshaped eigenvector completed to a symmetric n x n matrix,
     whose orthogonal eigenvector matrix V diagonalizes the mode, and a
     rank-one density-density coupling weighted by the eigenvalue. Singles
-    fold into the final rotation exp(K) of the t1 generator K.
+    give the last layer, exp(K) of the t1 generator K, with no phase.
 
     Each retained mode expands to a conjugated pair of layers
     (V^T then the phase, then V) so that the first-order action on the
     reference reproduces the doubles excitations. V is used as eigh returns
-    it: a determinant of -1 or a half turn needs no special case.
+    it: a determinant of -1 or a half turn needs no special case. Zero
+    doubles give no layer; otherwise more layers than modes are refused, as
+    are amplitudes not finite and real, or big enough to overflow a phase.
     """
     if n_layers < 0:
         raise ConfigError(f"n_layers must be nonnegative, got {n_layers}")
-    t2 = np.asarray(t2, dtype=float)
+    t2 = _real_amplitudes(t2, "t2")
     if t2.ndim != 4:
         raise ConfigError("t2 must have shape (occ, occ, virt, virt)")
     nocc, nocc2, nvirt, nvirt2 = t2.shape
@@ -439,11 +434,8 @@ def lucj_params_from_ccsd(t1: np.ndarray | None, t2: np.ndarray,
         raise ConfigError("t2 must have shape (occ, occ, virt, virt)")
     if not (nocc and nvirt):
         raise ConfigError("t2 needs at least one occupied and one virtual orbital")
-    if not np.all(np.isfinite(t2)):
-        raise ConfigError("t2 holds a non-finite amplitude")
     if np.max(np.abs(t2 - t2.transpose(1, 0, 3, 2))) > 1e-10:
         raise ConfigError("t2 lacks the required index symmetry")
-    final_rotation = _t1_rotation(t1, nocc, nvirt)
     n_orb = nocc + nvirt
     n_elec = 2 * nocc
 
@@ -451,16 +443,16 @@ def lucj_params_from_ccsd(t1: np.ndarray | None, t2: np.ndarray,
     evals, evecs = np.linalg.eigh(mat)
     order = np.argsort(-np.abs(evals), kind="stable")
     rank = int(np.sum(np.abs(evals) > 1e-14))
-    if rank == 0:
-        # Zero amplitudes: identity layers reproduce the reference.
-        return LUCJParams(layers=[(np.eye(n_orb), None)
-                                  for _ in range(n_layers)],
-                          final_rotation=final_rotation)
-    if n_layers > rank:
+    if 0 < rank < n_layers:
         raise ConfigError(f"n_layers={n_layers} exceeds t2 rank {rank}")
+    kept = order[:min(n_layers, rank)]
+    # Every step of a coupling, and of the phases it gives n_elec
+    # electrons, stays within 2 n_elec^2 |eigenvalue|, as |ss| <= 1.
+    if not np.all(abs(evals[kept]) <= np.finfo(float).max / (2 * n_elec**2)):
+        raise ConfigError("t2 amplitudes overflow a J coupling or its phases")
 
     layers = []
-    for mode in order[:n_layers]:
+    for mode in kept:
         lam = evals[mode]
         block = evecs[:, mode].reshape(nocc, nvirt)
         sym = np.zeros((n_orb, n_orb))
@@ -475,23 +467,29 @@ def lucj_params_from_ccsd(t1: np.ndarray | None, t2: np.ndarray,
         coupling = coupling - 2.0 * lam / n_elec**2
         layers.append((svecs.T, coupling))
         layers.append((svecs, None))
-    return LUCJParams(layers=layers, final_rotation=final_rotation)
+    if t1 is not None:
+        # Singles: exp(K), K[nocc + a, i] = t1[i, a] = -K[i, nocc + a].
+        t1 = _real_amplitudes(t1, "t1")
+        if t1.shape != (nocc, nvirt):
+            raise ConfigError("t1 must have shape (occ, virt)")
+        gen = np.zeros((n_orb, n_orb))
+        gen[nocc:, :nocc] = t1.T
+        gen[:nocc, nocc:] = -t1
+        layers.append((_expm_antisymmetric(gen), None))
+    return LUCJParams(layers=layers)
 
 
-def _t1_rotation(t1, nocc, nvirt):
-    """exp(K) of the singles generator, K[nocc + a, i] = t1[i, a] =
-    -K[i, nocc + a]; None without singles."""
-    if t1 is None:
-        return None
-    t1 = np.asarray(t1, dtype=float)
-    if t1.shape != (nocc, nvirt):
-        raise ConfigError("t1 must have shape (occ, virt)")
-    if not np.all(np.isfinite(t1)):
-        raise ConfigError("t1 holds a non-finite amplitude")
-    gen = np.zeros((nocc + nvirt,) * 2)
-    gen[nocc:, :nocc] = t1.T
-    gen[:nocc, nocc:] = -t1
-    return _expm_antisymmetric(gen)
+def _real_amplitudes(values, name: str) -> np.ndarray:
+    """``values`` as a float array; :class:`ConfigError` unless they are
+    integers or real floating point numbers, each finite as a float."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iuf":
+        raise ConfigError(f"{name} amplitudes must be real numbers, "
+                          f"not {values.dtype}")
+    values = values.astype(float)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{name} holds a non-finite amplitude")
+    return values
 
 
 def _expm_antisymmetric(generator: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ strings. The excitation extension re-diagonalizes each final batch
 eigenstate over its singles/doubles-augmented basis. Subspaces are the
 packed ``uint64`` bases of :mod:`sqdci.hamiltonian`. A solve is a
 deterministic function of its basis, so a batch or extension whose basis
-equals one already solved reuses that solution (see :func:`_held`).
+equals one already solved, or the batch it extends, reuses that solution
+(:func:`_held` is the one lookup; ``ext_hci`` shares it).
 
 Recovery works on the distinct packed rows: in each round, every row
 still off target draws one multinomial over its candidate bits and
@@ -179,7 +180,7 @@ def _draw_batch(counts: BitstringCounts, size: int,
     return counts.take(np.sort(picks))
 
 
-def _held(basis: np.ndarray, solutions) -> BatchSolution | None:
+def _held(basis: np.ndarray, solutions):
     """The first of ``solutions`` (None entries skipped) whose basis equals
     ``basis`` row for row, or None."""
     return next((s for s in solutions
@@ -313,8 +314,8 @@ def ext_sqd(ham: ActiveSpaceHamiltonian, prior: SQDResult,
     Each batch eigenstate is extended independently (single iteration,
     no recovery); every extension includes the batch's and the prior
     winning basis, so the best extended energy cannot exceed the prior
-    energy. An extension equal to one solved before in the pass reuses
-    its solution.
+    energy. An extension equal to one solved before in the pass, or to a
+    batch of ``prior``, reuses that solution and holds no copy of it.
     """
     if not prior.batches:
         raise ConfigError("prior result carries no batch eigenstates")
@@ -324,7 +325,7 @@ def ext_sqd(ham: ActiveSpaceHamiltonian, prior: SQDResult,
     for batch in prior.batches:
         extended = extend_subspace(batch.vector, batch.basis, thresholds,
                                    ham.n_orb, batch.basis, prior.basis)
-        solved = _held(extended, solutions)
+        solved = _held(extended, (*solutions, *prior.batches))
         if solved is None:
             solved = solve_subspace(ham, extended)
             solves += 1

@@ -633,8 +633,7 @@ def orbital_rotation_per_determinant(amps, dets, rotation) -> np.ndarray:
 def lucj_amplitudes_per_determinant(params, n_orb: int, n_alpha: int,
                                     n_beta: int) -> np.ndarray:
     """The LUCJ statevector over :func:`sector_determinants`: from the RHF
-    determinant, each layer's rotation U then exp(i J n n), then the final
-    rotation."""
+    determinant, each layer's rotation U then exp(i J n n)."""
     dets = sector_determinants(n_orb, n_alpha, n_beta)
     amps = np.zeros(len(dets), dtype=complex)
     amps[dets.index(((1 << n_alpha) - 1, (1 << n_beta) - 1))] = 1.0
@@ -642,7 +641,4 @@ def lucj_amplitudes_per_determinant(params, n_orb: int, n_alpha: int,
         amps = orbital_rotation_per_determinant(amps, dets, U)
         if J is not None:
             amps = amps * np.exp(1j * density_density_phases(J, dets, n_orb))
-    if params.final_rotation is not None:
-        amps = orbital_rotation_per_determinant(amps, dets,
-                                                params.final_rotation)
     return amps

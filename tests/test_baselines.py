@@ -43,7 +43,6 @@ def test_hci_variational_above_fci(ham_4e4o):
 def test_hci_diagnostics():
     ham = random_hamiltonian(4, 2, 2, seed=31)
     result = hci_variational(ham, 1e-3)
-    assert result.diagnostics["epsilon1"] == 1e-3
     assert result.diagnostics["hci_sweeps"] >= 1
 
 
@@ -166,8 +165,6 @@ def test_ext_hci_reuses_the_hci_solve_when_nothing_is_added(monkeypatch):
     assert calls == []
     assert result.energy == solve_subspace(ham, prior.basis).energy
     assert result.dimension == 1225
-    assert result.diagnostics["extended_from"] == 1225
-    assert "extended_from" not in prior.diagnostics
     # An extension that adds rows is solved, once.
     ext_hci(ham, smaller)
     assert len(calls) == 1

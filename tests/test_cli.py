@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sqdci
 import sqdci.sqd
@@ -18,7 +20,7 @@ from sqdci.hamiltonian import product_operator_bytes, sector_basis
 from sqdci.sampler import BitstringCounts, write_counts
 from sqdci.solver import fci_ground_state, solver_bytes
 from sqdci.units import EV_PER_HARTREE
-from test_sampler import half_turn_t2
+from test_sampler import half_turn_t2, random_t2
 
 
 @pytest.fixture
@@ -159,8 +161,21 @@ def test_main_lucj_half_turn_mode(tmp_path):
      "t1 holds a non-finite"),
     ("1", {"t2": np.zeros((1, 1, 0, 0))}, "at least one occupied and one virtual"),
     ("1", {"t2": np.zeros((0, 0, 2, 2))}, "at least one occupied and one virtual"),
+    ("1", {"t2": np.full((2, 2, 2, 2), "0.1")}, "must be real numbers"),
+    ("1", {"t2": half_turn_t2(0.1) * 1j}, "must be real numbers"),
+    ("1", {"t2": half_turn_t2(1e308)}, "t2 amplitudes overflow"),
+    # A finite coupling whose phases over 4 electrons would overflow.
+    ("1", {"t2": half_turn_t2(8e307)}, "t2 amplitudes overflow"),
+    # Amplitudes whose orbitals add up to the sector's, for another count
+    # of electrons; and zero doubles over too many orbitals, which give no
+    # layer that could be checked against the sector.
+    ("1", {"t2": random_t2(1, 3, seed=29)}, "1 occupied of 4 orbitals"),
+    ("1", {"t2": random_t2(3, 1, seed=30)}, "3 occupied of 4 orbitals"),
+    ("1", {"t2": np.zeros((2, 2, 3, 3))}, "2 occupied of 5 orbitals"),
 ], ids=["layers-1", "layers-3", "t2-2d", "t2-nan", "t1-inf", "t2-no-virtual",
-        "t2-no-occupied"])
+        "t2-no-occupied", "t2-str", "t2-complex", "t2-overflow",
+        "t2-phase-overflow",
+        "one-occupied", "three-occupied", "zero-t2-five-orbitals"])
 def test_main_bad_lucj_input_is_config_error(tmp_path, capsys, layers, arrays,
                                              message):
     assert main(lucj_run(tmp_path, layers, **arrays)) == 2
@@ -190,6 +205,56 @@ def test_main_unreadable_amplitudes_is_config_error(tmp_path, capsys, kind):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "amplitudes file" in err
+
+
+AMPLITUDE_VALUES = (0.0, 0.05, -0.3, np.nan, np.inf, -np.inf, 1e308, -1e308)
+
+
+@st.composite
+def amplitude_arrays(draw, shape):
+    """An array of ``shape`` or of a shape near it, of one of five dtypes,
+    filled with one value (so t2 keeps its index symmetry) or with a
+    value per entry."""
+    if draw(st.booleans()):
+        shape = tuple(draw(st.integers(0, 2)) for _ in shape)
+    size = int(np.prod(shape))
+    values = st.sampled_from(AMPLITUDE_VALUES)
+    flat = (draw(st.lists(values, min_size=size, max_size=size))
+            if draw(st.booleans()) else [draw(values)] * size)
+    flat = np.array(flat, dtype=float)
+    kind = draw(st.sampled_from(["float", "int", "complex", "bool", "str"]))
+    if kind == "int":
+        flat = np.clip(np.nan_to_num(flat), -2**62, 2**62).astype(np.int64)
+    elif kind == "complex":
+        flat = flat * (1 + 1j)
+    elif kind == "bool":
+        flat = flat != 0
+    elif kind == "str":
+        flat = flat.astype(str)
+    return flat.reshape(shape)
+
+
+@settings(max_examples=100, deadline=10_000)
+@given(t2=amplitude_arrays((1, 1, 1, 1)),
+       t1=st.none() | amplitude_arrays((1, 1)), layers=st.integers(0, 2))
+def test_amplitude_files_keep_the_exit_code_contract(tmp_path_factory, t2, t1,
+                                                     layers):
+    # Whatever an amplitudes file holds, a LUCJ run on (2,1,1) ends in an
+    # exit code of the contract, and a success in a finite energy.
+    tmp = tmp_path_factory.mktemp("amplitudes")
+    hamiltonian, amplitudes = tmp / "h2.fcidump", tmp / "amps.npz"
+    write_fcidump_path(random_hamiltonian(2, 1, 1, seed=11), hamiltonian)
+    np.savez(amplitudes, t2=t2, **({} if t1 is None else {"t1": t1}))
+    record = tmp / "record.json"
+    with np.errstate(all="ignore"):
+        code = main(["run", "--hamiltonian", str(hamiltonian), "--method",
+                     "sqd", "--sampler", "lucj", "--amplitudes",
+                     str(amplitudes), "--lucj-layers", str(layers),
+                     "--shots", "300", "--iterations", "2", "--batches", "2",
+                     "--samples-per-batch", "4", "--out", str(record)])
+    assert code in (0, 2, 3, 4, 5)
+    if code == 0:
+        assert np.isfinite(json.loads(record.read_text())["energy"])
 
 
 def test_run_hci_and_ext_hci(fixture_2e2o):

@@ -155,19 +155,20 @@ def lucj_problems(draw):
     layers = [(rotation(), draw(st.none() | seeds.map(
         lambda seed: random_symmetric(2 * n, seed))))
         for _ in range(draw(st.integers(1, 2)))]
-    final = rotation() if draw(st.booleans()) else None
-    return LUCJParams(layers=layers, final_rotation=final), n, na, nb
+    if draw(st.booleans()):
+        layers.append((rotation(), None))
+    return LUCJParams(layers=layers), n, na, nb
 
 
 HALF_TURN_PROBLEM = (LUCJParams(
     layers=[(half_turn(5, 0, seed=60), random_symmetric(10, seed=61)),
-            (random_rotation(5, seed=62, scale=2.0), None)],
-    final_rotation=half_turn(5, 3, seed=63)), 5, 3, 1)
+            (random_rotation(5, seed=62, scale=2.0), None),
+            (half_turn(5, 3, seed=63), None)]), 5, 3, 1)
 
 
 def test_half_turn_generators_have_negative_givens_signs():
     params = HALF_TURN_PROBLEM[0]
-    for U in (params.layers[0][0], params.final_rotation):
+    for U in (params.layers[0][0], params.layers[-1][0]):
         _, signs = _givens_decompose(U)
         assert np.sum(signs < 0) == 2
 
@@ -278,8 +279,8 @@ def test_state_norm_and_sector_confinement():
     n, na, nb = 4, 2, 1
     params = LUCJParams(
         layers=[(random_rotation(n, 8), np.eye(2 * n) * 0.3),
-                (random_rotation(n, 9), None)],
-        final_rotation=random_rotation(n, 10))
+                (random_rotation(n, 9), None),
+                (random_rotation(n, 10), None)])
     state = lucj_state(params, n, na, nb)
     assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-10)
     assert np.all(np.bitwise_count(sector_basis(n, na, nb)) == [na, nb])
@@ -293,8 +294,15 @@ def test_params_validation():
     U = np.eye(2)
     with pytest.raises(ConfigError):
         LUCJParams(layers=[(U, np.ones((4, 4)) + np.triu(np.ones((4, 4))))])
+    # A nan fails each check, not only a number past its tolerance.
     with pytest.raises(ConfigError, match="orthogonal"):
-        LUCJParams(layers=[], final_rotation=np.ones((2, 2)))
+        LUCJParams(layers=[(np.full((2, 2), np.nan), None)])
+    with pytest.raises(ConfigError, match="symmetric"):
+        LUCJParams(layers=[(U, np.full((4, 4), np.nan))])
+    overflowing = LUCJParams(layers=[(U, np.full((4, 4), 1e308))])
+    with np.errstate(all="ignore"):
+        with pytest.raises(ArithmeticError, match="norm"):
+            lucj_state(overflowing, 2, 1, 1)
     grid = np.ones((1, 1), dtype=complex)
     with pytest.raises(ConfigError, match="orthogonal"):
         apply_orbital_rotation(grid, sector_strings(2, 1)[:1],
@@ -336,9 +344,8 @@ def test_sampling_rejects_amplitudes_of_another_sector():
 def test_sampled_distribution_total_variation():
     n, na, nb = 5, 2, 2  # 100-determinant sector
     params = LUCJParams(
-        layers=[(random_rotation(n, 11, scale=0.4),
-                 0.2 * np.eye(2 * n))],
-        final_rotation=random_rotation(n, 12, scale=0.3))
+        layers=[(random_rotation(n, 11, scale=0.4), 0.2 * np.eye(2 * n)),
+                (random_rotation(n, 12, scale=0.3), None)])
     state = lucj_state(params, n, na, nb)
     counts = sample_counts(state, shots=1_000_000, seed=0)
     keys = [determinant_to_bitstring(d, n) for d in sector_basis(n, na, nb)]
@@ -437,7 +444,14 @@ def test_negative_layer_count_rejected(t2):
     (None, np.full((2, 2, 2, 2), np.nan)),
     (np.array([[0.0, np.inf], [0.0, 0.0]]), random_t2(2, 2, seed=22)),
     (np.full((2, 2), np.nan), np.zeros((2, 2, 2, 2))),
-], ids=["t2-2d", "t2-5d", "t2-nan", "t1-inf", "t1-nan-zero-t2"])
+    (None, np.full((2, 2, 2, 2), "0.1")),
+    (None, np.full((2, 2, 2, 2), b"0.1")),
+    (np.full((2, 2), "0.1"), random_t2(2, 2, seed=22)),
+    (None, random_t2(2, 2, seed=22) * (1 + 1j)),
+    (None, np.zeros((2, 2, 2, 2), dtype="datetime64[s]")),
+    (None, np.full((1, 1, 1, 1), 1e308)),
+], ids=["t2-2d", "t2-5d", "t2-nan", "t1-inf", "t1-nan-zero-t2", "t2-str",
+        "t2-bytes", "t1-str", "t2-complex", "t2-datetime", "t2-overflow"])
 def test_malformed_amplitudes_rejected(t1, t2):
     with pytest.raises(ConfigError, match="t1|t2"):
         lucj_params_from_ccsd(t1, t2, 1)

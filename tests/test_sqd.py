@@ -448,3 +448,24 @@ def test_ext_sqd_solves_a_shared_extension_once(monkeypatch):
         assert np.array_equal(solution.basis, calls[0])
         assert solution.shot_weight == batch.shot_weight
         assert_fresh(ham, solution)
+
+
+def test_ext_sqd_reuses_the_batch_solution_it_extends(monkeypatch):
+    # Counts over every determinant close each batch to the whole 36-row
+    # sector, so every extension is the batch basis it extends, already
+    # solved by the SQD loop.
+    ham = random_hamiltonian(4, 2, 2, seed=26)
+    sector = sector_basis(4, 2, 2)
+    counts = BitstringCounts(8, sector[:, 0], sector[:, 1],
+                             np.ones(len(sector), dtype=np.int64))
+    prior = sqd_ground_state(ham, counts,
+                             RecoveryConfig(iterations=1, batches=2,
+                                            samples_per_batch=100))
+    assert [len(b.basis) for b in prior.batches] == [36, 36]
+    calls = counted_solves(monkeypatch)
+    result = ext_sqd(ham, prior)
+    assert calls == []
+    assert result.solves == 0
+    for batch, solution in zip(prior.batches, result.batches, strict=True):
+        assert solution.vector is batch.vector
+        assert solution.energy == batch.energy

@@ -74,7 +74,13 @@ def test_every_traced_name_resolves():
              "--iterations", "1", "--batches", "2",
              "--samples-per-batch", "200"],
      {"cli>read_counts"}),
-], ids=["fci", "ext-hci", "sqd-lucj", "sqd-counts-file"])
+    # Shots of the FCI vector, few enough that each batch's extension adds
+    # rows and is solved.
+    ("ext-sqd", ["--sampler", "ci-vector", "--shots", "2000",
+                 "--iterations", "1", "--batches", "2",
+                 "--samples-per-batch", "30"],
+     {"cli>ext_sqd", "sqd>extend_subspace"}),
+], ids=["fci", "ext-hci", "sqd-lucj", "sqd-counts-file", "ext-sqd"])
 def test_traced_run_ends_in_a_result(method, extra, reached, tmp_path):
     fcidump = tmp_path / "h7.fcidump"
     write_fcidump_path(random_hamiltonian(7, 3, 3, seed=24,
@@ -107,8 +113,10 @@ def test_traced_run_ends_in_a_result(method, extra, reached, tmp_path):
     assert trace["counters"]["davidson_iters"] > 0
     if method == "ext-hci":
         assert trace["counters"]["candidates"] > 0
-    if method == "sqd":
+    if method in ("sqd", "ext-sqd"):
         assert trace["counters"]["shots"] > 0
+    if method.startswith("ext-"):
+        assert trace["counters"]["extended_dim"] > 0
     spans = {span[0] for span in trace["spans"]}
     assert {"solver>davidson_lowest.matvec", *reached} <= spans
     metrics, _ = _load_tracer().layer_metrics(trace)
