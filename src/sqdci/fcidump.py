@@ -138,15 +138,11 @@ def write_fcidump(ham: ActiveSpaceHamiltonian, fh: TextIO) -> None:
     ms2 = ham.n_alpha - ham.n_beta
     fh.write(f"&FCI NORB={n},NELEC={ham.n_alpha + ham.n_beta},MS2={ms2},\n")
     fh.write("ORBSYM=" + ",".join("1" * n) + ",\nISYM=1,\n&END\n")
-    emitted = set()
     for p in range(n):
         for q in range(p + 1):
             for r in range(p + 1):
-                for s in range(r + 1):
-                    key = _canonical_key(p, q, r, s)
-                    if key in emitted:
-                        continue
-                    emitted.add(key)
+                # (pq|rs) with pair (r, s) at most (p, q): once per orbit.
+                for s in range(q if r == p else 0, r + 1):
                     val = float(ham.two_body[p, q, r, s])
                     if abs(val) > WRITE_THRESHOLD:
                         fh.write(f"{val!r} {p + 1} {q + 1} {r + 1} {s + 1}\n")

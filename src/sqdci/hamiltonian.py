@@ -35,7 +35,10 @@ the targets up among the basis keys ``ia * n_beta_strings + ib``
 (ascending, because the basis is sorted), and keeps the hits. Diagonals
 come from the occupation rows of the strings through the Coulomb and
 exchange matrices. Bases need not be Cartesian products of their
-strings, nor lie in one sector.
+strings, nor lie in one sector. A single's element has one formula,
+:func:`_single_elements`, over integral shares computed once per
+Hamiltonian, so the screen judges, bit for bit, the element the matrix
+stores.
 
 The result is a :class:`CSRMatrix`, a plain numpy CSR triple. Every row
 stores its diagonal, so the product with a vector is one gather and one
@@ -162,20 +165,13 @@ def sector_dimension(n_orb: int, n_alpha: int, n_beta: int) -> int:
 
 
 class _HeatBath(NamedTuple):
-    """Tables of :func:`connected_determinants` for one Hamiltonian.
-
-    The single h -> p of a string with occupation row o (o' for the other
-    spin) has, up to its parity, the element in column h * n + p of
-    ``single_base + o @ single_same + o' @ single_other``. Doubles are
-    listed per kind (0: <h1 h2||p1 p2> over h1 < h2, p1 < p2; 1: (h1 p1|h2
-    p2) over alpha h1 and beta h2) and hole pair, nonzero and with
-    particles apart from the holes: list (kind * n + h1) * n + h2 holds the
-    entries ``[start[list], start[list + 1])``, by descending magnitude.
+    """Doubles lists of :func:`connected_determinants` for one Hamiltonian,
+    per kind (0: <h1 h2||p1 p2> over h1 < h2, p1 < p2; 1: (h1 p1|h2 p2)
+    over alpha h1 and beta h2) and hole pair, nonzero and with particles
+    apart from the holes: list (kind * n + h1) * n + h2 holds the entries
+    ``[start[list], start[list + 1])``, by descending magnitude.
     """
 
-    single_base: np.ndarray
-    single_same: np.ndarray
-    single_other: np.ndarray
     start: np.ndarray
     first: np.ndarray  # uint64 bits of particles p1 and p2 of each entry
     second: np.ndarray
@@ -229,12 +225,17 @@ class ActiveSpaceHamiltonian:
         self.two_body.flags.writeable = False
 
     @cached_property
+    def _shares(self) -> tuple[np.ndarray, np.ndarray]:
+        """(coulomb, g), an occupied i's share of a single h -> p from the
+        other spin, ``coulomb[h, p, i] = (hp|ii)``, and from the same spin,
+        ``g[h, p, i] = (hp|ii) - (hi|ip)``; at [p, p, q] they are J and J - K."""
+        coulomb = np.einsum("hpii->hpi", self.two_body)
+        return coulomb, coulomb - np.einsum("hiip->hpi", self.two_body)
+
+    @cached_property
     def _heat_bath(self) -> _HeatBath:
         """:class:`_HeatBath` tables, built on first use."""
         n, eri = self.n_orb, self.two_body
-        # g[i, h, p] = (hp|ii) - (hi|ip): occupied i's share of a single h -> p.
-        coulomb = np.einsum("hpii->ihp", eri)
-        g = coulomb - np.einsum("hiip->ihp", eri)
         h1, h2, p1, p2 = np.ix_(*[np.arange(n)] * 4)
         apart = (p1 != h1) & (p1 != h2) & (p2 != h1) & (p2 != h2)
         crossed = np.einsum("apbq->abpq", eri)
@@ -252,8 +253,6 @@ class ActiveSpaceHamiltonian:
         key = key[order]
         bit = _bit_masks(n)[0]
         return _HeatBath(
-            single_base=(self.one_body - np.einsum("hhp->hp", g)).ravel(),
-            single_same=g.reshape(n, n * n), single_other=coulomb.reshape(n, n * n),
             start=np.searchsorted(key, np.arange(2 * n * n + 1) * (size + 1)),
             first=bit[part1[order]], second=bit[part2[order]], levels=levels,
             key=key)
@@ -356,8 +355,6 @@ def _spin_tables(ham: ActiveSpaceHamiltonian, strings) -> _SpinTables:
     popcount = np.bitwise_count(bits)
     between = _bit_masks(n)[1]
     one = np.uint64(1)
-    # g[h, p, i] = (hp|ii) - (hi|ip): occupied i's share of a single h -> p.
-    g = np.einsum("hpii->hpi", eri) - np.einsum("hiip->hpi", eri)
 
     # A one-bit mask's orbital is the count of the bits below it.
     def orbital(bit):
@@ -383,9 +380,8 @@ def _spin_tables(ham: ActiveSpaceHamiltonian, strings) -> _SpinTables:
         src = source[single]
         hole, part = orbital(holes[single]), orbital(parts[single])
         sign = parity(state[single], hole, part)
-        same_spin = (ham.one_body[hole, part] - g[hole, part, hole]
-                     + np.einsum("ij,ij->i", g[hole, part], occ[src]))
-        singles.append((src, target[single], hole, part, sign, sign * same_spin))
+        singles.append((src, target[single], hole, part, sign,
+                        sign * _single_elements(ham, hole, part, occ[src])))
 
         double = ~single
         state, holes, parts = state[double], holes[double], parts[double]
@@ -404,14 +400,24 @@ def _spin_tables(ham: ActiveSpaceHamiltonian, strings) -> _SpinTables:
     return _SpinTables(occ, *join(singles), *join(doubles))
 
 
+def _single_elements(ham: ActiveSpaceHamiltonian, hole, part, occ,
+                     other=None) -> np.ndarray:
+    """Elements, parity aside, of singles ``hole -> part`` of strings with
+    occupation rows ``occ``, plus the other spin's share given its rows ``other``."""
+    coulomb, g = ham._shares
+    element = (ham.one_body[hole, part] - g[hole, part, hole]
+               + np.einsum("ij,ij->i", g[hole, part], occ))
+    if other is not None:
+        element += np.einsum("ij,ij->i", coulomb[hole, part], other)
+    return element
+
+
 def _string_energies(ham: ActiveSpaceHamiltonian,
                      tables: _SpinTables) -> np.ndarray:
-    """One-spin diagonal terms: sum of h_pp, plus (J - K) over occupied pairs."""
-    coulomb = np.einsum("ppqq->pq", ham.two_body)
-    exchange = np.einsum("pqqp->pq", ham.two_body)
+    """One-spin diagonal terms: sum of h_pp, plus g's J - K over occupied pairs."""
     return (tables.occ @ np.diag(ham.one_body)
-            + 0.5 * np.einsum("kp,pq,kq->k", tables.occ, coulomb - exchange,
-                              tables.occ))
+            + 0.5 * np.einsum("kp,pq,kq->k", tables.occ,
+                              np.einsum("ppq->pq", ham._shares[1]), tables.occ))
 
 
 def _expand(start: np.ndarray, sources: np.ndarray, counts=None):
@@ -435,8 +441,9 @@ def connected_determinants(ham: ActiveSpaceHamiltonian, sources,
     Returns the kept targets as packed ``(m, 2)`` ``uint64`` rows, repeats
     included: per block of sources, alpha and beta singles, then
     alpha-alpha, beta-beta and alpha-beta doubles. A single is kept when
-    its exact element is nonzero and reaches the cutoff in magnitude; a
-    double when its integral does (Holmes, Tubman & Umrigar, JCTC 12, 3674
+    its element, bit for bit the one :func:`build_sparse_matrix` stores, is
+    nonzero and reaches the cutoff in magnitude; a double when its
+    integral does (Holmes, Tubman & Umrigar, JCTC 12, 3674
     (2016)): each occupied pair walks its list, sorted by magnitude once
     per Hamiltonian, down to the cutoff, and moves onto occupied orbitals
     are dropped.
@@ -452,11 +459,12 @@ def connected_determinants(ham: ActiveSpaceHamiltonian, sources,
     step = max(1, _BLOCK_CANDIDATES // (n * n))
     for lo in range(0, len(cutoffs), step):
         block, cut = sources[lo:lo + step], cutoffs[lo:lo + step]
-        full = [occupation_rows(b, n) > 0 for b in block.T]
+        occ = [occupation_rows(b, n) for b in block.T]
+        full = [o > 0 for o in occ]
         for spin in (0, 1):
             src, h, p = np.nonzero(full[spin][:, :, None] > full[spin][:, None, :])
-            element = (tables.single_base + full[spin] @ tables.single_same
-                       + full[1 - spin] @ tables.single_other)[src, h * n + p]
+            element = _single_elements(ham, h, p, occ[spin][src],
+                                       occ[1 - spin][src])
             keep = (element != 0.0) & (np.abs(element) >= cut[src])
             new = block[src[keep]]
             new[:, spin] ^= flip[h[keep]] ^ flip[p[keep]]
@@ -498,11 +506,9 @@ def build_sparse_matrix(ham: ActiveSpaceHamiltonian, basis: np.ndarray,
     keys = ia * stride + ib
 
     tables = ta, tb = _spin_tables(ham, alphas), _spin_tables(ham, betas)
-    eri = ham.two_body
-    # (hp|ii) for the other-spin part of a single's element.
-    coulomb_rows = np.einsum("hpii->hpi", eri)
+    eri, coulomb = ham.two_body, ham._shares[0]
     string_energy = [_string_energies(ham, t) for t in tables]
-    alpha_coulomb = ta.occ @ np.einsum("ppqq->pq", eri)
+    alpha_coulomb = ta.occ @ np.einsum("ppq->pq", coulomb)
 
     n_single = [np.diff(t.single_start) for t in tables]
     n_double = [np.diff(t.double_start) for t in tables]
@@ -551,10 +557,11 @@ def build_sparse_matrix(ham: ActiveSpaceHamiltonian, basis: np.ndarray,
             owner, pos = owner[hit], pos[hit]
             rows.append(owner)
             cols.append(col)
+            # Bitwise the sign times _single_elements with other.occ.
             vals.append(same.single_value[pos] + same.single_sign[pos]
                         * np.einsum("ij,ij->i",
-                                    coulomb_rows[same.single_hole[pos],
-                                                 same.single_particle[pos]],
+                                    coulomb[same.single_hole[pos],
+                                            same.single_particle[pos]],
                                     other.occ[theirs[owner]]))
 
             owner, pos = _expand(same.double_start, mine)
@@ -565,14 +572,9 @@ def build_sparse_matrix(ham: ActiveSpaceHamiltonian, basis: np.ndarray,
             vals.append(same.double_value[pos[hit]])
 
         # Alpha-beta doubles: every alpha single times every beta single.
-        count_b = n_single[1][block[1]]
-        pairs = n_single[0][block[0]] * count_b
-        owner = np.repeat(np.arange(hi - lo), pairs)
-        step_a, step_b = np.divmod(
-            np.arange(pairs.sum()) - np.repeat(np.cumsum(pairs) - pairs, pairs),
-            count_b[owner])
-        pos_a = ta.single_start[block[0][owner]] + step_a
-        pos_b = tb.single_start[block[1][owner]] + step_b
+        owner, pos_a = _expand(ta.single_start, block[0])
+        pair, pos_b = _expand(tb.single_start, block[1][owner])
+        owner, pos_a = owner[pair], pos_a[pair]
         hit, col = find(ta.single_target[pos_a] * stride + tb.single_target[pos_b])
         pos_a, pos_b = pos_a[hit], pos_b[hit]
         rows.append(owner[hit])
@@ -718,7 +720,7 @@ class ProductHamiltonian:
         self._h_beta = _string_matrix(ham, tb)
         self._diagonal = (np.diag(self._h_alpha)[:, None]
                           + np.diag(self._h_beta)[None, :]
-                          + (ta.occ @ np.einsum("ppqq->pq", ham.two_body))
+                          + (ta.occ @ np.einsum("ppq->pq", ham._shares[0]))
                           @ tb.occ.T).ravel()
         if rows is not None:
             self._diagonal = self._diagonal[rows]

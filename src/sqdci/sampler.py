@@ -434,8 +434,9 @@ def lucj_params_from_ccsd(t1: np.ndarray | None, t2: np.ndarray,
         raise ConfigError("t2 must have shape (occ, occ, virt, virt)")
     if not (nocc and nvirt):
         raise ConfigError("t2 needs at least one occupied and one virtual orbital")
-    if np.max(np.abs(t2 - t2.transpose(1, 0, 3, 2))) > 1e-10:
-        raise ConfigError("t2 lacks the required index symmetry")
+    with np.errstate(over="ignore"):  # an overflowing difference is inf
+        if np.max(np.abs(t2 - t2.transpose(1, 0, 3, 2))) > 1e-10:
+            raise ConfigError("t2 lacks the required index symmetry")
     n_orb = nocc + nvirt
     n_elec = 2 * nocc
 

@@ -1,4 +1,5 @@
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import ONE_ORBITAL_FCIDUMP, random_hamiltonian
 from sqdci.errors import CapacityError, ConfigError
-from sqdci.fcidump import (parse_fcidump, read_fcidump, write_fcidump,
-                           write_fcidump_path)
+from sqdci.fcidump import (WRITE_THRESHOLD, parse_fcidump, read_fcidump,
+                           write_fcidump, write_fcidump_path)
+from sqdci.hamiltonian import ActiveSpaceHamiltonian
 
 
 def test_one_orbital_field_mapping():
@@ -148,6 +150,32 @@ def test_round_trip_is_identity(seed):
     assert np.array_equal(again.two_body, ham.two_body)
     assert again.core_energy == ham.core_energy
     assert (again.n_alpha, again.n_beta) == (ham.n_alpha, ham.n_beta)
+
+
+def _orbit(p, q, r, s):
+    """The 8-fold permutation orbit of (pq|rs)."""
+    return frozenset(perm for pair in ((p, q, r, s), (r, s, p, q))
+                     for perm in (pair, (pair[1], pair[0], *pair[2:]),
+                                  (*pair[:2], pair[3], pair[2]),
+                                  (pair[1], pair[0], pair[3], pair[2])))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_writer_emits_each_orbit_once(n):
+    # The round trip would also pass if an orbit were written twice.
+    ref = random_hamiltonian(n, 1, 1, seed=n)
+    two = np.where(np.abs(ref.two_body) < 0.1, 0.0, ref.two_body)
+    ham = ActiveSpaceHamiltonian(n_orb=n, n_alpha=1, n_beta=1, core_energy=0.0,
+                                 one_body=ref.one_body, two_body=two)
+    buf = io.StringIO()
+    write_fcidump(ham, buf)
+    body = buf.getvalue().split("&END\n")[1].splitlines()
+    written = Counter(_orbit(*(int(i) - 1 for i in line.split()[1:]))
+                      for line in body if line.split()[3] != "0")
+    expected = {_orbit(*index) for index in np.ndindex(two.shape)
+                if abs(two[index]) > WRITE_THRESHOLD}
+    assert set(written) == expected and len(expected) > 0
+    assert set(written.values()) == {1}
 
 
 def test_read_write_path(tmp_path):

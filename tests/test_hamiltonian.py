@@ -180,6 +180,44 @@ def test_batched_generator_matches_reference(batch):
         assert Counter(as_pairs(rows)) == Counter(alone)
 
 
+@st.composite
+def _off_grid_sector(draw):
+    """One sector over 2 to 6 orbitals (closed-shell, open-shell, or with
+    one spin empty or full), its basis, and up to 3 of its rows as
+    sources. The integrals are left off any grid, so an element rounds
+    differently under a second formula for it."""
+    n = draw(st.integers(2, 6))
+    na, nb = draw(st.integers(0, n)), draw(st.integers(0, n))
+    ham = random_hamiltonian(n, max(na, 1), max(nb, 1),
+                             seed=draw(st.integers(0, 2**16)))
+    basis = sector_basis(n, na, nb)
+    rows = draw(st.lists(st.integers(0, len(basis) - 1), min_size=1,
+                         max_size=3, unique=True))
+    return ham, basis, rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(_off_grid_sector())
+def test_screen_judges_the_element_the_matrix_stores(problem):
+    """For every off-diagonal entry v of a source's row of the matrix, the
+    screen keeps the target at cutoff |v| and drops it one ulp above:
+    both compute each kind's element by the same formula, bit for bit."""
+    ham, basis, rows = problem
+    matrix = build_sparse_matrix(ham, basis)
+    for d in rows:
+        source = basis[d:d + 1]
+        for entry in range(matrix.indptr[d], matrix.indptr[d + 1]):
+            column, cutoff = matrix.indices[entry], abs(matrix.data[entry])
+            if column == d:
+                continue
+            target = as_pairs(basis[column:column + 1])[0]
+            assert target in as_pairs(connected_determinants(ham, source,
+                                                             [cutoff]))
+            above = np.nextafter(cutoff, np.inf)
+            assert target not in as_pairs(connected_determinants(ham, source,
+                                                                 [above]))
+
+
 def test_sparse_matvec_matches_oracle():
     ham = random_hamiltonian(4, 2, 2, seed=12)
     basis = sector_basis(4, 2, 2)

@@ -1,7 +1,7 @@
-"""No public function, class or constant of ``sqdci`` is kept alive by the
-tests alone: each top-level public function or class in ``src/sqdci`` is
-referenced, as a name or an attribute, somewhere in the package, and each
-top-level UPPERCASE constant is read there.
+"""No function, class or constant of ``sqdci`` is kept alive by the tests
+alone: each top-level function or class in ``src/sqdci``, private ones
+included, is referenced, as a name or an attribute, somewhere in the
+package, and each top-level UPPERCASE or _UPPERCASE constant is read there.
 """
 
 import ast
@@ -40,17 +40,18 @@ def _uncalled():
     return {f"{module}.{node.name}" for module, tree in trees.items()
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_") and node.name not in used}
+            and node.name not in used}
 
 
 def _constants(trees):
-    """Top-level UPPERCASE names each module assigns, as ``module.NAME``."""
+    """Top-level UPPERCASE or _UPPERCASE names each module assigns, as
+    ``module.NAME``."""
     return {f"{module}.{target.id}" for module, tree in trees.items()
             for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
             for target in (node.targets if isinstance(node, ast.Assign)
                            else [node.target])
             if isinstance(target, ast.Name)
-            and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id)}
+            and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)}
 
 
 def test_every_public_name_has_a_caller_in_the_package():

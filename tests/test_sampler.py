@@ -450,8 +450,11 @@ def test_negative_layer_count_rejected(t2):
     (None, random_t2(2, 2, seed=22) * (1 + 1j)),
     (None, np.zeros((2, 2, 2, 2), dtype="datetime64[s]")),
     (None, np.full((1, 1, 1, 1), 1e308)),
+    (None, np.array([0.0, 1e308, -1e308, 0.0]).reshape(2, 2, 1, 1)),
 ], ids=["t2-2d", "t2-5d", "t2-nan", "t1-inf", "t1-nan-zero-t2", "t2-str",
-        "t2-bytes", "t1-str", "t2-complex", "t2-datetime", "t2-overflow"])
+        "t2-bytes", "t1-str", "t2-complex", "t2-datetime", "t2-overflow",
+        "t2-asymmetry-overflow"])
+@pytest.mark.filterwarnings("error")
 def test_malformed_amplitudes_rejected(t1, t2):
     with pytest.raises(ConfigError, match="t1|t2"):
         lucj_params_from_ccsd(t1, t2, 1)
