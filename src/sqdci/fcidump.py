@@ -7,7 +7,9 @@ before the n^4 two-body array is allocated. Body lines are
 ``value p q r s`` with 1-based indices;
 ``p q 0 0`` is a one-body entry, ``0 0 0 0`` the core energy, otherwise a
 two-body integral (pq|rs) in chemists' notation. ORBSYM/ISYM are parsed
-and ignored.
+and ignored. Numbers are ASCII, with no ``D`` exponent or underscore. An
+entry repeated as any member of its 8-fold orbit must match the previous
+one to 1e-10; the last is kept.
 """
 
 from __future__ import annotations
@@ -22,14 +24,15 @@ from .hamiltonian import MAX_ORBITALS_PER_SPIN, ActiveSpaceHamiltonian
 
 _HEADER_KV = re.compile(r"([A-Za-z][A-Za-z0-9]*)\s*=\s*([^,=]+?)(?=\s*(?:,|$))")
 _HEADER_END = re.compile(r"&END|/$", re.IGNORECASE)
+_BODY_DTYPE = np.dtype([("value", np.float64), ("index", np.int64, (4,))])
 # The writer leaves out integrals of this magnitude or less.
 WRITE_THRESHOLD = 1e-12
 
 
-def _canonical_key(p, q, r, s):
-    pq = (p, q) if p >= q else (q, p)
-    rs = (r, s) if r >= s else (s, r)
-    return (pq, rs) if pq >= rs else (rs, pq)
+def _pair(a, b):
+    """Number of the unordered pair {a, b}: (0, 0), (1, 0), (1, 1), (2, 0), ..."""
+    high, low = np.maximum(a, b), np.minimum(a, b)
+    return high * (high + 1) // 2 + low
 
 
 def parse_fcidump(text: str) -> ActiveSpaceHamiltonian:
@@ -71,53 +74,49 @@ def parse_fcidump(text: str) -> ActiveSpaceHamiltonian:
     n_alpha = (n_elec + ms2) // 2
     n_beta = (n_elec - ms2) // 2
 
-    core = 0.0
+    body = [line for line in lines[body_start:] if line.strip()]
+    try:
+        rows = (np.loadtxt(body, dtype=_BODY_DTYPE, comments=None, ndmin=1)
+                if body else np.zeros(0, _BODY_DTYPE))
+    except ValueError as exc:
+        # loadtxt counts rows from 0 for a bad field, from 1 for a bad count.
+        at = re.search(r"at row (\d+)(, column)?", str(exc))
+        where = body[int(at[1]) - (at[2] is None)] if at else str(exc)
+        raise ConfigError(f"malformed FCIDUMP line: {where!r}") from exc
+    # idx[0] is every line's p, and so on: numpy reduces a short axis slowly.
+    value, idx = rows["value"], rows["index"].T.copy()
+    # Which of p q r s are 0, as bits: 0b1111 core, 0b0011 one-body, 0 two-body.
+    zeros = [8, 4, 2, 1] @ (idx == 0)
+    # One key per 8-fold orbit, the pair number of (pq, rs). Index 0 enters
+    # only as the pair (0, 0), so core, one-body and two-body keys differ.
+    key = _pair(_pair(idx[0], idx[1]), _pair(idx[2], idx[3]))
+    order = np.argsort(key, kind="stable")
+    earlier, later = order[:-1], order[1:]
+    repeat = key[earlier] == key[later]
+    with np.errstate(invalid="ignore"):  # inf - inf is nan: no disagreement
+        clash = repeat & (np.abs(value[earlier] - value[later]) > 1e-10)
+    # Each line's faults, in the order a line is checked.
+    bad = np.stack([((idx < 0) | (idx > n_orb)).any(axis=0),
+                    (zeros != 0) & (zeros != 0b0011) & (zeros != 0b1111),
+                    np.bincount(later[clash], minlength=len(key)) > 0])
+    if bad.any():
+        row = bad.any(axis=0).argmax()
+        fault = ("index out of range [1, NORB] in", "malformed FCIDUMP line:",
+                 "inconsistent duplicate entry")[bad[:, row].argmax()]
+        raise ConfigError(f"{fault} {body[row]!r}")
+    # A key's last line holds its value, as if the lines were written in
+    # turn: a fancy assignment with repeated indices leaves it undefined.
+    keep = np.bincount(earlier[repeat], minlength=len(key)) == 0
+    value, idx, zeros = value[keep], idx[:, keep], zeros[keep]
+    core = float(next(iter(value[zeros == 0b1111]), 0.0))
     one = np.zeros((n_orb, n_orb))
+    i, j = idx[:2, zeros == 0b0011] - 1
+    one[i, j] = one[j, i] = value[zeros == 0b0011]
     two = np.zeros((n_orb,) * 4)
-    seen = {}
-    for raw in lines[body_start:]:
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise ConfigError(f"malformed FCIDUMP line: {raw!r}")
-        try:
-            value = float(parts[0])
-            p, q, r, s = (int(x) for x in parts[1:])
-        except ValueError as exc:
-            raise ConfigError(f"malformed FCIDUMP line: {raw!r}") from exc
-        for idx in (p, q, r, s):
-            if idx < 0 or idx > n_orb:
-                raise ConfigError(f"index out of range [1, NORB] in {raw!r}")
-        if p == q == r == s == 0:
-            key = ("core",)
-            if key in seen and abs(seen[key] - value) > 1e-10:
-                raise ConfigError("inconsistent duplicate core-energy entry")
-            seen[key] = value
-            core = value
-        elif r == 0 and s == 0:
-            if p == 0 or q == 0:
-                raise ConfigError(f"malformed FCIDUMP line: {raw!r}")
-            i, j = p - 1, q - 1
-            key = ("h", max(i, j), min(i, j))
-            if key in seen and abs(seen[key] - value) > 1e-10:
-                raise ConfigError(f"inconsistent duplicate one-body entry {raw!r}")
-            seen[key] = value
-            one[i, j] = value
-            one[j, i] = value
-        else:
-            if 0 in (p, q, r, s):
-                raise ConfigError(f"malformed FCIDUMP line: {raw!r}")
-            i, j, k, l = p - 1, q - 1, r - 1, s - 1
-            key = ("eri",) + _canonical_key(i, j, k, l)
-            if key in seen and abs(seen[key] - value) > 1e-10:
-                raise ConfigError(f"inconsistent duplicate two-body entry {raw!r}")
-            seen[key] = value
-            for a, b, c, d in ((i, j, k, l), (j, i, k, l), (i, j, l, k),
-                               (j, i, l, k), (k, l, i, j), (l, k, i, j),
-                               (k, l, j, i), (l, k, j, i)):
-                two[a, b, c, d] = value
+    i, j, k, l = idx[:, zeros == 0] - 1
+    for a, b, c, d in ((i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
+                       (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i)):
+        two[a, b, c, d] = value[zeros == 0]
     return ActiveSpaceHamiltonian(n_orb=n_orb, n_alpha=n_alpha, n_beta=n_beta,
                                   core_energy=core, one_body=one, two_body=two)
 

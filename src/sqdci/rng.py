@@ -1,13 +1,11 @@
 """Seeded, counter-based random streams.
 
-Every stochastic step in the package draws from a Philox generator keyed
-by an explicit 64-bit seed plus a stream tag, so results are bitwise
-reproducible regardless of thread count or evaluation order.
+Every stochastic step draws from a Philox generator keyed by an explicit
+64-bit seed plus stream tags (strings by SHA-256, imported on first use),
+so results are bitwise reproducible in any thread count or order.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 
@@ -15,6 +13,8 @@ import numpy as np
 def _tag_to_int(tag) -> int:
     if isinstance(tag, (int, np.integer)):
         return int(tag) & 0xFFFFFFFFFFFFFFFF
+    # Imported here: fci, hci and ext-hci hash no tag, so they skip OpenSSL.
+    import hashlib
     digest = hashlib.sha256(str(tag).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
 

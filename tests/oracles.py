@@ -642,3 +642,67 @@ def lucj_amplitudes_per_determinant(params, n_orb: int, n_alpha: int,
         if J is not None:
             amps = amps * np.exp(1j * density_density_phases(J, dets, n_orb))
     return amps
+
+
+def _canonical_key(p, q, r, s):
+    pq = (p, q) if p >= q else (q, p)
+    rs = (r, s) if r >= s else (s, r)
+    return (pq, rs) if pq >= rs else (rs, pq)
+
+
+def fcidump_body_per_line(lines, n_orb: int):
+    """``(core, one_body, two_body)`` of FCIDUMP body lines, read one line
+    at a time, or a ConfigError for the first faulty line.
+
+    A number is ASCII without underscores, as in the package's reader;
+    within that, Python's ``float`` and ``int`` decide. A repeated entry
+    must agree with the previous one to 1e-10, and the last one is kept.
+    """
+    core = 0.0
+    one = np.zeros((n_orb, n_orb))
+    two = np.zeros((n_orb,) * 4)
+    seen = {}
+    for raw in lines:
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 5 or any(not x.isascii() or "_" in x for x in parts):
+            raise ConfigError(f"malformed FCIDUMP line: {raw!r}")
+        try:
+            value = float(parts[0])
+            p, q, r, s = (int(x) for x in parts[1:])
+        except ValueError as exc:
+            raise ConfigError(f"malformed FCIDUMP line: {raw!r}") from exc
+        for idx in (p, q, r, s):
+            if idx < 0 or idx > n_orb:
+                raise ConfigError(f"index out of range [1, NORB] in {raw!r}")
+        if p == q == r == s == 0:
+            key = ("core",)
+            if key in seen and abs(seen[key] - value) > 1e-10:
+                raise ConfigError("inconsistent duplicate core-energy entry")
+            seen[key] = value
+            core = value
+        elif r == 0 and s == 0:
+            if p == 0 or q == 0:
+                raise ConfigError(f"malformed FCIDUMP line: {raw!r}")
+            i, j = p - 1, q - 1
+            key = ("h", max(i, j), min(i, j))
+            if key in seen and abs(seen[key] - value) > 1e-10:
+                raise ConfigError(f"inconsistent duplicate one-body entry {raw!r}")
+            seen[key] = value
+            one[i, j] = value
+            one[j, i] = value
+        else:
+            if 0 in (p, q, r, s):
+                raise ConfigError(f"malformed FCIDUMP line: {raw!r}")
+            i, j, k, l = p - 1, q - 1, r - 1, s - 1
+            key = ("eri",) + _canonical_key(i, j, k, l)
+            if key in seen and abs(seen[key] - value) > 1e-10:
+                raise ConfigError(f"inconsistent duplicate two-body entry {raw!r}")
+            seen[key] = value
+            for a, b, c, d in ((i, j, k, l), (j, i, k, l), (i, j, l, k),
+                               (j, i, l, k), (k, l, i, j), (l, k, i, j),
+                               (k, l, j, i), (l, k, j, i)):
+                two[a, b, c, d] = value
+    return core, one, two

@@ -597,7 +597,8 @@ def test_cli_runs_load_no_scipy(tmp_path):
 def test_fci_and_hci_runs_leave_numpy_random_unloaded(tmp_path):
     # Davidson makes its random stream only when a correction collapses,
     # and nothing else on these paths draws: numpy.random (about 2 MB of
-    # RSS) stays unimported. FCI at dimension 400 takes the Davidson path.
+    # RSS) stays unimported, and so does OpenSSL (about 3 MB), which only
+    # a hashed stream tag needs. FCI at dimension 400 takes the Davidson path.
     hamiltonian = tmp_path / "h6.fcidump"
     write_fcidump_path(random_hamiltonian(6, 3, 3, seed=25), hamiltonian)
     runs = [["run", "--hamiltonian", str(hamiltonian), "--method", method,
@@ -607,12 +608,13 @@ def test_fci_and_hci_runs_leave_numpy_random_unloaded(tmp_path):
     probe = ("import json, sys\n"
              "from sqdci.cli import main\n"
              "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-             "print(json.dumps([codes, 'numpy.random' in sys.modules]))\n")
+             "print(json.dumps([codes, 'numpy.random' in sys.modules,\n"
+             "                  '_hashlib' in sys.modules]))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(sqdci.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)],
                          env=env, check=True, capture_output=True, text=True,
                          timeout=120).stdout
-    assert json.loads(out) == [[0] * 3, False]
+    assert json.loads(out) == [[0] * 3, False, False]
     assert json.loads((tmp_path / "fci.json").read_text())["dimension"] == 400
 
 
