@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .hamiltonian import (_BLOCK_CANDIDATES, ActiveSpaceHamiltonian,
                           connected_determinants, merge_blocks)
 from .solver import SubspaceResult, check_rows, solve_subspace
-from .sqd import ExtensionThresholds, _held, extend_subspace
+from .sqd import ExtensionThresholds, extend_subspace, solve_distinct
 
 MAX_SWEEPS = 50
 ENERGY_TOL = 1e-9
@@ -75,4 +75,4 @@ def ext_hci(ham: ActiveSpaceHamiltonian, prior: SubspaceResult,
     thresholds = thresholds or ExtensionThresholds()
     extended = extend_subspace(prior.vector, prior.basis, thresholds,
                                ham.n_orb, prior.basis)
-    return _held(extended, [prior]) or solve_subspace(ham, extended)
+    return solve_distinct(ham, [extended], [prior])[0][0]

@@ -131,11 +131,13 @@ def _acquire_counts(config: RunConfig, ham):
     return counts
 
 
-def execute_run(config: RunConfig) -> dict:
-    """Run the configured pipeline and return the result record."""
+def execute_run(config: RunConfig, ham=None) -> dict:
+    """Run the configured pipeline and return the result record; ``ham``
+    is the Hamiltonian of the config's file if the caller has read it."""
     config.validate()
     started = time.perf_counter()
-    ham = read_fcidump(config.hamiltonian_path)
+    if ham is None:
+        ham = read_fcidump(config.hamiltonian_path)
     thresholds = ExtensionThresholds(discard_below=config.discard_below,
                                      doubles_above=config.doubles_above)
     record = {
@@ -250,7 +252,8 @@ def scan_table(config: RunConfig, template: str, sizes: list[int],
                methods: list[str]) -> list[dict]:
     """Run each distinct (size, method) pair over a family of FCIDUMP
     files, sizes ascending and methods in first-seen order. Every member
-    file must exist before the first run starts.
+    file must exist before the first run starts; each is read once, for
+    all its methods.
     """
     if "{size}" not in template:
         raise ConfigError("scan template must contain '{size}'")
@@ -264,11 +267,12 @@ def scan_table(config: RunConfig, template: str, sizes: list[int],
             raise ConfigError(f"missing scan member: {path}")
     rows = []
     for size, path in members:
+        ham = read_fcidump(path)
         for method in dict.fromkeys(methods):
             member = RunConfig(**{**asdict(config),
                                   "hamiltonian_path": path,
                                   "method": method})
-            record = execute_run(member)
+            record = execute_run(member, ham)
             rows.append({"size": size, "method": method,
                          "energy": record["energy"],
                          "dimension": record.get("dimension", ""),

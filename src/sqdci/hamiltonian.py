@@ -215,8 +215,10 @@ class ActiveSpaceHamiltonian:
             raise ConfigError("integrals must be finite")
         if np.max(np.abs(h - h.T)) > 1e-12:
             raise ConfigError("one_body not symmetric")
+        gap = np.empty_like(eri)
         for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
-            if np.max(np.abs(eri - eri.transpose(perm))) > 1e-12:
+            np.abs(np.subtract(eri, eri.transpose(perm), out=gap), out=gap)
+            if np.max(gap) > 1e-12:
                 raise ConfigError("two_body lacks 8-fold symmetry")
         object.__setattr__(self, "one_body", h)
         object.__setattr__(self, "two_body", eri)

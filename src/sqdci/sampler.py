@@ -418,11 +418,13 @@ def lucj_params_from_ccsd(t1: np.ndarray | None, t2: np.ndarray,
     give the last layer, exp(K) of the t1 generator K, with no phase.
 
     Each retained mode expands to a conjugated pair of layers
-    (V^T then the phase, then V) so that the first-order action on the
-    reference reproduces the doubles excitations. V is used as eigh returns
-    it: a determinant of -1 or a half turn needs no special case. Zero
-    doubles give no layer; otherwise more layers than modes are refused, as
-    are amplitudes not finite and real, or big enough to overflow a phase.
+    (V^T then the phase, then V). With every mode kept, their first-order
+    action on the reference is 2i T2|RHF>, T2 the doubles operator of t2:
+    twice the amplitudes, times i (ROADMAP item 19). V is used as eigh
+    returns it: a determinant of -1 or a half turn needs no special case.
+    Zero doubles give no layer; otherwise more layers than modes are
+    refused, as are amplitudes not finite and real, or big enough to
+    overflow a phase.
     """
     if n_layers < 0:
         raise ConfigError(f"n_layers must be nonnegative, got {n_layers}")

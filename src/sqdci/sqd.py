@@ -10,7 +10,7 @@ eigenstate over its singles/doubles-augmented basis. Subspaces are the
 packed ``uint64`` bases of :mod:`sqdci.hamiltonian`. A solve is a
 deterministic function of its basis, so a batch or extension whose basis
 equals one already solved, or the batch it extends, reuses that solution
-(:func:`_held` is the one lookup; ``ext_hci`` shares it).
+(:func:`solve_distinct` is the one lookup and solve; ``ext_hci`` shares it).
 
 Recovery works on the distinct packed rows: in each round, every row
 still off target draws one multinomial over its candidate bits and
@@ -180,11 +180,19 @@ def _draw_batch(counts: BitstringCounts, size: int,
     return counts.take(np.sort(picks))
 
 
-def _held(basis: np.ndarray, solutions):
-    """The first of ``solutions`` (None entries skipped) whose basis equals
-    ``basis`` row for row, or None."""
-    return next((s for s in solutions
-                 if s is not None and np.array_equal(s.basis, basis)), None)
+def solve_distinct(ham: ActiveSpaceHamiltonian, bases, known=()):
+    """Solutions of ``bases``, taken one at a time, and the number of
+    :func:`solve_subspace` calls: a basis equal row for row to an earlier
+    one of the pass, or else to one of ``known``, reuses that solution."""
+    solutions, solves = [], 0
+    for basis in bases:
+        solved = next((s for s in (*solutions, *known)
+                       if np.array_equal(s.basis, basis)), None)
+        if solved is None:
+            solved = solve_subspace(ham, basis)
+            solves += 1
+        solutions.append(solved)
+    return solutions, solves
 
 
 def sqd_ground_state(ham: ActiveSpaceHamiltonian, counts: BitstringCounts,
@@ -201,7 +209,6 @@ def sqd_ground_state(ham: ActiveSpaceHamiltonian, counts: BitstringCounts,
             "no sampled configuration has the correct Hamming weights")
 
     history: list[float] = []
-    batches: list[BatchSolution] = []
     best: BatchSolution | None = None
     solves = 0
 
@@ -226,24 +233,23 @@ def sqd_ground_state(ham: ActiveSpaceHamiltonian, counts: BitstringCounts,
                 np.concatenate([valid.beta, recovered.beta]),
                 np.concatenate([valid.count, recovered.count]))
 
-        batches = []
-        for b in range(cfg.batches):
-            gen = rng.stream(cfg.seed, "batch", iteration, b)
-            batch_counts = _draw_batch(pool, cfg.samples_per_batch, gen)
-            basis = build_subspace(batch_counts, ham.n_orb)
-            # Saturated samples close many batches to one space. Only this
-            # iteration's solutions and the running best are looked up:
-            # keeping the previous iteration's would hold one more basis and
-            # vector per batch (384 MB for 16 batches of 10^6 rows).
-            solved = _held(basis, (*batches, best))
-            if solved is None:
-                solved = solve_subspace(ham, basis)
-                solves += 1
-            batches.append(BatchSolution(basis=solved.basis,
-                                         vector=solved.vector,
-                                         energy=solved.energy,
-                                         shot_weight=batch_counts.total_shots,
-                                         raw_dimension=len(batch_counts)))
+        # Saturated samples close many batches to one space. Lookups see this
+        # iteration's solutions and the running best; the previous iteration's
+        # go first (16 bases and vectors of 10^6 rows hold 384 MB).
+        batches, drawn = [], []  # drawn: (shots, distinct rows) per batch
+
+        def closures():
+            for b in range(cfg.batches):
+                batch = _draw_batch(pool, cfg.samples_per_batch,
+                                    rng.stream(cfg.seed, "batch", iteration, b))
+                drawn.append((batch.total_shots, len(batch)))
+                yield build_subspace(batch, ham.n_orb)
+
+        solved, count = solve_distinct(ham, closures(),
+                                       () if best is None else (best,))
+        solves += count
+        batches = [BatchSolution(s.basis, s.vector, s.energy, *d)
+                   for s, d in zip(solved, drawn)]
         best = min(batches, key=lambda s: s.energy)
         history.append(best.energy)
 
@@ -320,19 +326,12 @@ def ext_sqd(ham: ActiveSpaceHamiltonian, prior: SQDResult,
     if not prior.batches:
         raise ConfigError("prior result carries no batch eigenstates")
     thresholds = thresholds or ExtensionThresholds()
-    solutions = []
-    solves = 0
-    for batch in prior.batches:
-        extended = extend_subspace(batch.vector, batch.basis, thresholds,
-                                   ham.n_orb, batch.basis, prior.basis)
-        solved = _held(extended, (*solutions, *prior.batches))
-        if solved is None:
-            solved = solve_subspace(ham, extended)
-            solves += 1
-        solutions.append(BatchSolution(basis=solved.basis,
-                                       vector=solved.vector,
-                                       energy=solved.energy,
-                                       shot_weight=batch.shot_weight))
+    solved, solves = solve_distinct(ham, (
+        extend_subspace(batch.vector, batch.basis, thresholds, ham.n_orb,
+                        batch.basis, prior.basis)
+        for batch in prior.batches), prior.batches)
+    solutions = [BatchSolution(s.basis, s.vector, s.energy, batch.shot_weight)
+                 for s, batch in zip(solved, prior.batches)]
     best = min(solutions, key=lambda s: s.energy)
     return SQDResult(energy=best.energy, energy_history=[best.energy],
                      basis=best.basis, dimension=len(best.basis),

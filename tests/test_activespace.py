@@ -62,6 +62,18 @@ def test_inside_out_side_exhaustion():
     assert select_inside_out(occ, 3) == [0, 1, 2]
 
 
+def test_inside_out_takes_the_other_side_once_one_is_used_up():
+    # One occupied orbital: after the HONO-LUNO pair every pick, the
+    # occupied side's turns included, falls to the unoccupied side.
+    assert select_inside_out([2, 0, 0, 0, 0], 4) == [0, 1, 2, 3]
+    assert select_inside_out([2, 0, 0, 0, 0], 5) == [0, 1, 2, 3, 4]
+    # One unoccupied orbital: the picks fall to the occupied side, the
+    # nearest first; indices come back in occupation order.
+    assert select_inside_out([2, 2, 2, 2, 0], 4) == [1, 2, 3, 4]
+    assert select_inside_out([2, 2, 2, 2, 0], 5) == [0, 1, 2, 3, 4]
+    assert select_inside_out([0, 2, 2, 2, 2], 4) == [2, 3, 4, 0]
+
+
 def test_inside_out_even_electron_count():
     occ = [2.0, 2.0, 1.97, 0.03, 0.0]
     selected = select_inside_out(occ, 4)

@@ -5,7 +5,7 @@ from conftest import as_pairs, packed, random_hamiltonian
 from oracles import (Determinant, brute_force_matrix,
                      hartree_fock_determinant, reference_connected)
 from sqdci.baselines import ext_hci, hci_variational
-from sqdci import baselines, hamiltonian, solver
+from sqdci import baselines, hamiltonian, solver, sqd
 from sqdci.errors import CapacityError, ConfigError
 from sqdci.hamiltonian import merge_bases
 from sqdci.solver import fci_ground_state, solve_subspace, solver_bytes
@@ -44,6 +44,24 @@ def test_hci_diagnostics():
     ham = random_hamiltonian(4, 2, 2, seed=31)
     result = hci_variational(ham, 1e-3)
     assert result.diagnostics["hci_sweeps"] >= 1
+
+
+def test_hci_stops_when_a_growing_sweep_barely_moves_the_energy(monkeypatch):
+    # Weak couplings: sweep 3 grows the space 381 -> 383 rows but moves the
+    # energy by about 3e-10 Ha, below ENERGY_TOL, so HCI stops there; with
+    # no tolerance it runs a fourth sweep, which finds the space stable.
+    ham = random_hamiltonian(6, 3, 3, seed=6, one_scale=0.1, two_scale=0.02,
+                             diagonal_spread=1.0)
+    solves = []
+    monkeypatch.setattr(baselines, "solve_subspace",
+                        lambda *a: solves.append(solve_subspace(*a))
+                        or solves[-1])
+    result = hci_variational(ham, 3e-5)
+    assert result.diagnostics["hci_sweeps"] == 3
+    assert [s.dimension for s in solves] == [1, 118, 381, 383]
+    assert 0 < abs(solves[-1].energy - solves[-2].energy) < baselines.ENERGY_TOL
+    monkeypatch.setattr(baselines, "ENERGY_TOL", 0.0)
+    assert hci_variational(ham, 3e-5).diagnostics["hci_sweeps"] == 4
 
 
 def test_hci_options_validation(ham_2e2o):
@@ -159,7 +177,8 @@ def test_ext_hci_reuses_the_hci_solve_when_nothing_is_added(monkeypatch):
     prior, smaller = hci_variational(ham, 1e-3), hci_variational(ham, 1e-1)
     assert prior.dimension == 1225
     calls = []
-    monkeypatch.setattr(baselines, "solve_subspace",
+    # ext_hci solves through sqd.solve_distinct, so count sqd's solves.
+    monkeypatch.setattr(sqd, "solve_subspace",
                         lambda *a: calls.append(a) or solve_subspace(*a))
     result = ext_hci(ham, prior)
     assert calls == []
@@ -214,7 +233,7 @@ def test_extension_refused_in_the_merge_not_the_solve(monkeypatch):
     def not_solved(*args):
         raise AssertionError("the union must be refused before its solve")
 
-    monkeypatch.setattr(baselines, "solve_subspace", not_solved)
+    monkeypatch.setattr(sqd, "solve_subspace", not_solved)
     monkeypatch.setattr(solver, "MEMORY_BUDGET_BYTES", solver_bytes(n) - 1)
     with pytest.raises(CapacityError,
                        match=f"extended space of {n} rows") as refused:

@@ -15,7 +15,7 @@ from conftest import ONE_ORBITAL_FCIDUMP, counts_of, random_hamiltonian
 from sqdci.cli import (RunConfig, build_parser, execute_run, main,
                        reaction_report, scan_table)
 from sqdci.errors import ConfigError
-from sqdci.fcidump import write_fcidump_path
+from sqdci.fcidump import read_fcidump, write_fcidump_path
 from sqdci.hamiltonian import product_operator_bytes, sector_basis
 from sqdci.sampler import BitstringCounts, write_counts
 from sqdci.solver import fci_ground_state, solver_bytes
@@ -667,7 +667,8 @@ def test_scan_runs_each_size_and_method_once(tmp_path, monkeypatch):
                            tmp_path / f"as{size}.fcidump")
     runs = []
     monkeypatch.setattr("sqdci.cli.execute_run",
-                        lambda config: runs.append(config) or execute_run(config))
+                        lambda config, *ham: runs.append(config)
+                        or execute_run(config, *ham))
     out = tmp_path / "table.csv"
     assert main(["scan", "--template", str(tmp_path / "as{size}.fcidump"),
                  "--sizes", "3,2,3,2", "--methods", "hci,fci,hci",
@@ -675,6 +676,32 @@ def test_scan_runs_each_size_and_method_once(tmp_path, monkeypatch):
     keys = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
     assert keys == [["2", "hci"], ["2", "fci"], ["3", "hci"], ["3", "fci"]]
     assert len(runs) == 4
+
+
+def test_scan_reads_each_member_once(tmp_path, monkeypatch):
+    # Three methods over two sizes read two files, and each row is the
+    # record of a run that read its own file.
+    for size in (2, 3):
+        write_fcidump_path(random_hamiltonian(size, 1, 1, seed=size),
+                           tmp_path / f"as{size}.fcidump")
+    reads = []
+    monkeypatch.setattr("sqdci.cli.read_fcidump",
+                        lambda path: reads.append(path) or read_fcidump(path))
+    out = tmp_path / "table.csv"
+    assert main(["scan", "--template", str(tmp_path / "as{size}.fcidump"),
+                 "--sizes", "2,3", "--methods", "fci,hci,ext-hci",
+                 "--out", str(out)]) == 0
+    assert reads == [str(tmp_path / f"as{size}.fcidump") for size in (2, 3)]
+    monkeypatch.undo()
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 6
+    for size, method, energy, dimension, extended in rows:
+        record = execute_run(RunConfig(
+            hamiltonian_path=str(tmp_path / f"as{size}.fcidump"),
+            method=method))
+        assert energy == repr(record["energy"])
+        assert dimension == str(record["dimension"])
+        assert extended == str(record.get("dimension_extended", ""))
 
 
 def test_config_file_and_flag_override(one_orbital, tmp_path):

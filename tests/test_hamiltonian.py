@@ -366,6 +366,20 @@ def test_asymmetric_integrals_rejected():
                                one_body=np.zeros((2, 2)), two_body=eri)
 
 
+def test_symmetry_check_holds_one_two_body_buffer():
+    # The three permutation checks share one n^4 buffer; a temporary per
+    # subtraction and per absolute value would take the peak to 2x.
+    ham = random_hamiltonian(12, 2, 2, seed=3)
+    tracemalloc.start()
+    try:
+        ActiveSpaceHamiltonian(n_orb=12, n_alpha=2, n_beta=2, core_energy=0.0,
+                               one_body=ham.one_body, two_body=ham.two_body)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * ham.two_body.nbytes
+
+
 def test_hamiltonian_arrays_are_read_only():
     ham = random_hamiltonian(2, 1, 1, seed=17)
     with pytest.raises(ValueError):

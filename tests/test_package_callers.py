@@ -69,3 +69,41 @@ def test_every_public_constant_is_read_in_the_package():
     used = _used(trees)
     assert {name for name in constants
             if name.split(".")[1] not in used} == set()
+
+
+def _private_definitions(trees):
+    """Top-level functions and classes whose names start with ``_``, as
+    ``module.name``."""
+    return {f"{module}.{node.name}" for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_")}
+
+
+def _borrowed(trees):
+    """``module.name`` for each name a module takes from another package
+    module: by ``from .module import name`` or as ``module.name`` after
+    ``from . import module``."""
+    names = set()
+    for module, tree in trees.items():
+        siblings = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module is None for alias in node.names}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module is not None and node.module != module):
+                names |= {f"{node.module}.{alias.name}" for alias in node.names}
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in siblings):
+                names.add(f"{node.value.id}.{node.attr}")
+    return names
+
+
+def test_no_module_uses_another_modules_private_function_or_class():
+    # A private helper another module needs is that module's API: give it
+    # a public name, or move the caller's use into its module.
+    trees = _trees()
+    private = _private_definitions(trees)
+    assert len(private) >= 5  # the scan finds the private helpers
+    assert _borrowed(trees) & private == set()
