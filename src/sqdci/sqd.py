@@ -235,8 +235,8 @@ def sqd_ground_state(ham: ActiveSpaceHamiltonian, counts: BitstringCounts,
 
         # Saturated samples close many batches to one space. Lookups see this
         # iteration's solutions and the running best; the previous iteration's
-        # go first (16 bases and vectors of 10^6 rows hold 384 MB).
-        batches, drawn = [], []  # drawn: (shots, distinct rows) per batch
+        # are dropped first (16 bases and vectors of 10^6 rows hold 384 MB).
+        batches, drawn = [], []  # drawn: (shots, rows), one per basis taken
 
         def closures():
             for b in range(cfg.batches):
@@ -245,11 +245,11 @@ def sqd_ground_state(ham: ActiveSpaceHamiltonian, counts: BitstringCounts,
                 drawn.append((batch.total_shots, len(batch)))
                 yield build_subspace(batch, ham.n_orb)
 
-        solved, count = solve_distinct(ham, closures(),
-                                       () if best is None else (best,))
+        batches, count = solve_distinct(ham, closures(),
+                                        () if best is None else (best,))
         solves += count
         batches = [BatchSolution(s.basis, s.vector, s.energy, *d)
-                   for s, d in zip(solved, drawn)]
+                   for s, d in zip(batches, drawn)]
         best = min(batches, key=lambda s: s.energy)
         history.append(best.energy)
 

@@ -1,3 +1,4 @@
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -258,6 +259,32 @@ def test_closures_of_one_length_are_each_solved(ham_4e4o, monkeypatch):
     for batch in result.batches:
         assert_fresh(ham_4e4o, batch)
 
+
+
+def test_an_iteration_solves_without_the_previous_ones_solutions(ham_4e4o,
+                                                                 monkeypatch):
+    # While iteration 2 solves, iteration 1's running best is the one of its
+    # solutions still held; the other batches' bases and vectors are freed.
+    counts, _ = fci_counts(ham_4e4o, shots=2000, seed=9)
+    cfg = RecoveryConfig(iterations=2, batches=4, samples_per_batch=6, seed=4)
+    draws, first, held = [], [], []
+    real_draw = sqd._draw_batch
+    monkeypatch.setattr(sqd, "_draw_batch",
+                        lambda *a: draws.append(None) or real_draw(*a))
+
+    def solve(ham, basis):
+        iteration = (len(draws) - 1) // cfg.batches + 1
+        if iteration == 2:
+            held.append([e for e, vector in first if vector() is not None])
+        solution = solve_subspace(ham, basis)
+        if iteration == 1:
+            first.append((solution.energy, weakref.ref(solution.vector)))
+        return solution
+
+    monkeypatch.setattr(sqd, "solve_subspace", solve)
+    sqd_ground_state(ham_4e4o, counts, cfg)
+    assert len(first) == cfg.batches
+    assert held and all(h == [min(e for e, _ in first)] for h in held)
 
 # ------------------------------------------------------------------ extension
 
