@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, reading
 
 DEFAULT_ETA = 1e-3
 FRACTIONAL_BAND = (0.02, 1.98)
@@ -123,14 +123,13 @@ def select_inside_out(occupations, target_size: int,
 
 
 def read_orbital_data(path) -> OrbitalRanking:
-    """Read `index contribution occupation` lines into a ranking."""
+    """Read `index contribution occupation` lines into a ranking; a file
+    that cannot be read is a :class:`ConfigError` by
+    :func:`~sqdci.errors.reading`."""
     contributions = {}
     occupations = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read orbital data {path}: {exc}") from exc
+    with reading(path, "orbital data") as fh:
+        lines = fh.readlines()
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -24,13 +24,12 @@ import numpy as np
 from . import rng, __version__
 from .baselines import ext_hci, hci_variational
 from .errors import (CapacityError, ConfigError, ConvergenceError,
-                     EmptyValidSampleError, SqdciError)
+                     EmptyValidSampleError, SqdciError, reading)
 from .fcidump import read_fcidump
 from .sampler import (SectorState, apply_readout_noise, lucj_params_from_ccsd,
                       lucj_state, read_counts, sample_counts)
 from .solver import fci_ground_state
 from .sqd import ExtensionThresholds, RecoveryConfig, ext_sqd, sqd_ground_state
-from .units import hartree_to_ev
 
 METHODS = ("fci", "hci", "ext-hci", "sqd", "ext-sqd")
 SAMPLERS = ("lucj", "ci-vector", "counts-file")
@@ -42,6 +41,10 @@ EXIT_CODES = ((ConfigError, 2), ((ConvergenceError, ArithmeticError), 3),
 # The multinomial draw takes the shot count as a C int64.
 MAX_SHOTS = np.iinfo(np.int64).max
 
+# CODATA value, eV per Hartree. Energies are Hartree everywhere else; eV
+# appears only in the records and reports written here.
+EV_PER_HARTREE = 27.211386245988
+
 
 @dataclass
 class RunConfig:
@@ -51,11 +54,11 @@ class RunConfig:
     method: str = "sqd"
     sampler: str = "ci-vector"
     shots: int = 6_000_000
-    iterations: int = 10
-    batches: int = 16
-    samples_per_batch: int = 1000
-    discard_below: float = 1e-2
-    doubles_above: float = 1e-1
+    iterations: int = RecoveryConfig.iterations
+    batches: int = RecoveryConfig.batches
+    samples_per_batch: int = RecoveryConfig.samples_per_batch
+    discard_below: float = ExtensionThresholds.discard_below
+    doubles_above: float = ExtensionThresholds.doubles_above
     flip_probability: float = 0.0
     seed: int = 0
     epsilon1: float = 1e-4
@@ -71,8 +74,6 @@ class RunConfig:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         if not self.hamiltonian_path:
             raise ConfigError("a Hamiltonian file is required")
-        if not os.path.exists(self.hamiltonian_path):
-            raise ConfigError(f"no such file: {self.hamiltonian_path}")
         if not 0 < self.shots <= MAX_SHOTS:
             raise ConfigError(f"shots must be in [1, {MAX_SHOTS}], "
                               f"got {self.shots}")
@@ -82,11 +83,8 @@ class RunConfig:
         if np.isnan(self.epsilon1):  # echoed in the record
             raise ConfigError("epsilon1 must be a number, not nan")
         if self.method in ("sqd", "ext-sqd"):
-            if self.sampler == "counts-file":
-                if not self.counts_path:
-                    raise ConfigError("sampler=counts-file needs --counts")
-                if not os.path.exists(self.counts_path):
-                    raise ConfigError(f"no such file: {self.counts_path}")
+            if self.sampler == "counts-file" and not self.counts_path:
+                raise ConfigError("sampler=counts-file needs --counts")
             if self.sampler == "lucj" and not self.amplitudes_path:
                 raise ConfigError("sampler=lucj needs --amplitudes (npz with t2, optional t1)")
 
@@ -183,7 +181,7 @@ def execute_run(config: RunConfig, ham=None) -> dict:
                           subspace_solves=sqd.solves + extended.solves)
             record["energy_history"] = list(sqd.energy_history) + [extended.energy]
 
-    record["energy_ev"] = hartree_to_ev(record["energy"])
+    record["energy_ev"] = record["energy"] * EV_PER_HARTREE
     record["wall_time"] = time.perf_counter() - started
     return record
 
@@ -228,11 +226,11 @@ def reaction_report(product_record: dict, reactant_record: dict,
                 "pass --allow-method-mismatch to override")
         print("warning: comparing energies across methods", file=sys.stderr)
     delta = float(product_record["energy"]) - float(reactant_record["energy"])
-    if not math.isfinite(hartree_to_ev(delta)):
+    if not math.isfinite(delta * EV_PER_HARTREE):
         raise ConfigError("the energy difference overflows")
     return {
         "delta_e_hartree": delta,
-        "delta_e_ev": hartree_to_ev(delta),
+        "delta_e_ev": delta * EV_PER_HARTREE,
         "product": {"method": product_record["method"],
                     "energy": product_record["energy"]},
         "reactant": {"method": reactant_record["method"],
@@ -241,11 +239,10 @@ def reaction_report(product_record: dict, reactant_record: dict,
 
 
 def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read record {path}: {exc}") from exc
+    """The JSON of the record file ``path``; unreadable, malformed or too
+    deeply nested JSON is a :class:`ConfigError` by :func:`reading`."""
+    with reading(path, "record") as fh:
+        return json.load(fh)
 
 
 def scan_table(config: RunConfig, template: str, sizes: list[int],
@@ -300,14 +297,12 @@ def _sizes(text: str) -> list[int]:
 
 
 def _read_config_file(path) -> dict:
-    """key = value lines, field names as in RunConfig."""
+    """key = value lines, field names as in RunConfig; a file that cannot
+    be read is a :class:`ConfigError` by :func:`reading`."""
     values = {}
     valid = set(RunConfig.__dataclass_fields__)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    with reading(path, "config file") as fh:
+        lines = fh.readlines()
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -1,7 +1,11 @@
 """Exception types shared across the package.
 
-Each maps to a distinct CLI exit code (see :mod:`sqdci.cli`).
+Each maps to a distinct CLI exit code (see :mod:`sqdci.cli`). Every text
+input is opened by :func:`reading`, the one place where a file that
+cannot be read becomes a :class:`ConfigError` (exit 2).
 """
+
+from contextlib import contextmanager
 
 
 class SqdciError(Exception):
@@ -29,3 +33,17 @@ def check_budget(what: str, need: float, budget: float) -> None:
 
 class EmptyValidSampleError(SqdciError):
     """No sampled configuration has the correct Hamming weights."""
+
+
+@contextmanager
+def reading(path, what: str):
+    """The open UTF-8 text handle of the ``what`` file ``path``. An
+    ``OSError`` (missing file, directory), ``ValueError`` (not UTF-8, or
+    refused by a parser such as ``json.load``) or ``RecursionError``
+    (nested too deep) raised while the ``with`` body reads becomes a
+    :class:`ConfigError` naming the file; a :class:`SqdciError` passes."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc

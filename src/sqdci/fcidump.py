@@ -19,20 +19,15 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError
-from .hamiltonian import MAX_ORBITALS_PER_SPIN, ActiveSpaceHamiltonian
+from .errors import CapacityError, ConfigError, reading
+from .hamiltonian import (MAX_ORBITALS_PER_SPIN, ActiveSpaceHamiltonian,
+                          pair_index)
 
 _HEADER_KV = re.compile(r"([A-Za-z][A-Za-z0-9]*)\s*=\s*([^,=]+?)(?=\s*(?:,|$))")
 _HEADER_END = re.compile(r"&END|/$", re.IGNORECASE)
 _BODY_DTYPE = np.dtype([("value", np.float64), ("index", np.int64, (4,))])
 # The writer leaves out integrals of this magnitude or less.
 WRITE_THRESHOLD = 1e-12
-
-
-def _pair(a, b):
-    """Number of the unordered pair {a, b}: (0, 0), (1, 0), (1, 1), (2, 0), ..."""
-    high, low = np.maximum(a, b), np.minimum(a, b)
-    return high * (high + 1) // 2 + low
 
 
 def parse_fcidump(text: str) -> ActiveSpaceHamiltonian:
@@ -89,7 +84,7 @@ def parse_fcidump(text: str) -> ActiveSpaceHamiltonian:
     zeros = [8, 4, 2, 1] @ (idx == 0)
     # One key per 8-fold orbit, the pair number of (pq, rs). Index 0 enters
     # only as the pair (0, 0), so core, one-body and two-body keys differ.
-    key = _pair(_pair(idx[0], idx[1]), _pair(idx[2], idx[3]))
+    key = pair_index(pair_index(idx[0], idx[1]), pair_index(idx[2], idx[3]))
     order = np.argsort(key, kind="stable")
     earlier, later = order[:-1], order[1:]
     repeat = key[earlier] == key[later]
@@ -122,11 +117,10 @@ def parse_fcidump(text: str) -> ActiveSpaceHamiltonian:
 
 
 def read_fcidump(path) -> ActiveSpaceHamiltonian:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read FCIDUMP {path}: {exc}") from exc
+    """Parse the FCIDUMP file ``path``; one that cannot be read is a
+    :class:`ConfigError` by :func:`~sqdci.errors.reading`."""
+    with reading(path, "FCIDUMP") as fh:
+        text = fh.read()
     return parse_fcidump(text)
 
 

@@ -527,12 +527,7 @@ def build_sparse_matrix(ham: ActiveSpaceHamiltonian, basis: np.ndarray,
                  32 * candidates + (160 + 16 * ham.n_orb) * block + 16 * dim,
                  max_bytes)
 
-    # In a full product of its strings, a key is its own row.
-    product = dim == len(alphas) * stride
-
     def find(targets):
-        if product:
-            return np.ones(len(targets), dtype=bool), targets
         pos = np.searchsorted(keys, targets)
         pos[pos == dim] = 0
         hit = keys[pos] == targets
@@ -611,8 +606,9 @@ def build_sparse_matrix(ham: ActiveSpaceHamiltonian, basis: np.ndarray,
 _SIGMA_BLOCK_FLOATS = 1 << 23
 
 
-def _pair_index(p, q):
-    """Index of the orbital pair {p, q} among the n(n+1)/2 pairs p >= q."""
+def pair_index(p, q):
+    """Number of the unordered pair {p, q} among the pairs p >= q:
+    (0, 0), (1, 0), (1, 1), (2, 0), ..."""
     hi, lo = np.maximum(p, q), np.minimum(p, q)
     return hi * (hi + 1) // 2 + lo
 
@@ -627,8 +623,8 @@ def _pair_entries(tables: _SpinTables):
     """
     source = np.repeat(np.arange(len(tables.occ)), np.diff(tables.single_start))
     occupied, orbital = np.nonzero(tables.occ)
-    pair = np.concatenate([_pair_index(tables.single_hole, tables.single_particle),
-                           _pair_index(orbital, orbital)])
+    pair = np.concatenate([pair_index(tables.single_hole, tables.single_particle),
+                           pair_index(orbital, orbital)])
     target = np.concatenate([tables.single_target, occupied])
     source = np.concatenate([source, occupied])
     sign = np.concatenate([tables.single_sign, np.ones(len(occupied))])

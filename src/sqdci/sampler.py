@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng, solver
-from .errors import CapacityError, ConfigError, check_budget
+from .errors import CapacityError, ConfigError, check_budget, reading
 from .hamiltonian import (MAX_ORBITALS_PER_SPIN, occupation_rows,
                           sector_dimension, sector_strings)
 
@@ -510,42 +510,41 @@ def write_counts(counts: BitstringCounts, path) -> None:
 def read_counts(path) -> BitstringCounts:
     """Counts of a counts file (the format is in the README).
 
-    Each line is checked once and its bitstring and count collected; then
-    come the width and total checks and one :func:`pack_bits` call, and
-    the constructor adds up repeated bitstrings.
+    The lines stream from :func:`~sqdci.errors.reading`, which makes an
+    unreadable file a :class:`ConfigError`. Each line is checked once and
+    its bitstring and count collected; then come the width and total checks
+    and one :func:`pack_bits` call, and the constructor adds up repeated
+    bitstrings.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = next(fh, "").strip()
-            if not header.startswith("n_qubits="):
-                raise ConfigError("counts file must start with 'n_qubits=<int>'")
+    with reading(path, "counts file") as fh:
+        header = next(fh, "").strip()
+        if not header.startswith("n_qubits="):
+            raise ConfigError("counts file must start with 'n_qubits=<int>'")
+        try:
+            nq = int(header.split("=", 1)[1])
+        except ValueError as exc:
+            raise ConfigError("bad n_qubits header") from exc
+        keys, counts = [], []
+        for raw in fh:
+            parts = raw.split()
+            if not parts:
+                continue
+            if len(parts) != 2:
+                raise ConfigError(f"malformed counts line: {raw!r}")
+            bits, count_str = parts
+            if len(bits) != nq:
+                raise ConfigError(f"bitstring length mismatch: {raw!r}")
+            if bits.strip("01"):
+                raise ConfigError("bitstring has a character other than "
+                                  f"0 or 1: {raw!r}")
             try:
-                nq = int(header.split("=", 1)[1])
+                count = int(count_str)
             except ValueError as exc:
-                raise ConfigError("bad n_qubits header") from exc
-            keys, counts = [], []
-            for raw in fh:
-                parts = raw.split()
-                if not parts:
-                    continue
-                if len(parts) != 2:
-                    raise ConfigError(f"malformed counts line: {raw!r}")
-                bits, count_str = parts
-                if len(bits) != nq:
-                    raise ConfigError(f"bitstring length mismatch: {raw!r}")
-                if bits.strip("01"):
-                    raise ConfigError("bitstring has a character other than "
-                                      f"0 or 1: {raw!r}")
-                try:
-                    count = int(count_str)
-                except ValueError as exc:
-                    raise ConfigError(f"malformed count: {raw!r}") from exc
-                if count < 0:
-                    raise ConfigError(f"negative count: {raw!r}")
-                keys.append(bits)
-                counts.append(count)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read counts file {path}: {exc}") from exc
+                raise ConfigError(f"malformed count: {raw!r}") from exc
+            if count < 0:
+                raise ConfigError(f"negative count: {raw!r}")
+            keys.append(bits)
+            counts.append(count)
     _half_widths(nq)
     if sum(counts) >= 2**63:
         raise ConfigError("total shot count does not fit in 64 bits")

@@ -233,23 +233,22 @@ def sqd_ground_state(ham: ActiveSpaceHamiltonian, counts: BitstringCounts,
                 np.concatenate([valid.beta, recovered.beta]),
                 np.concatenate([valid.count, recovered.count]))
 
+        # Each batch draws from its own stream, so drawing them all first
+        # changes no value; each holds at most samples_per_batch rows.
+        drawn = [_draw_batch(pool, cfg.samples_per_batch,
+                             rng.stream(cfg.seed, "batch", iteration, b))
+                 for b in range(cfg.batches)]
         # Saturated samples close many batches to one space. Lookups see this
         # iteration's solutions and the running best; the previous iteration's
         # are dropped first (16 bases and vectors of 10^6 rows hold 384 MB).
-        batches, drawn = [], []  # drawn: (shots, rows), one per basis taken
-
-        def closures():
-            for b in range(cfg.batches):
-                batch = _draw_batch(pool, cfg.samples_per_batch,
-                                    rng.stream(cfg.seed, "batch", iteration, b))
-                drawn.append((batch.total_shots, len(batch)))
-                yield build_subspace(batch, ham.n_orb)
-
-        batches, count = solve_distinct(ham, closures(),
-                                        () if best is None else (best,))
+        batches = []
+        batches, count = solve_distinct(
+            ham, (build_subspace(batch, ham.n_orb) for batch in drawn),
+            () if best is None else (best,))
         solves += count
-        batches = [BatchSolution(s.basis, s.vector, s.energy, *d)
-                   for s, d in zip(batches, drawn)]
+        batches = [BatchSolution(s.basis, s.vector, s.energy,
+                                 batch.total_shots, len(batch))
+                   for s, batch in zip(batches, drawn)]
         best = min(batches, key=lambda s: s.energy)
         history.append(best.energy)
 

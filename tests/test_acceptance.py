@@ -19,7 +19,7 @@ import scipy.linalg
 
 from sqdci.activespace import DEFAULT_ETA, filter_contributions
 from sqdci.baselines import ext_hci, hci_variational
-from sqdci.cli import RunConfig, execute_run, reaction_report
+from sqdci.cli import EV_PER_HARTREE, RunConfig, execute_run, reaction_report
 from sqdci.hamiltonian import build_sparse_matrix, sector_basis
 from sqdci.sampler import (LUCJParams, SectorState, apply_readout_noise,
                            lucj_state, sample_counts)
@@ -27,7 +27,6 @@ from sqdci.solver import davidson_lowest, dense_eigensolve, fci_ground_state
 from sqdci.sqd import (ExtensionThresholds, RecoveryConfig, ext_sqd,
                        extend_subspace, partition_by_hamming,
                        recover_configurations, sqd_ground_state)
-from sqdci.units import EV_PER_HARTREE
 from test_solver import random_sparse_symmetric
 
 

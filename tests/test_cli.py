@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 import sqdci
 import sqdci.sqd
 from conftest import ONE_ORBITAL_FCIDUMP, counts_of, random_hamiltonian
-from sqdci.cli import (RunConfig, build_parser, execute_run, main,
-                       reaction_report, scan_table)
+from sqdci.cli import (EV_PER_HARTREE, RunConfig, build_parser, execute_run,
+                       main, reaction_report, scan_table)
 from sqdci.errors import ConfigError
 from sqdci.fcidump import read_fcidump, write_fcidump_path
 from sqdci.hamiltonian import product_operator_bytes, sector_basis
 from sqdci.sampler import BitstringCounts, write_counts
 from sqdci.solver import fci_ground_state, solver_bytes
-from sqdci.units import EV_PER_HARTREE
 from test_sampler import half_turn_t2, random_t2
 
 
@@ -373,6 +372,22 @@ def test_main_unreadable_input_is_config_error(one_orbital, tmp_path, capsys,
                  "--sampler", "counts-file",
                  "--counts", str(paths["counts"])]) == 2
     assert capsys.readouterr().err.startswith("error: cannot read")
+
+
+@pytest.mark.parametrize("kind", ["non-utf8", "directory", "malformed", "deep"])
+def test_main_unreadable_record_is_config_error(tmp_path, capsys, kind):
+    good = tmp_path / "good.json"
+    good.write_text('{"method": "fci", "energy": -1.0}\n')
+    bad = tmp_path / "bad.json"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes({"non-utf8": good.read_bytes() + b"\xff\xfe\n",
+                         "malformed": b'{"method": "fci", "energy": ',
+                         "deep": b"[" * 10**5}[kind])
+    assert main(["reaction", "--product", str(bad),
+                 "--reactant", str(good)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read record")
 
 
 @pytest.mark.parametrize("flip", ["-0.5", "nan", "1.5", "inf"])

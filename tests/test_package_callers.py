@@ -107,3 +107,36 @@ def test_no_module_uses_another_modules_private_function_or_class():
     private = _private_definitions(trees)
     assert len(private) >= 5  # the scan finds the private helpers
     assert _borrowed(trees) & private == set()
+
+
+def _read_mode_opens(module, node):
+    """``module:line`` of each ``open`` call under ``node`` whose mode can
+    read: a literal mode without ``w``, ``a`` or ``x``, or a mode that is
+    not a literal."""
+    sites = set()
+    for call in ast.walk(node):
+        if not (isinstance(call, ast.Call) and "open" in (
+                getattr(call.func, "id", None), getattr(call.func, "attr", None))):
+            continue
+        mode = (call.args[1] if len(call.args) > 1 else
+                next((k.value for k in call.keywords if k.arg == "mode"),
+                     ast.Constant("r")))
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and set(mode.value) & set("wax")):
+            sites.add(f"{module}:{call.lineno}")
+    return sites
+
+
+def test_every_input_file_is_opened_by_errors_reading():
+    # A reader that opens its own file writes its own copy of the rule
+    # "an unreadable input is a ConfigError naming it"; errors.reading is
+    # the one copy. Write-mode opens are outside this rule.
+    trees = _trees()
+    sites = set().union(*(_read_mode_opens(module, tree)
+                          for module, tree in trees.items()))
+    reader = set().union(*(_read_mode_opens("errors", node)
+                           for node in trees["errors"].body
+                           if isinstance(node, ast.FunctionDef)
+                           and node.name == "reading"))
+    assert sites - reader == set()
+    assert len(reader) == 1  # the scan sees the one reader's open
