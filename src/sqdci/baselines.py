@@ -17,7 +17,7 @@ import itertools
 import numpy as np
 
 from .errors import ConfigError
-from .hamiltonian import (_BLOCK_CANDIDATES, ActiveSpaceHamiltonian,
+from .hamiltonian import (ActiveSpaceHamiltonian, block_rows,
                           connected_determinants, merge_blocks)
 from .solver import SubspaceResult, check_rows, solve_subspace
 from .sqd import ExtensionThresholds, extend_subspace, solve_distinct
@@ -43,8 +43,7 @@ def hci_variational(ham: ActiveSpaceHamiltonian,
     dets = np.array([[(1 << ham.n_alpha) - 1, (1 << ham.n_beta) - 1]],
                     dtype=np.uint64)
     current = solve_subspace(ham, dets)
-    # Sources per screen: one block of connected_determinants.
-    step = max(1, _BLOCK_CANDIDATES // ham.n_orb**2)
+    step = block_rows(ham.n_orb**2)
     sweeps = 0
     for sweeps in range(1, MAX_SWEEPS + 1):
         amp = np.abs(current.vector)

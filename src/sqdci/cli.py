@@ -17,7 +17,7 @@ import os
 import sys
 import time
 import zipfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -249,8 +249,7 @@ def scan_table(config: RunConfig, template: str, sizes: list[int],
                methods: list[str]) -> list[dict]:
     """Run each distinct (size, method) pair over a family of FCIDUMP
     files, sizes ascending and methods in first-seen order. Every member
-    file must exist before the first run starts; each is read once, for
-    all its methods.
+    is read, once, before the first run, and dropped after its own runs.
     """
     if "{size}" not in template:
         raise ConfigError("scan template must contain '{size}'")
@@ -259,16 +258,12 @@ def scan_table(config: RunConfig, template: str, sizes: list[int],
                    for size in sorted(set(sizes))]
     except (LookupError, ValueError, AttributeError, TypeError) as exc:
         raise ConfigError(f"bad scan template {template!r}: {exc!r}") from exc
-    for _, path in members:
-        if not os.path.exists(path):
-            raise ConfigError(f"missing scan member: {path}")
+    hams = [read_fcidump(path) for _, path in members]
     rows = []
     for size, path in members:
-        ham = read_fcidump(path)
+        ham = hams.pop(0)
         for method in dict.fromkeys(methods):
-            member = RunConfig(**{**asdict(config),
-                                  "hamiltonian_path": path,
-                                  "method": method})
+            member = replace(config, hamiltonian_path=path, method=method)
             record = execute_run(member, ham)
             rows.append({"size": size, "method": method,
                          "energy": record["energy"],

@@ -5,7 +5,8 @@ doubles of a batch of determinants as packed rows (the HCI selection
 generator), :func:`build_sparse_matrix` assembles the projected
 Hamiltonian over an explicit basis, and :class:`ProductHamiltonian`
 applies it matrix free on the Cartesian product of two string sets, or,
-row-masked, on any basis inside that product.
+row-masked, on any basis inside that product. Chunked candidate
+expansions take about ``_BLOCK_CANDIDATES`` at once (:func:`block_rows`).
 
 Determinants are pairs of occupation bitmasks (alpha, beta) over spatial
 orbitals, bit p for orbital p. A basis is a ``(dim, 2)`` ``uint64``
@@ -305,10 +306,14 @@ class CSRMatrix:
         return np.add.reduceat(self.data * x[self.indices], self.indptr[:-1])
 
 
-# Candidate pairs expanded at once by the builder, (source, string) pairs
-# scanned by the string tables, and rows merge_blocks holds before it
-# folds: bounds their temporaries independently of the basis size.
+# Candidates a chunked step expands at once, and rows merge_blocks holds
+# before it folds: bounds their temporaries whatever the basis size.
 _BLOCK_CANDIDATES = 1 << 16
+
+
+def block_rows(width: int) -> int:
+    """Rows per chunk of a step that expands ``width`` candidates a row."""
+    return max(1, _BLOCK_CANDIDATES // max(1, width))
 
 
 class _SpinTables(NamedTuple):
@@ -343,8 +348,8 @@ def _spin_tables(ham: ActiveSpaceHamiltonian, strings) -> _SpinTables:
     """Singles and same-spin doubles among ``strings`` (sorted, distinct).
 
     Two strings of one popcount are a single apart when their XOR holds
-    2 bits, and a double apart when it holds 4. Each chunk of about
-    ``_BLOCK_CANDIDATES`` (source, string) pairs is scanned for those
+    2 bits, and a double apart when it holds 4. Each chunk of
+    :func:`block_rows` sources, against every string, is scanned for those
     distances, so the entries come out by source, targets ascending. The
     holes are the moved bits the source holds, the particles those the
     target holds, each pair ascending. A parity is that of the bits
@@ -367,7 +372,7 @@ def _spin_tables(ham: ActiveSpaceHamiltonian, strings) -> _SpinTables:
         return 1.0 - 2.0 * (np.bitwise_count(state & between[hole, part]) & 1)
 
     singles, doubles = [], []
-    step = max(1, _BLOCK_CANDIDATES // max(1, len(bits)))
+    step = block_rows(len(bits))
     # One chunk even for no strings gives every field its dtype.
     for lo in range(0, max(1, len(bits)), step):
         apart = np.bitwise_count(bits[lo:lo + step, None] ^ bits)
@@ -441,14 +446,15 @@ def connected_determinants(ham: ActiveSpaceHamiltonian, sources,
 
     Source k is the packed row ``sources[k]`` with cutoff ``cutoffs[k]``.
     Returns the kept targets as packed ``(m, 2)`` ``uint64`` rows, repeats
-    included: per block of sources, alpha and beta singles, then
-    alpha-alpha, beta-beta and alpha-beta doubles. A single is kept when
-    its element, bit for bit the one :func:`build_sparse_matrix` stores, is
-    nonzero and reaches the cutoff in magnitude; a double when its
-    integral does (Holmes, Tubman & Umrigar, JCTC 12, 3674
-    (2016)): each occupied pair walks its list, sorted by magnitude once
-    per Hamiltonian, down to the cutoff, and moves onto occupied orbitals
-    are dropped.
+    included: alpha and beta singles, then alpha-alpha, beta-beta and
+    alpha-beta doubles, each kind by source. A single is kept when its
+    element, bit for bit the one :func:`build_sparse_matrix` stores, is
+    nonzero and reaches the cutoff in magnitude; a double when its integral
+    does (Holmes, Tubman & Umrigar, JCTC 12, 3674 (2016)): each occupied
+    pair walks its list, sorted by magnitude once per Hamiltonian, down to
+    the cutoff, and moves onto occupied orbitals are dropped. One pass
+    screens every source, about ``n_orb**2`` candidates each, so a caller
+    passes at most ``block_rows(n_orb**2)`` sources.
     """
     cutoffs = np.asarray(cutoffs, dtype=float)
     if not np.all(cutoffs >= 0):  # false for nan too
@@ -457,39 +463,36 @@ def connected_determinants(ham: ActiveSpaceHamiltonian, sources,
     size, flip = len(tables.levels), _bit_masks(n)[0]
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     sources = np.asarray(sources, dtype=np.uint64)
-    rows = [np.zeros((0, 2), dtype=np.uint64)]
-    step = max(1, _BLOCK_CANDIDATES // (n * n))
-    for lo in range(0, len(cutoffs), step):
-        block, cut = sources[lo:lo + step], cutoffs[lo:lo + step]
-        occ = [occupation_rows(b, n) for b in block.T]
-        full = [o > 0 for o in occ]
-        for spin in (0, 1):
-            src, h, p = np.nonzero(full[spin][:, :, None] > full[spin][:, None, :])
-            element = _single_elements(ham, h, p, occ[spin][src],
-                                       occ[1 - spin][src])
-            keep = (element != 0.0) & (np.abs(element) >= cut[src])
-            new = block[src[keep]]
-            new[:, spin] ^= flip[h[keep]] ^ flip[p[keep]]
-            rows.append(new)
-        for s1, s2, kind, pairs in ((0, 0, 0, upper), (1, 1, 0, upper),
-                                    (0, 1, 1, True)):
-            src, h1, h2 = np.nonzero(
-                full[s1][:, :, None] & full[s2][:, None, :] & pairs)
-            # Each (source, hole pair) walks its list down to the cutoff.
-            pair = (kind * n + h1) * n + h2
-            rank = np.searchsorted(tables.levels, cut[src])
-            end = np.searchsorted(tables.key, pair * (size + 1) + size - rank,
-                                  side="right")
-            owner, pos = _expand(tables.start, pair, end - tables.start[pair])
-            src, p1, p2 = src[owner], tables.first[pos], tables.second[pos]
-            # A same-spin p2 is neither h1 nor p1, so both particles are
-            # checked on the source strings.
-            keep = (block[src, s1] & p1 | block[src, s2] & p2) == 0
-            owner = owner[keep]
-            new = block[src[keep]]
-            new[:, s1] ^= flip[h1[owner]] ^ p1[keep]
-            new[:, s2] ^= flip[h2[owner]] ^ p2[keep]
-            rows.append(new)
+    occ = [occupation_rows(column, n) for column in sources.T]
+    full = [o > 0 for o in occ]
+    rows = []
+    for spin in (0, 1):
+        src, h, p = np.nonzero(full[spin][:, :, None] > full[spin][:, None, :])
+        element = _single_elements(ham, h, p, occ[spin][src],
+                                   occ[1 - spin][src])
+        keep = (element != 0.0) & (np.abs(element) >= cutoffs[src])
+        new = sources[src[keep]]
+        new[:, spin] ^= flip[h[keep]] ^ flip[p[keep]]
+        rows.append(new)
+    for s1, s2, kind, pairs in ((0, 0, 0, upper), (1, 1, 0, upper),
+                                (0, 1, 1, True)):
+        src, h1, h2 = np.nonzero(
+            full[s1][:, :, None] & full[s2][:, None, :] & pairs)
+        # Each (source, hole pair) walks its list down to the cutoff.
+        pair = (kind * n + h1) * n + h2
+        rank = np.searchsorted(tables.levels, cutoffs[src])
+        end = np.searchsorted(tables.key, pair * (size + 1) + size - rank,
+                              side="right")
+        owner, pos = _expand(tables.start, pair, end - tables.start[pair])
+        src, p1, p2 = src[owner], tables.first[pos], tables.second[pos]
+        # A same-spin p2 is neither h1 nor p1, so both particles are
+        # checked on the source strings.
+        keep = (sources[src, s1] & p1 | sources[src, s2] & p2) == 0
+        owner = owner[keep]
+        new = sources[src[keep]]
+        new[:, s1] ^= flip[h1[owner]] ^ p1[keep]
+        new[:, s2] ^= flip[h2[owner]] ^ p2[keep]
+        rows.append(new)
     return np.concatenate(rows)
 
 
@@ -729,20 +732,20 @@ class ProductHamiltonian:
         self._v = ham.two_body[first[:, None], second[:, None],
                                first[None, :], second[None, :]]
         self._beta = _pair_entries(tb)
-        block_rows = _sigma_block_rows(ham.n_orb, n_a, n_b)
-        self._d = np.zeros((n_pairs, block_rows, n_b))
-        self._f = np.empty((n_pairs, block_rows * n_b))
+        per_block = _sigma_block_rows(ham.n_orb, n_a, n_b)
+        self._d = np.zeros((n_pairs, per_block, n_b))
+        self._f = np.empty((n_pairs, per_block * n_b))
         # Per block of source alpha rows: flat row of F, sign, run starts
         # and the distinct targets, with the entries sorted by target.
         pair, target, source, sign = _pair_entries(ta)
         self._blocks = []
-        for lo in range(0, n_a, block_rows):
-            hi = min(lo + block_rows, n_a)
+        for lo in range(0, n_a, per_block):
+            hi = min(lo + per_block, n_a)
             mine = (source >= lo) & (source < hi)
             block_target = target[mine]
             starts = np.flatnonzero(np.diff(block_target, prepend=-1))
             self._blocks.append((lo, hi,
-                                 pair[mine] * block_rows + source[mine] - lo,
+                                 pair[mine] * per_block + source[mine] - lo,
                                  sign[mine][:, None], starts,
                                  block_target[starts]))
 

@@ -25,15 +25,15 @@ expanded, once no solve could hold it. The loop's shape comes from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import rng
 from .errors import ConfigError, EmptyValidSampleError
-from .hamiltonian import (_BLOCK_CANDIDATES, ActiveSpaceHamiltonian,
-                          basis_strings, distinct_strings, merge_blocks,
-                          occupation_rows, product_basis)
+from .hamiltonian import (ActiveSpaceHamiltonian, basis_strings, block_rows,
+                          distinct_strings, merge_blocks, occupation_rows,
+                          product_basis)
 from .sampler import BitstringCounts
 from .solver import check_product_space, check_rows, solve_subspace
 
@@ -73,7 +73,7 @@ class BatchSolution:
     vector: np.ndarray
     energy: float
     shot_weight: int
-    raw_dimension: int = 0  # distinct sampled determinants, before the product
+    raw_dimension: int  # distinct sampled determinants, before the product
 
 
 @dataclass
@@ -270,9 +270,9 @@ def extend_subspace(eigenvector: np.ndarray, basis: np.ndarray,
     sector. A move XORs a string with a mask: a 2-bit mask is a single
     where the string holds one of its bits, a 4-bit mask a same-spin double
     where it holds two; alpha-beta doubles are the beta singles of the
-    alpha singles. Rows are expanded in chunks of about
-    ``_BLOCK_CANDIDATES`` mask tests, and the candidates, the ``include``
-    bases among them, go through the running merge of :func:`merge_blocks`.
+    alpha singles. Rows are expanded in chunks of :func:`block_rows` of
+    the mask count, and the candidates, the ``include`` bases among them,
+    go through the running merge of :func:`merge_blocks`.
     Raises :class:`CapacityError`, by :func:`check_rows`, once the union
     passes the rows that any solve could hold.
     """
@@ -287,7 +287,7 @@ def extend_subspace(eigenvector: np.ndarray, basis: np.ndarray,
     def moves(rows, masks, electrons, spin):
         """Rows one move from ``rows`` in their ``spin`` string, one per
         mask that holds ``electrons`` of its bits; in chunks of rows."""
-        step = max(1, _BLOCK_CANDIDATES // max(1, len(masks)))
+        step = block_rows(len(masks))
         for lo in range(0, len(rows), step):
             block = rows[lo:lo + step]
             row, col = np.nonzero(np.bitwise_count(
@@ -329,10 +329,10 @@ def ext_sqd(ham: ActiveSpaceHamiltonian, prior: SQDResult,
         extend_subspace(batch.vector, batch.basis, thresholds, ham.n_orb,
                         batch.basis, prior.basis)
         for batch in prior.batches), prior.batches)
-    solutions = [BatchSolution(s.basis, s.vector, s.energy, batch.shot_weight)
-                 for s, batch in zip(solved, prior.batches)]
+    solutions = [replace(b, basis=s.basis, vector=s.vector, energy=s.energy)
+                 for s, b in zip(solved, prior.batches)]
     best = min(solutions, key=lambda s: s.energy)
     return SQDResult(energy=best.energy, energy_history=[best.energy],
                      basis=best.basis, dimension=len(best.basis),
-                     raw_dimension=len(best.basis), batches=solutions,
+                     raw_dimension=best.raw_dimension, batches=solutions,
                      solves=solves)

@@ -118,7 +118,6 @@ def test_hci_in_small_blocks_is_bitwise_the_same(monkeypatch):
     merges = []
     monkeypatch.setattr(hamiltonian, "merge_bases",
                         lambda *b: merges.append(b) or merge_bases(*b))
-    monkeypatch.setattr(baselines, "_BLOCK_CANDIDATES", 1)
     monkeypatch.setattr(hamiltonian, "_BLOCK_CANDIDATES", 1)
     got = hci_variational(ham, 1e-2)
     assert len(merges) > 2 * got.diagnostics["hci_sweeps"]

@@ -312,7 +312,7 @@ def test_scan_rows_sorted_and_complete(tmp_path):
 
 
 def test_scan_missing_member(tmp_path):
-    with pytest.raises(ConfigError, match="missing"):
+    with pytest.raises(ConfigError, match="cannot read FCIDUMP"):
         scan_table(RunConfig(), str(tmp_path / "as{size}.fcidump"),
                    sizes=[2], methods=["fci"])
     with pytest.raises(ConfigError, match="template"):
@@ -691,6 +691,24 @@ def test_scan_runs_each_size_and_method_once(tmp_path, monkeypatch):
     keys = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
     assert keys == [["2", "hci"], ["2", "fci"], ["3", "hci"], ["3", "fci"]]
     assert len(runs) == 4
+
+
+def test_scan_reads_every_member_before_its_first_run(tmp_path, monkeypatch):
+    # A malformed later member fails the scan before any solve, and no
+    # table is written.
+    write_fcidump_path(random_hamiltonian(3, 1, 1, seed=3),
+                       tmp_path / "as3.fcidump")
+    (tmp_path / "as4.fcidump").write_text("&FCI NORB=4\n")
+    runs = []
+    monkeypatch.setattr("sqdci.cli.execute_run",
+                        lambda config, *ham: runs.append(config)
+                        or execute_run(config, *ham))
+    out = tmp_path / "table.csv"
+    assert main(["scan", "--template", str(tmp_path / "as{size}.fcidump"),
+                 "--sizes", "3,4", "--methods", "fci,hci",
+                 "--out", str(out)]) == 2
+    assert runs == []
+    assert not out.exists()
 
 
 def test_scan_reads_each_member_once(tmp_path, monkeypatch):

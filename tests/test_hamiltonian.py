@@ -114,8 +114,7 @@ def test_negative_cutoff_rejected():
 def _heat_bath_batch(draw):
     """Distinct sources over up to 6 orbitals from one or two sectors
     (open-shell, asymmetric, or with a one-string spin: 0 or n_orb
-    electrons), each with a cutoff that may be 0 or inf, and a block size
-    that may split the batch into one chunk per source. With integrals on
+    electrons), each with a cutoff that may be 0 or inf. With integrals on
     a 1/64 grid every element is exact, so a cutoff may also equal one."""
     n = draw(st.integers(1, 6))
     ham = random_hamiltonian(n, 1, 1, seed=draw(st.integers(0, 2**16)))
@@ -137,7 +136,7 @@ def _heat_bath_batch(draw):
         if levels:
             cutoff |= st.sampled_from(levels)
         cutoffs.append(draw(cutoff))
-    return ham, sources, cutoffs, draw(st.sampled_from([1, 1 << 16]))
+    return ham, sources, cutoffs
 
 
 # Excitation kinds as (alpha, beta) moves, in the order both generators
@@ -156,9 +155,8 @@ def _kind(det, target) -> int:
 def test_batched_generator_matches_reference(batch):
     """Called on one source, the generator returns its reference targets
     as packed rows: kind by kind, the singles in the reference's order. A
-    batch returns the same rows, in source order when each source is its
-    own block."""
-    ham, sources, cutoffs, block = batch
+    batch returns the same rows."""
+    ham, sources, cutoffs = batch
     alone = []
     for det, cutoff in zip(sources, cutoffs):
         rows = connected_determinants(ham, packed([det]), [cutoff])
@@ -171,13 +169,9 @@ def test_batched_generator_matches_reference(batch):
         assert got[:kinds.count(0) + kinds.count(1)] == [
             row for row in expected if _kind(det, row) < 2]
         alone += got
-    with mock.patch.object(hamiltonian, "_BLOCK_CANDIDATES", block):
-        rows = connected_determinants(ham, packed(sources), cutoffs)
+    rows = connected_determinants(ham, packed(sources), cutoffs)
     assert rows.dtype == np.uint64 and rows.shape == (len(alone), 2)
-    if block == 1:
-        assert as_pairs(rows) == alone
-    else:
-        assert Counter(as_pairs(rows)) == Counter(alone)
+    assert Counter(as_pairs(rows)) == Counter(alone)
 
 
 @st.composite

@@ -2,6 +2,7 @@
 alone: each top-level function or class in ``src/sqdci``, private ones
 included, is referenced, as a name or an attribute, somewhere in the
 package, and each top-level UPPERCASE or _UPPERCASE constant is read there.
+No module reads another's private function, class or constant.
 """
 
 import ast
@@ -72,12 +73,14 @@ def test_every_public_constant_is_read_in_the_package():
 
 
 def _private_definitions(trees):
-    """Top-level functions and classes whose names start with ``_``, as
-    ``module.name``."""
+    """Top-level functions, classes and _UPPERCASE constants whose names
+    start with ``_``, as ``module.name``."""
     return {f"{module}.{node.name}" for module, tree in trees.items()
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name.startswith("_")}
+            and node.name.startswith("_")} | {
+                name for name in _constants(trees)
+                if name.split(".")[1].startswith("_")}
 
 
 def _borrowed(trees):
@@ -101,11 +104,12 @@ def _borrowed(trees):
 
 
 def test_no_module_uses_another_modules_private_function_or_class():
-    # A private helper another module needs is that module's API: give it
-    # a public name, or move the caller's use into its module.
+    # A private helper or constant another module needs is that module's
+    # API: give it a public name, or move the caller's use into its module.
     trees = _trees()
     private = _private_definitions(trees)
     assert len(private) >= 5  # the scan finds the private helpers
+    assert "hamiltonian._BLOCK_CANDIDATES" in private  # and the constants
     assert _borrowed(trees) & private == set()
 
 

@@ -36,11 +36,14 @@ def test_dense_two_by_two():
     assert spec.vector[0] * spec.vector[1] < 0
 
 
-def test_dense_rejects_asymmetric_and_oversized():
+def test_dense_rejects_asymmetric_and_oversized(monkeypatch):
     with pytest.raises(ConfigError):
         dense_eigensolve(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(CapacityError):
-        dense_eigensolve(np.zeros((4097, 4097)))
+    monkeypatch.setattr(solver, "MEMORY_BUDGET_BYTES", 48 * 3 * 3 - 1)
+    with pytest.raises(CapacityError, match="dense eigensolve of 3 rows"):
+        dense_eigensolve(np.eye(3))
+    monkeypatch.setattr(solver, "MEMORY_BUDGET_BYTES", 48 * 3 * 3)
+    assert dense_eigensolve(np.eye(3)).energy == 1.0
 
 
 def test_davidson_diagonal_matrix():

@@ -368,7 +368,7 @@ def _extension_problem(draw):
           ExtensionThresholds(0.0, 0.0), 7, 1 << 16))
 def test_packed_extension_matches_reference(problem):
     vector, basis, thresholds, n, block = problem
-    with mock.patch.object(sqd, "_BLOCK_CANDIDATES", block):
+    with mock.patch.object(hamiltonian, "_BLOCK_CANDIDATES", block):
         got = extend_subspace(vector, basis, thresholds, n)
     assert got.dtype == np.uint64 and got.shape == (len(got), 2)
     assert as_pairs(got) == _reference_extension(vector, basis, thresholds, n)
@@ -474,7 +474,11 @@ def test_ext_sqd_solves_a_shared_extension_once(monkeypatch):
     for batch, solution in zip(prior.batches, result.batches, strict=True):
         assert np.array_equal(solution.basis, calls[0])
         assert solution.shot_weight == batch.shot_weight
+        assert solution.raw_dimension == batch.raw_dimension
         assert_fresh(ham, solution)
+    # Of equal energies the first extension wins, and the result carries
+    # its batch's sampled rows, not the extended dimension.
+    assert result.raw_dimension == prior.batches[0].raw_dimension <= 20
 
 
 def test_ext_sqd_reuses_the_batch_solution_it_extends(monkeypatch):
